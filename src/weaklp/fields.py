@@ -72,11 +72,28 @@ class ScalarField:
 
     def support_distance(self, pts):
         """Distance to the support ball (a lower bound on the distance to supp u)."""
-        pts = np.asarray(pts, dtype=float)
-        return np.maximum(np.sqrt(np.sum(pts ** 2, axis=-1)) - self.support_radius, 0.0)
+        return np.maximum(np.sqrt(_sum_squares(pts)) - self.support_radius, 0.0)
 
     def __repr__(self):
         return f"<ScalarField {self.label!r} N={self.dim}>"
+
+
+def _sum_squares(pts, center=None):
+    """sum((pts - center)^2, axis=-1), accumulated axis by axis.
+
+    numpy reduces a short trailing axis in this same sequential order, so the
+    bits agree; the per-axis loop skips the slow small-axis reduce and the
+    (..., N) temporaries.
+    """
+    pts = np.asarray(pts, dtype=float)
+    q = None
+    for i in range(pts.shape[-1]):
+        d = pts[..., i] if center is None else pts[..., i] - center[i]
+        if q is None:
+            q = d * d
+        else:
+            q += d * d
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +272,12 @@ class _RadialBump(ScalarField):
         return FieldBounds(lip, hess, sup, "certified")
 
     def evaluate(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        r = np.sqrt(np.sum((pts - self.center) ** 2, axis=-1))
+        r = np.sqrt(_sum_squares(pts, self.center))
         return _bump_profile(r, self.radius, self.amplitude)
 
     def gradient(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        d = pts - self.center
-        q = np.sum(d ** 2, axis=-1) / self.radius ** 2
+        d = np.asarray(pts, dtype=float) - self.center
+        q = _sum_squares(d) / self.radius ** 2
         out = np.zeros_like(d)
         m = q < 1.0
         w = 1.0 / (1.0 - q[m])

@@ -4,6 +4,9 @@ The membership function along a ray from x in direction w is
 g(r) = |u(x + r w) - u(x)| - lambda r^alpha.  All estimators share one scan
 kernel: uniform bracketing in r, vectorized bisection of every sign change,
 then exact closed-form integration of r^{N-1} over the membership runs.
+The scan evaluates the field in cache-sized blocks of x nodes and skips x
+nodes farther than r_cap from the support, whose rays carry no members; both
+leave every estimate bit-for-bit unchanged.
 
 Truncation: members satisfy lambda r^{alpha-1} <= lip_bound, so the scan stops
 at r_cap = (lip_bound/lambda)^{1/(alpha-1)} clipped to the support-dilate
@@ -51,6 +54,9 @@ __all__ = [
 ]
 
 CROSSING_CAP = 64
+_BLOCK_POINTS = 2 ** 15    # ray points per scan block: its temporaries stay in L2
+_PRUNE_MARGIN = 1e-9       # pruning slack relative to r_cap + support_radius: covers
+                           # the rounding of x + r w, so pruned rays read u = 0 exactly
 
 
 @dataclass(frozen=True)
@@ -101,16 +107,17 @@ class RadialProfile:
 # shared scan kernel
 # ---------------------------------------------------------------------------
 
-def _bisect_crossings(f, ux_flat, X_flat, W_flat, lam, alpha, lo, hi, cell, iters):
-    """Refine sign-change brackets; `cell` indexes the flattened (x, w) pairs."""
-    xs = X_flat[cell]
-    ws = W_flat[cell]
-    uxs = ux_flat[cell].ravel()
-    up = np.abs(f.evaluate(xs + lo[:, None] * ws) - uxs) - lam * lo ** alpha >= 0.0
+def _bisect_crossings(f, xs, ws, uxs, lam, alpha, lo, hi, iters):
+    """Refine the sign-change brackets (lo, hi] of the rays xs + r ws; the
+    (N, k) rays are axis-major, so the field reads contiguous coordinates."""
+
+    def member(r):
+        return np.abs(f.evaluate((xs + r * ws).T) - uxs) - lam * r ** alpha >= 0.0
+
+    up = member(lo)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        pos = np.abs(f.evaluate(xs + mid[:, None] * ws) - uxs) - lam * mid ** alpha >= 0.0
-        same = pos == up
+        same = member(mid) == up
         lo = np.where(same, mid, lo)
         hi = np.where(same, hi, mid)
     return 0.5 * (lo + hi)
@@ -123,46 +130,53 @@ def _scan_measures(f, lam, alpha, X, W, r_cap, scan, tol, n_dim):
     endpoint refinement done by batched bisection.  The run pairing trick:
     sum over runs of (b^N - a^N) equals sum over down-crossings of b^N minus
     sum over up-crossings of a^N, so no explicit pairing is needed.
+
+    x nodes farther than r_cap from the support are skipped: u vanishes on
+    their whole rays, so their rows are exactly zero.  The others are scanned
+    in blocks of about _BLOCK_POINTS ray points.
     """
     nx, nw = X.shape[0], W.shape[0]
     r = np.linspace(r_cap / scan, r_cap, scan)
-    pts = X[:, None, None, :] + r[None, None, :, None] * W[None, :, None, :]
-    vals = f.evaluate(pts)
-    ux = f.evaluate(X)
-    g = np.abs(vals - ux[:, None, None]) - lam * r[None, None, :] ** alpha
-    member = (g >= 0.0).reshape(nx * nw, scan)
-    del pts, vals, g
+    lam_r = lam * r ** alpha
+    member = np.zeros((nx, nw, scan), dtype=bool)
+    margin = _PRUNE_MARGIN * (r_cap + f.support_radius)
+    live = np.flatnonzero(f.support_distance(X) <= r_cap + margin)
+    ux = np.zeros(nx)
+    if live.size:
+        ux[live] = f.evaluate(X[live])
+    # ray points are built axis-major, (N, x, w, r), so each coordinate the
+    # field reads is contiguous; the field sees the (x, w, r, N) view
+    rw = W.T[:, :, None] * r
+    block = max(1, _BLOCK_POINTS // (nw * scan))
+    for b0 in range(0, live.size, block):
+        rows = live[b0 : b0 + block]
+        pts = X[rows].T[:, :, None, None] + rw[:, None]
+        g = f.evaluate(np.moveaxis(pts, 0, -1)) - ux[rows][:, None, None]
+        np.abs(g, out=g)
+        g -= lam_r
+        member[rows] = g >= 0.0
+    member = member.reshape(nx * nw, scan)
 
-    X_flat = np.repeat(X, nw, axis=0)
-    W_flat = np.tile(W, (nx, 1))
-    ux_flat = np.repeat(ux, nw)[:, None]
-
-    diff = np.diff(member.astype(np.int8), axis=1)
+    cell, i = np.nonzero(member[:, 1:] != member[:, :-1])
+    up = member[cell, i + 1]
     iters = max(8, min(60, int(math.ceil(math.log2(max((r_cap / scan) / max(tol, 1e-300), 2.0))))))
-
+    r_cross = np.empty(0)
+    if cell.size:
+        xi = cell // nw
+        r_cross = _bisect_crossings(
+            f, X.T[:, xi], W.T[:, cell % nw], ux[xi], lam, alpha, r[i], r[i + 1], iters
+        )
+    up_cell, up_r = cell[up], r_cross[up]
+    dn_cell, dn_r = cell[~up], r_cross[~up]
     acc = np.zeros(nx * nw)
-    up_cell, up_i = np.nonzero(diff == 1)
-    dn_cell, dn_i = np.nonzero(diff == -1)
-    up_r = np.empty(0)
-    dn_r = np.empty(0)
-    if up_cell.size:
-        up_r = _bisect_crossings(
-            f, ux_flat, X_flat, W_flat, lam, alpha, r[up_i], r[up_i + 1], up_cell, iters
-        )
-        np.subtract.at(acc, up_cell, up_r ** n_dim)
-    if dn_cell.size:
-        dn_r = _bisect_crossings(
-            f, ux_flat, X_flat, W_flat, lam, alpha, r[dn_i], r[dn_i + 1], dn_cell, iters
-        )
-        np.add.at(acc, dn_cell, dn_r ** n_dim)
+    np.subtract.at(acc, up_cell, up_r ** n_dim)
+    np.add.at(acc, dn_cell, dn_r ** n_dim)
     # runs starting at 0+ contribute nothing to subtract; runs still open at
     # r_cap close there
     acc[member[:, -1]] += r_cap ** n_dim
     measures = acc / n_dim
 
-    crossings = np.zeros(nx * nw, dtype=int)
-    np.add.at(crossings, up_cell, 1)
-    np.add.at(crossings, dn_cell, 1)
+    crossings = np.bincount(cell, minlength=nx * nw)
     state = {"member": member, "up": (up_cell, up_r), "dn": (dn_cell, dn_r), "r": r}
     return measures, crossings, state
 

@@ -164,3 +164,59 @@ def test_sum_field_bounds_subadditive(cat):
     parts = f.fields
     assert f.lip_bound <= sum(p.lip_bound for p in parts) + 1e-12
     assert f.sup_norm <= sum(p.sup_norm for p in parts) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# per-axis squared distances: bitwise equal to the numpy reduce they replace
+# ---------------------------------------------------------------------------
+
+def _reference_evaluate(f, pts):
+    r = np.sqrt(np.sum((pts - f.center) ** 2, axis=-1))
+    return F._bump_profile(r, f.radius, f.amplitude)
+
+
+def _reference_gradient(f, pts):
+    d = pts - f.center
+    q = np.sum(d ** 2, axis=-1) / f.radius ** 2
+    out = np.zeros_like(d)
+    m = q < 1.0
+    w = 1.0 / (1.0 - q[m])
+    val = f.amplitude * np.exp(-1.0 / (1.0 - q[m]))
+    out[m] = (-2.0 * val * w ** 2 / f.radius ** 2)[..., None] * d[m]
+    return out
+
+
+def _reference_support_distance(f, pts):
+    return np.maximum(np.sqrt(np.sum(pts ** 2, axis=-1)) - f.support_radius, 0.0)
+
+
+# dyadic centres and radii make c +- R e_i exact points of the support sphere
+_coord = st.one_of(st.integers(-256, 256).map(lambda k: k / 64.0),
+                   st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False))
+_radius = st.one_of(st.integers(1, 192).map(lambda k: k / 64.0), st.floats(0.05, 3.0))
+
+
+@st.composite
+def _radial_cases(draw):
+    n = draw(st.sampled_from([1, 2, 3]))
+    f = F.make_bump(draw(st.lists(_coord, min_size=n, max_size=n)), draw(_radius),
+                    draw(st.floats(-2.0, 2.0, allow_nan=False)))
+    shape = draw(st.sampled_from([(9,), (2, 3, 4)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pts = f.center + rng.uniform(-1.5, 1.5, size=shape + (n,)) * f.radius
+    # points on the bump's sphere and on the support ball's sphere
+    eye = np.eye(n)
+    on_sphere = np.concatenate([f.center + f.radius * eye, f.center - f.radius * eye,
+                                f.support_radius * eye])
+    return f, pts, on_sphere
+
+
+@settings(max_examples=200, deadline=None)
+@given(_radial_cases())
+def test_radial_bump_per_axis_sums_bitwise_equal_reference(case):
+    f, pts, on_sphere = case
+    for p in (pts, on_sphere):
+        assert np.array_equal(f.evaluate(p), _reference_evaluate(f, p))
+        assert np.array_equal(f.gradient(p), _reference_gradient(f, p))
+        assert np.array_equal(f.support_distance(p), _reference_support_distance(f, p))
+    assert np.all(f.evaluate(f.center + f.radius * np.eye(f.dim)) == 0.0)

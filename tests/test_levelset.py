@@ -307,3 +307,92 @@ def test_pair_measures_capped_at_three_dimensions():
     f4 = F.make_bump([0.0, 0.0, 0.0, 0.0], 1.0, 1.0)
     with pytest.raises(InvalidParameterError):
         LS.LevelSetQuery(f4, 1.0, 5.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# scan kernel: bit-identical goldens and support pruning
+# ---------------------------------------------------------------------------
+
+# float.hex of pair_measure_polar's value and error estimate, and its
+# nodes_used, at p = 1, recorded with the unblocked, unpruned scan kernel.
+# lam = 4 lip_bound gives r_cap < 1, so x nodes in the grid corners lie
+# farther than r_cap from the support; lam = lip_bound / 2 sits below it.
+POLAR_GOLDENS = {
+    ("bump2", 4.0): ("0x1.86dbb5fc19607p-1", "0x1.316ee59eeac40p-7", 573440),
+    ("bump2", 0.5): ("0x1.54b1999e7c2b8p+2", "0x1.344abbe112880p-5", 573440),
+    ("plateau2", 4.0): ("0x1.1a4ef64814802p-3", "0x1.dc00a49c76f40p-8", 573440),
+    ("plateau2", 0.5): ("0x1.bff544b92c8bbp-1", "0x1.a557bca0690f8p-4", 573440),
+    ("bumps2_pair", 4.0): ("0x1.4fb07606f7948p-2", "0x1.8e27f5bf6b380p-8", 573440),
+    ("bumps2_pair", 0.5): ("0x1.1c4cbee615fc0p+1", "0x1.583e6af16e5e0p-4", 573440),
+    ("product2", 4.0): ("0x1.f5265e929c107p-2", "0x1.3455bb05f0500p-8", 573440),
+    ("product2", 0.5): ("0x1.b92be417f310cp+1", "0x1.7e52371222680p-4", 573440),
+    ("bump3", 4.0): ("0x1.0c5467caf77d3p+0", "0x1.074c1b57e5ac0p-5", 3702784),
+}
+# (x nodes per axis, Gauss order, sphere order, scan) per dimension; the 2-D
+# grid has 576 x nodes and the 3-D one 1728, so both span several x chunks
+GOLDEN_BUDGETS = {2: (24, 8, 8, 96), 3: (12, 4, 4, 48)}
+
+
+class CountingField:
+    """Delegates to a field and counts the points passed to `evaluate`."""
+
+    def __init__(self, base):
+        self.base = base
+        self.points = 0
+
+    def __getattr__(self, name):
+        return getattr(self.base, name)
+
+    def evaluate(self, pts):
+        pts = np.asarray(pts)
+        self.points += pts.size // pts.shape[-1]
+        return self.base.evaluate(pts)
+
+
+def _golden_polar(f, lam_factor):
+    x_nodes, order, sphere_order, scan = GOLDEN_BUDGETS[f.dim]
+    alpha = f.dim + 1.0
+    lam = lam_factor * f.lip_bound
+    need = f.support_radius + min(1.0, LS.truncation_radius(f, lam, alpha))
+    grid = Q.centered_box_grid(need, f.dim, x_nodes, order=order)
+    return LS.pair_measure_polar(LS.LevelSetQuery(f, 1.0, alpha, lam), grid,
+                                 Q.sphere_rule(f.dim, sphere_order), scan=scan)
+
+
+@pytest.mark.parametrize("name, lam_factor", sorted(POLAR_GOLDENS))
+def test_pair_measure_polar_bit_identical_goldens(cat, name, lam_factor):
+    res = _golden_polar(cat[name], lam_factor)
+    assert (res.value.hex(), res.error_estimate.hex(), res.nodes_used) == \
+        POLAR_GOLDENS[name, lam_factor]
+
+
+def test_pruning_skips_rays_and_keeps_goldens(bump2):
+    f = CountingField(bump2)
+    res = _golden_polar(f, 4.0)
+    assert (res.value.hex(), res.error_estimate.hex(), res.nodes_used) == \
+        POLAR_GOLDENS["bump2", 4.0]
+    # nodes_used is the nominal nx * nw * scan over both passes; the scan
+    # skips the corner x nodes, so fewer points reach the field
+    assert f.points < res.nodes_used
+
+
+def test_scan_far_from_support_is_zero_without_evaluation(bump2):
+    lam = 4.0 * bump2.lip_bound
+    r_cap = LS.truncation_radius(bump2, lam, 3.0)
+    R = bump2.support_radius
+    W = Q.sphere_rule(2, 8).nodes
+    far = np.array([[R + 2.0 * r_cap, 0.0], [0.0, -(R + 1.5 * r_cap)],
+                    [(R + 3.0 * r_cap) / math.sqrt(2.0)] * 2])
+    f = CountingField(bump2)
+    measures, crossings, state = LS._scan_measures(f, lam, 3.0, far, W, r_cap, 64, 1e-10, 2)
+    assert f.points == 0
+    assert not np.any(measures) and not np.any(crossings)
+    assert not np.any(state["member"])
+    # at distance exactly r_cap the ray reaches the support boundary, where
+    # u vanishes: the node is scanned, and its measures are still zero
+    edge = np.array([[R + r_cap, 0.0]])
+    f = CountingField(bump2)
+    measures, crossings, _ = LS._scan_measures(f, lam, 3.0, np.vstack([far, edge]), W, r_cap,
+                                               64, 1e-10, 2)
+    assert f.points >= W.shape[0] * 64
+    assert not np.any(measures) and not np.any(crossings)
