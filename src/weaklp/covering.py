@@ -1,35 +1,36 @@
 """Interval families with a mass condition, greedy Vitali selection, weighted
-pair energies, line integrals, and the rotation-based pair-measure bound.
+pair energies, and the rotation-based pair-measure bound.
 
 Interval endpoints live on a uniform grid and all set operations are carried
 out in integer grid indices, so admissibility, disjointness, and 5J coverage
-are exact.  Smooth inputs are projected onto the grid first.
+are exact.  Smooth inputs are projected onto the grid first.  One scan,
+`_member_scan`, finds the member node pairs (mass >= length^(gamma+1)) for the
+interval family, the 5J check, the energies and the rotation bound.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, PreconditionError
+from .errors import InvalidParameterError
+from .fields import pair_region
 from .quadrature import (
+    PairSampler,
     QuadratureResult,
     composite_gauss,
     gauss_nodes_1d,
+    monte_carlo,
     sphere_rule,
     surface_area,
-    unit_ball_volume,
 )
 
 __all__ = [
-    "Interval",
     "IntervalFamily",
     "PiecewiseConstantField",
     "VitaliCover",
     "admissible_intervals",
     "holder_containment_check",
-    "line_integral",
     "one_sided_radial_energy",
     "pair_energy_bound_factor",
     "rotation_measure",
@@ -37,30 +38,6 @@ __all__ = [
     "vitali_select",
     "weighted_energy",
 ]
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval with positive length."""
-
-    left: float
-    right: float
-
-    def __post_init__(self):
-        if not self.right > self.left:
-            raise InvalidParameterError("interval must have positive length")
-
-    @property
-    def length(self):
-        return self.right - self.left
-
-    def intersects(self, other):
-        return self.left <= other.right and other.left <= self.right
-
-    def dilate(self, factor=5.0):
-        c = 0.5 * (self.left + self.right)
-        h = 0.5 * factor * self.length
-        return Interval(c - h, c + h)
 
 
 @dataclass(frozen=True)
@@ -125,31 +102,47 @@ class IntervalFamily:
     def __len__(self):
         return self.starts.size
 
-    def intervals(self):
-        return [Interval(self.f.node(i), self.f.node(j)) for i, j in zip(self.starts, self.ends)]
-
     def lengths(self):
         return (self.ends - self.starts) * self.f.h
+
+
+def _member_scan(prefix, h, gamma):
+    """Yield (ell, member) for ell = 1, 2, ...: member[..., i] says whether the
+    node pair (i, i + ell) of each row of the (m+1,) or (rows, m+1) prefix
+    array carries mass >= (ell h)^(gamma+1).
+
+    Stops once (ell h)^(gamma+1) exceeds the largest row total.  The stop is
+    exact: prefix sums of non-negative cells are monotone in floating point
+    too, so no segment mass exceeds its row total.
+    """
+    top = prefix[..., -1].max()
+    for ell in range(1, prefix.shape[-1]):
+        thresh = (ell * h) ** (gamma + 1.0)
+        if thresh > top:
+            return
+        yield ell, prefix[..., ell:] - prefix[..., :-ell] >= thresh
+
+
+def _member_energy(prefix, h, gamma):
+    """Per row, the sum of `_block_kernel` over member node pairs."""
+    energy = np.zeros(prefix.shape[:-1])
+    for ell, member in _member_scan(prefix, h, gamma):
+        energy += np.count_nonzero(member, axis=-1) * _block_kernel(ell, h, gamma)
+    return energy
 
 
 def admissible_intervals(f: PiecewiseConstantField, gamma):
     """All grid-aligned intervals with int_I f >= |I|^(gamma+1)."""
     if gamma <= 0:
         raise InvalidParameterError("gamma must be positive")
-    m = f.cells
-    starts = []
-    ends = []
-    for ell in range(m, 0, -1):
-        mass = f.prefix[ell:] - f.prefix[:-ell]
-        thresh = (ell * f.h) ** (gamma + 1.0)
-        hit = np.nonzero(mass >= thresh)[0]
-        starts.append(hit)
-        ends.append(hit + ell)
+    hits = [(ell, np.flatnonzero(member)) for ell, member in _member_scan(f.prefix, f.h, gamma)]
+    hits.reverse()     # longest first, then leftmost
+    none = [np.empty(0, dtype=np.int64)]
     return IntervalFamily(
         f,
         float(gamma),
-        np.concatenate(starts).astype(np.int64),
-        np.concatenate(ends).astype(np.int64),
+        np.concatenate(none + [hit for _, hit in hits]).astype(np.int64),
+        np.concatenate(none + [hit + ell for ell, hit in hits]).astype(np.int64),
     )
 
 
@@ -164,10 +157,6 @@ class VitaliCover:
 
     def __len__(self):
         return self.starts.size
-
-    def intervals(self):
-        f = self.family.f
-        return [Interval(f.node(i), f.node(j)) for i, j in zip(self.starts, self.ends)]
 
     def dilated_index_bounds(self):
         """5J bounds in doubled integer node coordinates (exact arithmetic)."""
@@ -205,24 +194,16 @@ def vitali_select(family: IntervalFamily):
     )
 
 
-def _member_node_pairs(f: PiecewiseConstantField, gamma):
-    """Ordered node pairs (i < j) with mass >= distance^(gamma+1), by length."""
-    m = f.cells
-    out = []
-    for ell in range(1, m + 1):
-        mass = f.prefix[ell:] - f.prefix[:-ell]
-        hit = np.nonzero(mass >= (ell * f.h) ** (gamma + 1.0))[0]
-        if hit.size:
-            out.append((ell, hit))
-    return out
-
-
 def verify_5j_cover(f: PiecewiseConstantField, gamma, cover: VitaliCover):
-    """Count member node pairs not inside any selected 5J x 5J (target 0)."""
+    """Count member node pairs not inside any selected 5J x 5J (target 0).
+
+    The members are enumerated here, not taken from the cover's family, so
+    the check does not rest on the selection's input."""
     lo2, hi2 = cover.dilated_index_bounds()
     violations = 0
     pairs = 0
-    for ell, hit in _member_node_pairs(f, gamma):
+    for ell, member in _member_scan(f.prefix, f.h, gamma):
+        hit = np.flatnonzero(member)
         pairs += hit.size
         covered = np.zeros(hit.size, dtype=bool)
         for a2, b2 in zip(lo2, hi2):
@@ -258,10 +239,7 @@ def weighted_energy(f: PiecewiseConstantField, gamma, cover=None):
     """
     if gamma <= 0:
         raise InvalidParameterError("gamma must be positive")
-    h = f.h
-    energy = 0.0
-    for ell, hit in _member_node_pairs(f, gamma):
-        energy += hit.size * _block_kernel(ell, h, gamma)
+    energy = _member_energy(f.prefix, f.h, gamma)
     if cover is None:
         cover = vitali_select(admissible_intervals(f, gamma))
     factor = pair_energy_bound_factor(gamma)
@@ -301,34 +279,16 @@ def one_sided_radial_energy(f: PiecewiseConstantField, gamma, scan=4096):
 
 
 # ---------------------------------------------------------------------------
-# line integrals and the rotation bound
+# segment masses and the rotation bound
 # ---------------------------------------------------------------------------
 
 def _as_callable(F):
     return F.evaluate if hasattr(F, "evaluate") else F
 
 
-def line_integral(F, x, y, nodes=64):
-    """int_0^{|y-x|} F(x + t w) dt along the segment, error from node doubling."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    dist = float(np.linalg.norm(y - x))
-    if dist == 0.0:
-        raise InvalidParameterError("segment endpoints coincide")
-    func = _as_callable(F)
-
-    def run(n):
-        t, w = gauss_nodes_1d(n)
-        pts = x[None, :] + (0.5 * (t[:, None] + 1.0)) * (y - x)[None, :]
-        return 0.5 * dist * float(np.sum(w * func(pts)))
-
-    v1 = run(nodes)
-    v2 = run(2 * nodes)
-    return QuadratureResult(v2, abs(v2 - v1), 3 * nodes, True)
-
-
 def _segment_masses(func, X, Y, nodes=48):
-    """Vectorized line integrals for row-paired endpoint arrays."""
+    """Line integrals int_0^{|Y-X|} func(X + t w) dt for row-paired endpoint
+    arrays, by Gauss-Legendre with `nodes` points."""
     t, w = gauss_nodes_1d(nodes)
     mid = X[:, None, :] + (0.5 * (t[None, :, None] + 1.0)) * (Y - X)[:, None, :]
     vals = func(mid)
@@ -385,8 +345,6 @@ def rotation_measure(F, line_cells=160, offset_cells=64, sphere_order=24, refine
                 offsets = np.stack([mm.ravel() for mm in mesh], axis=-1)
                 w_off = np.asarray(np.meshgrid(*[a[1] for a in axes], indexing="ij"))
                 w_off = w_off[0].ravel() if n == 2 else (w_off[0] * w_off[1]).ravel()
-            line_energy = np.zeros(offsets.shape[0])
-            line_mass = np.zeros(offsets.shape[0])
             tgrid = np.linspace(-half_t, half_t, m_line + 1)
             tm = 0.5 * (tgrid[:-1] + tgrid[1:])
             ht = tgrid[1] - tgrid[0]
@@ -394,13 +352,7 @@ def rotation_measure(F, line_cells=160, offset_cells=64, sphere_order=24, refine
             pts = base[:, None, :] + tm[None, :, None] * wvec[None, None, :]
             vals = np.maximum(func(pts), 0.0)
             prefix = np.concatenate([np.zeros((offsets.shape[0], 1)), np.cumsum(vals, axis=1)], axis=1) * ht
-            for ell in range(1, m_line + 1):
-                d = ell * ht
-                mass = prefix[:, ell:] - prefix[:, :-ell]
-                cnt = np.count_nonzero(mass >= d ** (n + 1.0), axis=1)
-                if not np.any(cnt):
-                    continue
-                line_energy += cnt * _block_kernel(ell, ht, float(n))
+            line_energy = _member_energy(prefix, ht, float(n))
             line_mass = prefix[:, -1]
             # the two-sided pair energy halves onto the one-sided radial integral
             total += 0.5 * wgt * float(np.sum(w_off * line_energy))
@@ -436,39 +388,28 @@ def rotation_measure(F, line_cells=160, offset_cells=64, sphere_order=24, refine
 
 def rotation_measure_mc(F, n_samples, stream, line_nodes=64):
     """Direct pair Monte Carlo cross-check of `rotation_measure`."""
-    from .quadrature import _unit_vectors
-
     n = F.dim
     func = _as_callable(F)
     R = F.support_radius
     r_cap = (max(F.sup_norm, 0.0) * 2.0 * R) ** (1.0 / (n + 1.0))
-    half = R + r_cap
-    u = stream.uniform_matrix(0, n_samples, 2 * n + 2)
-    xdir = _unit_vectors(u[:, :n], n)
-    x = (half * u[:, n] ** (1.0 / n))[:, None] * xdir
-    w = _unit_vectors(u[:, n + 1 : 2 * n + 1], n)
-    r = r_cap * u[:, 2 * n + 1] ** (1.0 / n)
-    y = x + r[:, None] * w
-    masses = _segment_masses(func, x, y, nodes=line_nodes)
-    member = (masses >= r ** (n + 1.0)).astype(float)
-    weight = unit_ball_volume(n) * half ** n * surface_area(n) * r_cap ** n / n
-    mean = float(np.mean(member)) * weight
-    stderr = weight * float(np.std(member, ddof=1)) / math.sqrt(n_samples)
-    return QuadratureResult(mean, stderr, n_samples, True)
+
+    def member(pts):
+        x, w, r = pts[:, :n], pts[:, n : 2 * n], pts[:, 2 * n]
+        masses = _segment_masses(func, x, x + r[:, None] * w, nodes=line_nodes)
+        return masses >= r ** (n + 1.0)
+
+    return monte_carlo(member, PairSampler(n, R + r_cap, r_cap), n_samples, stream)
 
 
 def holder_containment_check(field, p, lam, samples, stream, line_nodes=96, tol=1e-6):
     """Sampled pairs in the superlevel set must satisfy the segment condition
     int |grad u|^p / lam^p >= |x-y|^(N+1) (target: zero violations)."""
-    from .levelset import _PairSampler
-
     if lam <= 0:
         raise InvalidParameterError("lambda must be positive")
     n = field.dim
     alpha = n / p + 1.0
-    sampler = _PairSampler(field, lam, alpha)
-    u = stream.uniform_matrix(0, samples, sampler.draws)
-    pts, _ = sampler.map(u)
+    sampler = PairSampler(n, *pair_region(field, lam, alpha))
+    pts, _ = sampler.map(stream.uniform_matrix(0, samples, sampler.draws))
     x = pts[:, :n]
     w = pts[:, n : 2 * n]
     r = pts[:, 2 * n]

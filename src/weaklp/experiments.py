@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import corollaries, covering, fields, levelset, maximal, quadrature, seminorms
-from .errors import ConsistencyError, InvalidParameterError, PreconditionError
+from .errors import ConsistencyError, InvalidParameterError
 from .quadrature import RandomStream
 from .reporting import (
     CONSTANTS_HEADER,
@@ -23,7 +23,6 @@ from .reporting import (
     LADDER_HEADER,
     PROFILE_HEADER,
     Report,
-    profile_rows,
     write_csv,
 )
 
@@ -125,7 +124,7 @@ def run_limit(cfg, out, workers, seed):
     moment = quadrature.sphere_abs_moment(p, f.dim).moment
     grad = fields.gradient_lp_norm(f, p).value
     target = moment / f.dim * grad
-    write_csv(out / "profile.csv", PROFILE_HEADER, profile_rows(prof))
+    write_csv(out / "profile.csv", PROFILE_HEADER, prof.rows())
     rep = Report("limit", cfg, seed)
     rep.results["plateau"] = lim.plateau
     rep.results["flatness"] = lim.flatness
@@ -153,7 +152,7 @@ def run_quasinorm(cfg, out, workers, seed):
     )
     grad = fields.gradient_lp_norm(f, p).value
     moment = quadrature.sphere_abs_moment(p, f.dim).moment
-    write_csv(out / "profile.csv", PROFILE_HEADER, profile_rows(prof))
+    write_csv(out / "profile.csv", PROFILE_HEADER, prof.rows())
 
     rep = Report("quasinorm", cfg, seed)
     lower_tol = _positive(cfg, "params.lower_tolerance", 0.05)
@@ -172,9 +171,9 @@ def run_quasinorm(cfg, out, workers, seed):
     )
 
     stability_tol = _positive(cfg, "params.stability_tolerance", 0.10)
-    ref_budgets = dict(budgets)
-    ref_budgets["x_nodes"] = 2 * budgets.get("x_nodes", 48 if f.dim > 1 else 256)
-    ref_budgets["scan"] = 2 * budgets.get("scan", 224 if f.dim > 1 else 768)
+    ref_budgets = levelset.polar_budgets(f.dim, budgets)
+    ref_budgets["x_nodes"] *= 2
+    ref_budgets["scan"] *= 2
     prof2 = levelset.distribution_profile(f, p, alpha, grid, budgets=ref_budgets, workers=workers)
     sup2 = levelset.weak_quasinorm(prof2, refine=int(params.get("refine", 12)))
     c2 = sup2 / grad if grad > 0 else 0.0
@@ -346,7 +345,7 @@ def run_maximal(cfg, out, workers, seed):
     rep.results["c_emp"] = rec["c_emp"]
     rep.results["c_emp_refined"] = ref["c_emp"]
     rep.constants["lusin_c_emp"] = {"N": f.dim, "value": rec["c_emp"]}
-    write_csv(out / "route_profile.csv", PROFILE_HEADER, profile_rows(rec["profile"]))
+    write_csv(out / "route_profile.csv", PROFILE_HEADER, rec["profile"].rows())
     mgrid = maximal.hl_maximal(maximal.gridded_gradient_norm(f, cells))
     header = ["x", "value"] if f.dim == 1 else ["x", "y", "value"]
     write_csv(out / "maximal_grid.csv", header, maximal.grid_rows(mgrid))

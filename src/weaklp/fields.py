@@ -502,6 +502,26 @@ def catalogue_names(dim=None):
 
 
 # ---------------------------------------------------------------------------
+# pair truncation from the certified bounds, shared by levelset and covering
+# ---------------------------------------------------------------------------
+
+def truncation_radius(f, lam, alpha):
+    """Largest radius any member pair can have, given the certified bounds."""
+    r = (f.lip_bound / lam) ** (1.0 / (alpha - 1.0))
+    r = min(r, 2.0 * (f.support_radius + 1.0))
+    if lam <= f.lip_bound:
+        r = min(r, 2.0 * (2.0 * f.sup_norm / lam) ** (1.0 / alpha))
+    return r
+
+
+def pair_region(f, lam, alpha):
+    """(half, r_cap) of the truncated pair region: pairs (x, x + r w) with
+    |x| <= half and 0 < r <= r_cap."""
+    r_cap = truncation_radius(f, lam, alpha)
+    return f.support_radius + min(1.0, r_cap), r_cap
+
+
+# ---------------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------------
 

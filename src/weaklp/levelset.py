@@ -22,17 +22,15 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import InvalidParameterError, PreconditionError
+from .fields import pair_region, truncation_radius
 from .quadrature import (
-    BallSampler,
+    PairSampler,
     QuadratureResult,
     SphereRule,
     TensorGrid,
-    _unit_vectors,
     centered_box_grid,
     monte_carlo,
     sphere_rule,
-    surface_area,
-    unit_ball_volume,
 )
 
 __all__ = [
@@ -45,6 +43,7 @@ __all__ = [
     "distribution_profile",
     "pair_measure_mc",
     "pair_measure_polar",
+    "polar_budgets",
     "radial_levelset",
     "sandwich_bounds",
     "tail_limit",
@@ -78,15 +77,6 @@ class LevelSetQuery:
             raise InvalidParameterError("lambda must be positive")
         if self.field.dim > 3:
             raise InvalidParameterError("pair measures support N <= 3")
-
-
-def truncation_radius(f, lam, alpha):
-    """Largest radius any member pair can have, given the certified bounds."""
-    r = (f.lip_bound / lam) ** (1.0 / (alpha - 1.0))
-    r = min(r, 2.0 * (f.support_radius + 1.0))
-    if lam <= f.lip_bound:
-        r = min(r, 2.0 * (2.0 * f.sup_norm / lam) ** (1.0 / alpha))
-    return r
 
 
 @dataclass
@@ -256,10 +246,9 @@ def verify_sandwich(f, p, lam, samples, delta, stream, scan=1024, tol=1e-9):
         raise PreconditionError("verify_sandwich needs lambda > lip_bound")
     n = f.dim
     q = LevelSetQuery(f, p, n / p + 1.0, lam)
-    u = stream.uniform_matrix(0, samples, 2 * n + 1)
-    sampler = BallSampler(np.zeros(n), f.support_radius + 1.0)
-    xs, _ = sampler.map(u[:, : n + 1])
-    ws = _unit_vectors(u[:, n + 1 : 2 * n + 1], n)
+    sampler = PairSampler(n, f.support_radius + 1.0, truncation_radius(f, lam, q.alpha))
+    pts, _ = sampler.map(stream.uniform_matrix(0, samples, sampler.draws))
+    xs, ws = pts[:, :n], pts[:, n : 2 * n]
     rel = max(tol, 1e-12)
     bad_upper = 0
     bad_lower = 0
@@ -295,11 +284,6 @@ def verify_sandwich(f, p, lam, samples, delta, stream, scan=1024, tol=1e-9):
 # pair measures
 # ---------------------------------------------------------------------------
 
-def _required_half_width(f, lam, alpha):
-    r_cap = truncation_radius(f, lam, alpha)
-    return f.support_radius + min(1.0, r_cap), r_cap
-
-
 def pair_measure_polar(
     q: LevelSetQuery,
     x_grid: TensorGrid,
@@ -316,7 +300,7 @@ def pair_measure_polar(
     from one combined coarsening step (half the panels and scan).
     """
     f = q.field
-    need, r_cap = _required_half_width(f, q.lam, q.alpha)
+    need, r_cap = pair_region(f, q.lam, q.alpha)
     if np.any(x_grid.box[:, 0] > -need + 1e-12) or np.any(x_grid.box[:, 1] < need - 1e-12):
         raise PreconditionError(
             f"x grid must cover the support dilate (need half-width {need:.6g})"
@@ -347,40 +331,12 @@ def pair_measure_polar(
     return QuadratureResult(value, err, nodes + n2, err <= 0.05 * max(abs(value), 1e-300))
 
 
-class _PairSampler:
-    """Importance sampler over (x, w, r): x uniform on the support dilate,
-    w uniform on the sphere, r with density proportional to r^{N-1}."""
-
-    def __init__(self, f, lam, alpha):
-        self.f = f
-        self.dim = f.dim
-        self.half, self.r_cap = _required_half_width(f, lam, alpha)
-        self.draws = 2 * self.dim + 2
-        self.weight = (
-            unit_ball_volume(self.dim)
-            * self.half ** self.dim
-            * surface_area(self.dim)
-            * self.r_cap ** self.dim
-            / self.dim
-        )
-
-    def map(self, u):
-        n = self.dim
-        xdir = _unit_vectors(u[:, :n], n)
-        xr = self.half * u[:, n] ** (1.0 / n)
-        x = xr[:, None] * xdir
-        w = _unit_vectors(u[:, n + 1 : 2 * n + 1], n)
-        r = self.r_cap * u[:, 2 * n + 1] ** (1.0 / n)
-        pts = np.concatenate([x, w, r[:, None]], axis=1)
-        return pts, np.full(pts.shape[0], self.weight)
-
-
 def pair_measure_mc(q: LevelSetQuery, n, stream, workers=1):
     """Unbiased Monte Carlo estimate of the same truncated pair measure."""
     if n < 1000:
         raise InvalidParameterError("need at least 1e3 samples")
     f = q.field
-    sampler = _PairSampler(f, q.lam, q.alpha)
+    sampler = PairSampler(f.dim, *pair_region(f, q.lam, q.alpha))
     d = f.dim
 
     def member(pts):
@@ -429,16 +385,30 @@ class DistributionProfile:
         ]
 
 
+# polar estimator budget defaults: (N = 1, N >= 2)
+_POLAR_DEFAULTS = {
+    "x_nodes": (256, 48),
+    "sphere_order": (16, 16),
+    "scan": (768, 224),
+    "bisect_tol": (1e-10, 1e-10),
+}
+
+
+def polar_budgets(dim, budgets=None):
+    """A copy of `budgets` with every polar estimator default it lacks filled in."""
+    out = {key: value[dim > 1] for key, value in _POLAR_DEFAULTS.items()}
+    out.update(budgets or {})
+    return out
+
+
 def _polar_budget_estimate(f, p, alpha, lam, budgets):
-    need, _ = _required_half_width(f, lam, alpha)
-    grid = centered_box_grid(need, f.dim, budgets.get("x_nodes", 48 if f.dim > 1 else 256))
-    sphere = sphere_rule(f.dim, budgets.get("sphere_order", 16))
+    need, _ = pair_region(f, lam, alpha)
     return pair_measure_polar(
         LevelSetQuery(f, p, alpha, lam),
-        grid,
-        sphere,
-        scan=budgets.get("scan", 224 if f.dim > 1 else 768),
-        tol=budgets.get("bisect_tol", 1e-10),
+        centered_box_grid(need, f.dim, budgets["x_nodes"]),
+        sphere_rule(f.dim, budgets["sphere_order"]),
+        scan=budgets["scan"],
+        tol=budgets["bisect_tol"],
     )
 
 
@@ -451,6 +421,8 @@ def distribution_profile(f, p, alpha, lam_grid, estimator="polar", budgets=None,
         raise InvalidParameterError("lambda grid must be positive and ascending")
     budgets = dict(budgets or {})
     if estimator == "polar":
+        budgets = polar_budgets(f.dim, budgets)
+
         def one(lam):
             return _polar_budget_estimate(f, p, alpha, lam, budgets)
     elif estimator == "mc":

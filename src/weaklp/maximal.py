@@ -235,7 +235,7 @@ def lusin_lipschitz_check(field, samples, stream, cells=96, maximal=None):
         maximal = hl_maximal(gridded_gradient_norm(field, cells))
     mvals = maximal.values.ravel()
     total = mvals.size
-    u = stream.uniform_matrix(0, samples, 4)
+    u = stream.uniform_matrix(0, samples, 2)
     ia = np.minimum((u[:, 0] * total).astype(int), total - 1)
     ib = np.minimum((u[:, 1] * total).astype(int), total - 1)
     keep = ia != ib

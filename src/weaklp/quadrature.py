@@ -21,8 +21,7 @@ __all__ = [
     "SphereConstants",
     "SphereRule",
     "TensorGrid",
-    "BallSampler",
-    "BoxSampler",
+    "PairSampler",
     "composite_gauss",
     "gauss_nodes_1d",
     "lower_bound_constant",
@@ -100,10 +99,6 @@ class TensorGrid:
 
     def refined(self):
         return TensorGrid(self.box, self.panels * 2, self.order)
-
-    @property
-    def nodes_per_axis(self):
-        return self.panels * self.order
 
 
 def centered_box_grid(half_width, dim, nodes_per_axis, order=8):
@@ -305,39 +300,26 @@ def _unit_vectors(u, n_dim):
     return g / norm[:, None]
 
 
-class BallSampler:
-    """Uniform samples on a ball; weight equals the ball volume."""
+class PairSampler:
+    """Uniform samples of pairs (x, x + r w): x uniform on the centered ball of
+    radius `half`, w uniform on the sphere, r on (0, r_cap] with density
+    proportional to r^{N-1}.  Points are rows (x, w, r); the weight is the
+    pair-coordinate volume |B_half| * sigma_{N-1} * r_cap^N / N."""
 
-    def __init__(self, center, radius):
-        self.center = np.atleast_1d(np.asarray(center, dtype=float))
-        self.radius = float(radius)
-        if self.radius <= 0:
-            raise InvalidParameterError("radius must be positive")
-        self.dim = self.center.shape[0]
-        self.draws = self.dim + 1
-        self.weight = unit_ball_volume(self.dim) * self.radius ** self.dim
-
-    def map(self, u):
-        d = _unit_vectors(u[:, : self.dim], self.dim)
-        r = self.radius * u[:, self.dim] ** (1.0 / self.dim)
-        pts = self.center[None, :] + r[:, None] * d
-        return pts, np.full(pts.shape[0], self.weight)
-
-
-class BoxSampler:
-    """Uniform samples on an axis-aligned box; weight equals the box volume."""
-
-    def __init__(self, box):
-        self.box = np.asarray(box, dtype=float).reshape(-1, 2)
-        self.dim = self.box.shape[0]
-        self.draws = self.dim
-        side = self.box[:, 1] - self.box[:, 0]
-        if np.any(side <= 0):
-            raise InvalidParameterError("box sides must be positive")
-        self.weight = float(np.prod(side))
+    def __init__(self, dim, half, r_cap):
+        self.dim = dim
+        self.half = half
+        self.r_cap = r_cap
+        self.draws = 2 * dim + 2
+        self.weight = unit_ball_volume(dim) * half ** dim * surface_area(dim) * r_cap ** dim / dim
 
     def map(self, u):
-        pts = self.box[None, :, 0] + u * (self.box[None, :, 1] - self.box[None, :, 0])
+        n = self.dim
+        xdir = _unit_vectors(u[:, :n], n)
+        x = (self.half * u[:, n] ** (1.0 / n))[:, None] * xdir
+        w = _unit_vectors(u[:, n + 1 : 2 * n + 1], n)
+        r = self.r_cap * u[:, 2 * n + 1] ** (1.0 / n)
+        pts = np.concatenate([x, w, r[:, None]], axis=1)
         return pts, np.full(pts.shape[0], self.weight)
 
 

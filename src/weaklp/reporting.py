@@ -98,12 +98,6 @@ def write_csv(path, header, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
-def profile_rows(profile):
-    return [
-        (lam, mu, err, lpm, tag) for lam, mu, err, lpm, tag in profile.rows()
-    ]
-
-
 PROFILE_HEADER = ["lambda", "mu_hat", "stderr", "lambda_pow_p_mu", "estimator"]
 CONSTANTS_HEADER = ["N", "p", "k_closed", "k_quad", "sigma"]
 COVER_HEADER = ["left", "right", "selected_flag"]

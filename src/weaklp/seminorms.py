@@ -110,7 +110,7 @@ def _gagliardo_pass(f, s, p, delta_in, x_nodes, sphere_order, v_order, panels_pe
     mid = np.zeros_like(t_exit)
     active = hi_v > lo_v
     if np.any(active):
-        # map reference nodes onto each (x, w) log-range; chunк over x to
+        # map reference nodes onto each (x, w) log-range; chunk over x to
         # bound memory
         idx = np.nonzero(active)
         chunk = max(1, int(2e6 // max(vg.size, 1)))

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from weaklp.cli import main
+from weaklp.experiments import run_experiment
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -90,6 +91,20 @@ def test_sweep_grid_and_determinism(tmp_path):
         a = (out1 / f"job_{j:03d}" / "report.json").read_bytes()
         b = (out2 / f"job_{j:03d}" / "report.json").read_bytes()
         assert a == b
+
+
+def test_rotation_outputs_identical_across_workers(tmp_path):
+    # workers run the fields in parallel threads; each field's foliation and
+    # Monte Carlo estimate must not depend on the schedule
+    cfg = {"experiment": "rotation", "seed": 4,
+           "params": {"fields": ["bump2", "plateau2"], "mc_samples": 20000, "line_cells": 48}}
+    outs = []
+    for w in (1, 2):
+        out = tmp_path / f"w{w}"
+        run_experiment(cfg, out, w, None).write(out / "report.json")
+        outs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert sorted(outs[0]) == ["report.json", "rotation.csv"]
+    assert outs[0] == outs[1]
 
 
 def test_sweep_empty_grid_errors(tmp_path, capsys):

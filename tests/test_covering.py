@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -15,11 +16,6 @@ def pc(values, lo=-1.0, hi=1.5):
     return C.PiecewiseConstantField(lo, hi, np.asarray(values, dtype=float))
 
 
-def test_interval_type_rejects_empty():
-    with pytest.raises(InvalidParameterError):
-        C.Interval(1.0, 1.0)
-
-
 def test_pc_field_rejects_negative_values():
     with pytest.raises(InvalidParameterError):
         pc([1.0, -0.5])
@@ -35,8 +31,7 @@ def test_admissible_single_cell_condition():
     f = C.PiecewiseConstantField(0.0, 1.0, np.array([1.0]))
     fam = C.admissible_intervals(f, 1.0)
     assert len(fam) == 1
-    iv = fam.intervals()[0]
-    assert (iv.left, iv.right) == (0.0, 1.0)
+    assert (f.node(fam.starts[0]), f.node(fam.ends[0])) == (0.0, 1.0)
 
 
 def test_admissible_lengths_bounded_by_mass_power():
@@ -53,7 +48,7 @@ def test_vitali_greedy_hand_trace():
     f = C.PiecewiseConstantField(0.0, 4.0, np.ones(8))
     fam = C.IntervalFamily(f, 1.0, np.array([0, 1, 6]), np.array([2, 3, 8]))
     cov = C.vitali_select(fam)
-    picks = [(iv.left, iv.right) for iv in cov.intervals()]
+    picks = [(f.node(a), f.node(b)) for a, b in zip(cov.starts, cov.ends)]
     assert picks == [(0.0, 1.0), (3.0, 4.0)]
 
 
@@ -115,25 +110,24 @@ def test_one_sided_matches_half_two_sided(bump1):
 
 
 # ---------------------------------------------------------------------------
-# line integrals, rotation bound, containment
+# segment masses, rotation bound, containment
 # ---------------------------------------------------------------------------
 
-def test_line_integral_zero_and_constant(bump2):
+def test_segment_masses_zero_and_constant():
     z = F.make_bump([0.0, 0.0], 1.0, 0.0)
-    assert C.line_integral(z, [0.0, 0.0], [0.5, 0.5]).value == 0.0
-    res = C.line_integral(lambda p: np.ones(p.shape[:-1]), [0.0, 0.0], [0.3, 0.4])
-    assert res.value == pytest.approx(0.5, rel=1e-14)
+    X = np.array([[0.0, 0.0], [-0.2, 0.3]])
+    Y = np.array([[0.5, 0.5], [0.1, -0.1]])
+    assert np.all(C._segment_masses(z.evaluate, X, Y) == 0.0)
+    ones = C._segment_masses(lambda p: np.ones(p.shape[:-1]), X, Y)
+    assert ones == pytest.approx([math.sqrt(0.5), 0.5], rel=1e-14)
 
 
-def test_line_integral_reversal_symmetry(bump2):
-    a = C.line_integral(bump2, [-0.4, 0.1], [0.5, -0.3]).value
-    b = C.line_integral(bump2, [0.5, -0.3], [-0.4, 0.1]).value
-    assert abs(a - b) <= 1e-12 * max(abs(a), 1.0)
-
-
-def test_line_integral_rejects_coincident_points(bump2):
-    with pytest.raises(InvalidParameterError):
-        C.line_integral(bump2, [0.1, 0.1], [0.1, 0.1])
+def test_segment_masses_reversal_symmetry(bump2):
+    X = np.array([[-0.4, 0.1], [0.2, 0.2]])
+    Y = np.array([[0.5, -0.3], [-0.6, 0.1]])
+    a = C._segment_masses(bump2.evaluate, X, Y)
+    b = C._segment_masses(bump2.evaluate, Y, X)
+    assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(np.abs(a), 1.0))
 
 
 def test_rotation_measure_zero_field():
@@ -171,3 +165,104 @@ def test_holder_containment_no_violations(cat, name, p):
     rec = C.holder_containment_check(f, p, f.lip_bound, 10_000, Q.RandomStream(21, int(p)))
     assert rec["members"] > 0
     assert rec["violations"] == 0
+
+
+# ---------------------------------------------------------------------------
+# goldens: covering machinery and rotation bound, recorded before the member
+# scan and the pair sampler were shared
+# ---------------------------------------------------------------------------
+
+# float.hex of rotation_measure's measure, error, mass, c_emp, c_emp_coarse,
+# c_emp_fine and c_emp_drift at line_cells=48, offset_cells=24, sphere_order=8
+ROTATION_GOLDENS = {
+    "bump2": ("0x1.5ed3ceebbdb31p+0", "0x1.8987a357f2ec0p-3", "0x1.ddb567fee95d1p-2",
+              "0x1.7802c61bd88c2p+1", "0x1.0e9127225122ap+1", "0x1.4349dbbfdce8ep+1",
+              "0x1.8f1078f936f08p-3"),
+    "plateau2": ("0x1.57fd8114440acp+1", "0x1.066588e13dbc0p-2", "0x1.ffffa49f71732p-1",
+                 "0x1.57fdbe78bcbefp+1", "0x1.165b3693c5e52p+1", "0x1.3731078202fe8p+1",
+                 "0x1.e32b314ad9940p-4"),
+}
+
+# (trial, gamma) -> family size, sha256 prefix of the family's (starts, ends)
+# in family order, selected count, verify_5j_cover pairs and violations, and
+# float.hex of weighted_energy's energy, bound_selected and bound_mass
+COVER_GOLDENS = {
+    (0, 0.5): (975, "4a3c800a218be675", 3, 975, 0, "0x1.06d58914d5f1ep+3",
+               "0x1.1022b98e79344p+6", "0x1.3bb3d54cec996p+6"),
+    (0, 1.0): (938, "0a71a4bc6950e84c", 3, 938, 0, "0x1.05967705ec806p+2",
+               "0x1.b4fcfe160e091p+5", "0x1.08b97d88a4341p+6"),
+    (0, 2.0): (915, "465389219f57c40b", 2, 915, 0, "0x1.dd5e9508ebeb2p+0",
+               "0x1.ac10dead9ce16p+6", "0x1.b935268e67016p+6"),
+    (1, 0.5): (2022, "7429cb0f615e3bc0", 3, 2022, 0, "0x1.abd3c5ff914d6p+2",
+               "0x1.1bea12c47b4ddp+6", "0x1.237bfad01b3f3p+6"),
+    (1, 1.0): (2350, "728d425f33d86971", 3, 2350, 0, "0x1.ca781948b0fdcp+1",
+               "0x1.d435ba781948ap+5", "0x1.e8d582a848578p+5"),
+    (1, 2.0): (2467, "7a0dac876a225dc5", 3, 2467, 0, "0x1.a68445c3d564dp+0",
+               "0x1.80cf33db02b12p+6", "0x1.975c978c3c48ep+6"),
+    (2, 0.5): (322, "9d2e3680ba2b9975", 2, 322, 0, "0x1.9a6ddc2b120f5p+2",
+               "0x1.32ea93e6b4278p+6", "0x1.4060646151289p+6"),
+    (2, 1.0): (347, "425500fe6b9f0f4f", 3, 347, 0, "0x1.b6db6db6db6cap+1",
+               "0x1.efeb1a1f58d0dp+5", "0x1.0ca4d5e3fe7c8p+6"),
+    (2, 2.0): (369, "73e4a0574c7a57db", 2, 369, 0, "0x1.a1ed97033bf3bp+0",
+               "0x1.935d6b39f78a8p+6", "0x1.bfbd647bfd7a2p+6"),
+    (3, 0.5): (65, "1f302cca6dafb563", 2, 65, 0, "0x1.5b8ed5699abd2p+2",
+               "0x1.00c785a7e04b8p+6", "0x1.2925bdc619479p+6"),
+    (3, 1.0): (75, "5d70a44c6690bc8b", 2, 75, 0, "0x1.80c66c11b75d5p+1",
+               "0x1.b086a4c2e0ff2p+5", "0x1.f254d59ddac97p+5"),
+    (3, 2.0): (76, "96f2c8bcf08d8760", 3, 76, 0, "0x1.4223779e98652p+0",
+               "0x1.2c8abbe587a24p+6", "0x1.9f46b2038ba7ep+6"),
+}
+
+# holder_containment_check(f, p, lip_bound, 4000, RandomStream(21, 2)):
+# members, violations, float.hex of worst_margin
+HOLDER_GOLDENS = {
+    ("bump1", 1.0): (717, 0, "0x1.00392a9969485p+0"),
+    ("bump2", 2.0): (130, 0, "0x1.4901c41f2a1e9p+0"),
+}
+
+# rotation_measure_mc(f, 40_000, RandomStream(11, 3)): member count
+ROTATION_MC_MEMBERS = {"bump2": 2011, "plateau2": 1817}
+
+
+@pytest.mark.parametrize("name", sorted(ROTATION_GOLDENS))
+def test_rotation_measure_goldens(cat, name):
+    rec = C.rotation_measure(cat[name], line_cells=48, offset_cells=24, sphere_order=8)
+    got = (rec["measure"].value, rec["measure"].error_estimate, rec["mass"], rec["c_emp"],
+           rec["c_emp_coarse"], rec["c_emp_fine"], rec["c_emp_drift"])
+    assert tuple(v.hex() for v in got) == ROTATION_GOLDENS[name]
+
+
+def test_covering_goldens():
+    rng = np.random.default_rng(314)
+    for trial in range(4):
+        m = int(rng.integers(16, 97))
+        f = pc(rng.uniform(0, 3, m) * (rng.random(m) < 0.7))
+        for gamma in (0.5, 1.0, 2.0):
+            fam = C.admissible_intervals(f, gamma)
+            cov = C.vitali_select(fam)
+            ver = C.verify_5j_cover(f, gamma, cov)
+            en = C.weighted_energy(f, gamma, cov)
+            digest = hashlib.sha256(np.stack([fam.starts, fam.ends]).tobytes()).hexdigest()[:16]
+            got = (len(fam), digest, len(cov), ver["pairs"], ver["violations"],
+                   en["energy"].hex(), en["bound_selected"].hex(), en["bound_mass"].hex())
+            assert got == COVER_GOLDENS[trial, gamma]
+
+
+@pytest.mark.parametrize("name, p", sorted(HOLDER_GOLDENS))
+def test_holder_containment_goldens(cat, name, p):
+    f = cat[name]
+    rec = C.holder_containment_check(f, p, f.lip_bound, 4000, Q.RandomStream(21, 2))
+    assert (rec["members"], rec["violations"], rec["worst_margin"].hex()) == \
+        HOLDER_GOLDENS[name, p]
+
+
+@pytest.mark.parametrize("name", sorted(ROTATION_MC_MEMBERS))
+def test_rotation_measure_mc_member_count(cat, name):
+    f = cat[name]
+    n = 40_000
+    mc = C.rotation_measure_mc(f, n, Q.RandomStream(11, 3))
+    R = f.support_radius
+    r_cap = (f.sup_norm * 2.0 * R) ** (1.0 / (f.dim + 1.0))
+    weight = Q.PairSampler(f.dim, R + r_cap, r_cap).weight
+    assert round(mc.value * n / weight) == ROTATION_MC_MEMBERS[name]
+    assert mc.nodes_used == n

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -334,11 +335,12 @@ GOLDEN_BUDGETS = {2: (24, 8, 8, 96), 3: (12, 4, 4, 48)}
 
 
 class CountingField:
-    """Delegates to a field and counts the points passed to `evaluate`."""
+    """Delegates to a field; counts and hashes the points passed to `evaluate`."""
 
     def __init__(self, base):
         self.base = base
         self.points = 0
+        self.digest = hashlib.sha256()
 
     def __getattr__(self, name):
         return getattr(self.base, name)
@@ -346,6 +348,7 @@ class CountingField:
     def evaluate(self, pts):
         pts = np.asarray(pts)
         self.points += pts.size // pts.shape[-1]
+        self.digest.update(np.ascontiguousarray(pts, dtype=float).tobytes())
         return self.base.evaluate(pts)
 
 
@@ -396,3 +399,42 @@ def test_scan_far_from_support_is_zero_without_evaluation(bump2):
                                                64, 1e-10, 2)
     assert f.points >= W.shape[0] * 64
     assert not np.any(measures) and not np.any(crossings)
+
+
+# ---------------------------------------------------------------------------
+# goldens: pair sampling, recorded before the samplers were shared
+# ---------------------------------------------------------------------------
+
+# sha256 prefix of every point verify_sandwich(f, p, 10 lip_bound, 12, 0.5,
+# RandomStream(62, 3), scan=64) passes to `evaluate`, which pins the sampled
+# x and w bit for bit; every violation count is 0
+SANDWICH_GOLDENS = {
+    ("bump1", 1.0): "932c6d2df738d037",
+    ("bump2", 2.0): "5c5d49b552e96225",
+    ("bump3", 2.0): "c0d0c421c383040d",
+}
+
+
+@pytest.mark.parametrize("name, p", sorted(SANDWICH_GOLDENS))
+def test_verify_sandwich_goldens(cat, name, p):
+    f = CountingField(cat[name])
+    rec = LS.verify_sandwich(f, p, 10.0 * f.lip_bound, 12, 0.5, Q.RandomStream(62, 3), scan=64)
+    assert f.digest.hexdigest()[:16] == SANDWICH_GOLDENS[name, p]
+    assert rec["violations_upper"] == rec["violations_lower"] == rec["flagged_profiles"] == 0
+
+
+def test_pair_measure_mc_golden(bump2):
+    q = LS.LevelSetQuery(bump2, 1.0, 3.0, 0.5 * bump2.lip_bound)
+    res = LS.pair_measure_mc(q, 40_000, Q.RandomStream(5, 7))
+    assert (res.value.hex(), res.error_estimate.hex(), res.nodes_used) == \
+        ("0x1.5b48a372132d2p+2", "0x1.9917aa8658bcap-4", 40_000)
+
+
+def test_polar_budgets_fill_defaults_and_keep_overrides():
+    assert LS.polar_budgets(1) == {"x_nodes": 256, "sphere_order": 16, "scan": 768,
+                                   "bisect_tol": 1e-10}
+    given = {"scan": 96, "mc_samples": 5000}
+    filled = LS.polar_budgets(3, given)
+    assert filled == {"x_nodes": 48, "sphere_order": 16, "scan": 96, "bisect_tol": 1e-10,
+                      "mc_samples": 5000}
+    assert given == {"scan": 96, "mc_samples": 5000}

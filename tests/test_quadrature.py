@@ -120,22 +120,28 @@ def test_streams_differ():
 
 
 def test_monte_carlo_constant_has_zero_stderr():
-    res = q.monte_carlo(lambda p: np.ones(p.shape[0]), q.BoxSampler([[0, 1]]), 4096,
-                        q.RandomStream(3, 0))
-    assert res.value == pytest.approx(1.0, abs=1e-15)
-    assert res.error_estimate == pytest.approx(0.0, abs=1e-15)
-
-
-def test_monte_carlo_box_product():
-    res = q.monte_carlo(lambda p: p[:, 0] * p[:, 1], q.BoxSampler([[0, 1], [0, 1]]),
-                        60_000, q.RandomStream(5, 1))
-    assert abs(res.value - 0.25) <= 3 * res.error_estimate
+    # integrand 1 gives the sampler weight, |B_1.5| * sigma_1 * 0.5^2 / 2
+    sampler = q.PairSampler(2, 1.5, 0.5)
+    res = q.monte_carlo(lambda p: np.ones(p.shape[0]), sampler, 4096, q.RandomStream(3, 0))
+    assert sampler.weight == pytest.approx(math.pi * 1.5 ** 2 * 2 * math.pi * 0.25 / 2, rel=1e-14)
+    assert res.value == pytest.approx(sampler.weight, rel=1e-14)
+    assert res.error_estimate == pytest.approx(0.0, abs=1e-12)
 
 
 def test_monte_carlo_half_ball():
-    res = q.monte_carlo(lambda p: (p[:, 0] > 0).astype(float), q.BallSampler([0.0, 0.0], 1.0),
-                        60_000, q.RandomStream(5, 2))
-    assert abs(res.value - math.pi / 2) <= 3 * res.error_estimate
+    # x is uniform on the ball, so 1[x_0 > 0] gives half the weight
+    for dim in (1, 2, 3):
+        sampler = q.PairSampler(dim, 1.0, 0.7)
+        res = q.monte_carlo(lambda p: p[:, 0] > 0, sampler, 60_000, q.RandomStream(5, 2))
+        assert abs(res.value - sampler.weight / 2) <= 3 * res.error_estimate
+
+
+def test_pair_sampler_radius_density():
+    # r has density proportional to r^(N-1) on (0, r_cap]: E r = N/(N+1) r_cap
+    for dim in (1, 2, 3):
+        sampler = q.PairSampler(dim, 1.0, 0.7)
+        res = q.monte_carlo(lambda p: p[:, 2 * dim], sampler, 60_000, q.RandomStream(5, 1))
+        assert abs(res.value - sampler.weight * 0.7 * dim / (dim + 1)) <= 3 * res.error_estimate
 
 
 def test_monte_carlo_bitwise_deterministic_across_workers():
@@ -143,7 +149,7 @@ def test_monte_carlo_bitwise_deterministic_across_workers():
         return np.sin(7 * p[:, 0]) ** 2
 
     results = [
-        q.monte_carlo(f, q.BoxSampler([[0, 1]]), 150_000, q.RandomStream(9, 4), workers=w)
+        q.monte_carlo(f, q.PairSampler(1, 1.0, 1.0), 150_000, q.RandomStream(9, 4), workers=w)
         for w in (1, 2, 5)
     ]
     assert results[0].value == results[1].value == results[2].value
@@ -151,7 +157,7 @@ def test_monte_carlo_bitwise_deterministic_across_workers():
 
 def test_monte_carlo_rejects_zero_samples():
     with pytest.raises(InvalidParameterError):
-        q.monte_carlo(lambda p: p[:, 0], q.BoxSampler([[0, 1]]), 0, q.RandomStream(1, 0))
+        q.monte_carlo(lambda p: p[:, 0], q.PairSampler(1, 1.0, 1.0), 0, q.RandomStream(1, 0))
 
 
 def test_quadrature_result_validates_error():
