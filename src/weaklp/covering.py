@@ -333,6 +333,7 @@ def rotation_measure(F, line_cells=160, offset_cells=64, sphere_order=24, refine
         rule = sphere_rule(n, order)
         total = 0.0
         mass_f = 0.0
+        nodes = 0
         for wvec, wgt in zip(rule.nodes, rule.weights):
             if n == 1:
                 offsets = np.zeros((1, 1))
@@ -357,13 +358,15 @@ def rotation_measure(F, line_cells=160, offset_cells=64, sphere_order=24, refine
             # the two-sided pair energy halves onto the one-sided radial integral
             total += 0.5 * wgt * float(np.sum(w_off * line_energy))
             mass_f += wgt * float(np.sum(w_off * line_mass))
-        return total, mass_f / surface_area(n)
+            nodes += vals.size
+        return total, mass_f / surface_area(n), nodes
 
-    v1, m1 = run(line_cells, offset_cells, sphere_order)
+    v1, m1, nodes = run(line_cells, offset_cells, sphere_order)
     if refine:
         # node-pair blocks converge first order from below; one Richardson
         # step across a 2x refinement removes the leading bias
-        v2, m2 = run(2 * line_cells, 2 * offset_cells, sphere_order)
+        v2, m2, n2 = run(2 * line_cells, 2 * offset_cells, sphere_order)
+        nodes += n2
         err = abs(v2 - v1)
         value, mass = 2.0 * v2 - v1, m2
         c_coarse = v1 / m1 if m1 > 0 else 0.0
@@ -375,7 +378,7 @@ def rotation_measure(F, line_cells=160, offset_cells=64, sphere_order=24, refine
         drift = 0.0
     bound_factor = 5.0 * 5.0 ** n * surface_area(n) / (n * (n + 1.0))
     return {
-        "measure": QuadratureResult(value, err, 0, err <= 0.05 * max(value, 1e-300)),
+        "measure": QuadratureResult(value, err, nodes, err <= 0.05 * max(value, 1e-300)),
         "mass": mass,
         "c_emp": value / mass if mass > 0 else 0.0,
         "c_emp_coarse": c_coarse,

@@ -3,7 +3,8 @@
 Fields are immutable after construction; evaluation is vectorized over point
 arrays of shape (..., N) and is safe to call concurrently.  Every field
 vanishes *exactly* (returns 0.0, not something small) outside the centered
-ball of radius `support_radius`.
+ball of radius `support_radius`, and `segments_meet_support` says,
+conservatively, which segments can meet its support at all.
 """
 from __future__ import annotations
 
@@ -74,8 +75,50 @@ class ScalarField:
         """Distance to the support ball (a lower bound on the distance to supp u)."""
         return np.maximum(np.sqrt(_sum_squares(pts)) - self.support_radius, 0.0)
 
+    def segments_meet_support(self, X, W, length, margin):
+        """(nx, nw) bool: whether the segment x + r w, 0 <= r <= length, comes
+        within `margin` of supp u, for every x in X (nx, N) and w in W (nw, N).
+
+        Conservative: False only where every point of the segment, x itself
+        included, lies more than `margin` outside a set containing supp u, so
+        `evaluate` returns exactly 0.0 there.  The base class tests the
+        centered ball of `support_radius`; subclasses test tighter sets.
+        """
+        return _segments_meet_ball(X, W, length, np.zeros(self.dim), self.support_radius + margin)
+
     def __repr__(self):
         return f"<ScalarField {self.label!r} N={self.dim}>"
+
+
+def _segments_meet_ball(X, W, length, center, radius):
+    """(nx, nw) bool: whether x + r w, 0 <= r <= length, meets the closed ball."""
+    d = np.asarray(X, dtype=float) - center
+    W = np.asarray(W, dtype=float)
+    # the point of each segment nearest the centre, taken as a vector so the
+    # distance keeps its relative accuracy near the sphere
+    t = np.clip(-(d @ W.T) / np.maximum(_sum_squares(W), np.finfo(float).tiny), 0.0, length)
+    near = d[:, None, :] + t[..., None] * W[None, :, :]
+    return np.sqrt(_sum_squares(near)) <= radius
+
+
+def _segments_meet_box(X, W, length, lo, hi):
+    """(nx, nw) bool: whether x + r w, 0 <= r <= length, meets the box [lo, hi]
+    (slab test: the r-intervals inside each axis slab must overlap)."""
+    X = np.asarray(X, dtype=float)
+    W = np.asarray(W, dtype=float)
+    enter = np.zeros((X.shape[0], W.shape[0]))
+    leave = np.full_like(enter, length)
+    for i in range(X.shape[1]):
+        x, w = X[:, i, None], W[None, :, i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = (lo[i] - x) / w
+            b = (hi[i] - x) / w
+        # a direction parallel to the slab stays inside it or outside for all r
+        inside = np.where((lo[i] <= x) & (x <= hi[i]), np.inf, -np.inf)
+        flat = w == 0.0
+        enter = np.maximum(enter, np.where(flat, -inside, np.minimum(a, b)))
+        leave = np.minimum(leave, np.where(flat, inside, np.maximum(a, b)))
+    return enter <= leave
 
 
 def _sum_squares(pts, center=None):
@@ -275,6 +318,9 @@ class _RadialBump(ScalarField):
         r = np.sqrt(_sum_squares(pts, self.center))
         return _bump_profile(r, self.radius, self.amplitude)
 
+    def segments_meet_support(self, X, W, length, margin):
+        return _segments_meet_ball(X, W, length, self.center, self.radius + margin)
+
     def gradient(self, pts):
         d = np.asarray(pts, dtype=float) - self.center
         q = _sum_squares(d) / self.radius ** 2
@@ -332,6 +378,11 @@ class _SeparableField(ScalarField):
             out = out * prof.value(pts[..., i])
         return out
 
+    def segments_meet_support(self, X, W, length, margin):
+        # every profile vanishes outside its sweep extent, so u does outside the box
+        ext = np.array([p.sweep_extent() for p in self.profiles])
+        return _segments_meet_box(X, W, length, ext[:, 0] - margin, ext[:, 1] + margin)
+
     def gradient(self, pts):
         pts = np.asarray(pts, dtype=float)
         vals = [prof.value(pts[..., i]) for i, prof in enumerate(self.profiles)]
@@ -367,6 +418,12 @@ class _SumField(ScalarField):
             out = out + f.evaluate(pts)
         return out
 
+    def segments_meet_support(self, X, W, length, margin):
+        out = self.fields[0].segments_meet_support(X, W, length, margin)
+        for f in self.fields[1:]:
+            out |= f.segments_meet_support(X, W, length, margin)
+        return out
+
     def gradient(self, pts):
         out = self.fields[0].gradient(pts)
         for f in self.fields[1:]:
@@ -389,6 +446,9 @@ class _ScaledField(ScalarField):
 
     def evaluate(self, pts):
         return self.factor * self.base.evaluate(pts)
+
+    def segments_meet_support(self, X, W, length, margin):
+        return self.base.segments_meet_support(X, W, length, margin)
 
     def gradient(self, pts):
         return self.factor * self.base.gradient(pts)

@@ -4,9 +4,12 @@ The membership function along a ray from x in direction w is
 g(r) = |u(x + r w) - u(x)| - lambda r^alpha.  All estimators share one scan
 kernel: uniform bracketing in r, vectorized bisection of every sign change,
 then exact closed-form integration of r^{N-1} over the membership runs.
-The scan evaluates the field in cache-sized blocks of x nodes and skips x
-nodes farther than r_cap from the support, whose rays carry no members; both
-leave every estimate bit-for-bit unchanged.
+The scan visits only the rays that the field's `segments_meet_support`
+reports as meeting its support, in cache-sized blocks of ray points.  That
+method is conservative: it reports a miss only when every point of x + r w,
+0 <= r <= r_cap, lies more than a margin (which covers the rounding of
+x + r w) outside supp u, so u is exactly 0 on a skipped ray and at x, and
+the ray carries no members.  Both leave every estimate bit-for-bit unchanged.
 
 Truncation: members satisfy lambda r^{alpha-1} <= lip_bound, so the scan stops
 at r_cap = (lip_bound/lambda)^{1/(alpha-1)} clipped to the support-dilate
@@ -121,40 +124,43 @@ def _scan_measures(f, lam, alpha, X, W, r_cap, scan, tol, n_dim):
     sum over runs of (b^N - a^N) equals sum over down-crossings of b^N minus
     sum over up-crossings of a^N, so no explicit pairing is needed.
 
-    x nodes farther than r_cap from the support are skipped: u vanishes on
-    their whole rays, so their rows are exactly zero.  The others are scanned
-    in blocks of about _BLOCK_POINTS ray points.
+    Only the rays x + r w, 0 < r <= r_cap, that `segments_meet_support`
+    reports are scanned, in blocks of about _BLOCK_POINTS ray points: on
+    every other ray u is exactly 0, at x too, so its row is exactly zero.
+    The state holds the member array of the scanned rays, (rays, scan), and
+    their cell indices x * nw + w.
     """
     nx, nw = X.shape[0], W.shape[0]
     r = np.linspace(r_cap / scan, r_cap, scan)
     lam_r = lam * r ** alpha
-    member = np.zeros((nx, nw, scan), dtype=bool)
     margin = _PRUNE_MARGIN * (r_cap + f.support_radius)
-    live = np.flatnonzero(f.support_distance(X) <= r_cap + margin)
+    rays = np.flatnonzero(f.segments_meet_support(X, W, r_cap, margin))
+    ray_x, ray_w = np.divmod(rays, nw)
     ux = np.zeros(nx)
+    live = np.unique(ray_x)
     if live.size:
         ux[live] = f.evaluate(X[live])
-    # ray points are built axis-major, (N, x, w, r), so each coordinate the
-    # field reads is contiguous; the field sees the (x, w, r, N) view
-    rw = W.T[:, :, None] * r
-    block = max(1, _BLOCK_POINTS // (nw * scan))
-    for b0 in range(0, live.size, block):
-        rows = live[b0 : b0 + block]
-        pts = X[rows].T[:, :, None, None] + rw[:, None]
-        g = f.evaluate(np.moveaxis(pts, 0, -1)) - ux[rows][:, None, None]
+    member = np.empty((rays.size, scan), dtype=bool)
+    # ray points are built axis-major, (N, ray, r), so each coordinate the
+    # field reads is contiguous; the field sees the (ray, r, N) view
+    block = max(1, _BLOCK_POINTS // scan)
+    for b0 in range(0, rays.size, block):
+        xi, wi = ray_x[b0 : b0 + block], ray_w[b0 : b0 + block]
+        pts = X.T[:, xi, None] + W.T[:, wi, None] * r
+        g = f.evaluate(np.moveaxis(pts, 0, -1)) - ux[xi][:, None]
         np.abs(g, out=g)
         g -= lam_r
-        member[rows] = g >= 0.0
-    member = member.reshape(nx * nw, scan)
+        member[b0 : b0 + block] = g >= 0.0
 
-    cell, i = np.nonzero(member[:, 1:] != member[:, :-1])
-    up = member[cell, i + 1]
+    row, i = np.nonzero(member[:, 1:] != member[:, :-1])
+    cell = rays[row]
+    up = member[row, i + 1]
     iters = max(8, min(60, int(math.ceil(math.log2(max((r_cap / scan) / max(tol, 1e-300), 2.0))))))
     r_cross = np.empty(0)
     if cell.size:
-        xi = cell // nw
+        xi = ray_x[row]
         r_cross = _bisect_crossings(
-            f, X.T[:, xi], W.T[:, cell % nw], ux[xi], lam, alpha, r[i], r[i + 1], iters
+            f, X.T[:, xi], W.T[:, ray_w[row]], ux[xi], lam, alpha, r[i], r[i + 1], iters
         )
     up_cell, up_r = cell[up], r_cross[up]
     dn_cell, dn_r = cell[~up], r_cross[~up]
@@ -163,11 +169,11 @@ def _scan_measures(f, lam, alpha, X, W, r_cap, scan, tol, n_dim):
     np.add.at(acc, dn_cell, dn_r ** n_dim)
     # runs starting at 0+ contribute nothing to subtract; runs still open at
     # r_cap close there
-    acc[member[:, -1]] += r_cap ** n_dim
+    acc[rays[member[:, -1]]] += r_cap ** n_dim
     measures = acc / n_dim
 
     crossings = np.bincount(cell, minlength=nx * nw)
-    state = {"member": member, "up": (up_cell, up_r), "dn": (dn_cell, dn_r), "r": r}
+    state = {"member": member, "rays": rays, "up": (up_cell, up_r), "dn": (dn_cell, dn_r)}
     return measures, crossings, state
 
 
@@ -184,12 +190,12 @@ def radial_levelset(q: LevelSetQuery, x, omega, scan=1024, tol=1e-10):
     X = x[None, :]
     W = omega[None, :]
     _, crossings, state = _scan_measures(f, q.lam, q.alpha, X, W, r_cap, scan, tol, f.dim)
-    member = state["member"][0]
+    member = state["member"]      # one row if the ray was scanned, none if not
     starts = sorted(state["up"][1].tolist())
     ends = sorted(state["dn"][1].tolist())
-    if member[0]:
+    if member[:, 0].any():
         starts = [0.0] + starts
-    if member[-1]:
+    if member[:, -1].any():
         ends = ends + [r_cap]
     flagged = crossings[0] > CROSSING_CAP or len(starts) != len(ends)
     intervals = list(zip(starts, ends))[: CROSSING_CAP]
@@ -297,7 +303,9 @@ def pair_measure_polar(
 
     The inner radial integral is exact on each membership run; the outer
     integrals use the tensor grid and sphere rule.  Error estimate comes
-    from one combined coarsening step (half the panels and scan).
+    from one combined coarsening step (half the panels and scan); a fine
+    pass with 1 panel or at most 8 scan nodes cannot be coarsened and
+    reports converged=False.
     """
     f = q.field
     need, r_cap = pair_region(f, q.lam, q.alpha)
@@ -325,10 +333,17 @@ def pair_measure_polar(
     value, nodes = run(x_grid, scan)
     if not with_error:
         return QuadratureResult(value, 0.0, nodes, True)
-    coarse_grid = TensorGrid(x_grid.box, max(2, x_grid.panels // 2), x_grid.order)
-    coarse, n2 = run(coarse_grid, max(64, scan // 2))
+    # the coarse pass halves panels and scan, at least to 2 panels and 64 scan
+    # nodes where that is still coarser, else down to floors of 1 and 8
+    panels = x_grid.panels
+    coarse_panels = max(2 if panels > 2 else 1, panels // 2)
+    coarse_scan = min(scan, max(64 if scan > 64 else 8, scan // 2))
+    coarse, n2 = run(TensorGrid(x_grid.box, coarse_panels, x_grid.order), coarse_scan)
     err = abs(value - coarse)
-    return QuadratureResult(value, err, nodes + n2, err <= 0.05 * max(abs(value), 1e-300))
+    # a fine pass already at a floor has no coarser pass to compare with
+    coarser = coarse_panels < panels and coarse_scan < scan
+    converged = coarser and err <= 0.05 * max(abs(value), 1e-300)
+    return QuadratureResult(value, err, nodes + n2, converged)
 
 
 def pair_measure_mc(q: LevelSetQuery, n, stream, workers=1):

@@ -152,6 +152,24 @@ def test_rotation_measure_agrees_with_pair_mc(bump2):
     assert rec["holds"]
 
 
+@pytest.mark.parametrize("name", ["bump1", "bump2", "bump3"])
+def test_rotation_measure_reports_its_node_budget(cat, name):
+    # offsets x line cells x sphere nodes, summed over both passes; the
+    # offsets are composite Gauss panels of order 8 on each of N - 1 axes
+    f = cat[name]
+    n = f.dim
+    line_cells, offset_cells, sphere_order = 32, 16, 8
+    nw = Q.sphere_rule(n, sphere_order).nodes.shape[0]
+
+    def nodes(m_line, m_off):
+        return (max(2, m_off // 8) * 8) ** (n - 1) * m_line * nw
+
+    rec = C.rotation_measure(f, line_cells, offset_cells, sphere_order)
+    assert rec["measure"].nodes_used == nodes(32, 16) + nodes(64, 32)
+    one = C.rotation_measure(f, line_cells, offset_cells, sphere_order, refine=False)
+    assert one["measure"].nodes_used == nodes(32, 16)
+
+
 def test_holder_containment_zero_field_vacuous():
     z = F.make_bump([0.0], 1.0, 0.0)
     rec = C.holder_containment_check(z, 1.0, 1.0, 500, Q.RandomStream(2, 2))

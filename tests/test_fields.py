@@ -220,3 +220,68 @@ def test_radial_bump_per_axis_sums_bitwise_equal_reference(case):
         assert np.array_equal(f.gradient(p), _reference_gradient(f, p))
         assert np.array_equal(f.support_distance(p), _reference_support_distance(f, p))
     assert np.all(f.evaluate(f.center + f.radius * np.eye(f.dim)) == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# segments_meet_support: conservative segment-support tests
+# ---------------------------------------------------------------------------
+
+_offset = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _support_fields(draw, n):
+    kind = draw(st.sampled_from(["catalogue", "bump", "product", "indicator"]))
+    if kind == "catalogue":
+        return F.catalogue()[draw(st.sampled_from(F.catalogue_names(n)))]
+    centre = draw(st.lists(_offset, min_size=n, max_size=n))
+    if kind == "bump":
+        return F.make_bump(centre, draw(st.floats(0.1, 1.5)), draw(st.floats(-2.0, 2.0)))
+    radii = draw(st.lists(st.floats(0.1, 1.5), min_size=n, max_size=n))
+    if kind == "product":
+        return F.make_product_bump(centre, radii, draw(st.floats(-2.0, 2.0)))
+    box = [[c - r, c + r] for c, r in zip(centre, radii)]
+    return F.make_mollified_indicator(box, 0.4 * min(radii))
+
+
+@st.composite
+def _segment_cases(draw):
+    n = draw(st.sampled_from([1, 2, 3]))
+    f = draw(_support_fields(n))
+    shape = draw(st.sampled_from(["plain", "scaled", "sum"]))
+    if shape == "scaled":
+        f = F.scale_field(f, draw(st.sampled_from([-3.0, 0.5, 2.0])))
+    elif shape == "sum":
+        f = F.make_sum([f, draw(_support_fields(n))])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    half = f.support_radius + 1.0
+    X = rng.uniform(-half, half, size=(24, n))
+    W = rng.normal(size=(6, n))
+    W /= np.linalg.norm(W, axis=1, keepdims=True)
+    W = np.vstack([W, np.eye(n), -np.eye(n)])     # zero components for the slab test
+    length = draw(st.floats(0.01, 2.0))
+    margin = draw(st.sampled_from([0.0, 1e-9]))
+    return f, X, W, length, margin
+
+
+@settings(max_examples=150, deadline=None)
+@given(_segment_cases())
+def test_segments_meet_support_is_conservative(case):
+    f, X, W, length, margin = case
+    hit = f.segments_meet_support(X, W, length, margin)
+    assert hit.shape == (X.shape[0], W.shape[0]) and hit.dtype == bool
+    xi, wi = np.nonzero(~hit)
+    # dense points along every segment reported as missing, both ends included
+    t = np.linspace(0.0, length, 257)
+    pts = X[xi][:, None, :] + t[None, :, None] * W[wi][:, None, :]
+    assert np.all(f.evaluate(pts) == 0.0)
+
+
+def test_segments_meet_support_is_tighter_than_the_centred_ball():
+    # an off-centre bump and a box miss rays that the centred ball keeps
+    for f in (F.make_bump([1.0, 0.0], 0.5), F.make_mollified_indicator([[0.5, 1.5], [0.0, 1.0]], 0.1)):
+        X = np.array([[-0.5, 0.0]])
+        W = np.array([[-1.0, 0.0], [0.0, 1.0]])
+        assert not f.segments_meet_support(X, W, 0.4, 1e-9).any()
+        assert F.ScalarField.segments_meet_support(f, X, W, 0.4, 1e-9).all()
+        assert f.segments_meet_support(X, np.array([[1.0, 0.0]]), 1.0, 1e-9).all()

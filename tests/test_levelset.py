@@ -31,6 +31,9 @@ class RampStub:
     def support_distance(self, pts):
         return np.zeros(np.asarray(pts).shape[:-1])
 
+    def segments_meet_support(self, X, W, length, margin):
+        return np.ones((len(X), len(W)), dtype=bool)
+
 
 def zero_field():
     return F.make_bump([0.0], 1.0, 0.0)
@@ -315,7 +318,10 @@ def test_pair_measures_capped_at_three_dimensions():
 # ---------------------------------------------------------------------------
 
 # float.hex of pair_measure_polar's value and error estimate, and its
-# nodes_used, at p = 1, recorded with the unblocked, unpruned scan kernel.
+# nodes_used, at p = 1, recorded with the unblocked, unpruned scan kernel;
+# bump3's error and nodes_used were re-recorded when its coarse pass went
+# from 64 to 24 scan nodes (the old coarse pass was finer than the 48-node
+# fine pass).
 # lam = 4 lip_bound gives r_cap < 1, so x nodes in the grid corners lie
 # farther than r_cap from the support; lam = lip_bound / 2 sits below it.
 POLAR_GOLDENS = {
@@ -327,7 +333,7 @@ POLAR_GOLDENS = {
     ("bumps2_pair", 0.5): ("0x1.1c4cbee615fc0p+1", "0x1.583e6af16e5e0p-4", 573440),
     ("product2", 4.0): ("0x1.f5265e929c107p-2", "0x1.3455bb05f0500p-8", 573440),
     ("product2", 0.5): ("0x1.b92be417f310cp+1", "0x1.7e52371222680p-4", 573440),
-    ("bump3", 4.0): ("0x1.0c5467caf77d3p+0", "0x1.074c1b57e5ac0p-5", 3702784),
+    ("bump3", 4.0): ("0x1.0c5467caf77d3p+0", "0x1.074c1b578bd40p-5", 3047424),
 }
 # (x nodes per axis, Gauss order, sphere order, scan) per dimension; the 2-D
 # grid has 576 x nodes and the 3-D one 1728, so both span several x chunks
@@ -383,43 +389,158 @@ def test_scan_far_from_support_is_zero_without_evaluation(bump2):
     lam = 4.0 * bump2.lip_bound
     r_cap = LS.truncation_radius(bump2, lam, 3.0)
     R = bump2.support_radius
-    W = Q.sphere_rule(2, 8).nodes
-    far = np.array([[R + 2.0 * r_cap, 0.0], [0.0, -(R + 1.5 * r_cap)],
-                    [(R + 3.0 * r_cap) / math.sqrt(2.0)] * 2])
+    margin = LS._PRUNE_MARGIN * (r_cap + R)
+    x = np.array([[R + r_cap, 0.0]])
+    # from x, rays away from or across the support miss it by at least r_cap
+    away = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [math.sqrt(0.5)] * 2])
+    toward = np.array([[-1.0, 0.0]])
     f = CountingField(bump2)
-    measures, crossings, state = LS._scan_measures(f, lam, 3.0, far, W, r_cap, 64, 1e-10, 2)
-    assert f.points == 0
+    measures, crossings, state = LS._scan_measures(f, lam, 3.0, x, away, r_cap, 64, 1e-10, 2)
+    assert f.points == 0 and state["rays"].size == 0
     assert not np.any(measures) and not np.any(crossings)
-    assert not np.any(state["member"])
-    # at distance exactly r_cap the ray reaches the support boundary, where
-    # u vanishes: the node is scanned, and its measures are still zero
-    edge = np.array([[R + r_cap, 0.0]])
+    # a ray toward the support that stops two margins short also evaluates nothing
     f = CountingField(bump2)
-    measures, crossings, _ = LS._scan_measures(f, lam, 3.0, np.vstack([far, edge]), W, r_cap,
-                                               64, 1e-10, 2)
-    assert f.points >= W.shape[0] * 64
-    assert not np.any(measures) and not np.any(crossings)
+    short = x + [[2.0 * margin, 0.0]]
+    measures, crossings, _ = LS._scan_measures(f, lam, 3.0, short, toward, r_cap, 64, 1e-10, 2)
+    assert f.points == 0 and not np.any(measures) and not np.any(crossings)
+    # the ray that reaches the support boundary exactly at r_cap, where u
+    # vanishes, is scanned (u(x) once, then its 64 ray points), as is one
+    # that stops half a margin short; their measures are still zero
+    for start in (x, x + [[0.5 * margin, 0.0]]):
+        f = CountingField(bump2)
+        measures, crossings, state = LS._scan_measures(
+            f, lam, 3.0, start, np.vstack([away, toward]), r_cap, 64, 1e-10, 2
+        )
+        assert state["rays"].tolist() == [len(away)]
+        assert f.points == 1 + 64
+        assert not np.any(measures) and not np.any(crossings)
+        assert not np.any(state["member"])
+
+
+def _parent_bisect_crossings(f, xs, ws, uxs, lam, alpha, lo, hi, iters):
+    """The bisection of the x-pruned kernel below, kept verbatim as a reference."""
+
+    def member(r):
+        return np.abs(f.evaluate((xs + r * ws).T) - uxs) - lam * r ** alpha >= 0.0
+
+    up = member(lo)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        same = member(mid) == up
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _parent_scan_measures(f, lam, alpha, X, W, r_cap, scan, tol, n_dim):
+    """The scan kernel before ray-level pruning: it skips only x nodes farther
+    than r_cap from the centered support ball and scans every ray of the rest."""
+    nx, nw = X.shape[0], W.shape[0]
+    r = np.linspace(r_cap / scan, r_cap, scan)
+    lam_r = lam * r ** alpha
+    member = np.zeros((nx, nw, scan), dtype=bool)
+    margin = 1e-9 * (r_cap + f.support_radius)
+    live = np.flatnonzero(f.support_distance(X) <= r_cap + margin)
+    ux = np.zeros(nx)
+    if live.size:
+        ux[live] = f.evaluate(X[live])
+    rw = W.T[:, :, None] * r
+    block = max(1, 2 ** 15 // (nw * scan))
+    for b0 in range(0, live.size, block):
+        rows = live[b0 : b0 + block]
+        pts = X[rows].T[:, :, None, None] + rw[:, None]
+        g = f.evaluate(np.moveaxis(pts, 0, -1)) - ux[rows][:, None, None]
+        np.abs(g, out=g)
+        g -= lam_r
+        member[rows] = g >= 0.0
+    member = member.reshape(nx * nw, scan)
+
+    cell, i = np.nonzero(member[:, 1:] != member[:, :-1])
+    up = member[cell, i + 1]
+    iters = max(8, min(60, int(math.ceil(math.log2(max((r_cap / scan) / max(tol, 1e-300), 2.0))))))
+    r_cross = np.empty(0)
+    if cell.size:
+        xi = cell // nw
+        r_cross = _parent_bisect_crossings(
+            f, X.T[:, xi], W.T[:, cell % nw], ux[xi], lam, alpha, r[i], r[i + 1], iters
+        )
+    acc = np.zeros(nx * nw)
+    np.subtract.at(acc, cell[up], r_cross[up] ** n_dim)
+    np.add.at(acc, cell[~up], r_cross[~up] ** n_dim)
+    acc[member[:, -1]] += r_cap ** n_dim
+    return acc / n_dim, np.bincount(cell, minlength=nx * nw)
+
+
+@pytest.mark.parametrize("name", F.catalogue_names())
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_scan_kernel_bitwise_equal_to_x_pruned_reference(cat, name, seed):
+    f = cat[name]
+    rng = np.random.default_rng(1000 * seed + len(name))
+    n = f.dim
+    lam = f.lip_bound * 10.0 ** rng.uniform(-1.0, 1.3)
+    alpha = n + 1.0
+    half, r_cap = F.pair_region(f, lam, alpha)
+    X = rng.uniform(-half, half, size=(97, n))
+    W = rng.normal(size=(7, n))
+    W /= np.linalg.norm(W, axis=1, keepdims=True)
+    W = np.vstack([W, np.eye(n)])     # axis directions: zero components
+    got = LS._scan_measures(f, lam, alpha, X, W, r_cap, 40, 1e-10, n)
+    want = _parent_scan_measures(f, lam, alpha, X, W, r_cap, 40, 1e-10, n)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.array_equal(got[1], want[1])
+    assert np.any(want[0]) and np.any(want[1])
+
+
+def test_error_pass_is_strictly_coarser_on_small_grids(cat):
+    # 2 panels of order 4 and 48 scan nodes: the coarse pass used to keep the
+    # 2 panels and raise the scan to 64, reporting an error of 2.6e-12
+    f = cat["bump3"]
+    lam = 4.0 * f.lip_bound
+    half, _ = F.pair_region(f, lam, 4.0)
+    q = LS.LevelSetQuery(f, 1.0, 4.0, lam)
+    sphere = Q.sphere_rule(3, 4)
+    nw = sphere.nodes.shape[0]
+    grid = Q.centered_box_grid(half, 3, 8, order=4)
+    assert grid.panels == 2
+    res = LS.pair_measure_polar(q, grid, sphere, scan=48)
+    assert res.value.hex() == "0x1.148ec8a5b3dbcp+0"    # as before the change
+    assert res.error_estimate > 1e-2 * res.value
+    assert res.nodes_used == 8 ** 3 * nw * 48 + 4 ** 3 * nw * 24
+    # a fine pass already at a floor (1 panel, or 8 scan nodes) has no
+    # coarser pass and never reports converged
+    one_panel = Q.TensorGrid(grid.box, 1, 4)
+    assert not LS.pair_measure_polar(q, one_panel, sphere, scan=48).converged
+    assert not LS.pair_measure_polar(q, grid, sphere, scan=8).converged
 
 
 # ---------------------------------------------------------------------------
 # goldens: pair sampling, recorded before the samplers were shared
 # ---------------------------------------------------------------------------
 
-# sha256 prefix of every point verify_sandwich(f, p, 10 lip_bound, 12, 0.5,
-# RandomStream(62, 3), scan=64) passes to `evaluate`, which pins the sampled
-# x and w bit for bit; every violation count is 0
+# sha256 prefix of every (x, w) pair verify_sandwich(f, p, 10 lip_bound, 12,
+# 0.5, RandomStream(62, 3), scan=64) hands to `radial_levelset`, which pins
+# the sampled x and w bit for bit; every violation count is 0
 SANDWICH_GOLDENS = {
-    ("bump1", 1.0): "932c6d2df738d037",
-    ("bump2", 2.0): "5c5d49b552e96225",
-    ("bump3", 2.0): "c0d0c421c383040d",
+    ("bump1", 1.0): "0b75504ff9c0c74a",
+    ("bump2", 2.0): "4be6a2e5334c21de",
+    ("bump3", 2.0): "0dde9d35b8e003e9",
 }
 
 
 @pytest.mark.parametrize("name, p", sorted(SANDWICH_GOLDENS))
-def test_verify_sandwich_goldens(cat, name, p):
-    f = CountingField(cat[name])
+def test_verify_sandwich_goldens(cat, monkeypatch, name, p):
+    f = cat[name]
+    digest = hashlib.sha256()
+    radial_levelset = LS.radial_levelset
+
+    def recording(q, x, omega, **kw):
+        digest.update(np.asarray(x, dtype=float).tobytes())
+        digest.update(np.asarray(omega, dtype=float).tobytes())
+        return radial_levelset(q, x, omega, **kw)
+
+    monkeypatch.setattr(LS, "radial_levelset", recording)
     rec = LS.verify_sandwich(f, p, 10.0 * f.lip_bound, 12, 0.5, Q.RandomStream(62, 3), scan=64)
-    assert f.digest.hexdigest()[:16] == SANDWICH_GOLDENS[name, p]
+    assert digest.hexdigest()[:16] == SANDWICH_GOLDENS[name, p]
     assert rec["violations_upper"] == rec["violations_lower"] == rec["flagged_profiles"] == 0
 
 
