@@ -13,11 +13,11 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .errors import ConsistencyError, InvalidParameterError, PreconditionError
 from .experiments import ConfigError, run_experiment
+from .quadrature import ordered_parallel_map
 from .reporting import Report, write_csv
 
 EXIT_PASS = 0
@@ -106,11 +106,7 @@ def _cmd_sweep(args):
         return report
 
     t0 = time.perf_counter()
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_job, enumerate(jobs)))
-    else:
-        reports = [run_job(it) for it in enumerate(jobs)]
+    reports = ordered_parallel_map(run_job, list(enumerate(jobs)), workers)
 
     rows = []
     worst = EXIT_PASS

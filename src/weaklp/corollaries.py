@@ -76,6 +76,22 @@ class CorollaryReport:
         return self.lhs / self.rhs if self.rhs > 0 else math.inf if self.lhs > 0 else 0.0
 
 
+_GAGLIARDO_KEYS = ("x_nodes", "sphere_order", "v_order", "panels_per_decade")
+
+
+def _split_budgets(budgets, strict=False):
+    """(the budget keys `gagliardo` takes, the rest); with `strict`, any
+    other key is an error."""
+    rest = dict(budgets or {})
+    gag = {k: rest.pop(k) for k in _GAGLIARDO_KEYS if k in rest}
+    if strict and rest:
+        raise InvalidParameterError(
+            f"gagliardo takes no budget {', '.join(map(repr, rest))}; "
+            f"its budgets are {', '.join(_GAGLIARDO_KEYS)}"
+        )
+    return gag, rest
+
+
 def _weak_lhs(field, p, alpha, budgets):
     budgets = dict(budgets or {})
     grid = default_lambda_grid(
@@ -151,9 +167,10 @@ def check_strong_interpolation(field, theta, p1, budgets=None):
         raise InvalidParameterError(
             "the strong inequality fails at p1 = infinity; use the weak variant"
         )
+    gag, _ = _split_budgets(budgets, strict=True)
     params = GNParams(theta, p1)
     s, p = params.s, params.p
-    lhs = gagliardo(SeminormQuery(field, s, p), **(budgets or {})).value ** (1.0 / p)
+    lhs = gagliardo(SeminormQuery(field, s, p), **gag).value ** (1.0 / p)
     rhs = lp_norm(field, p1).value ** (theta / p1) * gradient_lp_norm(field, 1.0).value ** (
         1.0 - theta
     )
@@ -172,9 +189,10 @@ def check_strong_embedding(field, s, budgets=None):
         )
     if not 0.0 < s < 1.0:
         raise InvalidParameterError("s must lie in (0, 1)")
+    gag, _ = _split_budgets(budgets, strict=True)
     n = field.dim
     p = 1.0 / (1.0 - (1.0 - s) / n)
-    lhs = gagliardo(SeminormQuery(field, s, p), **(budgets or {})).value ** (1.0 / p)
+    lhs = gagliardo(SeminormQuery(field, s, p), **gag).value ** (1.0 / p)
     rhs = gradient_lp_norm(field, 1.0).value
     return CorollaryReport(lhs, rhs, field.label, {"s": s, "p": p})
 
@@ -199,10 +217,7 @@ def strong_norm_divergence_probe(p, eps_ladder, delta_in=None, box=(0.0, 1.0), w
         )
     if weak_p is None:
         weak_p = p if 1.0 < p < 2.0 else 1.5
-    budgets = dict(budgets or {})
-    gag_keys = {"x_nodes", "sphere_order", "v_order", "panels_per_decade"}
-    gag_budgets = {k: v for k, v in budgets.items() if k in gag_keys}
-    weak_budgets = {k: v for k, v in budgets.items() if k not in gag_keys}
+    gag_budgets, weak_budgets = _split_budgets(budgets)
     values = []
     weak = []
     for eps in eps_ladder:

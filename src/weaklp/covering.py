@@ -18,7 +18,7 @@ from .fields import pair_region
 from .quadrature import (
     PairSampler,
     QuadratureResult,
-    composite_gauss,
+    TensorGrid,
     gauss_nodes_1d,
     monte_carlo,
     sphere_rule,
@@ -80,14 +80,6 @@ class PiecewiseConstantField:
         """Exact integral over [node(i), node(j)]."""
         return float(self.prefix[j] - self.prefix[i])
 
-    @staticmethod
-    def project(func, lo, hi, cells):
-        """Project a function onto the grid by midpoint sampling."""
-        h = (hi - lo) / cells
-        mid = lo + h * (np.arange(cells) + 0.5)
-        vals = np.maximum(np.asarray(func(mid), dtype=float), 0.0)
-        return PiecewiseConstantField(lo, hi, vals)
-
 
 @dataclass
 class IntervalFamily:
@@ -101,9 +93,6 @@ class IntervalFamily:
 
     def __len__(self):
         return self.starts.size
-
-    def lengths(self):
-        return (self.ends - self.starts) * self.f.h
 
 
 def _member_scan(prefix, h, gamma):
@@ -153,7 +142,6 @@ class VitaliCover:
     family: IntervalFamily
     starts: np.ndarray
     ends: np.ndarray
-    dilation: float = 5.0
 
     def __len__(self):
         return self.starts.size
@@ -282,10 +270,6 @@ def one_sided_radial_energy(f: PiecewiseConstantField, gamma, scan=4096):
 # segment masses and the rotation bound
 # ---------------------------------------------------------------------------
 
-def _as_callable(F):
-    return F.evaluate if hasattr(F, "evaluate") else F
-
-
 def _segment_masses(func, X, Y, nodes=48):
     """Line integrals int_0^{|Y-X|} func(X + t w) dt for row-paired endpoint
     arrays, by Gauss-Legendre with `nodes` points."""
@@ -312,6 +296,11 @@ def _perp_basis(w):
     return np.array(basis)
 
 
+def _rotation_cap(F):
+    """Longest member segment: members need r^(N+1) <= segment mass <= ||F||_inf * 2R."""
+    return (max(F.sup_norm, 0.0) * 2.0 * F.support_radius) ** (1.0 / (F.dim + 1.0))
+
+
 def rotation_measure(F, line_cells=160, offset_cells=64, sphere_order=24, refine=True):
     """Pair measure of the segment-mass superlevel set by line foliation.
 
@@ -323,35 +312,26 @@ def rotation_measure(F, line_cells=160, offset_cells=64, sphere_order=24, refine
     n = F.dim
     if n > 3:
         raise InvalidParameterError("rotation measure supports N <= 3")
-    func = _as_callable(F)
     R = F.support_radius
-    # members need r^(N+1) <= segment mass <= ||F||_inf * 2R
-    r_cap = (max(F.sup_norm, 0.0) * 2.0 * R) ** (1.0 / (n + 1.0))
-    half_t = R + r_cap
+    half_t = R + _rotation_cap(F)
 
     def run(m_line, m_off, order):
         rule = sphere_rule(n, order)
+        if n == 1:
+            offsets, w_off = np.zeros((1, 1)), np.array([1.0])
+        else:
+            grid = TensorGrid(np.array([[-R, R]] * (n - 1)), max(2, m_off // 8), 8)
+            offsets, w_off = grid.points_weights()
+        tgrid = np.linspace(-half_t, half_t, m_line + 1)
+        tm = 0.5 * (tgrid[:-1] + tgrid[1:])
+        ht = tgrid[1] - tgrid[0]
         total = 0.0
         mass_f = 0.0
         nodes = 0
         for wvec, wgt in zip(rule.nodes, rule.weights):
-            if n == 1:
-                offsets = np.zeros((1, 1))
-                w_off = np.array([1.0])
-                basis = np.zeros((0, 1))
-            else:
-                axes = [composite_gauss(-R, R, max(2, m_off // 8), 8) for _ in range(n - 1)]
-                basis = _perp_basis(wvec)
-                mesh = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-                offsets = np.stack([mm.ravel() for mm in mesh], axis=-1)
-                w_off = np.asarray(np.meshgrid(*[a[1] for a in axes], indexing="ij"))
-                w_off = w_off[0].ravel() if n == 2 else (w_off[0] * w_off[1]).ravel()
-            tgrid = np.linspace(-half_t, half_t, m_line + 1)
-            tm = 0.5 * (tgrid[:-1] + tgrid[1:])
-            ht = tgrid[1] - tgrid[0]
-            base = offsets @ basis if n > 1 else offsets * 0.0
+            base = offsets @ _perp_basis(wvec) if n > 1 else offsets
             pts = base[:, None, :] + tm[None, :, None] * wvec[None, None, :]
-            vals = np.maximum(func(pts), 0.0)
+            vals = np.maximum(F.evaluate(pts), 0.0)
             prefix = np.concatenate([np.zeros((offsets.shape[0], 1)), np.cumsum(vals, axis=1)], axis=1) * ht
             line_energy = _member_energy(prefix, ht, float(n))
             line_mass = prefix[:, -1]
@@ -392,16 +372,14 @@ def rotation_measure(F, line_cells=160, offset_cells=64, sphere_order=24, refine
 def rotation_measure_mc(F, n_samples, stream, line_nodes=64):
     """Direct pair Monte Carlo cross-check of `rotation_measure`."""
     n = F.dim
-    func = _as_callable(F)
-    R = F.support_radius
-    r_cap = (max(F.sup_norm, 0.0) * 2.0 * R) ** (1.0 / (n + 1.0))
+    r_cap = _rotation_cap(F)
 
     def member(pts):
         x, w, r = pts[:, :n], pts[:, n : 2 * n], pts[:, 2 * n]
-        masses = _segment_masses(func, x, x + r[:, None] * w, nodes=line_nodes)
+        masses = _segment_masses(F.evaluate, x, x + r[:, None] * w, nodes=line_nodes)
         return masses >= r ** (n + 1.0)
 
-    return monte_carlo(member, PairSampler(n, R + r_cap, r_cap), n_samples, stream)
+    return monte_carlo(member, PairSampler(n, F.support_radius + r_cap, r_cap), n_samples, stream)
 
 
 def holder_containment_check(field, p, lam, samples, stream, line_nodes=96, tol=1e-6):

@@ -8,14 +8,13 @@ reduced in fixed index order and must be byte-identical for any count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import corollaries, covering, fields, levelset, maximal, quadrature, seminorms
 from .errors import ConsistencyError, InvalidParameterError
-from .quadrature import RandomStream
+from .quadrature import RandomStream, ordered_parallel_map
 from .reporting import (
     CONSTANTS_HEADER,
     COROLLARY_HEADER,
@@ -31,13 +30,6 @@ DEFAULT_P_VALUES = [1.0, 1.25, 1.5, 2.0, 3.0, 4.0]
 
 class ConfigError(ValueError):
     """Invalid experiment config; the message names the offending field."""
-
-
-def ordered_parallel_map(func, items, workers):
-    if workers <= 1 or len(items) <= 1:
-        return [func(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, items))
 
 
 def _get(cfg, path, default=None, required=False):
@@ -407,9 +399,8 @@ def run_corollary(cfg, out, workers, seed):
     )
 
     homo_tol = 1e-2
-    f0 = flds[0]
-    r1 = runner(f0, params, budgets)
-    r3 = runner(fields.scale_field(f0, 3.0), params, budgets)
+    r1 = reports[0]
+    r3 = runner(fields.scale_field(flds[0], 3.0), params, budgets)
     homo_dev = max(
         abs(r3.lhs / (3.0 * r1.lhs) - 1.0) if r1.lhs > 0 else 0.0,
         abs(r3.rhs / (3.0 * r1.rhs) - 1.0) if r1.rhs > 0 else 0.0,

@@ -5,6 +5,10 @@ arrays of shape (..., N) and is safe to call concurrently.  Every field
 vanishes *exactly* (returns 0.0, not something small) outside the centered
 ball of radius `support_radius`, and `segments_meet_support` says,
 conservatively, which segments can meet its support at all.
+
+Bumps and the axis profiles of separable fields rest on two jets, `_bump_jet`
+and `_step_jet`, each [value, d1, ..., d_order] from one mask and one set of
+exponentials; only the radial bump's gradient keeps a formula of its own.
 """
 from __future__ import annotations
 
@@ -143,81 +147,48 @@ def _sum_squares(pts, center=None):
 # 1-D profiles used as building blocks
 # ---------------------------------------------------------------------------
 
-def _bump_profile(t, radius, amplitude):
-    """amplitude * exp(-1/(1 - (t/radius)^2)) inside |t| < radius, 0 outside."""
+def _bump_jet(t, radius, amplitude, order=0):
+    """[value, d1, ..., d_order] (order <= 2) of amplitude * exp(-1/(1 - (t/radius)^2))
+    inside |t| < radius, 0 outside, from one mask and one exponential."""
     t = np.asarray(t, dtype=float)
     q = (t / radius) ** 2
-    out = np.zeros_like(q)
+    jet = [np.zeros_like(q) for _ in range(order + 1)]
     m = q < 1.0
-    out[m] = amplitude * np.exp(-1.0 / (1.0 - q[m]))
-    return out
+    v = amplitude * np.exp(-1.0 / (1.0 - q[m]))
+    jet[0][m] = v
+    if order >= 1:
+        tm = t[m]
+        w = 1.0 / (1.0 - q[m])
+        jet[1][m] = v * (-(w ** 2) * 2.0 * tm / radius ** 2)
+    if order >= 2:
+        c = 2.0 * tm / radius ** 2
+        jet[2][m] = v * (w ** 4 * c ** 2 - 2.0 * w ** 3 * c ** 2 - 2.0 * w ** 2 / radius ** 2)
+    return jet
 
 
-def _bump_profile_d1(t, radius, amplitude):
+def _step_jet(t, order=0):
+    """[value, d1, ..., d_order] (order <= 2) of the C-infinity step f/(f+g),
+    f = exp(-1/t), g = exp(-1/(1-t)): 0 for t <= 0, 1 for t >= 1."""
     t = np.asarray(t, dtype=float)
-    q = (t / radius) ** 2
-    out = np.zeros_like(q)
-    m = q < 1.0
-    w = 1.0 / (1.0 - q[m])
-    out[m] = _bump_profile(t[m], radius, amplitude) * (-(w ** 2) * 2.0 * t[m] / radius ** 2)
-    return out
-
-
-def _bump_profile_d2(t, radius, amplitude):
-    t = np.asarray(t, dtype=float)
-    q = (t / radius) ** 2
-    out = np.zeros_like(q)
-    m = q < 1.0
-    w = 1.0 / (1.0 - q[m])
-    c = 2.0 * t[m] / radius ** 2
-    out[m] = _bump_profile(t[m], radius, amplitude) * (
-        w ** 4 * c ** 2 - 2.0 * w ** 3 * c ** 2 - 2.0 * w ** 2 / radius ** 2
-    )
-    return out
-
-
-def _smooth_step(t):
-    """C-infinity step: 0 for t <= 0, 1 for t >= 1."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    out[t >= 1.0] = 1.0
+    jet = [np.zeros_like(t) for _ in range(order + 1)]
+    jet[0][t >= 1.0] = 1.0
     m = (t > 0.0) & (t < 1.0)
     tm = t[m]
     f = np.exp(-1.0 / tm)
     g = np.exp(-1.0 / (1.0 - tm))
-    out[m] = f / (f + g)
-    return out
-
-
-def _smooth_step_d1(t):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    m = (t > 0.0) & (t < 1.0)
-    tm = t[m]
-    f = np.exp(-1.0 / tm)
-    g = np.exp(-1.0 / (1.0 - tm))
-    fp = f / tm ** 2
-    gp = -g / (1.0 - tm) ** 2
-    out[m] = (fp * (f + g) - f * (fp + gp)) / (f + g) ** 2
-    return out
-
-
-def _smooth_step_d2(t):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    m = (t > 0.0) & (t < 1.0)
-    tm = t[m]
-    f = np.exp(-1.0 / tm)
-    g = np.exp(-1.0 / (1.0 - tm))
-    fp = f / tm ** 2
-    gp = -g / (1.0 - tm) ** 2
-    fpp = f * (1.0 / tm ** 4 - 2.0 / tm ** 3)
-    gpp = g * (1.0 / (1.0 - tm) ** 4 - 2.0 / (1.0 - tm) ** 3)
-    s = f + g
-    sp = fp + gp
-    spp = fpp + gpp
-    out[m] = ((fpp * s - f * spp) * s - 2.0 * sp * (fp * s - f * sp)) / s ** 3
-    return out
+    jet[0][m] = f / (f + g)
+    if order >= 1:
+        s = f + g
+        fp = f / tm ** 2
+        gp = -g / (1.0 - tm) ** 2
+        sp = fp + gp
+        jet[1][m] = (fp * s - f * sp) / s ** 2
+    if order >= 2:
+        fpp = f * (1.0 / tm ** 4 - 2.0 / tm ** 3)
+        gpp = g * (1.0 / (1.0 - tm) ** 4 - 2.0 / (1.0 - tm) ** 3)
+        spp = fpp + gpp
+        jet[2][m] = ((fpp * s - f * spp) * s - 2.0 * sp * (fp * s - f * sp)) / s ** 3
+    return jet
 
 
 class _Window1D:
@@ -226,28 +197,18 @@ class _Window1D:
     def __init__(self, lo, hi, eps):
         self.lo, self.hi, self.eps = float(lo), float(hi), float(eps)
 
-    def value(self, t):
-        a = (t - (self.lo - self.eps)) / (2.0 * self.eps)
-        b = ((self.hi + self.eps) - t) / (2.0 * self.eps)
-        return _smooth_step(a) * _smooth_step(b)
-
-    def d1(self, t):
-        a = (t - (self.lo - self.eps)) / (2.0 * self.eps)
-        b = ((self.hi + self.eps) - t) / (2.0 * self.eps)
-        sa, sb = _smooth_step(a), _smooth_step(b)
-        da = _smooth_step_d1(a) / (2.0 * self.eps)
-        db = -_smooth_step_d1(b) / (2.0 * self.eps)
-        return da * sb + sa * db
-
-    def d2(self, t):
-        a = (t - (self.lo - self.eps)) / (2.0 * self.eps)
-        b = ((self.hi + self.eps) - t) / (2.0 * self.eps)
-        sa, sb = _smooth_step(a), _smooth_step(b)
-        da = _smooth_step_d1(a) / (2.0 * self.eps)
-        db = -_smooth_step_d1(b) / (2.0 * self.eps)
-        dda = _smooth_step_d2(a) / (2.0 * self.eps) ** 2
-        ddb = _smooth_step_d2(b) / (2.0 * self.eps) ** 2
-        return dda * sb + 2.0 * da * db + sa * ddb
+    def jet(self, t, order=0):
+        """[value, d1, ..., d_order]: a rising times a falling step of width 2 eps."""
+        h = 2.0 * self.eps
+        a = _step_jet((t - (self.lo - self.eps)) / h, order)
+        b = _step_jet(((self.hi + self.eps) - t) / h, order)
+        jet = [a[0] * b[0]]
+        if order >= 1:
+            da, db = a[1] / h, -b[1] / h
+            jet.append(da * b[0] + a[0] * db)
+        if order >= 2:
+            jet.append(a[2] / h ** 2 * b[0] + 2.0 * da * db + a[0] * (b[2] / h ** 2))
+        return jet
 
     def sweep_extent(self):
         return self.lo - self.eps, self.hi + self.eps
@@ -259,27 +220,17 @@ class _Bump1DProfile:
     def __init__(self, center, radius):
         self.center, self.radius = float(center), float(radius)
 
-    def value(self, t):
-        return _bump_profile(np.asarray(t) - self.center, self.radius, 1.0)
-
-    def d1(self, t):
-        return _bump_profile_d1(np.asarray(t) - self.center, self.radius, 1.0)
-
-    def d2(self, t):
-        return _bump_profile_d2(np.asarray(t) - self.center, self.radius, 1.0)
+    def jet(self, t, order=0):
+        return _bump_jet(np.asarray(t) - self.center, self.radius, 1.0, order)
 
     def sweep_extent(self):
         return self.center - self.radius, self.center + self.radius
 
 
 def _profile_maxima(profile):
-    lo, hi = profile.sweep_extent()
-    t = np.linspace(lo, hi, _CERT_GRID)
-    return (
-        float(np.max(np.abs(profile.value(t)))),
-        float(np.max(np.abs(profile.d1(t)))),
-        float(np.max(np.abs(profile.d2(t)))),
-    )
+    """max |value|, |d1|, |d2| of a 1-D profile over its sweep extent."""
+    t = np.linspace(*profile.sweep_extent(), _CERT_GRID)
+    return tuple(float(np.max(np.abs(d))) for d in profile.jet(t, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +257,7 @@ class _RadialBump(ScalarField):
         # radial structure: |grad u| = |phi'(r)| and the Hessian eigenvalues
         # are phi''(r) and phi'(r)/r, so 1-D sweeps certify both bounds
         r = np.linspace(0.0, self.radius, _CERT_GRID)
-        d1 = np.abs(_bump_profile_d1(r, self.radius, self.amplitude))
-        d2 = np.abs(_bump_profile_d2(r, self.radius, self.amplitude))
+        d1, d2 = (np.abs(d) for d in _bump_jet(r, self.radius, self.amplitude, 2)[1:])
         rad = d1[1:] / r[1:]
         lip = _CERT_SAFETY * float(np.max(d1))
         hess = _CERT_SAFETY * float(max(np.max(d2), np.max(rad)))
@@ -316,7 +266,7 @@ class _RadialBump(ScalarField):
 
     def evaluate(self, pts):
         r = np.sqrt(_sum_squares(pts, self.center))
-        return _bump_profile(r, self.radius, self.amplitude)
+        return _bump_jet(r, self.radius, self.amplitude)[0]
 
     def segments_meet_support(self, X, W, length, margin):
         return _segments_meet_ball(X, W, length, self.center, self.radius + margin)
@@ -375,7 +325,7 @@ class _SeparableField(ScalarField):
         pts = np.asarray(pts, dtype=float)
         out = np.full(pts.shape[:-1], self.amplitude)
         for i, prof in enumerate(self.profiles):
-            out = out * prof.value(pts[..., i])
+            out = out * prof.jet(pts[..., i])[0]
         return out
 
     def segments_meet_support(self, X, W, length, margin):
@@ -385,14 +335,13 @@ class _SeparableField(ScalarField):
 
     def gradient(self, pts):
         pts = np.asarray(pts, dtype=float)
-        vals = [prof.value(pts[..., i]) for i, prof in enumerate(self.profiles)]
-        ders = [prof.d1(pts[..., i]) for i, prof in enumerate(self.profiles)]
+        jets = [prof.jet(pts[..., i], 1) for i, prof in enumerate(self.profiles)]
         out = np.empty_like(pts)
         for i in range(self.dim):
-            g = np.full(pts.shape[:-1], self.amplitude) * ders[i]
+            g = np.full(pts.shape[:-1], self.amplitude) * jets[i][1]
             for j in range(self.dim):
                 if j != i:
-                    g = g * vals[j]
+                    g = g * jets[j][0]
             out[..., i] = g
         return out
 

@@ -57,6 +57,7 @@ __all__ = [
 
 CROSSING_CAP = 64
 _BLOCK_POINTS = 2 ** 15    # ray points per scan block: its temporaries stay in L2
+_X_CHUNK = 512             # x nodes per partial sum of pair_measure_polar's reduction
 _PRUNE_MARGIN = 1e-9       # pruning slack relative to r_cap + support_radius: covers
                            # the rounding of x + r w, so pruned rays read u = 0 exactly
 
@@ -91,9 +92,6 @@ class RadialProfile:
     intervals: list
     r_cap: float
     flagged: bool = False     # set when the crossing count exceeds CROSSING_CAP
-
-    def measure(self, n_dim):
-        return sum((b ** n_dim - a ** n_dim) / n_dim for a, b in self.intervals)
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +294,6 @@ def pair_measure_polar(
     sphere: SphereRule,
     scan=512,
     tol=1e-10,
-    x_chunk=512,
-    with_error=True,
 ):
     """L^{2N} measure of the superlevel set by polar pair coordinates.
 
@@ -320,19 +316,17 @@ def pair_measure_polar(
         pts, w = grid.points_weights()
         total = 0.0
         nodes = 0
-        for c0 in range(0, pts.shape[0], x_chunk):
-            Xc = pts[c0 : c0 + x_chunk]
+        for c0 in range(0, pts.shape[0], _X_CHUNK):
+            Xc = pts[c0 : c0 + _X_CHUNK]
             m, _, _ = _scan_measures(
                 f, q.lam, q.alpha, Xc, sphere.nodes, r_cap, scan_n, tol, f.dim
             )
             m = m.reshape(Xc.shape[0], -1)
-            total += float(np.sum(w[c0 : c0 + x_chunk] * (m * sphere.weights[None, :]).sum(axis=1)))
+            total += float(np.sum(w[c0 : c0 + _X_CHUNK] * (m * sphere.weights[None, :]).sum(axis=1)))
             nodes += Xc.shape[0] * sphere.nodes.shape[0] * scan_n
         return total, nodes
 
     value, nodes = run(x_grid, scan)
-    if not with_error:
-        return QuadratureResult(value, 0.0, nodes, True)
     # the coarse pass halves panels and scan, at least to 2 panels and 64 scan
     # nodes where that is still coarser, else down to floors of 1 and 8
     panels = x_grid.panels

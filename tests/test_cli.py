@@ -107,6 +107,32 @@ def test_rotation_outputs_identical_across_workers(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_corollary_outputs_identical_across_workers(tmp_path):
+    # workers run the eps ladder's four fields in parallel threads
+    cfg = write_cfg(tmp_path, {"experiment": "corollary", "seed": 3,
+                               "params": {"statement": "weak-1d", "p": 1.5},
+                               "budgets": {"lambda_points": 8, "refine": 2}})
+    outs = []
+    for w in (1, 2):
+        out = tmp_path / f"w{w}"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--workers", str(w)]) == 0
+        outs.append({path.name: path.read_bytes() for path in out.iterdir()
+                     if path.name != "timings.json"})
+    assert sorted(outs[0]) == ["corollary.csv", "report.json"]
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("statement", ["embedding", "strong-interp"])
+def test_strong_corollary_unknown_budget_is_a_config_error(tmp_path, capsys, statement):
+    # a polar budget key has no meaning for the strong seminorm checks
+    cfg = write_cfg(tmp_path, {"experiment": "corollary", "seed": 1,
+                               "params": {"statement": statement, "fields": ["plateau2"]},
+                               "budgets": {"scan": 64, "x_nodes": 16}})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "'scan'" in err and "'x_nodes'" not in err
+
+
 def test_sweep_empty_grid_errors(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"experiment": "limit", "sweep": {"params.p": []}, "seed": 1})
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1

@@ -140,3 +140,11 @@ def test_divergence_probe_requires_cutoff_at_p_one():
 def test_divergence_probe_rejects_increasing_ladder():
     with pytest.raises(InvalidParameterError):
         Co.strong_norm_divergence_probe(2.0, [0.1, 0.2])
+
+
+def test_strong_checks_name_unknown_budget_keys():
+    f = F.catalogue()["plateau2"]
+    with pytest.raises(InvalidParameterError, match="'lambda_points'"):
+        Co.check_strong_embedding(f, 0.5, budgets={"lambda_points": 8, "v_order": 4})
+    with pytest.raises(InvalidParameterError, match="'scan'"):
+        Co.check_strong_interpolation(f, 0.5, 2.0, budgets={"scan": 64})

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -172,7 +173,7 @@ def test_sum_field_bounds_subadditive(cat):
 
 def _reference_evaluate(f, pts):
     r = np.sqrt(np.sum((pts - f.center) ** 2, axis=-1))
-    return F._bump_profile(r, f.radius, f.amplitude)
+    return F._bump_jet(r, f.radius, f.amplitude)[0]
 
 
 def _reference_gradient(f, pts):
@@ -285,3 +286,133 @@ def test_segments_meet_support_is_tighter_than_the_centred_ball():
         assert not f.segments_meet_support(X, W, 0.4, 1e-9).any()
         assert F.ScalarField.segments_meet_support(f, X, W, 0.4, 1e-9).all()
         assert f.segments_meet_support(X, np.array([[1.0, 0.0]]), 1.0, 1e-9).all()
+
+
+# ---------------------------------------------------------------------------
+# bit-identity goldens of bounds, values and gradients
+# ---------------------------------------------------------------------------
+
+def _golden_fields():
+    out = dict(F.catalogue())
+    out["indicator3"] = F.make_mollified_indicator([[-0.5, 0.5], [-0.3, 0.6], [0.0, 1.0]], 0.1)
+    out["product3_neg"] = F.make_product_bump([0.1, -0.2, 0.3], [0.9, 0.7, 1.1], -1.3)
+    out["indicator1_fine"] = F.make_mollified_indicator([[0.0, 1.0]], 0.025)
+    return out
+
+
+def _edges(spec, dim):
+    """Per-axis coordinates where a profile switches: lo +- eps, hi +- eps and
+    center +- radius, taken from the field's spec."""
+    kind = spec["kind"]
+    if kind == "mollified_indicator":
+        e = spec["epsilon"]
+        return [[lo - e, lo + e, hi - e, hi + e] for lo, hi in spec["box"]]
+    if kind == "product_bump":
+        return [[c - r, c + r] for c, r in zip(spec["centers"], spec["radii"])]
+    if kind == "bump":
+        return [[c - spec["radius"], c + spec["radius"]] for c in spec["center"]]
+    if kind == "scaled":
+        return _edges(spec["base"], dim)
+    parts = [_edges(t, dim) for t in spec["terms"]]
+    return [sum((p[i] for p in parts), []) for i in range(dim)]
+
+
+def _golden_points(f, seed):
+    rng = np.random.default_rng(seed)
+    R = f.support_radius + 0.1
+    pts = [rng.uniform(-R, R, size=(2000, f.dim))]
+    edges = _edges(f.spec, f.dim)
+    for i, axis in enumerate(edges):
+        for e in axis:
+            p = rng.uniform(-R, R, size=(8, f.dim))
+            p[:, i] = e
+            pts.append(p)
+    # every coordinate at an edge (both switches of each profile at once)
+    pts.append(np.array([[axis[k % len(axis)] for axis in edges] for k in range(4)]))
+    return np.concatenate(pts)
+
+
+def _field_digest(f, seed):
+    pts = _golden_points(f, seed)
+    b = f.bounds
+    return (
+        b.lip_bound.hex(), b.hess_bound.hex(), b.sup_norm.hex(),
+        hashlib.sha256(np.ascontiguousarray(f.evaluate(pts)).tobytes()).hexdigest(),
+        hashlib.sha256(np.ascontiguousarray(f.gradient(pts)).tobytes()).hexdigest(),
+    )
+
+
+# recorded before the profile kernels were folded into jets
+FIELD_GOLDENS = {
+    "bump1": (
+        "0x1.ad3c5860810bdp-1", "0x1.0463a724c1126p+3", "0x1.78b56362cef38p-2",
+        "66a110062bcf18f8ff637723d0e1c70b4cb295a6e4b249a4d94af4909d648045",
+        "f91060d7e9dd9648f2657fe7d44b13e7a4b1d81e15ab19239e1088ea4f20b506",
+    ),
+    "bump1_wide": (
+        "0x1.926892da78faep-2", "0x1.3124c7df12416p+1", "0x1.1a880a8a1b36ap-2",
+        "8fdd267ec0dffcf65c32b03924bb4a4702a6303910023e7e09eb914830c8dcea",
+        "21d0f0ae46287f4d925855cea5aed34feb49cf78cd94b1d4fe32f92205f9308f",
+    ),
+    "bump2": (
+        "0x1.ad3c5860810bdp-1", "0x1.0463a724c1126p+3", "0x1.78b56362cef38p-2",
+        "ffcb3db6cc3e0a6ba2d537dfd6a7efed11d0426ce6ac519094e7c0fb71fbb051",
+        "48310d450eb3cc068544b6095694b7d70aa865d1ff7526707646360a62ef7f2d",
+    ),
+    "bump2_off": (
+        "0x1.1e283aeb00b29p-1", "0x1.215247eff2f7ep+2", "0x1.2d5de91bd8c2dp-2",
+        "d2e13f6ac437b78d3c566d57838fbc38b3649f0b7f070c4a4477b7e5f1259430",
+        "bffdb7aa436696924569744bb9b006a1d32f8920af950b18ea33655b57cf6198",
+    ),
+    "bump3": (
+        "0x1.ad3c5860810bdp-1", "0x1.0463a724c1126p+3", "0x1.78b56362cef38p-2",
+        "0a32d3c40d3776746947fb597695f94f08aebf4f7bb41661871af0a5a96e4869",
+        "7558b6a641475395c0d63fca19f19acb339cbe73797a77d9e2e89f1bc01b13ef",
+    ),
+    "bumps1_pair": (
+        "0x1.339e72896d8ccp+1", "0x1.510f37a59ee5ep+5", "0x1.2d5de91bd8c2dp-1",
+        "b24c3639bf3b9bd768502e33318a0b60635fbf664ebdd46d0c71938f78f83b2d",
+        "f75b6cc2c325ec51a5f31268a984aeefd4ca27a546f5b7d448310b190f44b60e",
+    ),
+    "bumps2_pair": (
+        "0x1.2860862a40b8fp+1", "0x1.15832ae0ee46ap+5", "0x1.5309a63f53db2p-1",
+        "e59c9d7a5ec6e3e02b824040b37dd1ff935f8060c3e352cd222a4a901ce39ae1",
+        "582ac5c52ad17f4df522fd6a1fb608c97595b80724f6060b5fd38fbe065298fd",
+    ),
+    "indicator1_fine": (
+        "0x1.4ffdbcd6ba497p+5", "0x1.023b7fe8b5d65p+12", "0x1.0000000000000p+0",
+        "deab2042f50c0e3424b61b0d6251b9280abafb5f8d8be9a42f9d3c255767b776",
+        "abf142843a6ca54220675443e7f91e9087f6630430faf907a662cb13c69d1804",
+    ),
+    "indicator3": (
+        "0x1.22fc004b79bc9p+4", "0x1.020b83515dc6ap+9", "0x1.0000000000000p+0",
+        "c8913b89633abc69392466a3c33e99bd4fc0618a02188075fd8e2cfd328f53de",
+        "ac7102604983449a6938779d7f1289bc5a5adb30de0d41ed56ddc0bd4786d186",
+    ),
+    "plateau1": (
+        "0x1.4ffff42e840f6p+3", "0x1.0253c99388ca6p+8", "0x1.0000000000000p+0",
+        "5b9f581c9d4245aea20ec1fcfe1c3eddb59bdd8e7c525687d0827de5039623ba",
+        "78df53814c72c856ca4dc0dbb1fdf3230c64549a0e4899108ebb79f1a15c0a54",
+    ),
+    "plateau2": (
+        "0x1.8bfac614215f2p+3", "0x1.11db95bd6b714p+8", "0x1.0000000000000p+0",
+        "a09befab8fcfdb0e130c420a0dd8db5aca7b7ddc0640d694ad3bd8eedc5eb2b5",
+        "d889670c83e4a60a2b22a9469f0cd788f253a3cde0f89b08c26f09063006421a",
+    ),
+    "product2": (
+        "0x1.f98c8b6062d4ep-2", "0x1.6b62a818480dfp+2", "0x1.152aa8115d771p-3",
+        "50a988c6522fe3bb1b968624434ac761e8378ca042a6045776e45902a333b5a2",
+        "0f73d3422132a9cde1a335f90765fd25244c8a30e2f79f7fc587fd11fab39265",
+    ),
+    "product3_neg": (
+        "0x1.31e483b4b6582p-2", "0x1.e12ab3547ecbcp+1", "0x1.091b2b9cb095cp-4",
+        "20a21b7eff55806d2b35db756de7fe1bb7e2083a9951d0fd755ab89a9c7adc70",
+        "8b1bed8446c77d62005d0072899c69deaa3bbe2302ea598213855f58a1f4b6eb",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_GOLDENS))
+def test_field_bounds_values_gradients_bit_identical(name):
+    seed = sorted(FIELD_GOLDENS).index(name)
+    assert _field_digest(_golden_fields()[name], seed) == FIELD_GOLDENS[name]

@@ -559,3 +559,16 @@ def test_polar_budgets_fill_defaults_and_keep_overrides():
     assert filled == {"x_nodes": 48, "sphere_order": 16, "scan": 96, "bisect_tol": 1e-10,
                       "mc_samples": 5000}
     assert given == {"scan": 96, "mc_samples": 5000}
+
+
+def test_mc_profile_identical_across_workers(bump2):
+    # 70k samples make three Monte Carlo chunks, which two workers split
+    grid = [0.5 * bump2.lip_bound, 2.0 * bump2.lip_bound]
+    profs = [
+        LS.distribution_profile(bump2, 2.0, 2.0, grid, estimator="mc",
+                                budgets={"mc_samples": 70_000}, stream=Q.RandomStream(5), workers=w)
+        for w in (1, 2)
+    ]
+    assert [v.hex() for v in profs[0].mu] == [v.hex() for v in profs[1].mu]
+    assert [v.hex() for v in profs[0].err] == [v.hex() for v in profs[1].err]
+    assert np.all(profs[0].mu > 0)
