@@ -22,7 +22,6 @@ from .levelset import (
     distribution_profile,
     pair_measure_mc,
     pair_measure_polar,
-    radial_levelset,
     sandwich_bounds,
     tail_limit,
     verify_sandwich,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_budget_keys
 from .fields import gradient_lp_norm, lp_norm, make_mollified_indicator
 from .levelset import default_lambda_grid, distribution_profile, weak_quasinorm
 from .seminorms import SeminormQuery, gagliardo
@@ -83,12 +83,9 @@ def _split_budgets(budgets, strict=False):
     """(the budget keys `gagliardo` takes, the rest); with `strict`, any
     other key is an error."""
     rest = dict(budgets or {})
+    if strict:
+        check_budget_keys("gagliardo", rest, _GAGLIARDO_KEYS)
     gag = {k: rest.pop(k) for k in _GAGLIARDO_KEYS if k in rest}
-    if strict and rest:
-        raise InvalidParameterError(
-            f"gagliardo takes no budget {', '.join(map(repr, rest))}; "
-            f"its budgets are {', '.join(_GAGLIARDO_KEYS)}"
-        )
     return gag, rest
 
 
@@ -100,8 +97,9 @@ def _weak_lhs(field, p, alpha, budgets):
         budgets.pop("lambda_lo", 0.1),
         budgets.pop("lambda_hi", 1e3),
     )
+    refine = budgets.pop("refine", 8)
     prof = distribution_profile(field, p, alpha, grid, budgets=budgets)
-    return weak_quasinorm(prof, refine=budgets.get("refine", 8), root=True)
+    return weak_quasinorm(prof, refine=refine, root=True)
 
 
 def check_weak_gradient_1d(field, p, budgets=None):

@@ -179,15 +179,14 @@ def run_quasinorm(cfg, out, workers, seed):
     sand = _get(params, "sandwich")
     if sand:
         stream = RandomStream(seed, 1)
-        total_bad = 0
-        recs = []
-        for lam_f in sand.get("lambda_factors", [10.0, 100.0]):
-            for delta in sand.get("deltas", [0.25, 0.5]):
-                rec = levelset.verify_sandwich(
-                    f, p, lam_f * f.lip_bound, int(sand.get("samples", 500)), delta, stream
-                )
-                total_bad += rec["violations_upper"] + rec["violations_lower"]
-                recs.append(rec)
+        recs = [
+            levelset.verify_sandwich(
+                f, p, lam_f * f.lip_bound, int(sand.get("samples", 500)), delta, stream
+            )
+            for lam_f in sand.get("lambda_factors", [10.0, 100.0])
+            for delta in sand.get("deltas", [0.25, 0.5])
+        ]
+        total_bad = sum(r["violations_upper"] + r["violations_lower"] for r in recs)
         rep.results["sandwich"] = recs
         rep.add_verdict("sec3:sandwich", total_bad == 0, 0, observed=total_bad,
                         detail="ray containment violations")

@@ -1,15 +1,14 @@
 """Superlevel-set measures of the difference quotient |u(x)-u(y)| / |x-y|^alpha.
 
 The membership function along a ray from x in direction w is
-g(r) = |u(x + r w) - u(x)| - lambda r^alpha.  All estimators share one scan
-kernel: uniform bracketing in r, vectorized bisection of every sign change,
-then exact closed-form integration of r^{N-1} over the membership runs.
-The scan visits only the rays that the field's `segments_meet_support`
-reports as meeting its support, in cache-sized blocks of ray points.  That
-method is conservative: it reports a miss only when every point of x + r w,
-0 <= r <= r_cap, lies more than a margin (which covers the rounding of
-x + r w) outside supp u, so u is exactly 0 on a skipped ray and at x, and
-the ray carries no members.  Both leave every estimate bit-for-bit unchanged.
+g(r) = |u(x + r w) - u(x)| - lambda r^alpha.  One kernel scans every ray
+list: uniform bracketing in r, one batched bisection of all sign changes,
+then exact integration of r^{N-1} over the membership runs; per ray it also
+reports the crossing count and the outer end of the last run.  The polar
+estimator hands it only the rays that the field's conservative
+`segments_meet_support` reports as meeting its support (u is exactly 0 on
+the others, at x too), so every estimate equals the unpruned scan's bit for
+bit; the ray sandwich check hands it all its sampled rays in one call.
 
 Truncation: members satisfy lambda r^{alpha-1} <= lip_bound, so the scan stops
 at r_cap = (lip_bound/lambda)^{1/(alpha-1)} clipped to the support-dilate
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import InvalidParameterError, PreconditionError
+from .errors import InvalidParameterError, PreconditionError, check_budget_keys
 from .fields import pair_region, truncation_radius
 from .quadrature import (
     PairSampler,
@@ -40,14 +39,12 @@ __all__ = [
     "DistributionProfile",
     "LevelSetQuery",
     "LimitEstimate",
-    "RadialProfile",
     "SandwichBounds",
     "default_lambda_grid",
     "distribution_profile",
     "pair_measure_mc",
     "pair_measure_polar",
     "polar_budgets",
-    "radial_levelset",
     "sandwich_bounds",
     "tail_limit",
     "truncation_radius",
@@ -83,17 +80,6 @@ class LevelSetQuery:
             raise InvalidParameterError("pair measures support N <= 3")
 
 
-@dataclass
-class RadialProfile:
-    """Membership runs (r_lo, r_hi] along one ray, endpoints bisected to tol."""
-
-    x: np.ndarray
-    omega: np.ndarray
-    intervals: list
-    r_cap: float
-    flagged: bool = False     # set when the crossing count exceeds CROSSING_CAP
-
-
 # ---------------------------------------------------------------------------
 # shared scan kernel
 # ---------------------------------------------------------------------------
@@ -114,23 +100,60 @@ def _bisect_crossings(f, xs, ws, uxs, lam, alpha, lo, hi, iters):
     return 0.5 * (lo + hi)
 
 
-def _scan_measures(f, lam, alpha, X, W, r_cap, scan, tol, n_dim):
-    """Membership measure int 1_E r^{N-1} dr for every (x, w) pair.
+def _scan_rays(f, lam, alpha, xs, ws, uxs, r_cap, scan, tol):
+    """Membership runs of the rays xs + r ws, 0 < r <= r_cap, with u(x) = uxs.
 
-    Returns (measures (nx*nw,), crossings (nx*nw,), scan state) with all
-    endpoint refinement done by batched bisection.  The run pairing trick:
-    sum over runs of (b^N - a^N) equals sum over down-crossings of b^N minus
-    sum over up-crossings of a^N, so no explicit pairing is needed.
-
-    Only the rays x + r w, 0 < r <= r_cap, that `segments_meet_support`
-    reports are scanned, in blocks of about _BLOCK_POINTS ray points: on
-    every other ray u is exactly 0, at x too, so its row is exactly zero.
-    The state holds the member array of the scanned rays, (rays, scan), and
-    their cell indices x * nw + w.
+    The (N, k) rays are axis-major.  Returns per ray the measure
+    int 1_E r^{N-1} dr, the crossing count and the outer end of the last
+    membership run (0 without members), with every endpoint refined by
+    batched bisection.  The run pairing trick: sum over runs of (b^N - a^N)
+    equals sum over down-crossings of b^N minus sum over up-crossings of a^N,
+    so no explicit pairing is needed.  The scan runs in blocks of about
+    _BLOCK_POINTS ray points.
     """
-    nx, nw = X.shape[0], W.shape[0]
+    n_dim, k = xs.shape
     r = np.linspace(r_cap / scan, r_cap, scan)
     lam_r = lam * r ** alpha
+    member = np.empty((k, scan), dtype=bool)
+    # ray points are built axis-major, (N, ray, r), so each coordinate the
+    # field reads is contiguous; the field sees the (ray, r, N) view
+    block = max(1, _BLOCK_POINTS // scan)
+    for b0 in range(0, k, block):
+        b = slice(b0, b0 + block)
+        pts = xs[:, b, None] + ws[:, b, None] * r
+        g = f.evaluate(np.moveaxis(pts, 0, -1)) - uxs[b, None]
+        np.abs(g, out=g)
+        g -= lam_r
+        member[b] = g >= 0.0
+
+    ray, i = np.nonzero(member[:, 1:] != member[:, :-1])
+    up = member[ray, i + 1]
+    iters = max(8, min(60, int(math.ceil(math.log2(max((r_cap / scan) / max(tol, 1e-300), 2.0))))))
+    r_cross = np.empty(0)
+    if ray.size:
+        r_cross = _bisect_crossings(
+            f, xs[:, ray], ws[:, ray], uxs[ray], lam, alpha, r[i], r[i + 1], iters
+        )
+    acc = np.zeros(k)
+    np.subtract.at(acc, ray[up], r_cross[up] ** n_dim)
+    np.add.at(acc, ray[~up], r_cross[~up] ** n_dim)
+    # runs starting at 0+ contribute nothing to subtract; runs still open at
+    # r_cap close there
+    acc[member[:, -1]] += r_cap ** n_dim
+    outer = np.zeros(k)
+    np.maximum.at(outer, ray[~up], r_cross[~up])
+    outer[member[:, -1]] = r_cap
+    return acc / n_dim, np.bincount(ray, minlength=k), outer
+
+
+def _grid_measures(f, lam, alpha, X, W, r_cap, scan, tol):
+    """Measures and crossing counts of every (x, w) cell, (nx*nw,) each.
+
+    Only the rays x + r w, 0 < r <= r_cap, that `segments_meet_support`
+    reports are scanned: on every other ray u is exactly 0, at x too, so its
+    cell is exactly zero.
+    """
+    nx, nw = X.shape[0], W.shape[0]
     margin = _PRUNE_MARGIN * (r_cap + f.support_radius)
     rays = np.flatnonzero(f.segments_meet_support(X, W, r_cap, margin))
     ray_x, ray_w = np.divmod(rays, nw)
@@ -138,66 +161,11 @@ def _scan_measures(f, lam, alpha, X, W, r_cap, scan, tol, n_dim):
     live = np.unique(ray_x)
     if live.size:
         ux[live] = f.evaluate(X[live])
-    member = np.empty((rays.size, scan), dtype=bool)
-    # ray points are built axis-major, (N, ray, r), so each coordinate the
-    # field reads is contiguous; the field sees the (ray, r, N) view
-    block = max(1, _BLOCK_POINTS // scan)
-    for b0 in range(0, rays.size, block):
-        xi, wi = ray_x[b0 : b0 + block], ray_w[b0 : b0 + block]
-        pts = X.T[:, xi, None] + W.T[:, wi, None] * r
-        g = f.evaluate(np.moveaxis(pts, 0, -1)) - ux[xi][:, None]
-        np.abs(g, out=g)
-        g -= lam_r
-        member[b0 : b0 + block] = g >= 0.0
-
-    row, i = np.nonzero(member[:, 1:] != member[:, :-1])
-    cell = rays[row]
-    up = member[row, i + 1]
-    iters = max(8, min(60, int(math.ceil(math.log2(max((r_cap / scan) / max(tol, 1e-300), 2.0))))))
-    r_cross = np.empty(0)
-    if cell.size:
-        xi = ray_x[row]
-        r_cross = _bisect_crossings(
-            f, X.T[:, xi], W.T[:, ray_w[row]], ux[xi], lam, alpha, r[i], r[i + 1], iters
-        )
-    up_cell, up_r = cell[up], r_cross[up]
-    dn_cell, dn_r = cell[~up], r_cross[~up]
-    acc = np.zeros(nx * nw)
-    np.subtract.at(acc, up_cell, up_r ** n_dim)
-    np.add.at(acc, dn_cell, dn_r ** n_dim)
-    # runs starting at 0+ contribute nothing to subtract; runs still open at
-    # r_cap close there
-    acc[rays[member[:, -1]]] += r_cap ** n_dim
-    measures = acc / n_dim
-
-    crossings = np.bincount(cell, minlength=nx * nw)
-    state = {"member": member, "rays": rays, "up": (up_cell, up_r), "dn": (dn_cell, dn_r)}
-    return measures, crossings, state
-
-
-def radial_levelset(q: LevelSetQuery, x, omega, scan=1024, tol=1e-10):
-    """Membership runs along the ray x + r*omega, r in (0, r_cap]."""
-    if scan < 16:
-        raise InvalidParameterError("scan must be >= 16")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    f = q.field
-    r_cap = truncation_radius(f, q.lam, q.alpha)
-    if r_cap <= 0.0:
-        return RadialProfile(x, omega, [], 0.0, False)
-    X = x[None, :]
-    W = omega[None, :]
-    _, crossings, state = _scan_measures(f, q.lam, q.alpha, X, W, r_cap, scan, tol, f.dim)
-    member = state["member"]      # one row if the ray was scanned, none if not
-    starts = sorted(state["up"][1].tolist())
-    ends = sorted(state["dn"][1].tolist())
-    if member[:, 0].any():
-        starts = [0.0] + starts
-    if member[:, -1].any():
-        ends = ends + [r_cap]
-    flagged = crossings[0] > CROSSING_CAP or len(starts) != len(ends)
-    intervals = list(zip(starts, ends))[: CROSSING_CAP]
-    return RadialProfile(x, omega, intervals, r_cap, bool(flagged))
+    measures, crossings = np.zeros(nx * nw), np.zeros(nx * nw, dtype=int)
+    measures[rays], crossings[rays], _ = _scan_rays(
+        f, lam, alpha, X.T[:, ray_x], W.T[:, ray_w], ux[ray_x], r_cap, scan, tol
+    )
+    return measures, crossings
 
 
 # ---------------------------------------------------------------------------
@@ -244,41 +212,38 @@ def sandwich_bounds(f, p, lam, x, omega, delta):
 def verify_sandwich(f, p, lam, samples, delta, stream, scan=1024, tol=1e-9):
     """Check (0, lower] <= membership runs <= (0, upper] on sampled rays.
 
-    Returns a dict of violation counts (target zero on the catalogue).
+    Returns a dict of violation counts (target zero on the catalogue).  All
+    rays go through one kernel call, unpruned: a ray that misses the support
+    reads u = 0 and has no members, and r_cap = 0 (a zero field) scans only
+    r = 0, where every outer end is 0.
     """
     if lam <= f.lip_bound:
         raise PreconditionError("verify_sandwich needs lambda > lip_bound")
+    if scan < 16:
+        raise InvalidParameterError("scan must be >= 16")
     n = f.dim
     q = LevelSetQuery(f, p, n / p + 1.0, lam)
-    sampler = PairSampler(n, f.support_radius + 1.0, truncation_radius(f, lam, q.alpha))
+    r_cap = truncation_radius(f, lam, q.alpha)
+    sampler = PairSampler(n, f.support_radius + 1.0, r_cap)
     pts, _ = sampler.map(stream.uniform_matrix(0, samples, sampler.draws))
     xs, ws = pts[:, :n], pts[:, n : 2 * n]
+    ux = f.evaluate(xs)
+    _, crossings, outer = _scan_rays(f, lam, q.alpha, xs.T, ws.T, ux, r_cap, scan, tol)
+    bounds = [sandwich_bounds(f, p, lam, x, w, delta) for x, w in zip(xs, ws)]
+    lower, upper = np.array([(sb.lower, sb.upper) for sb in bounds]).T
     rel = max(tol, 1e-12)
-    bad_upper = 0
-    bad_lower = 0
-    flagged = 0
-    for i in range(samples):
-        sb = sandwich_bounds(f, p, lam, xs[i], ws[i], delta)
-        prof = radial_levelset(q, xs[i], ws[i], scan=scan, tol=tol)
-        if prof.flagged:
-            flagged += 1
-        hi_lim = sb.upper * (1.0 + rel) + tol
-        if any(b > hi_lim for _, b in prof.intervals):
-            bad_upper += 1
-        need = sb.lower * (1.0 - rel) - tol
-        if need > 0:
-            # the inner radius can sit below the scan's first grid point, so
-            # check membership directly on a dense sample of (0, need]
-            rr = need * np.geomspace(1e-3, 1.0, 64)
-            pts = xs[i][None, :] + rr[:, None] * ws[i][None, :]
-            gv = np.abs(f.evaluate(pts) - f.evaluate(xs[i][None, :])[0]) - lam * rr ** q.alpha
-            if np.any(gv < -tol):
-                bad_lower += 1
+    need = lower * (1.0 - rel) - tol
+    # the inner radius can sit below the scan's first grid point, so check
+    # membership directly on a dense sample of (0, need] where need > 0
+    inner = need > 0
+    rr = need[inner, None] * np.geomspace(1e-3, 1.0, 64)
+    gv = np.abs(f.evaluate(xs[inner, None] + rr[..., None] * ws[inner, None]) - ux[inner, None])
+    gv -= lam * rr ** q.alpha
     return {
         "samples": samples,
-        "violations_upper": bad_upper,
-        "violations_lower": bad_lower,
-        "flagged_profiles": flagged,
+        "violations_upper": int(np.count_nonzero(outer > upper * (1.0 + rel) + tol)),
+        "violations_lower": int(np.count_nonzero(np.any(gv < -tol, axis=1))),
+        "flagged_profiles": int(np.count_nonzero(crossings > CROSSING_CAP)),
         "lam": lam,
         "delta": delta,
     }
@@ -318,9 +283,7 @@ def pair_measure_polar(
         nodes = 0
         for c0 in range(0, pts.shape[0], _X_CHUNK):
             Xc = pts[c0 : c0 + _X_CHUNK]
-            m, _, _ = _scan_measures(
-                f, q.lam, q.alpha, Xc, sphere.nodes, r_cap, scan_n, tol, f.dim
-            )
+            m, _ = _grid_measures(f, q.lam, q.alpha, Xc, sphere.nodes, r_cap, scan_n, tol)
             m = m.reshape(Xc.shape[0], -1)
             total += float(np.sum(w[c0 : c0 + _X_CHUNK] * (m * sphere.weights[None, :]).sum(axis=1)))
             nodes += Xc.shape[0] * sphere.nodes.shape[0] * scan_n
@@ -404,21 +367,11 @@ _POLAR_DEFAULTS = {
 
 
 def polar_budgets(dim, budgets=None):
-    """A copy of `budgets` with every polar estimator default it lacks filled in."""
-    out = {key: value[dim > 1] for key, value in _POLAR_DEFAULTS.items()}
-    out.update(budgets or {})
-    return out
-
-
-def _polar_budget_estimate(f, p, alpha, lam, budgets):
-    need, _ = pair_region(f, lam, alpha)
-    return pair_measure_polar(
-        LevelSetQuery(f, p, alpha, lam),
-        centered_box_grid(need, f.dim, budgets["x_nodes"]),
-        sphere_rule(f.dim, budgets["sphere_order"]),
-        scan=budgets["scan"],
-        tol=budgets["bisect_tol"],
-    )
+    """A copy of `budgets` with every polar estimator default it lacks filled
+    in; a key the polar estimator does not take is an error."""
+    budgets = budgets or {}
+    check_budget_keys("the polar estimator", budgets, _POLAR_DEFAULTS)
+    return {key: value[dim > 1] for key, value in _POLAR_DEFAULTS.items()} | budgets
 
 
 def distribution_profile(f, p, alpha, lam_grid, estimator="polar", budgets=None, stream=None, workers=1):
@@ -428,15 +381,22 @@ def distribution_profile(f, p, alpha, lam_grid, estimator="polar", budgets=None,
         raise InvalidParameterError("empty lambda grid")
     if np.any(lam_grid <= 0) or np.any(np.diff(lam_grid) <= 0):
         raise InvalidParameterError("lambda grid must be positive and ascending")
-    budgets = dict(budgets or {})
+    budgets = budgets or {}
     if estimator == "polar":
         budgets = polar_budgets(f.dim, budgets)
 
         def one(lam):
-            return _polar_budget_estimate(f, p, alpha, lam, budgets)
+            return pair_measure_polar(
+                LevelSetQuery(f, p, alpha, lam),
+                centered_box_grid(pair_region(f, lam, alpha)[0], f.dim, budgets["x_nodes"]),
+                sphere_rule(f.dim, budgets["sphere_order"]),
+                scan=budgets["scan"],
+                tol=budgets["bisect_tol"],
+            )
     elif estimator == "mc":
         if stream is None:
             raise InvalidParameterError("mc estimator needs a RandomStream")
+        check_budget_keys("the mc estimator", budgets, ("mc_samples",))
         n_mc = budgets.get("mc_samples", 200_000)
 
         def one(lam):

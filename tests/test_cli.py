@@ -133,6 +133,16 @@ def test_strong_corollary_unknown_budget_is_a_config_error(tmp_path, capsys, sta
     assert "'scan'" in err and "'x_nodes'" not in err
 
 
+def test_weak_corollary_unknown_budget_is_a_config_error(tmp_path, capsys):
+    # a misspelled polar budget used to be ignored silently
+    cfg = write_cfg(tmp_path, {"experiment": "corollary", "seed": 1,
+                               "params": {"statement": "weak-1d", "p": 1.5},
+                               "budgets": {"lambda_points": 8, "refine": 2, "scna": 64}})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "'scna'" in err and "'refine'" not in err and "'lambda_points'" not in err
+
+
 def test_sweep_empty_grid_errors(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"experiment": "limit", "sweep": {"params.p": []}, "seed": 1})
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1

@@ -148,3 +148,9 @@ def test_strong_checks_name_unknown_budget_keys():
         Co.check_strong_embedding(f, 0.5, budgets={"lambda_points": 8, "v_order": 4})
     with pytest.raises(InvalidParameterError, match="'scan'"):
         Co.check_strong_interpolation(f, 0.5, 2.0, budgets={"scan": 64})
+
+
+def test_weak_checks_name_unknown_budget_keys():
+    f = F.make_mollified_indicator([[0.0, 1.0]], 0.2)
+    with pytest.raises(InvalidParameterError, match="'scna'"):
+        Co.check_weak_gradient_1d(f, 1.5, budgets={"lambda_points": 8, "refine": 2, "scna": 64})

@@ -39,27 +39,40 @@ def zero_field():
     return F.make_bump([0.0], 1.0, 0.0)
 
 
-def test_radial_levelset_zero_field_empty():
-    q = LS.LevelSetQuery(zero_field(), 1.0, 2.0, 1.0)
-    prof = LS.radial_levelset(q, [0.0], [1.0])
-    assert prof.intervals == []
+def _scan_one_ray(f, lam, alpha, x, w, scan=1024, tol=1e-10):
+    """(measure, crossings, outer, r_cap) of the one ray x + r w, 0 < r <= r_cap."""
+    xs = np.array([x], dtype=float).T
+    ws = np.array([w], dtype=float).T
+    r_cap = LS.truncation_radius(f, lam, alpha)
+    m, c, outer = LS._scan_rays(f, lam, alpha, xs, ws, f.evaluate(xs.T), r_cap, scan, tol)
+    return m[0], c[0], outer[0], r_cap
 
 
-def test_radial_levelset_linear_stretch():
-    # g r >= lam r^2 exactly when r <= g/lam; here g = 1, lam = 2, r0 = 1
-    q = LS.LevelSetQuery(RampStub(), 1.0, 2.0, 2.0)
-    prof = LS.radial_levelset(q, [0.0], [1.0])
-    assert len(prof.intervals) == 1
-    lo, hi = prof.intervals[0]
-    assert lo == 0.0
-    assert hi == pytest.approx(0.5, abs=1e-9)
+def test_scan_rays_zero_field_empty():
+    z = zero_field()
+    xs = np.array([[-0.5, 0.0, 0.7]])
+    ws = np.array([[1.0, -1.0, 1.0]])
+    m, c, outer = LS._scan_rays(z, 1.0, 2.0, xs, ws, z.evaluate(xs.T), 1.0, 64, 1e-10)
+    assert not np.any(m) and not np.any(c) and not np.any(outer)
 
 
-def test_radial_levelset_far_from_support_empty(bump1):
-    lam = 10 * bump1.lip_bound
-    q = LS.LevelSetQuery(bump1, 1.0, 2.0, lam)
-    prof = LS.radial_levelset(q, [2.5], [-1.0])
-    assert prof.intervals == []
+def test_scan_rays_linear_stretch():
+    # g r >= lam r^2 exactly when r <= g/lam; here g = 1, lam = 2, r0 = 1, so
+    # the one run is (0, 0.5]: it reaches r_cap = lip_bound / lam = 0.5 ...
+    m, c, outer, r_cap = _scan_one_ray(RampStub(), 2.0, 2.0, [0.0], [1.0])
+    assert r_cap == 0.5 and outer == r_cap and c == 0 and m == r_cap
+    # ... or ends at a bisected down-crossing inside a longer scan
+    ramp = RampStub()
+    ramp.lip_bound = 4.0
+    m, c, outer, r_cap = _scan_one_ray(ramp, 2.0, 2.0, [0.0], [1.0])
+    assert r_cap == 2.0 and c == 1
+    assert outer == pytest.approx(0.5, abs=1e-9)
+    assert m == outer     # the run starts at 0+
+
+
+def test_scan_rays_far_from_support_empty(bump1):
+    m, c, outer, _ = _scan_one_ray(bump1, 10 * bump1.lip_bound, 2.0, [2.5], [-1.0])
+    assert m == 0.0 and c == 0 and outer == 0.0
 
 
 def test_levelset_query_validation(bump1):
@@ -114,6 +127,12 @@ def test_sandwich_degenerate_delta_near_one(bump1):
 def test_verify_sandwich_zero_field_vacuous():
     rec = LS.verify_sandwich(zero_field(), 1.0, 1.0, 50, 0.5, Q.RandomStream(1, 0))
     assert rec["violations_upper"] == rec["violations_lower"] == 0
+
+
+def test_verify_sandwich_rejects_coarse_scan(bump1):
+    with pytest.raises(InvalidParameterError, match="scan"):
+        LS.verify_sandwich(bump1, 1.0, 10 * bump1.lip_bound, 20, 0.5, Q.RandomStream(1, 0),
+                           scan=8)
 
 
 @pytest.mark.parametrize("name", ["bump1", "plateau1", "bumps1_pair", "bump2"])
@@ -385,7 +404,22 @@ def test_pruning_skips_rays_and_keeps_goldens(bump2):
     assert f.points < res.nodes_used
 
 
-def test_scan_far_from_support_is_zero_without_evaluation(bump2):
+def _record_scans(monkeypatch):
+    """Wrap `_scan_rays`; each call appends its (k, N) ray x and w rows and outputs."""
+    calls = []
+    scan_rays = LS._scan_rays
+
+    def recording(f, lam, alpha, xs, ws, *rest):
+        out = scan_rays(f, lam, alpha, xs, ws, *rest)
+        calls.append((xs.T.copy(), ws.T.copy(), out))
+        return out
+
+    monkeypatch.setattr(LS, "_scan_rays", recording)
+    return calls
+
+
+def test_scan_far_from_support_is_zero_without_evaluation(bump2, monkeypatch):
+    calls = _record_scans(monkeypatch)
     lam = 4.0 * bump2.lip_bound
     r_cap = LS.truncation_radius(bump2, lam, 3.0)
     R = bump2.support_radius
@@ -395,26 +429,28 @@ def test_scan_far_from_support_is_zero_without_evaluation(bump2):
     away = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [math.sqrt(0.5)] * 2])
     toward = np.array([[-1.0, 0.0]])
     f = CountingField(bump2)
-    measures, crossings, state = LS._scan_measures(f, lam, 3.0, x, away, r_cap, 64, 1e-10, 2)
-    assert f.points == 0 and state["rays"].size == 0
+    measures, crossings = LS._grid_measures(f, lam, 3.0, x, away, r_cap, 64, 1e-10)
+    assert f.points == 0 and calls[-1][1].shape == (0, 2)
     assert not np.any(measures) and not np.any(crossings)
     # a ray toward the support that stops two margins short also evaluates nothing
     f = CountingField(bump2)
     short = x + [[2.0 * margin, 0.0]]
-    measures, crossings, _ = LS._scan_measures(f, lam, 3.0, short, toward, r_cap, 64, 1e-10, 2)
-    assert f.points == 0 and not np.any(measures) and not np.any(crossings)
+    measures, crossings = LS._grid_measures(f, lam, 3.0, short, toward, r_cap, 64, 1e-10)
+    assert f.points == 0 and calls[-1][1].shape == (0, 2)
+    assert not np.any(measures) and not np.any(crossings)
     # the ray that reaches the support boundary exactly at r_cap, where u
     # vanishes, is scanned (u(x) once, then its 64 ray points), as is one
     # that stops half a margin short; their measures are still zero
     for start in (x, x + [[0.5 * margin, 0.0]]):
         f = CountingField(bump2)
-        measures, crossings, state = LS._scan_measures(
-            f, lam, 3.0, start, np.vstack([away, toward]), r_cap, 64, 1e-10, 2
+        measures, crossings = LS._grid_measures(
+            f, lam, 3.0, start, np.vstack([away, toward]), r_cap, 64, 1e-10
         )
-        assert state["rays"].tolist() == [len(away)]
+        ray_x, ray_w, (_, _, outer) = calls[-1]
+        assert ray_x.tolist() == start.tolist() and ray_w.tolist() == toward.tolist()
         assert f.points == 1 + 64
         assert not np.any(measures) and not np.any(crossings)
-        assert not np.any(state["member"])
+        assert not np.any(outer)      # no member on the scanned ray
 
 
 def _parent_bisect_crossings(f, xs, ws, uxs, lam, alpha, lo, hi, iters):
@@ -484,11 +520,55 @@ def test_scan_kernel_bitwise_equal_to_x_pruned_reference(cat, name, seed):
     W = rng.normal(size=(7, n))
     W /= np.linalg.norm(W, axis=1, keepdims=True)
     W = np.vstack([W, np.eye(n)])     # axis directions: zero components
-    got = LS._scan_measures(f, lam, alpha, X, W, r_cap, 40, 1e-10, n)
+    got = LS._grid_measures(f, lam, alpha, X, W, r_cap, 40, 1e-10)
     want = _parent_scan_measures(f, lam, alpha, X, W, r_cap, 40, 1e-10, n)
     assert got[0].tobytes() == want[0].tobytes()
     assert np.array_equal(got[1], want[1])
     assert np.any(want[0]) and np.any(want[1])
+
+
+# Per (field, lam / lip_bound) at p = 1, for the 200 rays of `_golden_rays`:
+# a sha256 prefix over "outer.hex():crossings;" of every ray, and the rays
+# with two membership runs with their (outer.hex(), crossings).  Recorded with
+# the one-ray path the ray-list kernel replaced (`radial_levelset`: the
+# largest interval end, 0 without runs, at scan 256 and tol 1e-10).
+RAY_GOLDENS = {
+    ("bump1", 0.5): ("00a312c602654492", {30: ("0x1.df96054240000p-1", 3),
+                                          42: ("0x1.d85fa58640000p-1", 3),
+                                          123: ("0x1.c7fedee6c0000p-1", 3)}),
+    ("bumps1_pair", 0.5): ("0d0a28b7395c4e75", {73: ("0x1.b1709eb696ccbp-2", 3),
+                                                156: ("0x1.1af3dfcc839f0p-1", 3)}),
+    ("bumps2_pair", 0.5): ("42f393d26b7d8780", {54: ("0x1.58a8e9a8b72e8p-1", 3),
+                                                181: ("0x1.386ea3487ae34p-1", 3)}),
+    ("plateau2", 0.5): ("36f947a211a3c1c1", {182: ("0x1.e1ef563291afdp-2", 3)}),
+    ("product2", 0.5): ("8f478b9061439800", {46: ("0x1.373f0fd9bdcdep-1", 3),
+                                             182: ("0x1.58d29e5f3f2a0p-1", 3)}),
+    ("bump3", 8.0): ("e53f3d5969638a05", {80: ("0x1.4f86c62d00000p-3", 3)}),
+}
+
+
+def _golden_rays(f, lam):
+    half, _ = F.pair_region(f, lam, f.dim + 1.0)
+    rng = np.random.default_rng(7)
+    xs = rng.uniform(-half, half, (200, f.dim))
+    ws = rng.normal(size=(200, f.dim))
+    ws /= np.linalg.norm(ws, axis=1, keepdims=True)
+    return xs, ws
+
+
+@pytest.mark.parametrize("name, lam_factor", sorted(RAY_GOLDENS))
+def test_scan_rays_outer_and_crossings_goldens(cat, name, lam_factor):
+    f = cat[name]
+    lam = lam_factor * f.lip_bound
+    alpha = f.dim + 1.0
+    xs, ws = _golden_rays(f, lam)
+    r_cap = LS.truncation_radius(f, lam, alpha)
+    _, crossings, outer = LS._scan_rays(f, lam, alpha, xs.T, ws.T, f.evaluate(xs), r_cap,
+                                        256, 1e-10)
+    digest = hashlib.sha256("".join(f"{o.hex()}:{c};" for o, c in zip(outer, crossings)).encode())
+    want, two_runs = RAY_GOLDENS[name, lam_factor]
+    assert digest.hexdigest()[:16] == want
+    assert {i: (outer[i].hex(), int(crossings[i])) for i in two_runs} == two_runs
 
 
 def test_error_pass_is_strictly_coarser_on_small_grids(cat):
@@ -518,8 +598,10 @@ def test_error_pass_is_strictly_coarser_on_small_grids(cat):
 # ---------------------------------------------------------------------------
 
 # sha256 prefix of every (x, w) pair verify_sandwich(f, p, 10 lip_bound, 12,
-# 0.5, RandomStream(62, 3), scan=64) hands to `radial_levelset`, which pins
-# the sampled x and w bit for bit; every violation count is 0
+# 0.5, RandomStream(62, 3), scan=64) hands to the scan kernel, x then w per
+# ray, which pins the sampled x and w bit for bit; every violation count is
+# 0.  Recorded on the one-ray path (`radial_levelset`, one call per ray)
+# that the batched kernel call replaced.
 SANDWICH_GOLDENS = {
     ("bump1", 1.0): "0b75504ff9c0c74a",
     ("bump2", 2.0): "4be6a2e5334c21de",
@@ -530,16 +612,13 @@ SANDWICH_GOLDENS = {
 @pytest.mark.parametrize("name, p", sorted(SANDWICH_GOLDENS))
 def test_verify_sandwich_goldens(cat, monkeypatch, name, p):
     f = cat[name]
-    digest = hashlib.sha256()
-    radial_levelset = LS.radial_levelset
-
-    def recording(q, x, omega, **kw):
-        digest.update(np.asarray(x, dtype=float).tobytes())
-        digest.update(np.asarray(omega, dtype=float).tobytes())
-        return radial_levelset(q, x, omega, **kw)
-
-    monkeypatch.setattr(LS, "radial_levelset", recording)
+    calls = _record_scans(monkeypatch)
     rec = LS.verify_sandwich(f, p, 10.0 * f.lip_bound, 12, 0.5, Q.RandomStream(62, 3), scan=64)
+    assert len(calls) == 1
+    digest = hashlib.sha256()
+    for x, w in zip(*calls[0][:2]):
+        digest.update(x.tobytes())
+        digest.update(w.tobytes())
     assert digest.hexdigest()[:16] == SANDWICH_GOLDENS[name, p]
     assert rec["violations_upper"] == rec["violations_lower"] == rec["flagged_profiles"] == 0
 
@@ -554,11 +633,26 @@ def test_pair_measure_mc_golden(bump2):
 def test_polar_budgets_fill_defaults_and_keep_overrides():
     assert LS.polar_budgets(1) == {"x_nodes": 256, "sphere_order": 16, "scan": 768,
                                    "bisect_tol": 1e-10}
-    given = {"scan": 96, "mc_samples": 5000}
+    given = {"scan": 96}
     filled = LS.polar_budgets(3, given)
-    assert filled == {"x_nodes": 48, "sphere_order": 16, "scan": 96, "bisect_tol": 1e-10,
-                      "mc_samples": 5000}
-    assert given == {"scan": 96, "mc_samples": 5000}
+    assert filled == {"x_nodes": 48, "sphere_order": 16, "scan": 96, "bisect_tol": 1e-10}
+    assert given == {"scan": 96}
+    # a key the polar estimator does not take is named, with the keys it takes
+    with pytest.raises(InvalidParameterError) as err:
+        LS.polar_budgets(3, {"scan": 96, "mc_samples": 5000, "scna": 64})
+    msg = str(err.value)
+    assert "'mc_samples', 'scna'" in msg and "'scan'" not in msg
+    assert "x_nodes, sphere_order, scan, bisect_tol" in msg
+
+
+@pytest.mark.parametrize("estimator, budgets", [
+    ("polar", {"refine": 2}), ("mc", {"x_nodes": 32}), ("mc", {"mc_samples": 2000, "scan": 64}),
+])
+def test_profile_rejects_budget_keys_its_estimator_does_not_take(bump1, estimator, budgets):
+    bad = next(k for k in budgets if k != "mc_samples")
+    with pytest.raises(InvalidParameterError, match=f"'{bad}'"):
+        LS.distribution_profile(bump1, 1.0, 2.0, [1.0, 2.0], estimator=estimator,
+                                budgets=budgets, stream=Q.RandomStream(1))
 
 
 def test_mc_profile_identical_across_workers(bump2):
