@@ -13,9 +13,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import InvalidParameterError, check_budget_keys
+from .errors import InvalidParameterError
 from .fields import gradient_lp_norm, lp_norm, make_mollified_indicator
 from .levelset import default_lambda_grid, distribution_profile, weak_quasinorm
+from .quadrature import split_budgets
 from .seminorms import SeminormQuery, gagliardo
 
 __all__ = [
@@ -76,30 +77,11 @@ class CorollaryReport:
         return self.lhs / self.rhs if self.rhs > 0 else math.inf if self.lhs > 0 else 0.0
 
 
-_GAGLIARDO_KEYS = ("x_nodes", "sphere_order", "v_order", "panels_per_decade")
-
-
-def _split_budgets(budgets, strict=False):
-    """(the budget keys `gagliardo` takes, the rest); with `strict`, any
-    other key is an error."""
-    rest = dict(budgets or {})
-    if strict:
-        check_budget_keys("gagliardo", rest, _GAGLIARDO_KEYS)
-    gag = {k: rest.pop(k) for k in _GAGLIARDO_KEYS if k in rest}
-    return gag, rest
-
-
 def _weak_lhs(field, p, alpha, budgets):
-    budgets = dict(budgets or {})
-    grid = default_lambda_grid(
-        field,
-        budgets.pop("lambda_points", 32),
-        budgets.pop("lambda_lo", 0.1),
-        budgets.pop("lambda_hi", 1e3),
-    )
-    refine = budgets.pop("refine", 8)
-    prof = distribution_profile(field, p, alpha, grid, budgets=budgets)
-    return weak_quasinorm(prof, refine=refine, root=True)
+    weak, polar = split_budgets(field.dim, budgets, "weak", "polar")
+    grid = default_lambda_grid(field, weak["lambda_points"], weak["lambda_lo"], weak["lambda_hi"])
+    prof = distribution_profile(field, p, alpha, grid, budgets=polar)
+    return weak_quasinorm(prof, refine=weak["refine"]) ** (1.0 / p)
 
 
 def check_weak_gradient_1d(field, p, budgets=None):
@@ -165,7 +147,7 @@ def check_strong_interpolation(field, theta, p1, budgets=None):
         raise InvalidParameterError(
             "the strong inequality fails at p1 = infinity; use the weak variant"
         )
-    gag, _ = _split_budgets(budgets, strict=True)
+    (gag,) = split_budgets(field.dim, budgets, "gagliardo")
     params = GNParams(theta, p1)
     s, p = params.s, params.p
     lhs = gagliardo(SeminormQuery(field, s, p), **gag).value ** (1.0 / p)
@@ -187,7 +169,7 @@ def check_strong_embedding(field, s, budgets=None):
         )
     if not 0.0 < s < 1.0:
         raise InvalidParameterError("s must lie in (0, 1)")
-    gag, _ = _split_budgets(budgets, strict=True)
+    (gag,) = split_budgets(field.dim, budgets, "gagliardo")
     n = field.dim
     p = 1.0 / (1.0 - (1.0 - s) / n)
     lhs = gagliardo(SeminormQuery(field, s, p), **gag).value ** (1.0 / p)
@@ -215,14 +197,15 @@ def strong_norm_divergence_probe(p, eps_ladder, delta_in=None, box=(0.0, 1.0), w
         )
     if weak_p is None:
         weak_p = p if 1.0 < p < 2.0 else 1.5
-    gag_budgets, weak_budgets = _split_budgets(budgets)
+    # the ladder is 1-D; `x_nodes` goes to gagliardo, as it is listed first
+    gag, weak_grid, polar = split_budgets(1, budgets, "gagliardo", "weak", "polar")
     values = []
     weak = []
     for eps in eps_ladder:
         u = make_mollified_indicator([list(box)], eps)
         q = SeminormQuery(u, s, p, delta_in if s == 1.0 else 0.0)
-        values.append(gagliardo(q, **gag_budgets).value)
-        weak.append(check_weak_gradient_1d(u, weak_p, budgets=weak_budgets).ratio)
+        values.append(gagliardo(q, **gag).value)
+        weak.append(check_weak_gradient_1d(u, weak_p, budgets=weak_grid | polar).ratio)
     values = np.array(values)
     increments = np.diff(values)
     if increments.size >= 2 and increments[-2] > 0:

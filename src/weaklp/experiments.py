@@ -43,12 +43,20 @@ def _get(cfg, path, default=None, required=False):
     return node
 
 
-def _field_from(cfg, key="field"):
-    spec = _get(cfg, key, required=True)
+def _field_from(cfg):
     try:
-        return fields.field_from_spec(spec)
+        return fields.field_from_spec(_get(cfg, "field", required=True))
     except InvalidParameterError as exc:
-        raise ConfigError(f"config field '{key}': {exc}") from exc
+        raise ConfigError(f"config field 'field': {exc}") from exc
+
+
+def _fields_from(specs):
+    """The fields of `params.fields`: catalogue names or field specs."""
+    specs = [{"kind": "catalogue", "name": s} if isinstance(s, str) else s for s in specs]
+    try:
+        return [fields.field_from_spec(s) for s in specs]
+    except InvalidParameterError as exc:
+        raise ConfigError(f"config field 'params.fields': {exc}") from exc
 
 
 def _positive(cfg, path, default=None, required=False):
@@ -56,6 +64,21 @@ def _positive(cfg, path, default=None, required=False):
     if v is not None and (not isinstance(v, (int, float)) or v <= 0):
         raise ConfigError(f"config field '{path}' must be positive, got {v!r}")
     return v
+
+
+def _count(cfg, path, default):
+    v = _get(cfg, path, default)
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or v < 0 or not float(v).is_integer():
+        raise ConfigError(f"config field '{path}' must be a non-negative integer, got {v!r}")
+    return int(v)
+
+
+def _section(cfg, path):
+    """An optional sub-object of the config; None when absent or empty."""
+    v = _get(cfg, path)
+    if v is not None and not isinstance(v, dict):
+        raise ConfigError(f"config field '{path}' must be an object, got {v!r}")
+    return v or None
 
 
 def _lambda_grid(f, params):
@@ -135,13 +158,14 @@ def run_quasinorm(cfg, out, workers, seed):
     f = _field_from(cfg)
     params = _get(cfg, "params", {})
     p = _positive(cfg, "params.p", required=True)
-    budgets = dict(_get(cfg, "budgets", {}))
+    (budgets,) = quadrature.split_budgets(f.dim, _get(cfg, "budgets", {}), "polar")
+    refine = _count(cfg, "params.refine", 12)
+    sand = _section(cfg, "params.sandwich")
+    hold = _section(cfg, "params.holder")
     alpha = f.dim / p + 1.0
     grid = _lambda_grid(f, params)
     prof = levelset.distribution_profile(f, p, alpha, grid, budgets=budgets, workers=workers)
-    sup_val, flagged = levelset.weak_quasinorm(
-        prof, refine=int(params.get("refine", 12)), with_flag=True
-    )
+    sup_val, flagged = levelset.weak_quasinorm(prof, refine=refine, with_flag=True)
     grad = fields.gradient_lp_norm(f, p).value
     moment = quadrature.sphere_abs_moment(p, f.dim).moment
     write_csv(out / "profile.csv", PROFILE_HEADER, prof.rows())
@@ -163,11 +187,9 @@ def run_quasinorm(cfg, out, workers, seed):
     )
 
     stability_tol = _positive(cfg, "params.stability_tolerance", 0.10)
-    ref_budgets = levelset.polar_budgets(f.dim, budgets)
-    ref_budgets["x_nodes"] *= 2
-    ref_budgets["scan"] *= 2
+    ref_budgets = budgets | {"x_nodes": 2 * budgets["x_nodes"], "scan": 2 * budgets["scan"]}
     prof2 = levelset.distribution_profile(f, p, alpha, grid, budgets=ref_budgets, workers=workers)
-    sup2 = levelset.weak_quasinorm(prof2, refine=int(params.get("refine", 12)))
+    sup2 = levelset.weak_quasinorm(prof2, refine=refine)
     c2 = sup2 / grad if grad > 0 else 0.0
     drift = abs(c2 / c_emp - 1.0) if c_emp > 0 else 0.0
     rep.results["c_emp_refined"] = c2
@@ -176,13 +198,11 @@ def run_quasinorm(cfg, out, workers, seed):
         detail="empirical upper ratio drift under one full refinement",
     )
 
-    sand = _get(params, "sandwich")
     if sand:
         stream = RandomStream(seed, 1)
+        samples = int(_positive(cfg, "params.sandwich.samples", 500))
         recs = [
-            levelset.verify_sandwich(
-                f, p, lam_f * f.lip_bound, int(sand.get("samples", 500)), delta, stream
-            )
+            levelset.verify_sandwich(f, p, lam_f * f.lip_bound, samples, delta, stream)
             for lam_f in sand.get("lambda_factors", [10.0, 100.0])
             for delta in sand.get("deltas", [0.25, 0.5])
         ]
@@ -190,12 +210,11 @@ def run_quasinorm(cfg, out, workers, seed):
         rep.results["sandwich"] = recs
         rep.add_verdict("sec3:sandwich", total_bad == 0, 0, observed=total_bad,
                         detail="ray containment violations")
-    hold = _get(params, "holder")
     if hold:
         stream = RandomStream(seed, 2)
         rec = covering.holder_containment_check(
-            f, p, hold.get("lambda_factor", 1.0) * f.lip_bound,
-            int(hold.get("samples", 10000)), stream,
+            f, p, _positive(cfg, "params.holder.lambda_factor", 1.0) * f.lip_bound,
+            int(_positive(cfg, "params.holder.samples", 10000)), stream,
         )
         rep.results["holder"] = rec
         rep.add_verdict("sec2:holder", rec["violations"] == 0, 1e-6,
@@ -211,7 +230,7 @@ def run_gagliardo(cfg, out, workers, seed):
     p = _positive(cfg, "params.p", required=True)
     delta_in = params.get("delta_in", 0.0)
     q = seminorms.SeminormQuery(f, s, p, delta_in)
-    res = seminorms.gagliardo(q)
+    res = seminorms.gagliardo(q, **_get(cfg, "budgets") or {})
     rep = Report("gagliardo", cfg, seed)
     rep.results["value"] = res.value
     rep.results["error_estimate"] = res.error_estimate
@@ -279,21 +298,18 @@ def run_rotation(cfg, out, workers, seed):
     n_mc = int(_positive(cfg, "params.mc_samples", 150_000))
     cells = int(_positive(cfg, "params.line_cells", 256))
     drift_tol = _positive(cfg, "params.stability_tolerance", 0.10)
-    cat = fields.catalogue()
+    flds = _fields_from(names)
     rows = []
     agree_ok = True
     bound_ok = True
     drift_ok = True
 
     def one(item):
-        idx, name = item
-        f = cat[name] if isinstance(name, str) else fields.field_from_spec(name)
+        idx, f = item
         rec = covering.rotation_measure(f, line_cells=cells, offset_cells=cells // 2)
-        mc = covering.rotation_measure_mc(f, n_mc, RandomStream(seed, 100 + idx))
-        return name, f, rec, mc
+        return rec, covering.rotation_measure_mc(f, n_mc, RandomStream(seed, 100 + idx))
 
-    results = ordered_parallel_map(one, list(enumerate(names)), workers)
-    for name, f, rec, mc in results:
+    for name, (rec, mc) in zip(names, ordered_parallel_map(one, list(enumerate(flds)), workers)):
         sig = math.hypot(rec["measure"].error_estimate, mc.error_estimate)
         z = abs(rec["measure"].value - mc.value) / max(sig, 1e-300)
         agree_ok &= z <= 3.0
@@ -383,8 +399,7 @@ def run_corollary(cfg, out, workers, seed):
         box = [[0.0, 1.0]] * dim
         flds = [fields.make_mollified_indicator(box, e) for e in eps_ladder]
     else:
-        cat = fields.catalogue()
-        flds = [cat[s] if isinstance(s, str) else fields.field_from_spec(s) for s in specs]
+        flds = _fields_from(specs)
 
     def one(f):
         return runner(f, params, budgets)
@@ -457,8 +472,9 @@ def run_crosscheck(cfg, out, workers, seed):
     tol = _positive(cfg, "params.tolerance", 0.10)
     s_ladder = params.get("s_ladder", [0.5, 0.75, 0.875, 0.9375, 0.96875])
     deltas = params.get("delta_ladder", [1e-2, 1e-3, 1e-4, 1e-5])
-    fac = seminorms.seminorm_limit_factor(f, p, s_ladder, tol=tol)
-    probe = seminorms.diagonal_divergence_probe(f, p, deltas, tol=tol)
+    budgets = _get(cfg, "budgets") or {}
+    fac = seminorms.seminorm_limit_factor(f, p, s_ladder, tol=tol, **budgets)
+    probe = seminorms.diagonal_divergence_probe(f, p, deltas, tol=tol, **budgets)
     write_csv(out / "limit_factor_ladder.csv", LADDER_HEADER,
               list(zip(fac["s_values"], fac["factors"])))
     write_csv(out / "divergence_ladder.csv", LADDER_HEADER,
@@ -479,17 +495,18 @@ def run_crosscheck(cfg, out, workers, seed):
     return rep
 
 
+# kind -> (runner, the quadrature.BUDGETS entries its `budgets` feed)
 EXPERIMENTS = {
-    "constants": run_constants,
-    "limit": run_limit,
-    "quasinorm": run_quasinorm,
-    "gagliardo": run_gagliardo,
-    "covering": run_covering,
-    "rotation": run_rotation,
-    "maximal": run_maximal,
-    "corollary": run_corollary,
-    "failure": run_failure,
-    "crosscheck": run_crosscheck,
+    "constants": (run_constants, ()),
+    "limit": (run_limit, ("polar",)),
+    "quasinorm": (run_quasinorm, ("polar",)),
+    "gagliardo": (run_gagliardo, ("gagliardo",)),
+    "covering": (run_covering, ()),
+    "rotation": (run_rotation, ()),
+    "maximal": (run_maximal, ("polar",)),
+    "corollary": (run_corollary, ("weak", "polar", "gagliardo")),
+    "failure": (run_failure, ("gagliardo", "weak", "polar")),
+    "crosscheck": (run_crosscheck, ("gagliardo",)),
 }
 
 
@@ -499,10 +516,12 @@ def run_experiment(cfg, out, workers, seed):
         raise ConfigError(
             f"config field 'experiment' must be one of {sorted(EXPERIMENTS)}, got {kind!r}"
         )
+    runner, estimators = EXPERIMENTS[kind]
+    quadrature.split_budgets(1, _section(cfg, "budgets"), *estimators)
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     if seed is None:
         seed = _get(cfg, "seed")
     if seed is None:
         raise ConfigError("config field 'seed' is required")
-    return EXPERIMENTS[kind](cfg, out, workers, int(seed))
+    return runner(cfg, out, workers, int(seed))

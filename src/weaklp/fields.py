@@ -474,6 +474,9 @@ def field_from_spec(spec):
         if kind == "scaled":
             return scale_field(field_from_spec(spec["base"]), spec["factor"])
         if kind == "catalogue":
+            if spec["name"] not in catalogue_names():
+                raise InvalidParameterError(f"unknown catalogue field {spec['name']!r}; "
+                                            f"the catalogue has {', '.join(catalogue_names())}")
             return catalogue()[spec["name"]]
     except KeyError as exc:
         raise InvalidParameterError(f"field spec missing key {exc}") from exc

@@ -23,9 +23,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import InvalidParameterError, PreconditionError, check_budget_keys
+from .errors import InvalidParameterError, PreconditionError
 from .fields import pair_region, truncation_radius
 from .quadrature import (
+    BUDGETS,
     PairSampler,
     QuadratureResult,
     SphereRule,
@@ -33,6 +34,7 @@ from .quadrature import (
     centered_box_grid,
     monte_carlo,
     sphere_rule,
+    split_budgets,
 )
 
 __all__ = [
@@ -44,7 +46,6 @@ __all__ = [
     "distribution_profile",
     "pair_measure_mc",
     "pair_measure_polar",
-    "polar_budgets",
     "sandwich_bounds",
     "tail_limit",
     "truncation_radius",
@@ -174,15 +175,16 @@ def _grid_measures(f, lam, alpha, X, W, r_cap, scan, tol):
 
 @dataclass(frozen=True)
 class SandwichBounds:
-    """Radii with (0, lower] inside and the membership set inside (0, upper]."""
+    """Per-ray radii with (0, lower] inside and the membership set inside (0, upper]."""
 
-    lower: float
-    upper: float
+    lower: np.ndarray
+    upper: np.ndarray
     delta: float
 
 
 def sandwich_bounds(f, p, lam, x, omega, delta):
-    """Certified inner/outer radii for the ray set at alpha = N/p + 1.
+    """Certified inner/outer radii of the rays x + r omega ((k, N) rows, or
+    one (N,) point each) for the ray sets at alpha = N/p + 1.
 
     Requires lambda > lip_bound; the outer radius is 0 once x sits more than
     unit distance from the support.
@@ -191,21 +193,20 @@ def sandwich_bounds(f, p, lam, x, omega, delta):
         raise InvalidParameterError("delta must lie in (0, 1)")
     if lam <= f.lip_bound:
         raise PreconditionError("sandwich radii need lambda > lip_bound")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    omega = np.atleast_2d(np.asarray(omega, dtype=float))
     n = f.dim
-    g = abs(float(np.dot(f.gradient(x[None, :])[0], omega)))
+    g = np.abs((f.gradient(x)[:, None, :] @ omega[:, :, None])[:, 0, 0])
     A = f.hess_bound
     L = f.lip_bound
-    lower_n = min(
+    lower_n = np.minimum(
         (delta ** n) * g ** n / A ** n if A > 0 else math.inf,
         ((1.0 - delta) ** p) * g ** p / lam ** p,
     )
-    lower = lower_n ** (1.0 / n) if lower_n > 0 else 0.0
-    if float(f.support_distance(x[None, :])[0]) > 1.0:
-        upper = 0.0
-    else:
-        upper = (((g + A * (L / lam) ** (p / n)) / lam) ** p) ** (1.0 / n)
+    lower = np.where(lower_n > 0, lower_n ** (1.0 / n), 0.0)
+    upper = np.where(
+        f.support_distance(x) > 1.0, 0.0, (((g + A * (L / lam) ** (p / n)) / lam) ** p) ** (1.0 / n)
+    )
     return SandwichBounds(lower, upper, delta)
 
 
@@ -229,10 +230,9 @@ def verify_sandwich(f, p, lam, samples, delta, stream, scan=1024, tol=1e-9):
     xs, ws = pts[:, :n], pts[:, n : 2 * n]
     ux = f.evaluate(xs)
     _, crossings, outer = _scan_rays(f, lam, q.alpha, xs.T, ws.T, ux, r_cap, scan, tol)
-    bounds = [sandwich_bounds(f, p, lam, x, w, delta) for x, w in zip(xs, ws)]
-    lower, upper = np.array([(sb.lower, sb.upper) for sb in bounds]).T
+    sb = sandwich_bounds(f, p, lam, xs, ws, delta)
     rel = max(tol, 1e-12)
-    need = lower * (1.0 - rel) - tol
+    need = sb.lower * (1.0 - rel) - tol
     # the inner radius can sit below the scan's first grid point, so check
     # membership directly on a dense sample of (0, need] where need > 0
     inner = need > 0
@@ -241,7 +241,7 @@ def verify_sandwich(f, p, lam, samples, delta, stream, scan=1024, tol=1e-9):
     gv -= lam * rr ** q.alpha
     return {
         "samples": samples,
-        "violations_upper": int(np.count_nonzero(outer > upper * (1.0 + rel) + tol)),
+        "violations_upper": int(np.count_nonzero(outer > sb.upper * (1.0 + rel) + tol)),
         "violations_lower": int(np.count_nonzero(np.any(gv < -tol, axis=1))),
         "flagged_profiles": int(np.count_nonzero(crossings > CROSSING_CAP)),
         "lam": lam,
@@ -258,7 +258,7 @@ def pair_measure_polar(
     x_grid: TensorGrid,
     sphere: SphereRule,
     scan=512,
-    tol=1e-10,
+    tol=BUDGETS["polar"]["bisect_tol"],
 ):
     """L^{2N} measure of the superlevel set by polar pair coordinates.
 
@@ -357,23 +357,6 @@ class DistributionProfile:
         ]
 
 
-# polar estimator budget defaults: (N = 1, N >= 2)
-_POLAR_DEFAULTS = {
-    "x_nodes": (256, 48),
-    "sphere_order": (16, 16),
-    "scan": (768, 224),
-    "bisect_tol": (1e-10, 1e-10),
-}
-
-
-def polar_budgets(dim, budgets=None):
-    """A copy of `budgets` with every polar estimator default it lacks filled
-    in; a key the polar estimator does not take is an error."""
-    budgets = budgets or {}
-    check_budget_keys("the polar estimator", budgets, _POLAR_DEFAULTS)
-    return {key: value[dim > 1] for key, value in _POLAR_DEFAULTS.items()} | budgets
-
-
 def distribution_profile(f, p, alpha, lam_grid, estimator="polar", budgets=None, stream=None, workers=1):
     """Estimate mu(E_lambda) on an ascending threshold grid with shared budgets."""
     lam_grid = np.asarray(lam_grid, dtype=float)
@@ -381,9 +364,8 @@ def distribution_profile(f, p, alpha, lam_grid, estimator="polar", budgets=None,
         raise InvalidParameterError("empty lambda grid")
     if np.any(lam_grid <= 0) or np.any(np.diff(lam_grid) <= 0):
         raise InvalidParameterError("lambda grid must be positive and ascending")
-    budgets = budgets or {}
     if estimator == "polar":
-        budgets = polar_budgets(f.dim, budgets)
+        (budgets,) = split_budgets(f.dim, budgets, "polar")
 
         def one(lam):
             return pair_measure_polar(
@@ -396,8 +378,7 @@ def distribution_profile(f, p, alpha, lam_grid, estimator="polar", budgets=None,
     elif estimator == "mc":
         if stream is None:
             raise InvalidParameterError("mc estimator needs a RandomStream")
-        check_budget_keys("the mc estimator", budgets, ("mc_samples",))
-        n_mc = budgets.get("mc_samples", 200_000)
+        n_mc = split_budgets(f.dim, budgets, "mc")[0]["mc_samples"]
 
         def one(lam):
             # sub-stream keyed by the threshold's bit pattern: reproducible
@@ -422,12 +403,12 @@ def distribution_profile(f, p, alpha, lam_grid, estimator="polar", budgets=None,
     )
 
 
-def weak_quasinorm(profile: DistributionProfile, refine=16, root=False, with_flag=False):
+def weak_quasinorm(profile: DistributionProfile, refine=16, with_flag=False):
     """sup over lambda of lambda^p * mu, golden-section refined near the argmax.
 
-    Ties at the sup resolve to the smallest lambda.  Set `root=True` for the
-    quasinorm itself (power 1/p).  With `with_flag=True` also returns whether
-    the estimate at the argmax was unconverged (error above 5% of the value).
+    Ties at the sup resolve to the smallest lambda; the quasinorm itself is
+    its power 1/p.  With `with_flag=True` also returns whether the estimate
+    at the argmax was unconverged (error above 5% of the value).
     """
     vals = profile.lam_pow_p_mu
     if vals.size == 0:
@@ -460,8 +441,7 @@ def weak_quasinorm(profile: DistributionProfile, refine=16, root=False, with_fla
                     d = a + phi * (b - a)
                     fd = val_at(d)
                 best = max(best, fc, fd)
-    out = best ** (1.0 / profile.p) if root else best
-    return (out, flagged) if with_flag else out
+    return (best, flagged) if with_flag else best
 
 
 @dataclass(frozen=True)

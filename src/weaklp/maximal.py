@@ -281,9 +281,7 @@ def maximal_route_bound(field, p, lam_grid, cells=96, profile_budgets=None, stre
     c_emp = lusin["c_emp"]
     m_int = maximal.integral(power=p)
     bound = 2.0 * unit_ball_volume(n) * (2.0 * c_emp) ** p * m_int
-    prof = distribution_profile(
-        field, p, n / p + 1.0, lam_grid, budgets=profile_budgets or {}
-    )
+    prof = distribution_profile(field, p, n / p + 1.0, lam_grid, budgets=profile_budgets)
     direct = prof.lam_pow_p_mu
     dominated = bool(np.all(direct <= bound * (1.0 + 1e-9)))
     return {

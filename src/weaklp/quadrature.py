@@ -324,6 +324,31 @@ class PairSampler:
         return pts, np.full(pts.shape[0], self.weight)
 
 
+# every estimator's budget keys and defaults; a pair is (N = 1, N >= 2)
+BUDGETS = {
+    "polar": {"x_nodes": (256, 48), "sphere_order": 16, "scan": (768, 224), "bisect_tol": 1e-10},
+    "mc": {"mc_samples": 200_000},
+    "gagliardo": {"x_nodes": (192, 40), "sphere_order": 16, "v_order": 8, "panels_per_decade": 3},
+    "weak": {"lambda_points": 32, "lambda_lo": 0.1, "lambda_hi": 1e3, "refine": 8},
+}
+
+
+def split_budgets(dim, budgets, *estimators):
+    """One dict per named `BUDGETS` entry: its defaults at dimension `dim`,
+    overridden by the keys of `budgets` it is the first listed to take.  A
+    key none takes is an error naming it.  Kept out of __all__, like
+    `ordered_parallel_map`, so the perfbench tracer adds no span for it."""
+    rest = dict(budgets or {})
+    out = [{k: v[dim > 1] if isinstance(v, tuple) else v for k, v in BUDGETS[e].items()}
+           | {k: rest.pop(k) for k in BUDGETS[e] if k in rest} for e in estimators]
+    if rest:
+        takes = "; ".join(f"{e} takes {', '.join(BUDGETS[e])}" for e in estimators)
+        raise InvalidParameterError(
+            f"unknown budget {', '.join(map(repr, rest))}; {takes or 'none are taken here'}"
+        )
+    return out
+
+
 def ordered_parallel_map(func, items, workers):
     """[func(item) for item in items] on up to `workers` threads, results in
     item order.  Kept out of __all__, whose functions the perfbench tracer

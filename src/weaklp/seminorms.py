@@ -28,6 +28,7 @@ from .quadrature import (
     composite_gauss,
     sphere_abs_moment,
     sphere_rule,
+    split_budgets,
 )
 
 __all__ = [
@@ -136,20 +137,17 @@ def _gagliardo_pass(f, s, p, delta_in, x_nodes, sphere_order, v_order, panels_pe
     return value, err_lin, nodes
 
 
-def gagliardo(q: SeminormQuery, x_nodes=None, sphere_order=16, v_order=8, panels_per_decade=3):
+def gagliardo(q: SeminormQuery, **budgets):
     """iint |u(x)-u(y)|^p / |x-y|^{N+sp} dx dy with one refinement step.
 
-    For s = 1 only pairs with |x-y| >= delta_in are counted.
+    For s = 1 only pairs with |x-y| >= delta_in are counted.  The fine pass
+    doubles the `x_nodes` and `panels_per_decade` budgets.
     """
     f = q.field
-    if x_nodes is None:
-        x_nodes = 192 if f.dim == 1 else 40
-    coarse, _, n1 = _gagliardo_pass(
-        f, q.s, q.p, q.delta_in, x_nodes, sphere_order, v_order, panels_per_decade
-    )
-    fine, err_lin, n2 = _gagliardo_pass(
-        f, q.s, q.p, q.delta_in, 2 * x_nodes, sphere_order, v_order, 2 * panels_per_decade
-    )
+    (b,) = split_budgets(f.dim, budgets, "gagliardo")
+    fine_b = b | {"x_nodes": 2 * b["x_nodes"], "panels_per_decade": 2 * b["panels_per_decade"]}
+    coarse, _, n1 = _gagliardo_pass(f, q.s, q.p, q.delta_in, **b)
+    fine, err_lin, n2 = _gagliardo_pass(f, q.s, q.p, q.delta_in, **fine_b)
     err = abs(fine - coarse) + err_lin
     converged = err <= 1e-3 * max(abs(fine), 1e-300)
     return QuadratureResult(fine, err, n1 + n2, converged)

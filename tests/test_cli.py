@@ -3,7 +3,7 @@ import json
 import pytest
 
 from weaklp.cli import main
-from weaklp.experiments import run_experiment
+from weaklp.experiments import EXPERIMENTS, run_experiment
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -141,6 +141,56 @@ def test_weak_corollary_unknown_budget_is_a_config_error(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "'scna'" in err and "'refine'" not in err and "'lambda_points'" not in err
+
+
+@pytest.mark.parametrize("kind", sorted(EXPERIMENTS))
+def test_every_kind_rejects_an_unknown_budget_key(tmp_path, capsys, kind):
+    # checked before any work: no kind may ignore its budgets
+    cfg = write_cfg(tmp_path, {"experiment": kind, "seed": 1, "budgets": {"scna": 1}})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "unknown budget 'scna'" in capsys.readouterr().err
+
+
+def test_budgets_must_be_an_object(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, dict(BASE_LIMIT, budgets=[64]))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "'budgets' must be an object" in capsys.readouterr().err
+
+
+def test_gagliardo_kind_uses_its_budgets(tmp_path):
+    cfg = {"experiment": "gagliardo", "seed": 1,
+           "field": {"kind": "catalogue", "name": "bump1"}, "params": {"s": 0.5, "p": 2.0}}
+    nodes = []
+    for budgets in ({"x_nodes": 32}, {"x_nodes": 64}):
+        out = tmp_path / str(budgets["x_nodes"])
+        nodes.append(run_experiment(dict(cfg, budgets=budgets), out, 1, None).results["nodes_used"])
+    assert nodes[1] > nodes[0]
+
+
+@pytest.mark.parametrize("cfg", [
+    {"experiment": "rotation", "params": {"fields": ["bump2", "bump9"]}},
+    {"experiment": "corollary", "params": {"statement": "embedding", "fields": ["bump9"]}},
+])
+def test_unknown_catalogue_field_is_a_config_error(tmp_path, capsys, cfg):
+    path = write_cfg(tmp_path, dict(cfg, seed=1))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "'params.fields'" in err and "'bump9'" in err and "bump2_off" in err
+
+
+@pytest.mark.parametrize("params, field", [
+    ({"sandwich": True}, "params.sandwich"),
+    ({"holder": [1.0]}, "params.holder"),
+    ({"refine": "two"}, "params.refine"),
+    ({"refine": -1}, "params.refine"),
+    ({"sandwich": {"samples": "many"}}, "params.sandwich.samples"),
+])
+def test_badly_shaped_quasinorm_params_are_config_errors(tmp_path, capsys, params, field):
+    cfg = write_cfg(tmp_path, {"experiment": "quasinorm", "seed": 1,
+                               "field": {"kind": "catalogue", "name": "bump1"},
+                               "params": dict(params, p=1.0, lambda_points=4)})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert f"'{field}'" in capsys.readouterr().err
 
 
 def test_sweep_empty_grid_errors(tmp_path, capsys):

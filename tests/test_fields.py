@@ -158,6 +158,10 @@ def test_field_from_spec_rejects_unknown():
         F.field_from_spec({"kind": "mystery"})
     with pytest.raises(InvalidParameterError):
         F.field_from_spec({"kind": "bump", "center": [0.0]})
+    with pytest.raises(InvalidParameterError) as err:
+        F.field_from_spec({"kind": "catalogue", "name": "bump9"})
+    assert str(err.value) == ("unknown catalogue field 'bump9'; the catalogue has "
+                              + ", ".join(F.catalogue_names()))
 
 
 def test_sum_field_bounds_subadditive(cat):

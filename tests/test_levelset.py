@@ -124,6 +124,23 @@ def test_sandwich_degenerate_delta_near_one(bump1):
     assert sb.lower <= 1e-6
 
 
+@pytest.mark.parametrize("name", ["bump1", "bump2_off", "plateau2"])
+def test_sandwich_bounds_rows_match_single_points(cat, name):
+    # one call on (k, N) rows gives every row's radii, bit for bit
+    f = cat[name]
+    rng = np.random.default_rng(7)
+    xs = rng.uniform(-f.support_radius - 1.5, f.support_radius + 1.5, (40, f.dim))
+    ws = rng.normal(size=(40, f.dim))
+    ws /= np.linalg.norm(ws, axis=1, keepdims=True)
+    lam = 10 * f.lip_bound
+    sb = LS.sandwich_bounds(f, 2.0, lam, xs, ws, 0.25)
+    assert sb.lower.shape == sb.upper.shape == (40,)
+    assert np.count_nonzero(sb.upper == 0.0) > 0 and np.count_nonzero(sb.lower > 0.0) > 0
+    for x, w, lo, up in zip(xs, ws, sb.lower, sb.upper):
+        one = LS.sandwich_bounds(f, 2.0, lam, x, w, 0.25)
+        assert (one.lower[0].hex(), one.upper[0].hex()) == (lo.hex(), up.hex())
+
+
 def test_verify_sandwich_zero_field_vacuous():
     rec = LS.verify_sandwich(zero_field(), 1.0, 1.0, 50, 0.5, Q.RandomStream(1, 0))
     assert rec["violations_upper"] == rec["violations_lower"] == 0
@@ -631,18 +648,33 @@ def test_pair_measure_mc_golden(bump2):
 
 
 def test_polar_budgets_fill_defaults_and_keep_overrides():
-    assert LS.polar_budgets(1) == {"x_nodes": 256, "sphere_order": 16, "scan": 768,
-                                   "bisect_tol": 1e-10}
+    assert Q.split_budgets(1, None, "polar") == [{"x_nodes": 256, "sphere_order": 16, "scan": 768,
+                                                  "bisect_tol": 1e-10}]
     given = {"scan": 96}
-    filled = LS.polar_budgets(3, given)
+    (filled,) = Q.split_budgets(3, given, "polar")
     assert filled == {"x_nodes": 48, "sphere_order": 16, "scan": 96, "bisect_tol": 1e-10}
     assert given == {"scan": 96}
     # a key the polar estimator does not take is named, with the keys it takes
     with pytest.raises(InvalidParameterError) as err:
-        LS.polar_budgets(3, {"scan": 96, "mc_samples": 5000, "scna": 64})
+        Q.split_budgets(3, {"scan": 96, "mc_samples": 5000, "scna": 64}, "polar")
     msg = str(err.value)
     assert "'mc_samples', 'scna'" in msg and "'scan'" not in msg
     assert "x_nodes, sphere_order, scan, bisect_tol" in msg
+
+
+def test_split_budgets_sends_each_key_to_the_first_estimator_that_takes_it():
+    gag, weak, polar = Q.split_budgets(1, {"x_nodes": 64, "refine": 2, "scan": 128},
+                                       "gagliardo", "weak", "polar")
+    assert gag == {"x_nodes": 64, "sphere_order": 16, "v_order": 8, "panels_per_decade": 3}
+    assert weak == {"lambda_points": 32, "lambda_lo": 0.1, "lambda_hi": 1e3, "refine": 2}
+    assert polar == {"x_nodes": 256, "sphere_order": 16, "scan": 128, "bisect_tol": 1e-10}
+    assert Q.split_budgets(2, {}, "gagliardo", "mc") == [
+        {"x_nodes": 40, "sphere_order": 16, "v_order": 8, "panels_per_decade": 3},
+        {"mc_samples": 200_000},
+    ]
+    # with no estimator named, every key is unknown
+    with pytest.raises(InvalidParameterError, match="unknown budget 'scan'; none are taken here"):
+        Q.split_budgets(1, {"scan": 64})
 
 
 @pytest.mark.parametrize("estimator, budgets", [

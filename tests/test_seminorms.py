@@ -50,6 +50,11 @@ def test_gagliardo_stable_under_refinement(bump1):
     assert abs(r2.value - r1.value) <= r1.error_estimate + 1e-3 * abs(r1.value)
 
 
+def test_gagliardo_names_unknown_budget_keys(bump1):
+    with pytest.raises(InvalidParameterError, match="'scna'.*gagliardo takes x_nodes"):
+        S.gagliardo(S.SeminormQuery(bump1, 0.5, 2.0), x_nodes=8, scna=3)
+
+
 def test_truncated_values_increase_as_cutoff_shrinks(bump1):
     vals = [S.gagliardo(S.SeminormQuery(bump1, 1.0, 1.0, d)).value for d in (1e-2, 1e-3, 1e-4)]
     assert vals[0] < vals[1] < vals[2]
