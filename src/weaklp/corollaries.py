@@ -177,9 +177,9 @@ def check_strong_embedding(field, s, budgets=None):
     return CorollaryReport(lhs, rhs, field.label, {"s": s, "p": p})
 
 
-def strong_norm_divergence_probe(p, eps_ladder, delta_in=None, box=(0.0, 1.0), weak_p=None, budgets=None):
-    """Strong integral of |u(x)-u(y)|^p / |x-y|^2 along a mollified-indicator
-    ladder, with the bounded weak counterpart recorded for contrast.
+def strong_norm_divergence_probe(p, eps_ladder, delta_in=None, weak_p=None, budgets=None):
+    """Strong integral of |u(x)-u(y)|^p / |x-y|^2 along a ladder of mollified
+    indicators of [0, 1], with the bounded weak counterpart recorded for contrast.
 
     For p = 1 the untruncated integral is infinite for every nonconstant
     field, so an inner cutoff delta_in is required there.  Values must grow
@@ -202,7 +202,7 @@ def strong_norm_divergence_probe(p, eps_ladder, delta_in=None, box=(0.0, 1.0), w
     values = []
     weak = []
     for eps in eps_ladder:
-        u = make_mollified_indicator([list(box)], eps)
+        u = make_mollified_indicator([[0.0, 1.0]], eps)
         q = SeminormQuery(u, s, p, delta_in if s == 1.0 else 0.0)
         values.append(gagliardo(q, **gag).value)
         weak.append(check_weak_gradient_1d(u, weak_p, budgets=weak_grid | polar).ratio)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .fields import pair_region
+from .fields import pair_members, pair_region
 from .quadrature import (
     PairSampler,
     QuadratureResult,
@@ -38,6 +38,8 @@ __all__ = [
     "vitali_select",
     "weighted_energy",
 ]
+
+HOLDER_TOL = 1e-6      # relative slack of holder_containment_check's segment condition
 
 
 @dataclass(frozen=True)
@@ -219,7 +221,7 @@ def pair_energy_bound_factor(gamma):
     return 10.0 * 5.0 ** gamma / (gamma * (gamma + 1.0))
 
 
-def weighted_energy(f: PiecewiseConstantField, gamma, cover=None):
+def weighted_energy(f: PiecewiseConstantField, gamma, cover: VitaliCover):
     """Energy sum over member pairs of |x-y|^(gamma-1), with the bound chain.
 
     energy <= factor * sum |J|^(gamma+1) <= factor * ||f||_1 must hold
@@ -228,8 +230,6 @@ def weighted_energy(f: PiecewiseConstantField, gamma, cover=None):
     if gamma <= 0:
         raise InvalidParameterError("gamma must be positive")
     energy = _member_energy(f.prefix, f.h, gamma)
-    if cover is None:
-        cover = vitali_select(admissible_intervals(f, gamma))
     factor = pair_energy_bound_factor(gamma)
     mid = factor * cover.selected_lengths_power_sum()
     outer = factor * f.total_mass
@@ -301,13 +301,15 @@ def _rotation_cap(F):
     return (max(F.sup_norm, 0.0) * 2.0 * F.support_radius) ** (1.0 / (F.dim + 1.0))
 
 
-def rotation_measure(F, line_cells=160, offset_cells=64, sphere_order=24, refine=True):
+def rotation_measure(F, line_cells=160, offset_cells=64, sphere_order=24):
     """Pair measure of the segment-mass superlevel set by line foliation.
 
     For each direction the space splits into parallel lines; on every line
     the 1-D member-pair energy at gamma = N (halved to account for ordered
     pairs) integrates over the orthogonal offsets and the sphere.  Asserts
-    the measure stays below the certified multiple of ||F||_1.
+    the measure stays below the certified multiple of ||F||_1.  Node-pair
+    blocks converge first order from below, so the value is one Richardson
+    step across a 2x refinement of the line and offset grids.
     """
     n = F.dim
     if n > 3:
@@ -341,24 +343,16 @@ def rotation_measure(F, line_cells=160, offset_cells=64, sphere_order=24, refine
             nodes += vals.size
         return total, mass_f / surface_area(n), nodes
 
-    v1, m1, nodes = run(line_cells, offset_cells, sphere_order)
-    if refine:
-        # node-pair blocks converge first order from below; one Richardson
-        # step across a 2x refinement removes the leading bias
-        v2, m2, n2 = run(2 * line_cells, 2 * offset_cells, sphere_order)
-        nodes += n2
-        err = abs(v2 - v1)
-        value, mass = 2.0 * v2 - v1, m2
-        c_coarse = v1 / m1 if m1 > 0 else 0.0
-        c_fine = v2 / m2 if m2 > 0 else 0.0
-        drift = abs(c_fine / c_coarse - 1.0) if c_coarse > 0 else 0.0
-    else:
-        value, mass, err = v1, m1, 0.0
-        c_coarse = c_fine = value / mass if mass > 0 else 0.0
-        drift = 0.0
+    v1, m1, n1 = run(line_cells, offset_cells, sphere_order)
+    v2, mass, n2 = run(2 * line_cells, 2 * offset_cells, sphere_order)
+    err = abs(v2 - v1)
+    value = 2.0 * v2 - v1
+    c_coarse = v1 / m1 if m1 > 0 else 0.0
+    c_fine = v2 / mass if mass > 0 else 0.0
+    drift = abs(c_fine / c_coarse - 1.0) if c_coarse > 0 else 0.0
     bound_factor = 5.0 * 5.0 ** n * surface_area(n) / (n * (n + 1.0))
     return {
-        "measure": QuadratureResult(value, err, nodes, err <= 0.05 * max(value, 1e-300)),
+        "measure": QuadratureResult(value, err, n1 + n2, err <= 0.05 * max(value, 1e-300)),
         "mass": mass,
         "c_emp": value / mass if mass > 0 else 0.0,
         "c_emp_coarse": c_coarse,
@@ -369,43 +363,36 @@ def rotation_measure(F, line_cells=160, offset_cells=64, sphere_order=24, refine
     }
 
 
-def rotation_measure_mc(F, n_samples, stream, line_nodes=64):
+def rotation_measure_mc(F, n_samples, stream):
     """Direct pair Monte Carlo cross-check of `rotation_measure`."""
     n = F.dim
     r_cap = _rotation_cap(F)
 
-    def member(pts):
-        x, w, r = pts[:, :n], pts[:, n : 2 * n], pts[:, 2 * n]
-        masses = _segment_masses(F.evaluate, x, x + r[:, None] * w, nodes=line_nodes)
-        return masses >= r ** (n + 1.0)
+    def member(x, w, r):
+        return _segment_masses(F.evaluate, x, x + r[:, None] * w, nodes=64) >= r ** (n + 1.0)
 
     return monte_carlo(member, PairSampler(n, F.support_radius + r_cap, r_cap), n_samples, stream)
 
 
-def holder_containment_check(field, p, lam, samples, stream, line_nodes=96, tol=1e-6):
+def holder_containment_check(field, p, lam, samples, stream):
     """Sampled pairs in the superlevel set must satisfy the segment condition
-    int |grad u|^p / lam^p >= |x-y|^(N+1) (target: zero violations)."""
+    int |grad u|^p / lam^p >= |x-y|^(N+1) up to a relative `HOLDER_TOL`
+    (target: zero violations)."""
     if lam <= 0:
         raise InvalidParameterError("lambda must be positive")
     n = field.dim
     alpha = n / p + 1.0
-    sampler = PairSampler(n, *pair_region(field, lam, alpha))
-    pts, _ = sampler.map(stream.uniform_matrix(0, samples, sampler.draws))
-    x = pts[:, :n]
-    w = pts[:, n : 2 * n]
-    r = pts[:, 2 * n]
-    y = x + r[:, None] * w
-    member = (np.abs(field.evaluate(y) - field.evaluate(x)) >= lam * r ** alpha) & (r > 0.0)
-    idx = np.nonzero(member)[0]
+    x, w, r = PairSampler(n, *pair_region(field, lam, alpha)).draw(stream, 0, samples)
+    idx = np.nonzero(pair_members(field, lam, alpha, x, w, r))[0]
     if idx.size == 0:
         return {"candidates": samples, "members": 0, "violations": 0, "worst_margin": None}
 
     def grad_pow(ptsq):
         return np.sum(field.gradient(ptsq) ** 2, axis=-1) ** (p / 2.0) / lam ** p
 
-    masses = _segment_masses(grad_pow, x[idx], y[idx], nodes=line_nodes)
+    masses = _segment_masses(grad_pow, x[idx], x[idx] + r[idx, None] * w[idx], nodes=96)
     need = r[idx] ** (n + 1.0)
-    ok = masses >= need * (1.0 - tol) - 1e-300
+    ok = masses >= need * (1.0 - HOLDER_TOL) - 1e-300
     margins = masses / np.maximum(need, 1e-300)
     return {
         "candidates": samples,

@@ -73,6 +73,14 @@ def _count(cfg, path, default):
     return int(v)
 
 
+def _list(cfg, path, default):
+    """A non-empty list-valued config field."""
+    v = _get(cfg, path, default)
+    if not isinstance(v, list) or not v:
+        raise ConfigError(f"config field '{path}' must be a non-empty list, got {v!r}")
+    return v
+
+
 def _section(cfg, path):
     """An optional sub-object of the config; None when absent or empty."""
     v = _get(cfg, path)
@@ -95,10 +103,9 @@ def _lambda_grid(f, params):
 # ---------------------------------------------------------------------------
 
 def run_constants(cfg, out, workers, seed):
-    params = _get(cfg, "params", {})
-    n_values = params.get("N_values", [1, 2, 3, 4])
-    p_values = params.get("p_values", DEFAULT_P_VALUES)
-    tol = _positive(params, "tolerance", 1e-6)
+    n_values = _list(cfg, "params.N_values", [1, 2, 3, 4])
+    p_values = _list(cfg, "params.p_values", DEFAULT_P_VALUES)
+    tol = _positive(cfg, "params.tolerance", 1e-6)
     rep = Report("constants", cfg, seed)
     rows = []
     worst = 0.0
@@ -161,6 +168,8 @@ def run_quasinorm(cfg, out, workers, seed):
     (budgets,) = quadrature.split_budgets(f.dim, _get(cfg, "budgets", {}), "polar")
     refine = _count(cfg, "params.refine", 12)
     sand = _section(cfg, "params.sandwich")
+    lam_factors = _list(cfg, "params.sandwich.lambda_factors", [10.0, 100.0])
+    deltas = _list(cfg, "params.sandwich.deltas", [0.25, 0.5])
     hold = _section(cfg, "params.holder")
     alpha = f.dim / p + 1.0
     grid = _lambda_grid(f, params)
@@ -203,8 +212,8 @@ def run_quasinorm(cfg, out, workers, seed):
         samples = int(_positive(cfg, "params.sandwich.samples", 500))
         recs = [
             levelset.verify_sandwich(f, p, lam_f * f.lip_bound, samples, delta, stream)
-            for lam_f in sand.get("lambda_factors", [10.0, 100.0])
-            for delta in sand.get("deltas", [0.25, 0.5])
+            for lam_f in lam_factors
+            for delta in deltas
         ]
         total_bad = sum(r["violations_upper"] + r["violations_lower"] for r in recs)
         rep.results["sandwich"] = recs
@@ -217,7 +226,7 @@ def run_quasinorm(cfg, out, workers, seed):
             int(_positive(cfg, "params.holder.samples", 10000)), stream,
         )
         rep.results["holder"] = rec
-        rep.add_verdict("sec2:holder", rec["violations"] == 0, 1e-6,
+        rep.add_verdict("sec2:holder", rec["violations"] == 0, covering.HOLDER_TOL,
                         observed=rec["violations"],
                         detail=f"members {rec['members']}, segment-mass tolerance relative")
     return rep
@@ -244,9 +253,8 @@ def run_gagliardo(cfg, out, workers, seed):
 
 
 def run_covering(cfg, out, workers, seed):
-    params = _get(cfg, "params", {})
     trials = int(_positive(cfg, "params.trials", 100))
-    gammas = params.get("gammas", [0.5, 1.0, 2.0])
+    gammas = _list(cfg, "params.gammas", [0.5, 1.0, 2.0])
     rng = np.random.default_rng(seed)
     disjoint_ok = True
     cover_bad = 0
@@ -293,8 +301,8 @@ def run_covering(cfg, out, workers, seed):
 
 
 def run_rotation(cfg, out, workers, seed):
-    params = _get(cfg, "params", {})
-    names = params.get("fields", ["bump2", "bump2_off", "plateau2", "bumps2_pair", "product2"])
+    names = _list(cfg, "params.fields",
+                  ["bump2", "bump2_off", "plateau2", "bumps2_pair", "product2"])
     n_mc = int(_positive(cfg, "params.mc_samples", 150_000))
     cells = int(_positive(cfg, "params.line_cells", 256))
     drift_tol = _positive(cfg, "params.stability_tolerance", 0.10)
@@ -340,8 +348,8 @@ def run_maximal(cfg, out, workers, seed):
                             "lambda_lo_factor": params.get("lambda_lo_factor", 0.5),
                             "lambda_hi_factor": params.get("lambda_hi_factor", 100.0)})
     budgets = _get(cfg, "budgets", {})
-    rec = maximal.maximal_route_bound(f, p, grid, cells=cells, profile_budgets=budgets,
-                                      stream=RandomStream(seed, 5))
+    rec = maximal.maximal_route_bound(f, p, grid, RandomStream(seed, 5), cells=cells,
+                                      profile_budgets=budgets)
     ref = maximal.lusin_lipschitz_check(f, 20_000, RandomStream(seed, 6), cells=2 * cells)
     scaled = maximal.lusin_lipschitz_check(
         fields.scale_field(f, 3.0), 20_000, RandomStream(seed, 6), cells=2 * cells
@@ -353,9 +361,8 @@ def run_maximal(cfg, out, workers, seed):
     rep.results["c_emp_refined"] = ref["c_emp"]
     rep.constants["lusin_c_emp"] = {"N": f.dim, "value": rec["c_emp"]}
     write_csv(out / "route_profile.csv", PROFILE_HEADER, rec["profile"].rows())
-    mgrid = maximal.hl_maximal(maximal.gridded_gradient_norm(f, cells))
     header = ["x", "value"] if f.dim == 1 else ["x", "y", "value"]
-    write_csv(out / "maximal_grid.csv", header, maximal.grid_rows(mgrid))
+    write_csv(out / "maximal_grid.csv", header, maximal.grid_rows(rec["maximal"]))
     rep.add_verdict("rmk2.3:domination", rec["dominates"], 1e-9,
                     observed=rec["direct_max"], target=rec["bound"],
                     detail="constant maximal-route bound vs direct lambda^p mu")
@@ -392,14 +399,13 @@ def run_corollary(cfg, out, workers, seed):
         )
     tag, runner = _STATEMENTS[statement]
     budgets = _get(cfg, "budgets", {})
-    specs = params.get("fields")
-    if specs is None:
-        eps_ladder = params.get("eps_ladder", [0.2, 0.1, 0.05, 0.025])
+    if params.get("fields") is None:
+        eps_ladder = _list(cfg, "params.eps_ladder", [0.2, 0.1, 0.05, 0.025])
         dim = int(params.get("dim", 1))
         box = [[0.0, 1.0]] * dim
         flds = [fields.make_mollified_indicator(box, e) for e in eps_ladder]
     else:
-        flds = _fields_from(specs)
+        flds = _fields_from(_list(cfg, "params.fields", None))
 
     def one(f):
         return runner(f, params, budgets)
@@ -439,7 +445,7 @@ def run_corollary(cfg, out, workers, seed):
 def run_failure(cfg, out, workers, seed):
     params = _get(cfg, "params", {})
     p = _positive(cfg, "params.p", 2.0)
-    eps_ladder = params.get("eps_ladder", [0.2, 0.1, 0.05, 0.025])
+    eps_ladder = _list(cfg, "params.eps_ladder", [0.2, 0.1, 0.05, 0.025])
     probe = corollaries.strong_norm_divergence_probe(
         p, eps_ladder,
         delta_in=params.get("delta_in"),
@@ -470,8 +476,8 @@ def run_crosscheck(cfg, out, workers, seed):
     params = _get(cfg, "params", {})
     p = _positive(cfg, "params.p", required=True)
     tol = _positive(cfg, "params.tolerance", 0.10)
-    s_ladder = params.get("s_ladder", [0.5, 0.75, 0.875, 0.9375, 0.96875])
-    deltas = params.get("delta_ladder", [1e-2, 1e-3, 1e-4, 1e-5])
+    s_ladder = _list(cfg, "params.s_ladder", [0.5, 0.75, 0.875, 0.9375, 0.96875])
+    deltas = _list(cfg, "params.delta_ladder", [1e-2, 1e-3, 1e-4, 1e-5])
     budgets = _get(cfg, "budgets") or {}
     fac = seminorms.seminorm_limit_factor(f, p, s_ladder, tol=tol, **budgets)
     probe = seminorms.diagonal_divergence_probe(f, p, deltas, tol=tol, **budgets)

@@ -533,11 +533,18 @@ def pair_region(f, lam, alpha):
     return f.support_radius + min(1.0, r_cap), r_cap
 
 
+def pair_members(f, lam, alpha, x, w, r):
+    """Whether each pair (x, x + r w) of the (k, N), (k, N), (k,) arrays has
+    r > 0 and |u(x) - u(x + r w)| >= lam r^alpha."""
+    dv = np.abs(f.evaluate(x + r[:, None] * w) - f.evaluate(x))
+    return (dv >= lam * r ** alpha) & (r > 0.0)
+
+
 # ---------------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------------
 
-def _box_integral(field, integrand, budget, rtol):
+def _box_integral(field, integrand, budget):
     if budget < 16 ** field.dim:
         raise InvalidParameterError("budget below the minimum node count")
     per_axis = max(16, int(round(budget ** (1.0 / field.dim))))
@@ -550,24 +557,24 @@ def _box_integral(field, integrand, budget, rtol):
     coarse, n1 = run(grid)
     fine, n2 = run(grid.refined())
     err = abs(fine - coarse)
-    converged = err <= rtol * max(abs(fine), 1e-300)
+    converged = err <= 1e-6 * max(abs(fine), 1e-300)
     return QuadratureResult(fine, err, n1 + n2, converged)
 
 
-def gradient_lp_norm(field, p, budget=4096, rtol=1e-6):
+def gradient_lp_norm(field, p, budget=4096):
     """int |grad u|^p over R^N (restricted to the support ball, which is exact).
 
-    Unconverged results are still returned, flagged via `converged`.
+    Unconverged results (refinement change above 1e-6 relative) are flagged via `converged`.
     """
     if p < 1:
         raise InvalidParameterError("p must be >= 1")
     return _box_integral(
-        field, lambda pts: np.sum(field.gradient(pts) ** 2, axis=-1) ** (p / 2.0), budget, rtol
+        field, lambda pts: np.sum(field.gradient(pts) ** 2, axis=-1) ** (p / 2.0), budget
     )
 
 
-def lp_norm(field, p, budget=4096, rtol=1e-6):
+def lp_norm(field, p, budget=4096):
     """int |u|^p over R^N, same contract as gradient_lp_norm."""
     if p < 1:
         raise InvalidParameterError("p must be >= 1")
-    return _box_integral(field, lambda pts: np.abs(field.evaluate(pts)) ** p, budget, rtol)
+    return _box_integral(field, lambda pts: np.abs(field.evaluate(pts)) ** p, budget)

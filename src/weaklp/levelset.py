@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 import numpy as np
 
 from .errors import InvalidParameterError, PreconditionError
-from .fields import pair_region, truncation_radius
+from .fields import pair_members, pair_region, truncation_radius
 from .quadrature import (
     BUDGETS,
     PairSampler,
@@ -210,7 +211,7 @@ def sandwich_bounds(f, p, lam, x, omega, delta):
     return SandwichBounds(lower, upper, delta)
 
 
-def verify_sandwich(f, p, lam, samples, delta, stream, scan=1024, tol=1e-9):
+def verify_sandwich(f, p, lam, samples, delta, stream, scan=1024):
     """Check (0, lower] <= membership runs <= (0, upper] on sampled rays.
 
     Returns a dict of violation counts (target zero on the catalogue).  All
@@ -225,14 +226,12 @@ def verify_sandwich(f, p, lam, samples, delta, stream, scan=1024, tol=1e-9):
     n = f.dim
     q = LevelSetQuery(f, p, n / p + 1.0, lam)
     r_cap = truncation_radius(f, lam, q.alpha)
-    sampler = PairSampler(n, f.support_radius + 1.0, r_cap)
-    pts, _ = sampler.map(stream.uniform_matrix(0, samples, sampler.draws))
-    xs, ws = pts[:, :n], pts[:, n : 2 * n]
+    xs, ws, _ = PairSampler(n, f.support_radius + 1.0, r_cap).draw(stream, 0, samples)
     ux = f.evaluate(xs)
+    tol = 1e-9      # bisection tolerance, relative and absolute radius slack
     _, crossings, outer = _scan_rays(f, lam, q.alpha, xs.T, ws.T, ux, r_cap, scan, tol)
     sb = sandwich_bounds(f, p, lam, xs, ws, delta)
-    rel = max(tol, 1e-12)
-    need = sb.lower * (1.0 - rel) - tol
+    need = sb.lower * (1.0 - tol) - tol
     # the inner radius can sit below the scan's first grid point, so check
     # membership directly on a dense sample of (0, need] where need > 0
     inner = need > 0
@@ -241,7 +240,7 @@ def verify_sandwich(f, p, lam, samples, delta, stream, scan=1024, tol=1e-9):
     gv -= lam * rr ** q.alpha
     return {
         "samples": samples,
-        "violations_upper": int(np.count_nonzero(outer > sb.upper * (1.0 + rel) + tol)),
+        "violations_upper": int(np.count_nonzero(outer > sb.upper * (1.0 + tol) + tol)),
         "violations_lower": int(np.count_nonzero(np.any(gv < -tol, axis=1))),
         "flagged_profiles": int(np.count_nonzero(crossings > CROSSING_CAP)),
         "lam": lam,
@@ -257,7 +256,7 @@ def pair_measure_polar(
     q: LevelSetQuery,
     x_grid: TensorGrid,
     sphere: SphereRule,
-    scan=512,
+    scan,
     tol=BUDGETS["polar"]["bisect_tol"],
 ):
     """L^{2N} measure of the superlevel set by polar pair coordinates.
@@ -309,15 +308,7 @@ def pair_measure_mc(q: LevelSetQuery, n, stream, workers=1):
         raise InvalidParameterError("need at least 1e3 samples")
     f = q.field
     sampler = PairSampler(f.dim, *pair_region(f, q.lam, q.alpha))
-    d = f.dim
-
-    def member(pts):
-        x = pts[:, :d]
-        w = pts[:, d : 2 * d]
-        r = pts[:, 2 * d]
-        dv = np.abs(f.evaluate(x + r[:, None] * w) - f.evaluate(x))
-        return ((dv >= q.lam * r ** q.alpha) & (r > 0.0)).astype(float)
-
+    member = partial(pair_members, f, q.lam, q.alpha)
     return monte_carlo(member, sampler, n, stream, workers=workers)
 
 
@@ -403,8 +394,9 @@ def distribution_profile(f, p, alpha, lam_grid, estimator="polar", budgets=None,
     )
 
 
-def weak_quasinorm(profile: DistributionProfile, refine=16, with_flag=False):
-    """sup over lambda of lambda^p * mu, golden-section refined near the argmax.
+def weak_quasinorm(profile: DistributionProfile, refine, with_flag=False):
+    """sup over lambda of lambda^p * mu, refined near the argmax by `refine`
+    golden-section evaluations (at least 2; 0 skips the refinement).
 
     Ties at the sup resolve to the smallest lambda; the quasinorm itself is
     its power 1/p.  With `with_flag=True` also returns whether the estimate

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from .errors import InvalidParameterError, PreconditionError
+from .levelset import distribution_profile
 from .quadrature import unit_ball_volume
 
 __all__ = [
@@ -202,17 +203,12 @@ def gridded_gradient_norm(field, cells):
     """|grad u| sampled at cell centers over the support box."""
     R = field.support_radius
     box = np.array([[-R, R]] * field.dim)
-    if field.dim == 1:
-        c = np.linspace(-R, R, cells + 1)
-        mid = 0.5 * (c[:-1] + c[1:])
-        vals = np.abs(field.gradient(mid[:, None])[:, 0])
-        return GriddedFunction(box, vals)
     c = np.linspace(-R, R, cells + 1)
     mid = 0.5 * (c[:-1] + c[1:])
-    XX, YY = np.meshgrid(mid, mid, indexing="ij")
-    pts = np.stack([XX, YY], axis=-1)
-    vals = np.sqrt(np.sum(field.gradient(pts) ** 2, axis=-1))
-    return GriddedFunction(box, vals)
+    if field.dim == 1:
+        return GriddedFunction(box, np.abs(field.gradient(mid[:, None])[:, 0]))
+    pts = np.stack(np.meshgrid(mid, mid, indexing="ij"), axis=-1)
+    return GriddedFunction(box, np.sqrt(np.sum(field.gradient(pts) ** 2, axis=-1)))
 
 
 def _cell_center_points(g: GriddedFunction, idx):
@@ -258,25 +254,21 @@ def lusin_lipschitz_check(field, samples, stream, cells=96, maximal=None):
     }
 
 
-def maximal_route_bound(field, p, lam_grid, cells=96, profile_budgets=None, stream=None):
+def maximal_route_bound(field, p, lam_grid, stream, cells=96, profile_budgets=None):
     """Upper bound on lambda^p * mu(E_lambda) through the maximal function.
 
     The pointwise bound confines members to |x-y|^(N/p) <= 2 C / lambda *
     (M|grad u| at an endpoint), whose pair measure is 2 V_N (2C)^p *
     int (M|grad u|)^p, a threshold-independent constant that must dominate
-    the direct estimates.  Refused at p = 1 where the maximal-function route
-    has no strong bound.
+    the direct estimates.  C is the empirical Lusin-Lipschitz constant over
+    pairs drawn from `stream`, on the grid of M|grad u| at `cells` cells per
+    axis, which the record returns as "maximal".  Refused at p = 1 where the
+    maximal-function route has no strong bound.
     """
     if p <= 1:
         raise PreconditionError("the maximal route needs p > 1")
-    from .levelset import distribution_profile
-
     n = field.dim
     maximal = hl_maximal(gridded_gradient_norm(field, cells))
-    if stream is None:
-        from .quadrature import RandomStream
-
-        stream = RandomStream(20_170_401, 0)
     lusin = lusin_lipschitz_check(field, 20_000, stream, cells=cells, maximal=maximal)
     c_emp = lusin["c_emp"]
     m_int = maximal.integral(power=p)
@@ -293,4 +285,5 @@ def maximal_route_bound(field, p, lam_grid, cells=96, profile_budgets=None, stre
         "dominates": dominated,
         "profile": prof,
         "lusin": lusin,
+        "maximal": maximal,
     }

@@ -7,6 +7,7 @@ index i depends only on (seed, stream_id, i), never on chunking or scheduling.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -304,24 +305,24 @@ def _unit_vectors(u, n_dim):
 class PairSampler:
     """Uniform samples of pairs (x, x + r w): x uniform on the centered ball of
     radius `half`, w uniform on the sphere, r on (0, r_cap] with density
-    proportional to r^{N-1}.  Points are rows (x, w, r); the weight is the
-    pair-coordinate volume |B_half| * sigma_{N-1} * r_cap^N / N."""
+    proportional to r^{N-1}, all made by `draw`.  Every pair has the scalar
+    weight |B_half| * sigma_{N-1} * r_cap^N / N, the pair-coordinate volume."""
 
     def __init__(self, dim, half, r_cap):
         self.dim = dim
         self.half = half
         self.r_cap = r_cap
-        self.draws = 2 * dim + 2
         self.weight = unit_ball_volume(dim) * half ** dim * surface_area(dim) * r_cap ** dim / dim
 
-    def map(self, u):
+    def draw(self, stream, start, count):
+        """(x, w, r), shaped (count, N), (count, N), (count,), of samples [start,
+        start + count); each reads only its own 2N + 2 uniforms of `stream`."""
         n = self.dim
-        xdir = _unit_vectors(u[:, :n], n)
-        x = (self.half * u[:, n] ** (1.0 / n))[:, None] * xdir
+        u = stream.uniform_matrix(start, count, 2 * n + 2)
+        x = (self.half * u[:, n] ** (1.0 / n))[:, None] * _unit_vectors(u[:, :n], n)
         w = _unit_vectors(u[:, n + 1 : 2 * n + 1], n)
         r = self.r_cap * u[:, 2 * n + 1] ** (1.0 / n)
-        pts = np.concatenate([x, w, r[:, None]], axis=1)
-        return pts, np.full(pts.shape[0], self.weight)
+        return x, w, r
 
 
 # every estimator's budget keys and defaults; a pair is (N = 1, N >= 2)
@@ -333,14 +334,26 @@ BUDGETS = {
 }
 
 
+def _budget_value(key, value, default):
+    """`value` if it is a real number, as an int where `default` is one."""
+    whole = isinstance(default, int)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or whole and value % 1 != 0:
+        raise InvalidParameterError(
+            f"budgets.{key} must be {'an integer' if whole else 'a number'}, got {value!r}")
+    return int(value) if whole else value
+
+
 def split_budgets(dim, budgets, *estimators):
     """One dict per named `BUDGETS` entry: its defaults at dimension `dim`,
     overridden by the keys of `budgets` it is the first listed to take.  A
-    key none takes is an error naming it.  Kept out of __all__, like
+    key none takes, or a value that is not a number (an integer where the
+    default is one), is an error naming it.  Kept out of __all__, like
     `ordered_parallel_map`, so the perfbench tracer adds no span for it."""
     rest = dict(budgets or {})
     out = [{k: v[dim > 1] if isinstance(v, tuple) else v for k, v in BUDGETS[e].items()}
-           | {k: rest.pop(k) for k in BUDGETS[e] if k in rest} for e in estimators]
+           for e in estimators]
+    for b in out:
+        b |= {k: _budget_value(k, rest.pop(k), b[k]) for k in b if k in rest}
     if rest:
         takes = "; ".join(f"{e} takes {', '.join(BUDGETS[e])}" for e in estimators)
         raise InvalidParameterError(
@@ -363,19 +376,19 @@ _MC_CHUNK = 1 << 15
 
 
 def monte_carlo(integrand, sampler, n, stream, workers=1):
-    """Mean of integrand(points) * weight over `n` samples of `sampler`.
+    """Mean of integrand(x, w, r) * sampler.weight over `n` pairs that
+    `sampler.draw` takes from `stream`.
 
     Bit-identical for fixed (seed, stream_id, n) whatever `workers` is:
-    chunks own contiguous index ranges and partial sums are reduced in
-    chunk order.
+    chunks own contiguous index ranges, a chunk's pairs do not depend on
+    where it starts, and partial sums are reduced in chunk order.
     """
     if n < 1:
         raise InvalidParameterError("need n >= 1 samples")
 
     def chunk_stats(lo, hi):
-        u = stream.uniform_matrix(lo, hi - lo, sampler.draws)
-        pts, w = sampler.map(u)
-        fw = np.asarray(integrand(pts), dtype=float) * w
+        x, w, r = sampler.draw(stream, lo, hi - lo)
+        fw = np.asarray(integrand(x, w, r), dtype=float) * sampler.weight
         return float(np.sum(fw)), float(np.sum(fw * fw))
 
     bounds = [(lo, min(lo + _MC_CHUNK, n)) for lo in range(0, n, _MC_CHUNK)]

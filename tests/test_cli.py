@@ -273,3 +273,45 @@ def test_remaining_experiment_kinds_pass(tmp_path, cfg):
     assert report["verdicts"]
     for v in report["verdicts"].values():
         assert v["tolerance"] is not None
+
+
+@pytest.mark.parametrize("cfg, key", [
+    (BASE_LIMIT, "x_nodes"),
+    ({"experiment": "corollary", "params": {"statement": "weak-1d", "p": 1.5}}, "refine"),
+])
+@pytest.mark.parametrize("value", ["many", True, 2.5])
+def test_budget_values_are_checked(tmp_path, capsys, cfg, key, value):
+    # a string once reached the grid builders and died there with a TypeError
+    path = write_cfg(tmp_path, dict(cfg, seed=1, budgets={key: value}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert f"budgets.{key} must be an integer" in capsys.readouterr().err
+
+
+BUMP1 = {"kind": "catalogue", "name": "bump1"}
+
+
+@pytest.mark.parametrize("cfg, path", [
+    ({"experiment": "constants", "params": {"N_values": 2}}, "params.N_values"),
+    ({"experiment": "constants", "params": {"p_values": 1.5}}, "params.p_values"),
+    ({"experiment": "quasinorm", "field": BUMP1,
+      "params": {"p": 1.0, "sandwich": {"lambda_factors": 10.0}}}, "params.sandwich.lambda_factors"),
+    ({"experiment": "quasinorm", "field": BUMP1,
+      "params": {"p": 1.0, "sandwich": {"deltas": 0.5}}}, "params.sandwich.deltas"),
+    ({"experiment": "covering", "params": {"gammas": 1.0}}, "params.gammas"),
+    ({"experiment": "covering", "params": {"gammas": []}}, "params.gammas"),
+    ({"experiment": "rotation", "params": {"fields": "bump2"}}, "params.fields"),
+    ({"experiment": "corollary", "params": {"statement": "weak-1d", "fields": "bump1"}},
+     "params.fields"),
+    ({"experiment": "corollary", "params": {"statement": "weak-1d", "eps_ladder": 0.1}},
+     "params.eps_ladder"),
+    ({"experiment": "failure", "params": {"eps_ladder": 0.1}}, "params.eps_ladder"),
+    ({"experiment": "crosscheck", "field": BUMP1, "params": {"p": 1.0, "s_ladder": 0.5}},
+     "params.s_ladder"),
+    ({"experiment": "crosscheck", "field": BUMP1, "params": {"p": 1.0, "delta_ladder": 1e-3}},
+     "params.delta_ladder"),
+])
+def test_list_params_must_be_lists(tmp_path, capsys, cfg, path):
+    # a string was iterated by character, a number died with a TypeError
+    cfg_path = write_cfg(tmp_path, dict(cfg, seed=1))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert f"'{path}' must be a non-empty list" in capsys.readouterr().err

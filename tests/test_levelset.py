@@ -198,7 +198,7 @@ def test_pair_measure_polar_grid_must_cover(bump1):
     q = LS.LevelSetQuery(bump1, 1.0, 2.0, 1.0)
     small = Q.centered_box_grid(0.5 * bump1.support_radius, 1, 64)
     with pytest.raises(PreconditionError):
-        LS.pair_measure_polar(q, small, Q.sphere_rule(1, 4))
+        LS.pair_measure_polar(q, small, Q.sphere_rule(1, 4), scan=512)
 
 
 def test_pair_measure_mc_zero_field():

@@ -103,28 +103,43 @@ def test_lusin_amplitude_invariance(bump2):
     assert abs(b["c_emp"] / a["c_emp"] - 1.0) <= 1e-2
 
 
+# a fixed stream for the Lusin-Lipschitz pairs of maximal_route_bound
+ROUTE_STREAM = Q.RandomStream(20_170_401, 0)
+
+
 def test_route_bound_refuses_p_one(bump1):
     with pytest.raises(PreconditionError):
-        M.maximal_route_bound(bump1, 1.0, np.array([1.0, 2.0]))
+        M.maximal_route_bound(bump1, 1.0, np.array([1.0, 2.0]), ROUTE_STREAM)
 
 
 def test_route_bound_zero_field_trivial():
     z = F.make_bump([0.0], 1.0, 0.0)
     grid = np.array([0.5, 1.0, 2.0])
-    rec = M.maximal_route_bound(z, 2.0, grid, cells=64)
+    rec = M.maximal_route_bound(z, 2.0, grid, ROUTE_STREAM, cells=64)
     assert rec["bound"] == 0.0 and rec["direct_max"] == 0.0 and rec["dominates"]
 
 
 def test_route_bound_dominates_direct_1d(bump1):
     grid = np.geomspace(0.5 * bump1.lip_bound, 100 * bump1.lip_bound, 10)
-    rec = M.maximal_route_bound(bump1, 2.0, grid, cells=192)
+    rec = M.maximal_route_bound(bump1, 2.0, grid, ROUTE_STREAM, cells=192)
     assert rec["dominates"]
+
+
+def test_route_bound_returns_its_maximal_grid(bump2):
+    # run_maximal writes maximal_grid.csv from this grid instead of rebuilding it
+    grid = np.geomspace(bump2.lip_bound, 10 * bump2.lip_bound, 2)
+    rec = M.maximal_route_bound(bump2, 2.0, grid, ROUTE_STREAM, cells=24,
+                                profile_budgets={"x_nodes": 16, "scan": 64, "sphere_order": 8})
+    direct = M.hl_maximal(M.gridded_gradient_norm(bump2, 24))
+    assert rec["maximal"].values.tobytes() == direct.values.tobytes()
+    assert np.array_equal(rec["maximal"].box, direct.box)
 
 
 def test_route_bound_grows_toward_p_one(bump1):
     grid = np.geomspace(bump1.lip_bound, 10 * bump1.lip_bound, 4)
     bounds = [
-        M.maximal_route_bound(bump1, p, grid, cells=96)["bound"] for p in (2.0, 1.5, 1.25)
+        M.maximal_route_bound(bump1, p, grid, ROUTE_STREAM, cells=96)["bound"]
+        for p in (2.0, 1.5, 1.25)
     ]
     # recorded, not asserted quantitatively: the constant should not collapse
     assert all(b > 0 for b in bounds)

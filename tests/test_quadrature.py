@@ -122,7 +122,7 @@ def test_streams_differ():
 def test_monte_carlo_constant_has_zero_stderr():
     # integrand 1 gives the sampler weight, |B_1.5| * sigma_1 * 0.5^2 / 2
     sampler = q.PairSampler(2, 1.5, 0.5)
-    res = q.monte_carlo(lambda p: np.ones(p.shape[0]), sampler, 4096, q.RandomStream(3, 0))
+    res = q.monte_carlo(lambda x, w, r: np.ones(r.size), sampler, 4096, q.RandomStream(3, 0))
     assert sampler.weight == pytest.approx(math.pi * 1.5 ** 2 * 2 * math.pi * 0.25 / 2, rel=1e-14)
     assert res.value == pytest.approx(sampler.weight, rel=1e-14)
     assert res.error_estimate == pytest.approx(0.0, abs=1e-12)
@@ -132,7 +132,7 @@ def test_monte_carlo_half_ball():
     # x is uniform on the ball, so 1[x_0 > 0] gives half the weight
     for dim in (1, 2, 3):
         sampler = q.PairSampler(dim, 1.0, 0.7)
-        res = q.monte_carlo(lambda p: p[:, 0] > 0, sampler, 60_000, q.RandomStream(5, 2))
+        res = q.monte_carlo(lambda x, w, r: x[:, 0] > 0, sampler, 60_000, q.RandomStream(5, 2))
         assert abs(res.value - sampler.weight / 2) <= 3 * res.error_estimate
 
 
@@ -140,13 +140,37 @@ def test_pair_sampler_radius_density():
     # r has density proportional to r^(N-1) on (0, r_cap]: E r = N/(N+1) r_cap
     for dim in (1, 2, 3):
         sampler = q.PairSampler(dim, 1.0, 0.7)
-        res = q.monte_carlo(lambda p: p[:, 2 * dim], sampler, 60_000, q.RandomStream(5, 1))
+        res = q.monte_carlo(lambda x, w, r: r, sampler, 60_000, q.RandomStream(5, 1))
         assert abs(res.value - sampler.weight * 0.7 * dim / (dim + 1)) <= 3 * res.error_estimate
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_pair_sampler_draw_splits_bitwise(dim):
+    # monte_carlo's chunks draw [lo, hi) each: the pairs must not depend on the split
+    sampler = q.PairSampler(dim, 1.3, 0.6)
+    stream = q.RandomStream(17, dim)
+    whole = sampler.draw(stream, 0, 300)
+    assert [a.shape for a in whole] == [(300, dim), (300, dim), (300,)]
+    for k in (0, 1, 137, 299, 300):
+        parts = zip(sampler.draw(stream, 0, k), sampler.draw(stream, k, 300 - k))
+        for a, (lo, hi) in zip(whole, parts):
+            assert np.concatenate([lo, hi]).tobytes() == a.tobytes()
+
+
+def test_budget_values_must_be_numbers():
+    (b,) = q.split_budgets(1, {"x_nodes": 64.0, "bisect_tol": 1}, "polar")
+    assert b["x_nodes"] == 64 and isinstance(b["x_nodes"], int) and b["bisect_tol"] == 1
+    for value in ("many", True, None, 64.5, math.inf, math.nan):
+        with pytest.raises(InvalidParameterError, match="budgets.scan must be an integer"):
+            q.split_budgets(2, {"scan": value}, "polar")
+    for value in ("1e-9", False, [1e-9]):
+        with pytest.raises(InvalidParameterError, match="budgets.bisect_tol must be a number"):
+            q.split_budgets(2, {"bisect_tol": value}, "polar")
+
+
 def test_monte_carlo_bitwise_deterministic_across_workers():
-    def f(p):
-        return np.sin(7 * p[:, 0]) ** 2
+    def f(x, w, r):
+        return np.sin(7 * x[:, 0]) ** 2
 
     results = [
         q.monte_carlo(f, q.PairSampler(1, 1.0, 1.0), 150_000, q.RandomStream(9, 4), workers=w)
@@ -157,7 +181,7 @@ def test_monte_carlo_bitwise_deterministic_across_workers():
 
 def test_monte_carlo_rejects_zero_samples():
     with pytest.raises(InvalidParameterError):
-        q.monte_carlo(lambda p: p[:, 0], q.PairSampler(1, 1.0, 1.0), 0, q.RandomStream(1, 0))
+        q.monte_carlo(lambda x, w, r: r, q.PairSampler(1, 1.0, 1.0), 0, q.RandomStream(1, 0))
 
 
 def test_quadrature_result_validates_error():
