@@ -8,6 +8,7 @@ reduced in fixed index order and must be byte-identical for any count.
 from __future__ import annotations
 
 import math
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +34,14 @@ class ConfigError(ValueError):
 
 
 def _get(cfg, path, default=None, required=False):
+    """The config value at the dotted `path`; every part before the last
+    must be an object where it is present."""
     node = cfg
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
+    parts = path.split(".")
+    for i, part in enumerate(parts):
+        if i and not isinstance(node, dict):
+            raise ConfigError(f"config field '{'.'.join(parts[:i])}' must be an object, got {node!r}")
+        if part not in node:
             if required:
                 raise ConfigError(f"config field '{path}' is required")
             return default
@@ -73,12 +79,29 @@ def _count(cfg, path, default):
     return int(v)
 
 
-def _list(cfg, path, default):
-    """A non-empty list-valued config field."""
+def _real(x):
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+# list entry kind -> (test, what the error calls an entry)
+_ENTRIES = {
+    "number": (_real, "a number"),
+    "integer": (lambda x: _real(x) and x % 1 == 0, "an integer"),
+    "field": (lambda x: isinstance(x, (str, dict)), "a catalogue name or a field spec object"),
+}
+
+
+def _list(cfg, path, default, entry):
+    """A non-empty list-valued config field whose entries are each of kind
+    `entry` (a key of _ENTRIES); integer entries come back as ints."""
     v = _get(cfg, path, default)
     if not isinstance(v, list) or not v:
         raise ConfigError(f"config field '{path}' must be a non-empty list, got {v!r}")
-    return v
+    ok, what = _ENTRIES[entry]
+    for x in v:
+        if not ok(x):
+            raise ConfigError(f"config field '{path}' entries must each be {what}, got {x!r}")
+    return [int(x) for x in v] if entry == "integer" else v
 
 
 def _section(cfg, path):
@@ -103,8 +126,8 @@ def _lambda_grid(f, params):
 # ---------------------------------------------------------------------------
 
 def run_constants(cfg, out, workers, seed):
-    n_values = _list(cfg, "params.N_values", [1, 2, 3, 4])
-    p_values = _list(cfg, "params.p_values", DEFAULT_P_VALUES)
+    n_values = _list(cfg, "params.N_values", [1, 2, 3, 4], "integer")
+    p_values = _list(cfg, "params.p_values", DEFAULT_P_VALUES, "number")
     tol = _positive(cfg, "params.tolerance", 1e-6)
     rep = Report("constants", cfg, seed)
     rows = []
@@ -168,8 +191,8 @@ def run_quasinorm(cfg, out, workers, seed):
     (budgets,) = quadrature.split_budgets(f.dim, _get(cfg, "budgets", {}), "polar")
     refine = _count(cfg, "params.refine", 12)
     sand = _section(cfg, "params.sandwich")
-    lam_factors = _list(cfg, "params.sandwich.lambda_factors", [10.0, 100.0])
-    deltas = _list(cfg, "params.sandwich.deltas", [0.25, 0.5])
+    lam_factors = _list(cfg, "params.sandwich.lambda_factors", [10.0, 100.0], "number")
+    deltas = _list(cfg, "params.sandwich.deltas", [0.25, 0.5], "number")
     hold = _section(cfg, "params.holder")
     alpha = f.dim / p + 1.0
     grid = _lambda_grid(f, params)
@@ -254,7 +277,7 @@ def run_gagliardo(cfg, out, workers, seed):
 
 def run_covering(cfg, out, workers, seed):
     trials = int(_positive(cfg, "params.trials", 100))
-    gammas = _list(cfg, "params.gammas", [0.5, 1.0, 2.0])
+    gammas = _list(cfg, "params.gammas", [0.5, 1.0, 2.0], "number")
     rng = np.random.default_rng(seed)
     disjoint_ok = True
     cover_bad = 0
@@ -302,7 +325,7 @@ def run_covering(cfg, out, workers, seed):
 
 def run_rotation(cfg, out, workers, seed):
     names = _list(cfg, "params.fields",
-                  ["bump2", "bump2_off", "plateau2", "bumps2_pair", "product2"])
+                  ["bump2", "bump2_off", "plateau2", "bumps2_pair", "product2"], "field")
     n_mc = int(_positive(cfg, "params.mc_samples", 150_000))
     cells = int(_positive(cfg, "params.line_cells", 256))
     drift_tol = _positive(cfg, "params.stability_tolerance", 0.10)
@@ -391,8 +414,8 @@ _STATEMENTS = {
 
 
 def run_corollary(cfg, out, workers, seed):
-    params = _get(cfg, "params", {})
-    statement = _get(params, "statement", required=True)
+    statement = _get(cfg, "params.statement", required=True)
+    params = _get(cfg, "params")
     if statement not in _STATEMENTS:
         raise ConfigError(
             f"config field 'params.statement' must be one of {sorted(_STATEMENTS)}"
@@ -400,12 +423,12 @@ def run_corollary(cfg, out, workers, seed):
     tag, runner = _STATEMENTS[statement]
     budgets = _get(cfg, "budgets", {})
     if params.get("fields") is None:
-        eps_ladder = _list(cfg, "params.eps_ladder", [0.2, 0.1, 0.05, 0.025])
+        eps_ladder = _list(cfg, "params.eps_ladder", [0.2, 0.1, 0.05, 0.025], "number")
         dim = int(params.get("dim", 1))
         box = [[0.0, 1.0]] * dim
         flds = [fields.make_mollified_indicator(box, e) for e in eps_ladder]
     else:
-        flds = _fields_from(_list(cfg, "params.fields", None))
+        flds = _fields_from(_list(cfg, "params.fields", None, "field"))
 
     def one(f):
         return runner(f, params, budgets)
@@ -445,7 +468,7 @@ def run_corollary(cfg, out, workers, seed):
 def run_failure(cfg, out, workers, seed):
     params = _get(cfg, "params", {})
     p = _positive(cfg, "params.p", 2.0)
-    eps_ladder = _list(cfg, "params.eps_ladder", [0.2, 0.1, 0.05, 0.025])
+    eps_ladder = _list(cfg, "params.eps_ladder", [0.2, 0.1, 0.05, 0.025], "number")
     probe = corollaries.strong_norm_divergence_probe(
         p, eps_ladder,
         delta_in=params.get("delta_in"),
@@ -476,8 +499,8 @@ def run_crosscheck(cfg, out, workers, seed):
     params = _get(cfg, "params", {})
     p = _positive(cfg, "params.p", required=True)
     tol = _positive(cfg, "params.tolerance", 0.10)
-    s_ladder = _list(cfg, "params.s_ladder", [0.5, 0.75, 0.875, 0.9375, 0.96875])
-    deltas = _list(cfg, "params.delta_ladder", [1e-2, 1e-3, 1e-4, 1e-5])
+    s_ladder = _list(cfg, "params.s_ladder", [0.5, 0.75, 0.875, 0.9375, 0.96875], "number")
+    deltas = _list(cfg, "params.delta_ladder", [1e-2, 1e-3, 1e-4, 1e-5], "number")
     budgets = _get(cfg, "budgets") or {}
     fac = seminorms.seminorm_limit_factor(f, p, s_ladder, tol=tol, **budgets)
     probe = seminorms.diagonal_divergence_probe(f, p, deltas, tol=tol, **budgets)

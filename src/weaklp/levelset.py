@@ -5,7 +5,10 @@ g(r) = |u(x + r w) - u(x)| - lambda r^alpha.  One kernel scans every ray
 list: uniform bracketing in r, one batched bisection of all sign changes,
 then exact integration of r^{N-1} over the membership runs; per ray it also
 reports the crossing count and the outer end of the last run.  The polar
-estimator hands it only the rays that the field's conservative
+estimator scans one direction of each antipodal pair of its sphere rule
+(`SphereRule.half`): the set is symmetric under (x, y) -> (y, x), so the
+x-integrated measures of w and -w agree and mu is twice the hemisphere
+integral.  It hands the kernel only the rays that the field's conservative
 `segments_meet_support` reports as meeting its support (u is exactly 0 on
 the others, at x too), so every estimate equals the unpruned scan's bit for
 bit; the ray sandwich check hands it all its sampled rays in one call.
@@ -262,12 +265,20 @@ def pair_measure_polar(
     """L^{2N} measure of the superlevel set by polar pair coordinates.
 
     The inner radial integral is exact on each membership run; the outer
-    integrals use the tensor grid and sphere rule.  Error estimate comes
-    from one combined coarsening step (half the panels and scan); a fine
-    pass with 1 panel or at most 8 scan nodes cannot be coarsened and
-    reports converged=False.
+    integrals use the tensor grid and `sphere.half()`: the pair swap
+    (x, w, r) -> (x + r w, -w, r) preserves the set and the measure, so the
+    x-integrated ray measure in direction w equals that in -w and the
+    hemisphere with doubled weights gives the same integral from half the
+    rays (the sphere rule needs an even size).  That holds exactly while the
+    x box holds both ends of every member pair, i.e. r_cap <= 1; beyond, the
+    box drops pairs either way and the two truncations differ for fields
+    that are not centrally symmetric.  Error estimate comes from one
+    combined coarsening step (half the panels and scan); a fine pass with 1
+    panel or at most 8 scan nodes cannot be coarsened and reports
+    converged=False.
     """
     f = q.field
+    sphere = sphere.half()
     need, r_cap = pair_region(f, q.lam, q.alpha)
     if np.any(x_grid.box[:, 0] > -need + 1e-12) or np.any(x_grid.box[:, 1] < need - 1e-12):
         raise PreconditionError(

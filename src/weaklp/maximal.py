@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import InvalidParameterError, PreconditionError
 from .levelset import distribution_profile
@@ -167,6 +166,10 @@ def _maximal_2d(g: GriddedFunction):
     wx, wy = g.widths
     if abs(wx - wy) > 1e-12 * max(wx, wy):
         raise InvalidParameterError("2-D maximal function needs square cells")
+    # imported here: scipy.signal takes about a second and 50 MB to import,
+    # and only the 2-D maximal function uses it
+    from scipy.signal import fftconvolve
+
     h = float(wx)
     vals = g.values
     best = np.array(vals, dtype=float)

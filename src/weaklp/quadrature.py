@@ -136,6 +136,18 @@ class SphereRule:
     def integrate(self, values):
         return float(np.sum(self.weights * values))
 
+    def half(self):
+        """The first M/2 nodes with doubled weights: one node of each
+        antipodal pair, for integrands even under w -> -w.  `sphere_rule`
+        lists the antipode of each first-half node in the second half, with
+        equal weight; a rule of odd size (2-D, odd order) has no such pairs."""
+        m = self.weights.shape[0]
+        if m % 2:
+            raise InvalidParameterError(
+                f"sphere_order must be even to pair antipodal directions; this rule has {m} nodes"
+            )
+        return SphereRule(self.dim, self.nodes[: m // 2], 2.0 * self.weights[: m // 2])
+
 
 def _polar_half_nodes(order):
     # Gauss nodes for the polar cosine on [0, 1]; mirrored for [-1, 0].
@@ -153,7 +165,12 @@ def sphere_rule(n_dim, order):
 
     N = 1 is the two-point set, N = 2 uses equispaced midpoint angles,
     N >= 3 products of Gauss nodes in the polar cosine with equispaced
-    azimuths.  Rules are immutable and cached.
+    azimuths.  Rules are immutable and cached.  Every rule of even size M
+    (all but the 2-D rules of odd order) lists one node of each antipodal
+    pair among its first M/2 nodes and the other, with equal weight, among
+    the last M/2: node i + M/2 in 2-D, the mirrored polar cosine (c < 0
+    first) with an even azimuth count in 3-D and 4-D; `SphereRule.half`
+    relies on this.
     """
     if order < 4:
         raise InvalidParameterError("order must be >= 4")

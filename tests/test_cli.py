@@ -315,3 +315,64 @@ def test_list_params_must_be_lists(tmp_path, capsys, cfg, path):
     cfg_path = write_cfg(tmp_path, dict(cfg, seed=1))
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
     assert f"'{path}' must be a non-empty list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg, path, entry", [
+    ({"experiment": "constants", "params": {"N_values": [1, 2.5]}}, "params.N_values", "2.5"),
+    ({"experiment": "constants", "params": {"N_values": ["2"]}}, "params.N_values", "'2'"),
+    ({"experiment": "constants", "params": {"p_values": [1.0, True]}}, "params.p_values", "True"),
+    ({"experiment": "quasinorm", "field": BUMP1,
+      "params": {"p": 1.0, "sandwich": {"lambda_factors": ["x"]}}},
+     "params.sandwich.lambda_factors", "'x'"),
+    ({"experiment": "quasinorm", "field": BUMP1,
+      "params": {"p": 1.0, "sandwich": {"deltas": [None]}}}, "params.sandwich.deltas", "None"),
+    ({"experiment": "covering", "params": {"gammas": ["x"]}}, "params.gammas", "'x'"),
+    ({"experiment": "rotation", "params": {"fields": ["bump2", 3]}}, "params.fields", "3"),
+    ({"experiment": "corollary", "params": {"statement": "weak-1d", "fields": [["bump1"]]}},
+     "params.fields", "['bump1']"),
+    ({"experiment": "corollary", "params": {"statement": "weak-1d", "eps_ladder": ["a", 0.1]}},
+     "params.eps_ladder", "'a'"),
+    ({"experiment": "failure", "params": {"eps_ladder": ["a", 0.1]}}, "params.eps_ladder", "'a'"),
+    ({"experiment": "crosscheck", "field": BUMP1, "params": {"p": 1.0, "s_ladder": [0.5, "x"]}},
+     "params.s_ladder", "'x'"),
+    ({"experiment": "crosscheck", "field": BUMP1, "params": {"p": 1.0, "delta_ladder": [{}]}},
+     "params.delta_ladder", "{}"),
+])
+def test_list_param_entries_are_checked(tmp_path, capsys, cfg, path, entry):
+    # a bad entry died inside the run with a ValueError or TypeError traceback
+    cfg_path = write_cfg(tmp_path, dict(cfg, seed=1))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"'{path}' entries must each be" in err and f"got {entry}" in err
+
+
+def test_integral_n_values_read_as_integers(tmp_path):
+    cfg = write_cfg(tmp_path, {"experiment": "constants", "seed": 0,
+                               "params": {"N_values": [1, 2.0], "p_values": [1.0]}})
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert sorted(report["constants"]["lower_bound_c"]) == ["1", "2"]
+
+
+@pytest.mark.parametrize("cfg, path", [
+    ({"experiment": "constants", "params": 5}, "params"),
+    ({"experiment": "covering", "params": [1]}, "params"),
+    ({"experiment": "limit", "field": BUMP1, "params": "p=1"}, "params"),
+    ({"experiment": "corollary", "params": None}, "params"),
+])
+def test_params_must_be_an_object(tmp_path, capsys, cfg, path):
+    # a non-object params used to be read as empty: constants ran on its defaults
+    cfg_path = write_cfg(tmp_path, dict(cfg, seed=1))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert f"config field '{path}' must be an object" in capsys.readouterr().err
+
+
+def test_odd_2d_sphere_order_is_a_config_error(tmp_path, capsys):
+    # a 2-D rule of odd order has no antipodal pairs for the polar estimator to fold
+    cfg = write_cfg(tmp_path, {"experiment": "limit", "seed": 1,
+                               "field": {"kind": "catalogue", "name": "bump2"},
+                               "params": {"p": 1.0, "lambda_points": 8},
+                               "budgets": {"sphere_order": 13}})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "sphere_order" in capsys.readouterr().err

@@ -354,22 +354,24 @@ def test_pair_measures_capped_at_three_dimensions():
 # ---------------------------------------------------------------------------
 
 # float.hex of pair_measure_polar's value and error estimate, and its
-# nodes_used, at p = 1, recorded with the unblocked, unpruned scan kernel;
-# bump3's error and nodes_used were re-recorded when its coarse pass went
-# from 64 to 24 scan nodes (the old coarse pass was finer than the 48-node
-# fine pass).
+# nodes_used, at p = 1.  Recorded when the estimator began to scan one
+# direction of each antipodal pair (half the sphere rule, doubled weights):
+# against the full-sphere values before, the centrally symmetric rows
+# (bump2, plateau2, bump3) moved by at most one ulp of the value (value and
+# error estimate alike), the others by at most a third of the old error
+# estimate; nodes_used halved.
 # lam = 4 lip_bound gives r_cap < 1, so x nodes in the grid corners lie
 # farther than r_cap from the support; lam = lip_bound / 2 sits below it.
 POLAR_GOLDENS = {
-    ("bump2", 4.0): ("0x1.86dbb5fc19607p-1", "0x1.316ee59eeac40p-7", 573440),
-    ("bump2", 0.5): ("0x1.54b1999e7c2b8p+2", "0x1.344abbe112880p-5", 573440),
-    ("plateau2", 4.0): ("0x1.1a4ef64814802p-3", "0x1.dc00a49c76f40p-8", 573440),
-    ("plateau2", 0.5): ("0x1.bff544b92c8bbp-1", "0x1.a557bca0690f8p-4", 573440),
-    ("bumps2_pair", 4.0): ("0x1.4fb07606f7948p-2", "0x1.8e27f5bf6b380p-8", 573440),
-    ("bumps2_pair", 0.5): ("0x1.1c4cbee615fc0p+1", "0x1.583e6af16e5e0p-4", 573440),
-    ("product2", 4.0): ("0x1.f5265e929c107p-2", "0x1.3455bb05f0500p-8", 573440),
-    ("product2", 0.5): ("0x1.b92be417f310cp+1", "0x1.7e52371222680p-4", 573440),
-    ("bump3", 4.0): ("0x1.0c5467caf77d3p+0", "0x1.074c1b578bd40p-5", 3047424),
+    ("bump2", 4.0): ("0x1.86dbb5fc19606p-1", "0x1.316ee59eeac80p-7", 286720),
+    ("bump2", 0.5): ("0x1.54b1999e7c2b8p+2", "0x1.344abbe112800p-5", 286720),
+    ("plateau2", 4.0): ("0x1.1a4ef64814802p-3", "0x1.dc00a49c76f40p-8", 286720),
+    ("plateau2", 0.5): ("0x1.bff544b92c8bcp-1", "0x1.a557bca0690f8p-4", 286720),
+    ("bumps2_pair", 4.0): ("0x1.4fcf8390aa2a4p-2", "0x1.1e290b5cc4a00p-10", 286720),
+    ("bumps2_pair", 0.5): ("0x1.1ca9b6346633ep+1", "0x1.a0bec2c1dee40p-4", 286720),
+    ("product2", 4.0): ("0x1.f39df2ee1504ap-2", "0x1.25b589de7c9e0p-5", 286720),
+    ("product2", 0.5): ("0x1.ba4876fd8479ap+1", "0x1.7c15ad7f9abc0p-5", 286720),
+    ("bump3", 4.0): ("0x1.0c5467caf77d3p+0", "0x1.074c1b578bd60p-5", 1523712),
 }
 # (x nodes per axis, Gauss order, sphere order, scan) per dimension; the 2-D
 # grid has 576 x nodes and the 3-D one 1728, so both span several x chunks
@@ -419,6 +421,57 @@ def test_pruning_skips_rays_and_keeps_goldens(bump2):
     # nodes_used is the nominal nx * nw * scan over both passes; the scan
     # skips the corner x nodes, so fewer points reach the field
     assert f.points < res.nodes_used
+
+
+def _full_sphere_polar(q, grid, sphere, scan):
+    """pair_measure_polar's value and coarse-pass error summed over every
+    node of `sphere`: the unfolded sum the hemisphere fold replaces."""
+    f = q.field
+    _, r_cap = F.pair_region(f, q.lam, q.alpha)
+
+    def run(g, scan_n):
+        pts, w = g.points_weights()
+        m, _ = LS._grid_measures(f, q.lam, q.alpha, pts, sphere.nodes, r_cap, scan_n, 1e-10)
+        return float(np.sum(w * (m.reshape(pts.shape[0], -1) * sphere.weights).sum(axis=1)))
+
+    value = run(grid, scan)
+    coarse_panels = max(2 if grid.panels > 2 else 1, grid.panels // 2)
+    coarse_scan = min(scan, max(64 if scan > 64 else 8, scan // 2))
+    coarse = run(Q.TensorGrid(grid.box, coarse_panels, grid.order), coarse_scan)
+    return value, abs(value - coarse)
+
+
+# (x nodes per axis, Gauss order, sphere order, scan): the 1-D polar
+# defaults, and the golden budgets above
+FOLD_BUDGETS = {1: (256, 8, 4, 768)} | GOLDEN_BUDGETS
+
+
+def _fold_and_full(f, lam_factor):
+    x_nodes, order, sphere_order, scan = FOLD_BUDGETS[f.dim]
+    alpha = f.dim + 1.0
+    lam = lam_factor * f.lip_bound
+    grid = Q.centered_box_grid(F.pair_region(f, lam, alpha)[0], f.dim, x_nodes, order=order)
+    q = LS.LevelSetQuery(f, 1.0, alpha, lam)
+    sphere = Q.sphere_rule(f.dim, sphere_order)
+    return LS.pair_measure_polar(q, grid, sphere, scan), _full_sphere_polar(q, grid, sphere, scan)
+
+
+@pytest.mark.parametrize("name", ["bump1", "plateau1", "bump2", "plateau2", "bump3"])
+@pytest.mark.parametrize("lam_factor", [4.0, 0.5])
+def test_fold_equals_full_sphere_on_centrally_symmetric_fields(cat, name, lam_factor):
+    # u(-x) = u(x) on an x grid symmetric about 0: the ray measures of w at x
+    # and of -w at -x agree, so the hemisphere sum equals the full one up to
+    # rounding, whatever r_cap is
+    fold, (full, _) = _fold_and_full(cat[name], lam_factor)
+    assert fold.value == pytest.approx(full, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("name", ["bump1_wide", "bumps1_pair", "bumps2_pair", "product2", "bump2_off"])
+def test_fold_agrees_with_full_sphere_within_its_error(cat, name):
+    # lam = 4 lip_bound gives r_cap < 1, where the x box holds both ends of
+    # every member pair and the fold is exact up to quadrature error
+    fold, (full, err) = _fold_and_full(cat[name], 4.0)
+    assert abs(fold.value - full) <= err
 
 
 def _record_scans(monkeypatch):
@@ -600,9 +653,9 @@ def test_error_pass_is_strictly_coarser_on_small_grids(cat):
     grid = Q.centered_box_grid(half, 3, 8, order=4)
     assert grid.panels == 2
     res = LS.pair_measure_polar(q, grid, sphere, scan=48)
-    assert res.value.hex() == "0x1.148ec8a5b3dbcp+0"    # as before the change
+    assert res.value.hex() == "0x1.148ec8a5b3dbdp+0"
     assert res.error_estimate > 1e-2 * res.value
-    assert res.nodes_used == 8 ** 3 * nw * 48 + 4 ** 3 * nw * 24
+    assert res.nodes_used == (8 ** 3 * nw * 48 + 4 ** 3 * nw * 24) // 2   # hemisphere
     # a fine pass already at a floor (1 panel, or 8 scan nodes) has no
     # coarser pass and never reports converged
     one_panel = Q.TensorGrid(grid.box, 1, 4)

@@ -1,10 +1,27 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import weaklp
 from weaklp import fields as F
 from weaklp import maximal as M
 from weaklp import quadrature as Q
 from weaklp.errors import InvalidParameterError, PreconditionError
+
+
+def test_importing_the_package_leaves_scipy_signal_unloaded():
+    # scipy.signal costs about a second and 50 MB to import; only the 2-D
+    # maximal function needs it, so it is imported there
+    src = str(Path(weaklp.__file__).resolve().parents[1])
+    env = os.environ | {"PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, weaklp, weaklp.experiments, weaklp.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 def box1(lo, hi):

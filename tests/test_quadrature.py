@@ -61,6 +61,28 @@ def test_sphere_rule_n3_axis_second_moment():
     assert val == pytest.approx(4 * math.pi / 3, abs=1e-10)
 
 
+@pytest.mark.parametrize("n_dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("order", [4, 8, 12, 16, 32])
+def test_sphere_rule_half_holds_one_node_of_each_antipodal_pair(n_dim, order):
+    rule = q.sphere_rule(n_dim, order)
+    half = rule.half()
+    m = rule.weights.size
+    assert half.nodes.shape == (m // 2, n_dim)
+    # node j of the second half is minus exactly one half() node, of equal weight
+    dist = np.abs(rule.nodes[m // 2 :, None, :] + half.nodes[None, :, :]).max(axis=-1)
+    match = dist <= 1e-15
+    assert np.all(match.sum(axis=1) == 1)
+    partner = match.argmax(axis=1)
+    assert sorted(partner) == list(range(m // 2))
+    assert np.array_equal(2.0 * rule.weights[m // 2 :], half.weights[partner])
+    assert half.weights.sum() == pytest.approx(rule.weights.sum(), rel=1e-14)
+
+
+def test_sphere_rule_half_needs_an_even_rule():
+    with pytest.raises(InvalidParameterError, match="sphere_order"):
+        q.sphere_rule(2, 13).half()
+
+
 def test_unsupported_sphere_dimension():
     with pytest.raises(InvalidParameterError):
         q.sphere_rule(5, 16)
