@@ -32,9 +32,12 @@ def _load_config(path):
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
-        return json.loads(text)
+        cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config must be a JSON object, got {cfg!r}")
+    return cfg
 
 
 def _resolve_workers(args):

@@ -72,6 +72,12 @@ class ScalarField:
     def evaluate(self, pts):
         raise NotImplementedError
 
+    def ray_values(self, xs, ws, r):
+        """u at xs + r ws for the (N, k) axis-major rays xs, ws and radii r
+        broadcast to (k, m): a (k, m) array.  The base class builds the
+        (N, k, m) points, so each coordinate `evaluate` reads is contiguous."""
+        return self.evaluate(np.moveaxis(xs[:, :, None] + ws[:, :, None] * r, 0, -1))
+
     def gradient(self, pts):
         raise NotImplementedError
 
@@ -194,6 +200,8 @@ def _step_jet(t, order=0):
 class _Window1D:
     """Smooth window: 1 on [lo+eps, hi-eps], 0 outside [lo-eps, hi+eps]."""
 
+    peak = 1.0      # exact max |value|, on the plateau
+
     def __init__(self, lo, hi, eps):
         self.lo, self.hi, self.eps = float(lo), float(hi), float(eps)
 
@@ -216,6 +224,8 @@ class _Window1D:
 
 class _Bump1DProfile:
     """Axis profile wrapper sharing the _Window1D interface."""
+
+    peak = math.exp(-1.0)      # exact max |value|, at the centre
 
     def __init__(self, center, radius):
         self.center, self.radius = float(center), float(radius)
@@ -268,6 +278,22 @@ class _RadialBump(ScalarField):
         r = np.sqrt(_sum_squares(pts, self.center))
         return _bump_jet(r, self.radius, self.amplitude)[0]
 
+    def ray_values(self, xs, ws, r):
+        # |x + r w - c|^2 as a quadratic in r: no (k, m, N) points, no sqrt
+        dd = dw = ww = 0.0
+        for i in range(self.dim):
+            d = xs[i] - self.center[i]
+            dd, dw, ww = dd + d * d, dw + d * ws[i], ww + ws[i] * ws[i]
+        q = r * ww[:, None]           # (dd + r (2 dw + r ww)) / R^2, in place
+        q += 2.0 * dw[:, None]
+        q *= r
+        q += dd[:, None]
+        q /= self.radius ** 2
+        out = np.zeros(q.shape)
+        m = q < 1.0
+        out[m] = self.amplitude * np.exp(-1.0 / (1.0 - q[m]))
+        return out
+
     def segments_meet_support(self, X, W, length, margin):
         return _segments_meet_ball(X, W, length, self.center, self.radius + margin)
 
@@ -309,7 +335,8 @@ class _SeparableField(ScalarField):
                     out *= v
             return out
 
-        sup = a * others(m0, set())
+        # the sweep can miss a profile's maximum, so sup takes the exact peaks
+        sup = a * math.prod(p.peak for p in self.profiles)
         lip = a * math.sqrt(sum((m1[i] * others(m0, {i})) ** 2 for i in range(self.dim)))
         diag = sum((m2[i] * others(m0, {i})) ** 2 for i in range(self.dim))
         off = sum(
@@ -367,6 +394,12 @@ class _SumField(ScalarField):
             out = out + f.evaluate(pts)
         return out
 
+    def ray_values(self, xs, ws, r):
+        out = self.fields[0].ray_values(xs, ws, r)
+        for f in self.fields[1:]:
+            out = out + f.ray_values(xs, ws, r)
+        return out
+
     def segments_meet_support(self, X, W, length, margin):
         out = self.fields[0].segments_meet_support(X, W, length, margin)
         for f in self.fields[1:]:
@@ -395,6 +428,9 @@ class _ScaledField(ScalarField):
 
     def evaluate(self, pts):
         return self.factor * self.base.evaluate(pts)
+
+    def ray_values(self, xs, ws, r):
+        return self.factor * self.base.ray_values(xs, ws, r)
 
     def segments_meet_support(self, X, W, length, margin):
         return self.base.segments_meet_support(X, W, length, margin)

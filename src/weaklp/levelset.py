@@ -11,7 +11,10 @@ x-integrated measures of w and -w agree and mu is twice the hemisphere
 integral.  It hands the kernel only the rays that the field's conservative
 `segments_meet_support` reports as meeting its support (u is exactly 0 on
 the others, at x too), so every estimate equals the unpruned scan's bit for
-bit; the ray sandwich check hands it all its sampled rays in one call.
+bit; the ray sandwich check hands it all its sampled rays in one call, and a
+polar pass one call per run of x chunks.  The kernel reads u through
+`ScalarField.ray_values`, which radial bumps evaluate as a quadratic in r:
+that can flip a crossing decision where g is within rounding of 0.
 
 Truncation: members satisfy lambda r^{alpha-1} <= lip_bound, so the scan stops
 at r_cap = (lip_bound/lambda)^{1/(alpha-1)} clipped to the support-dilate
@@ -60,6 +63,7 @@ __all__ = [
 CROSSING_CAP = 64
 _BLOCK_POINTS = 2 ** 15    # ray points per scan block: its temporaries stay in L2
 _X_CHUNK = 512             # x nodes per partial sum of pair_measure_polar's reduction
+_SCAN_POINTS = 2 ** 22     # nominal ray points per pair_measure_polar kernel call
 _PRUNE_MARGIN = 1e-9       # pruning slack relative to r_cap + support_radius: covers
                            # the rounding of x + r w, so pruned rays read u = 0 exactly
 
@@ -90,11 +94,11 @@ class LevelSetQuery:
 # ---------------------------------------------------------------------------
 
 def _bisect_crossings(f, xs, ws, uxs, lam, alpha, lo, hi, iters):
-    """Refine the sign-change brackets (lo, hi] of the rays xs + r ws; the
-    (N, k) rays are axis-major, so the field reads contiguous coordinates."""
+    """Refine the sign-change brackets (lo, hi] of the (N, k) axis-major rays
+    xs + r ws, reading u through `ray_values`."""
 
     def member(r):
-        return np.abs(f.evaluate((xs + r * ws).T) - uxs) - lam * r ** alpha >= 0.0
+        return np.abs(f.ray_values(xs, ws, r[:, None])[:, 0] - uxs) - lam * r ** alpha >= 0.0
 
     up = member(lo)
     for _ in range(iters):
@@ -120,13 +124,10 @@ def _scan_rays(f, lam, alpha, xs, ws, uxs, r_cap, scan, tol):
     r = np.linspace(r_cap / scan, r_cap, scan)
     lam_r = lam * r ** alpha
     member = np.empty((k, scan), dtype=bool)
-    # ray points are built axis-major, (N, ray, r), so each coordinate the
-    # field reads is contiguous; the field sees the (ray, r, N) view
     block = max(1, _BLOCK_POINTS // scan)
     for b0 in range(0, k, block):
         b = slice(b0, b0 + block)
-        pts = xs[:, b, None] + ws[:, b, None] * r
-        g = f.evaluate(np.moveaxis(pts, 0, -1)) - uxs[b, None]
+        g = f.ray_values(xs[:, b], ws[:, b], r) - uxs[b, None]
         np.abs(g, out=g)
         g -= lam_r
         member[b] = g >= 0.0
@@ -289,15 +290,18 @@ def pair_measure_polar(
         if r_cap <= 0.0:
             return 0.0, 0
         pts, w = grid.points_weights()
+        nx, nw = pts.shape[0], sphere.nodes.shape[0]
+        # one kernel call per run of whole x chunks holding at most
+        # _SCAN_POINTS nominal ray points; the sum still goes chunk by chunk
+        run_x = _X_CHUNK * max(1, _SCAN_POINTS // (_X_CHUNK * nw * scan_n))
+        m = np.concatenate([
+            _grid_measures(f, q.lam, q.alpha, pts[r0 : r0 + run_x], sphere.nodes, r_cap, scan_n, tol)[0]
+            for r0 in range(0, nx, run_x)
+        ]).reshape(nx, nw) * sphere.weights
         total = 0.0
-        nodes = 0
-        for c0 in range(0, pts.shape[0], _X_CHUNK):
-            Xc = pts[c0 : c0 + _X_CHUNK]
-            m, _ = _grid_measures(f, q.lam, q.alpha, Xc, sphere.nodes, r_cap, scan_n, tol)
-            m = m.reshape(Xc.shape[0], -1)
-            total += float(np.sum(w[c0 : c0 + _X_CHUNK] * (m * sphere.weights[None, :]).sum(axis=1)))
-            nodes += Xc.shape[0] * sphere.nodes.shape[0] * scan_n
-        return total, nodes
+        for c0 in range(0, nx, _X_CHUNK):
+            total += float(np.sum(w[c0 : c0 + _X_CHUNK] * m[c0 : c0 + _X_CHUNK].sum(axis=1)))
+        return total, nx * nw * scan_n
 
     value, nodes = run(x_grid, scan)
     # the coarse pass halves panels and scan, at least to 2 panels and 64 scan

@@ -65,6 +65,15 @@ def test_json_parse_error_reports_line(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("top", [[1, 2], "x", 3])
+def test_config_must_be_an_object(tmp_path, capsys, command, top):
+    # a list used to die in `cfg.get` with an AttributeError traceback
+    cfg = write_cfg(tmp_path, top)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "config must be a JSON object" in capsys.readouterr().err
+
+
 def test_unknown_experiment_kind(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"experiment": "mystery", "seed": 1})
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1

@@ -206,9 +206,11 @@ ROTATION_GOLDENS = {
     "bump3": ("0x1.85486b78ff802p+0", "0x1.9b2a06f78bbdap-2", "0x1.c3acf30df0bdcp-2",
               "0x1.b9463a5a4f201p+1", "0x1.a06914c1fc99ap+0", "0x1.44c13c569b38cp+1",
               "0x1.1e9bc6968da60p-1"),
-    "product2": ("0x1.cfaaf22622c36p-2", "0x1.a2d2104b6cda8p-4", "0x1.42fa88293efd1p-3",
-                 "0x1.6f8367a21d5a8p+1", "0x1.9311480e7df41p+0", "0x1.1c858dc53316ep+1",
-                 "0x1.a5aa242d6bf48p-2"),
+    # re-recorded when product2's sup_norm became the exact e^-2 (measure
+    # 0.45280054 -> 0.45280056, against an error estimate of 0.10)
+    "product2": ("0x1.cfaaf367d6a42p-2", "0x1.a2d2116e02ff2p-4", "0x1.42fa88293ef01p-3",
+                 "0x1.6f8368a11a7f9p+1", "0x1.9311492622bd1p+0", "0x1.1c858e8a9b676p+1",
+                 "0x1.a5aa242d785b0p-2"),
     "bump2": ("0x1.5ed3ceebbdb31p+0", "0x1.8987a357f2ec0p-3", "0x1.ddb567fee95d1p-2",
               "0x1.7802c61bd88c2p+1", "0x1.0e9127225122ap+1", "0x1.4349dbbfdce8ep+1",
               "0x1.8f1078f936f08p-3"),

@@ -79,6 +79,19 @@ def test_bounds_dominate_observed_grid(cat):
         assert grad.max() <= f.lip_bound * (1 + 1e-12)
 
 
+def test_separable_sup_norm_covers_each_profile_peak():
+    # each axis grid holds its profile's peak: a bump's centre, a window's midpoint
+    for name, f in _golden_fields().items():
+        if not isinstance(f, F._SeparableField):
+            continue
+        axes = []
+        for prof in f.profiles:
+            peak = prof.center if isinstance(prof, F._Bump1DProfile) else 0.5 * (prof.lo + prof.hi)
+            axes.append(np.union1d(np.linspace(*prof.sweep_extent(), 65), [peak]))
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        assert f.sup_norm >= np.abs(f.evaluate(pts)).max(), name
+
+
 def test_gradient_matches_central_differences(cat, rng):
     # second-order ladder: err <= K h^2 with K estimated at the coarsest h
     for f in cat.values():
@@ -293,6 +306,45 @@ def test_segments_meet_support_is_tighter_than_the_centred_ball():
 
 
 # ---------------------------------------------------------------------------
+# ray_values: u along axis-major rays
+# ---------------------------------------------------------------------------
+
+def _ray_tolerance(f, xs, ws, r):
+    """Bound on |ray_values - evaluate|: 0 for separable fields, which build
+    the same points; for a radial bump the quadratic in r rounds relative to
+    (|x - c| + r |w|)^2 / R^2, and the bump's slope in q is below |a|."""
+    if isinstance(f, F._SumField):
+        return sum(_ray_tolerance(t, xs, ws, r) for t in f.fields)
+    if isinstance(f, F._ScaledField):
+        return abs(f.factor) * _ray_tolerance(f.base, xs, ws, r)
+    if isinstance(f, F._RadialBump):
+        reach = np.linalg.norm(xs - f.center[:, None], axis=0)[:, None] \
+            + r * np.linalg.norm(ws, axis=0)[:, None]
+        return 1e-15 * abs(f.amplitude) * (1.0 + (reach / f.radius) ** 2)
+    return 0.0
+
+
+@pytest.mark.parametrize("name", F.catalogue_names() + ["scaled", "radial_sum"])
+def test_ray_values_match_evaluate(cat, name):
+    extra = {"scaled": F.scale_field(cat["bump2_off"], -3.0),
+             "radial_sum": F.make_sum([cat["bump2"], cat["bump2_off"], F.make_bump([0.3, 0.1], 0.05, 2.0)])}
+    f = extra[name] if name in extra else cat[name]
+    rng = np.random.default_rng(len(name))
+    k, n = 300, f.dim
+    half = f.support_radius + 1.0
+    xs = rng.uniform(-half, half, (n, k))
+    ws = rng.normal(size=(n, k))
+    ws /= np.linalg.norm(ws, axis=0)
+    ws[:, ::2] *= rng.uniform(0.25, 3.0, k // 2)       # |w| != 1 on every other ray
+    for r in (np.linspace(0.0, 2.0, 65)[None, :], rng.uniform(0.0, 2.0, (k, 1))):
+        got = f.ray_values(xs, ws, r)
+        want = f.evaluate(np.moveaxis(xs[:, :, None] + ws[:, :, None] * r, 0, -1))
+        assert got.shape == want.shape == np.broadcast_shapes((k, 1), r.shape)
+        assert np.all(np.abs(got - want) <= _ray_tolerance(f, xs, ws, r))
+        assert np.any(want)
+
+
+# ---------------------------------------------------------------------------
 # bit-identity goldens of bounds, values and gradients
 # ---------------------------------------------------------------------------
 
@@ -346,7 +398,9 @@ def _field_digest(f, seed):
     )
 
 
-# recorded before the profile kernels were folded into jets
+# recorded before the profile kernels were folded into jets; the sup_norm of
+# product2 and product3_neg re-recorded when separable fields took the exact
+# profile peaks instead of the sweep's maxima
 FIELD_GOLDENS = {
     "bump1": (
         "0x1.ad3c5860810bdp-1", "0x1.0463a724c1126p+3", "0x1.78b56362cef38p-2",
@@ -404,12 +458,12 @@ FIELD_GOLDENS = {
         "d889670c83e4a60a2b22a9469f0cd788f253a3cde0f89b08c26f09063006421a",
     ),
     "product2": (
-        "0x1.f98c8b6062d4ep-2", "0x1.6b62a818480dfp+2", "0x1.152aa8115d771p-3",
+        "0x1.f98c8b6062d4ep-2", "0x1.6b62a818480dfp+2", "0x1.152aaa3bf81ccp-3",
         "50a988c6522fe3bb1b968624434ac761e8378ca042a6045776e45902a333b5a2",
         "0f73d3422132a9cde1a335f90765fd25244c8a30e2f79f7fc587fd11fab39265",
     ),
     "product3_neg": (
-        "0x1.31e483b4b6582p-2", "0x1.e12ab3547ecbcp+1", "0x1.091b2b9cb095cp-4",
+        "0x1.31e483b4b6582p-2", "0x1.e12ab3547ecbcp+1", "0x1.091b2eb86593fp-4",
         "20a21b7eff55806d2b35db756de7fe1bb7e2083a9951d0fd755ab89a9c7adc70",
         "8b1bed8446c77d62005d0072899c69deaa3bbe2302ea598213855f58a1f4b6eb",
     ),

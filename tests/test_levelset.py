@@ -14,7 +14,7 @@ TV_BUMP = 2 / math.e
 GRAD1_BUMP_2D = 1.3948477111129345
 
 
-class RampStub:
+class RampStub(F.ScalarField):
     """u(x) = min(x, r0) on x >= 0: a locally linear stretch along +e1."""
 
     dim = 1
@@ -379,7 +379,8 @@ GOLDEN_BUDGETS = {2: (24, 8, 8, 96), 3: (12, 4, 4, 48)}
 
 
 class CountingField:
-    """Delegates to a field; counts and hashes the points passed to `evaluate`."""
+    """Delegates to a field; counts and hashes the points passed to `evaluate`
+    and the ray points `ray_values` stands for."""
 
     def __init__(self, base):
         self.base = base
@@ -394,6 +395,12 @@ class CountingField:
         self.points += pts.size // pts.shape[-1]
         self.digest.update(np.ascontiguousarray(pts, dtype=float).tobytes())
         return self.base.evaluate(pts)
+
+    def ray_values(self, xs, ws, r):
+        pts = np.moveaxis(xs[:, :, None] + ws[:, :, None] * r, 0, -1)
+        self.points += pts.size // pts.shape[-1]
+        self.digest.update(np.ascontiguousarray(pts, dtype=float).tobytes())
+        return self.base.ray_values(xs, ws, r)
 
 
 def _golden_polar(f, lam_factor):
@@ -486,6 +493,34 @@ def _record_scans(monkeypatch):
 
     monkeypatch.setattr(LS, "_scan_rays", recording)
     return calls
+
+
+@pytest.mark.parametrize("name, lam_factor", sorted(POLAR_GOLDENS))
+def test_one_x_chunk_per_kernel_call_keeps_goldens(cat, monkeypatch, name, lam_factor):
+    # the golden grids span 2 (2-D) and 4 (3-D) x chunks, which one kernel call
+    # per pass takes at the default _SCAN_POINTS; one chunk per call must
+    # give the same bits
+    f = cat[name]
+    calls = _record_scans(monkeypatch)
+    _golden_polar(f, lam_factor)
+    assert len(calls) == 2
+    monkeypatch.setattr(LS, "_SCAN_POINTS", 1)
+    calls.clear()
+    res = _golden_polar(f, lam_factor)
+    assert (res.value.hex(), res.error_estimate.hex(), res.nodes_used) == \
+        POLAR_GOLDENS[name, lam_factor]
+    x_nodes = GOLDEN_BUDGETS[f.dim][0]
+    assert len(calls) == math.ceil(x_nodes ** f.dim / LS._X_CHUNK) + 1    # coarse pass: one chunk
+
+
+def test_polar_2d_makes_one_kernel_call_per_pass(cat, monkeypatch):
+    # the acceptance and benchmark 2-D budget: the fine and the coarse pass
+    # each scan their rays in one call
+    calls = _record_scans(monkeypatch)
+    budgets = {"x_nodes": 36, "sphere_order": 12, "scan": 128}
+    f = cat["plateau2"]
+    LS.distribution_profile(f, 1.0, 3.0, LS.default_lambda_grid(f, 3), budgets=budgets)
+    assert len(calls) == 2 * 3
 
 
 def test_scan_far_from_support_is_zero_without_evaluation(bump2, monkeypatch):
