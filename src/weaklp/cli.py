@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 from .errors import ConsistencyError, InvalidParameterError, PreconditionError
-from .experiments import ConfigError, run_experiment
+from .experiments import ConfigError, config_seed, run_experiment
 from .quadrature import ordered_parallel_map
 from .reporting import Report, write_csv
 
@@ -81,9 +81,7 @@ def _cmd_sweep(args):
     sweep = cfg.get("sweep")
     if not isinstance(sweep, dict) or not sweep:
         raise ConfigError("config field 'sweep' must be a non-empty object of parameter lists")
-    base_seed = args.seed if args.seed is not None else cfg.get("seed")
-    if base_seed is None:
-        raise ConfigError("config field 'seed' is required")
+    base_seed = config_seed(args.seed if args.seed is not None else cfg.get("seed"))
     keys = sorted(sweep)
     grids = [sweep[k] for k in keys]
     if any(not isinstance(g, list) or not g for g in grids):
@@ -104,7 +102,7 @@ def _cmd_sweep(args):
             node[parts[-1]] = val
         job_out = out / f"job_{idx:03d}"
         job_out.mkdir(parents=True, exist_ok=True)
-        report = run_experiment(job_cfg, job_out, 1, int(base_seed) ^ idx)
+        report = run_experiment(job_cfg, job_out, 1, base_seed ^ idx)
         report.write(job_out / "report.json")
         return report
 
@@ -122,7 +120,7 @@ def _cmd_sweep(args):
                          v["tolerance"]))
     write_csv(out / "sweep.csv",
               ["job", "parameters", "verdict", "state", "observed", "tolerance"], rows)
-    agg = Report("sweep", cfg, int(base_seed))
+    agg = Report("sweep", cfg, base_seed)
     agg.results["jobs"] = len(jobs)
     agg.results["exit_codes"] = [r.worst_exit_code() for r in reports]
     agg.add_verdict("sweep:all", worst == EXIT_PASS, 0, observed=worst,

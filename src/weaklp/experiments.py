@@ -104,6 +104,16 @@ def _list(cfg, path, default, entry):
     return [int(x) for x in v] if entry == "integer" else v
 
 
+def config_seed(seed):
+    """`seed` as an int; a ConfigError naming the field when it is missing or
+    not a non-negative integer (a bool, a string, a fraction, a negative)."""
+    if seed is None:
+        raise ConfigError("config field 'seed' is required")
+    if not _ENTRIES["integer"][0](seed) or seed < 0:
+        raise ConfigError(f"config field 'seed' must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 def _section(cfg, path):
     """An optional sub-object of the config; None when absent or empty."""
     v = _get(cfg, path)
@@ -551,6 +561,4 @@ def run_experiment(cfg, out, workers, seed):
     out.mkdir(parents=True, exist_ok=True)
     if seed is None:
         seed = _get(cfg, "seed")
-    if seed is None:
-        raise ConfigError("config field 'seed' is required")
-    return runner(cfg, out, workers, int(seed))
+    return runner(cfg, out, workers, config_seed(seed))

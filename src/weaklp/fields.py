@@ -8,7 +8,9 @@ conservatively, which segments can meet its support at all.
 
 Bumps and the axis profiles of separable fields rest on two jets, `_bump_jet`
 and `_step_jet`, each [value, d1, ..., d_order] from one mask and one set of
-exponentials; only the radial bump's gradient keeps a formula of its own.
+exponentials; only the radial bump's gradient keeps a formula of its own.  A
+window's value is its nearer edge's step.  `along(xs, ws)` binds rays once and
+returns u along them as a function of r (a quadratic in r for radial bumps).
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .quadrature import QuadratureResult, centered_box_grid
+from .quadrature import QuadratureResult, _sum_squares, centered_box_grid
 
 __all__ = [
     "FieldBounds",
@@ -72,11 +74,11 @@ class ScalarField:
     def evaluate(self, pts):
         raise NotImplementedError
 
-    def ray_values(self, xs, ws, r):
-        """u at xs + r ws for the (N, k) axis-major rays xs, ws and radii r
-        broadcast to (k, m): a (k, m) array.  The base class builds the
-        (N, k, m) points, so each coordinate `evaluate` reads is contiguous."""
-        return self.evaluate(np.moveaxis(xs[:, :, None] + ws[:, :, None] * r, 0, -1))
+    def along(self, xs, ws):
+        """u along the (N, k) axis-major rays xs + r ws: a function of radii r
+        broadcast to (k, m) returning a new (k, m) array.  The base class builds
+        the (N, k, m) points, so each coordinate `evaluate` reads is contiguous."""
+        return lambda r: self.evaluate(np.moveaxis(xs[:, :, None] + ws[:, :, None] * r, 0, -1))
 
     def gradient(self, pts):
         raise NotImplementedError
@@ -131,24 +133,6 @@ def _segments_meet_box(X, W, length, lo, hi):
     return enter <= leave
 
 
-def _sum_squares(pts, center=None):
-    """sum((pts - center)^2, axis=-1), accumulated axis by axis.
-
-    numpy reduces a short trailing axis in this same sequential order, so the
-    bits agree; the per-axis loop skips the slow small-axis reduce and the
-    (..., N) temporaries.
-    """
-    pts = np.asarray(pts, dtype=float)
-    q = None
-    for i in range(pts.shape[-1]):
-        d = pts[..., i] if center is None else pts[..., i] - center[i]
-        if q is None:
-            q = d * d
-        else:
-            q += d * d
-    return q
-
-
 # ---------------------------------------------------------------------------
 # 1-D profiles used as building blocks
 # ---------------------------------------------------------------------------
@@ -176,8 +160,7 @@ def _step_jet(t, order=0):
     """[value, d1, ..., d_order] (order <= 2) of the C-infinity step f/(f+g),
     f = exp(-1/t), g = exp(-1/(1-t)): 0 for t <= 0, 1 for t >= 1."""
     t = np.asarray(t, dtype=float)
-    jet = [np.zeros_like(t) for _ in range(order + 1)]
-    jet[0][t >= 1.0] = 1.0
+    jet = [(t >= 1.0).astype(float)] + [np.zeros_like(t) for _ in range(order)]
     m = (t > 0.0) & (t < 1.0)
     tm = t[m]
     f = np.exp(-1.0 / tm)
@@ -206,10 +189,14 @@ class _Window1D:
         self.lo, self.hi, self.eps = float(lo), float(hi), float(eps)
 
     def jet(self, t, order=0):
-        """[value, d1, ..., d_order]: a rising times a falling step of width 2 eps."""
+        """[value, d1, ..., d_order]: a rising times a falling step of width 2 eps.
+        The layers are disjoint (eps < side/2): at any t one step is exactly 1
+        or the product is 0, so the value is the nearer edge's step alone."""
         h = 2.0 * self.eps
-        a = _step_jet((t - (self.lo - self.eps)) / h, order)
-        b = _step_jet(((self.hi + self.eps) - t) / h, order)
+        rise, fall = (t - (self.lo - self.eps)) / h, ((self.hi + self.eps) - t) / h
+        if order == 0:
+            return _step_jet(np.minimum(rise, fall))
+        a, b = _step_jet(rise, order), _step_jet(fall, order)
         jet = [a[0] * b[0]]
         if order >= 1:
             da, db = a[1] / h, -b[1] / h
@@ -278,21 +265,30 @@ class _RadialBump(ScalarField):
         r = np.sqrt(_sum_squares(pts, self.center))
         return _bump_jet(r, self.radius, self.amplitude)[0]
 
-    def ray_values(self, xs, ws, r):
+    def along(self, xs, ws):
         # |x + r w - c|^2 as a quadratic in r: no (k, m, N) points, no sqrt
         dd = dw = ww = 0.0
         for i in range(self.dim):
             d = xs[i] - self.center[i]
             dd, dw, ww = dd + d * d, dw + d * ws[i], ww + ws[i] * ws[i]
-        q = r * ww[:, None]           # (dd + r (2 dw + r ww)) / R^2, in place
-        q += 2.0 * dw[:, None]
-        q *= r
-        q += dd[:, None]
-        q /= self.radius ** 2
-        out = np.zeros(q.shape)
-        m = q < 1.0
-        out[m] = self.amplitude * np.exp(-1.0 / (1.0 - q[m]))
-        return out
+        dd, dw2, ww, r2 = dd[:, None], 2.0 * dw[:, None], ww[:, None], self.radius ** 2
+
+        def u(r):
+            q = r * ww                # q = (dd + r (2 dw + r ww)) / R^2, in place
+            q += dw2
+            q *= r
+            q += dd
+            q /= r2
+            # a exp(-1 / (1 - q)) without a mask: inside the ball 1 - q >= 2^-53,
+            # outside the floor 2^-53 sends exp to exactly 0 (-0.0 when a < 0)
+            np.subtract(1.0, q, out=q)
+            np.maximum(q, 2.0 ** -53, out=q)
+            np.divide(-1.0, q, out=q)
+            np.exp(q, out=q)
+            q *= self.amplitude
+            return q
+
+        return u
 
     def segments_meet_support(self, X, W, length, margin):
         return _segments_meet_ball(X, W, length, self.center, self.radius + margin)
@@ -352,7 +348,7 @@ class _SeparableField(ScalarField):
         pts = np.asarray(pts, dtype=float)
         out = np.full(pts.shape[:-1], self.amplitude)
         for i, prof in enumerate(self.profiles):
-            out = out * prof.jet(pts[..., i])[0]
+            out *= prof.jet(pts[..., i])[0]
         return out
 
     def segments_meet_support(self, X, W, length, margin):
@@ -394,11 +390,9 @@ class _SumField(ScalarField):
             out = out + f.evaluate(pts)
         return out
 
-    def ray_values(self, xs, ws, r):
-        out = self.fields[0].ray_values(xs, ws, r)
-        for f in self.fields[1:]:
-            out = out + f.ray_values(xs, ws, r)
-        return out
+    def along(self, xs, ws):
+        first, *rest = (f.along(xs, ws) for f in self.fields)
+        return lambda r: sum((t(r) for t in rest), first(r))     # in term order
 
     def segments_meet_support(self, X, W, length, margin):
         out = self.fields[0].segments_meet_support(X, W, length, margin)
@@ -429,8 +423,9 @@ class _ScaledField(ScalarField):
     def evaluate(self, pts):
         return self.factor * self.base.evaluate(pts)
 
-    def ray_values(self, xs, ws, r):
-        return self.factor * self.base.ray_values(xs, ws, r)
+    def along(self, xs, ws):
+        base = self.base.along(xs, ws)
+        return lambda r: self.factor * base(r)
 
     def segments_meet_support(self, X, W, length, margin):
         return self.base.segments_meet_support(X, W, length, margin)

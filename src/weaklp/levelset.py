@@ -13,8 +13,10 @@ integral.  It hands the kernel only the rays that the field's conservative
 the others, at x too), so every estimate equals the unpruned scan's bit for
 bit; the ray sandwich check hands it all its sampled rays in one call, and a
 polar pass one call per run of x chunks.  The kernel reads u through
-`ScalarField.ray_values`, which radial bumps evaluate as a quadratic in r:
-that can flip a crossing decision where g is within rounding of 0.
+`ScalarField.along`, bound once per scan block and per bisection; radial
+bumps evaluate it as a quadratic in r, which can flip a crossing decision
+where g is within rounding of 0.  It tests |u(y) - u(x)| >= lambda r^alpha,
+which decides as g >= 0 does: with gradual underflow a - b >= 0 iff a >= b.
 
 Truncation: members satisfy lambda r^{alpha-1} <= lip_bound, so the scan stops
 at r_cap = (lip_bound/lambda)^{1/(alpha-1)} clipped to the support-dilate
@@ -61,7 +63,8 @@ __all__ = [
 ]
 
 CROSSING_CAP = 64
-_BLOCK_POINTS = 2 ** 15    # ray points per scan block: its temporaries stay in L2
+_BLOCK_POINTS = 2 ** 14    # ray points per scan block: its 128 KiB temporaries stay in L2;
+                           # 2^15 took 9x the page faults of a polar-2d pass (glibc malloc)
 _X_CHUNK = 512             # x nodes per partial sum of pair_measure_polar's reduction
 _SCAN_POINTS = 2 ** 22     # nominal ray points per pair_measure_polar kernel call
 _PRUNE_MARGIN = 1e-9       # pruning slack relative to r_cap + support_radius: covers
@@ -95,10 +98,11 @@ class LevelSetQuery:
 
 def _bisect_crossings(f, xs, ws, uxs, lam, alpha, lo, hi, iters):
     """Refine the sign-change brackets (lo, hi] of the (N, k) axis-major rays
-    xs + r ws, reading u through `ray_values`."""
+    xs + r ws, bound once through `along` for every step."""
+    u = f.along(xs, ws)
 
     def member(r):
-        return np.abs(f.ray_values(xs, ws, r[:, None])[:, 0] - uxs) - lam * r ** alpha >= 0.0
+        return np.abs(u(r[:, None])[:, 0] - uxs) >= lam * r ** alpha
 
     up = member(lo)
     for _ in range(iters):
@@ -127,12 +131,11 @@ def _scan_rays(f, lam, alpha, xs, ws, uxs, r_cap, scan, tol):
     block = max(1, _BLOCK_POINTS // scan)
     for b0 in range(0, k, block):
         b = slice(b0, b0 + block)
-        g = f.ray_values(xs[:, b], ws[:, b], r) - uxs[b, None]
+        g = f.along(xs[:, b], ws[:, b])(r) - uxs[b, None]
         np.abs(g, out=g)
-        g -= lam_r
-        member[b] = g >= 0.0
+        np.greater_equal(g, lam_r, out=member[b])
 
-    ray, i = np.nonzero(member[:, 1:] != member[:, :-1])
+    ray, i = np.divmod(np.flatnonzero(member[:, 1:] != member[:, :-1]), scan - 1)
     up = member[ray, i + 1]
     iters = max(8, min(60, int(math.ceil(math.log2(max((r_cap / scan) / max(tol, 1e-300), 2.0))))))
     r_cross = np.empty(0)

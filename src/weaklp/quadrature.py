@@ -53,11 +53,15 @@ class QuadratureResult:
 # deterministic rules
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
 def gauss_nodes_1d(n):
-    """Gauss-Legendre nodes and weights on [-1, 1]; exact for degree <= 2n-1."""
+    """Gauss-Legendre nodes and weights on [-1, 1], exact for degree <= 2n-1;
+    cached per n, so the arrays are read-only."""
     if n < 1:
         raise InvalidParameterError("need at least one node")
-    return np.polynomial.legendre.leggauss(int(n))
+    x, w = np.polynomial.legendre.leggauss(int(n))
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def composite_gauss(lo, hi, panels, order=8):
@@ -303,20 +307,32 @@ class RandomStream:
         return RandomStream(self.seed, (self.stream_id * 1_000_003 + 1 + tag) % 2 ** 64)
 
 
-def _gaussians(u):
-    # inverse-CDF transform: exactly one uniform per gaussian, which keeps
-    # the per-sample slot count fixed (ziggurat would consume a variable
-    # number of draws and break counter alignment)
-    return ndtri(np.clip(u, 1e-16, 1.0 - 1e-16))
+def _sum_squares(pts, center=None):
+    """sum((pts - center)^2, axis=-1), accumulated axis by axis: numpy reduces a
+    short trailing axis in this same order, so the bits agree, and the loop skips
+    the slow small-axis reduce and the (..., N) temporaries."""
+    pts = np.asarray(pts, dtype=float)
+    q = None
+    for i in range(pts.shape[-1]):
+        d = pts[..., i] if center is None else pts[..., i] - center[i]
+        if q is None:
+            q = d * d
+        else:
+            q += d * d
+    return q
 
 
 def _unit_vectors(u, n_dim):
     if n_dim == 1:
         return np.where(u[:, 0] < 0.5, -1.0, 1.0)[:, None]
-    g = _gaussians(u)
-    norm = np.sqrt(np.sum(g ** 2, axis=1))
-    norm = np.where(norm < 1e-300, 1.0, norm)
-    return g / norm[:, None]
+    # inverse-CDF gaussians, normalised in place: one uniform per gaussian keeps the
+    # per-sample slot count fixed (a ziggurat's variable draws break counter alignment)
+    g = np.clip(u, 1e-16, 1.0 - 1e-16)
+    ndtri(g, out=g)
+    norm = np.sqrt(_sum_squares(g))
+    norm[norm < 1e-300] = 1.0
+    g /= norm[:, None]
+    return g
 
 
 class PairSampler:

@@ -58,6 +58,25 @@ def test_missing_seed_is_an_error(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("seed", ["x", 1.7, True, -1])
+def test_seed_must_be_a_non_negative_integer(tmp_path, capsys, command, seed):
+    # "x" died with a ValueError traceback, 1.7 ran as seed 1 while
+    # report.json echoed 1.7, and -1 died in covering's default_rng
+    cfg = dict(BASE_LIMIT, seed=seed, **({"sweep": {"params.p": [1.0]}} if command == "sweep" else {}))
+    path = write_cfg(tmp_path, cfg)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert f"config field 'seed' must be a non-negative integer, got {seed!r}" in capsys.readouterr().err
+
+
+def test_integral_seed_runs_as_an_int(tmp_path):
+    cfg = write_cfg(tmp_path, {"experiment": "constants", "seed": 5.0,
+                               "params": {"N_values": [1], "p_values": [1.0]}})
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["seed"] == 5
+
+
 def test_json_parse_error_reports_line(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text('{"experiment": "limit",\n  "oops"\n}')

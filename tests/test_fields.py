@@ -306,11 +306,11 @@ def test_segments_meet_support_is_tighter_than_the_centred_ball():
 
 
 # ---------------------------------------------------------------------------
-# ray_values: u along axis-major rays
+# along: u along axis-major rays
 # ---------------------------------------------------------------------------
 
 def _ray_tolerance(f, xs, ws, r):
-    """Bound on |ray_values - evaluate|: 0 for separable fields, which build
+    """Bound on |along - evaluate|: 0 for separable fields, which build
     the same points; for a radial bump the quadratic in r rounds relative to
     (|x - c| + r |w|)^2 / R^2, and the bump's slope in q is below |a|."""
     if isinstance(f, F._SumField):
@@ -337,11 +337,62 @@ def test_ray_values_match_evaluate(cat, name):
     ws /= np.linalg.norm(ws, axis=0)
     ws[:, ::2] *= rng.uniform(0.25, 3.0, k // 2)       # |w| != 1 on every other ray
     for r in (np.linspace(0.0, 2.0, 65)[None, :], rng.uniform(0.0, 2.0, (k, 1))):
-        got = f.ray_values(xs, ws, r)
+        got = f.along(xs, ws)(r)
         want = f.evaluate(np.moveaxis(xs[:, :, None] + ws[:, :, None] * r, 0, -1))
         assert got.shape == want.shape == np.broadcast_shapes((k, 1), r.shape)
         assert np.all(np.abs(got - want) <= _ray_tolerance(f, xs, ws, r))
         assert np.any(want)
+
+
+def _reference_radial_along(f, xs, ws, r):
+    """The radial quadratic in r with a masked exponential: the reference for
+    `along`'s unmasked one."""
+    dd = dw = ww = 0.0
+    for i in range(f.dim):
+        d = xs[i] - f.center[i]
+        dd, dw, ww = dd + d * d, dw + d * ws[i], ww + ws[i] * ws[i]
+    q = (r * ww[:, None] + 2.0 * dw[:, None]) * r + dd[:, None]
+    q /= f.radius ** 2
+    out = np.zeros(q.shape)
+    m = q < 1.0
+    out[m] = f.amplitude * np.exp(-1.0 / (1.0 - q[m]))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_radial_cases())
+def test_radial_along_equals_the_masked_exponential(case):
+    # 1 - q >= 2^-53 inside the ball, so flooring 1 - q at 2^-53 changes no
+    # value inside and gives exactly 0 outside (-0.0 for a negative amplitude)
+    f, pts, _ = case
+    n = f.dim
+    xs = np.concatenate([pts.reshape(-1, n), np.repeat(f.center[None], n, axis=0)]).T
+    ws = np.concatenate([np.ones_like(pts.reshape(-1, n)), np.eye(n)]).T
+    # on the axis rays from the centre r = R, and one ulp either side, is the sphere
+    r = np.concatenate([np.linspace(0.0, 3.0 * f.radius, 33),
+                        np.nextafter(f.radius, [0.0, f.radius, np.inf])])[None, :]
+    got, want = f.along(xs, ws)(r), _reference_radial_along(f, xs, ws, r)
+    assert np.array_equal(got, want)
+    assert not np.any(got[-n:, -2:])
+
+
+# windows: lo in [-3, 3], side, and eps as a fraction of the side up to 0.49
+_windows = st.tuples(st.floats(-3.0, 3.0), st.floats(1e-3, 4.0), st.floats(1e-3, 0.49))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_windows, st.lists(st.floats(-8.0, 8.0), max_size=16))
+def test_window_value_is_the_two_step_product(window, extra):
+    lo, side, frac = window
+    w = F._Window1D(lo, lo + side, frac * side)
+    # the four layer edges lo +- eps, hi +- eps, one ulp either side of each,
+    # and arbitrary points
+    edges = [w.lo - w.eps, w.lo + w.eps, w.hi - w.eps, w.hi + w.eps]
+    t = np.concatenate([np.nextafter(e, [-np.inf, e, np.inf]) for e in edges] + [extra])
+    h = 2.0 * w.eps
+    rise = F._step_jet((t - (w.lo - w.eps)) / h)[0]
+    fall = F._step_jet(((w.hi + w.eps) - t) / h)[0]
+    assert w.jet(t)[0].tobytes() == (rise * fall).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,24 @@ def test_scan_rays_linear_stretch():
     assert m == outer     # the run starts at 0+
 
 
+def test_scan_rays_takes_an_empty_ray_list():
+    empty = np.empty((1, 0))
+    m, c, outer = LS._scan_rays(RampStub(), 1.0, 2.0, empty, empty, np.empty(0), 1.0, 64, 1e-10)
+    assert m.shape == c.shape == outer.shape == (0,)
+
+
+def test_scan_rays_crossings_in_the_first_and_last_cell():
+    # u(r w) - u(0) = min(r w, 1) >= r^2 exactly when r <= w (here w <= 1): on
+    # r_k = k/64, k = 1..64, a run ending in the first cell (1/64, 2/64], none,
+    # and one ending in the last cell (63/64, 1]; each crossing must pair with
+    # its own ray
+    w = np.array([[1.5 / 64, 0.0, 63.5 / 64]])
+    m, c, outer = LS._scan_rays(RampStub(), 1.0, 2.0, np.zeros((1, 3)), w, np.zeros(3), 1.0, 64,
+                                1e-12)
+    assert c.tolist() == [1, 0, 1]
+    assert outer == pytest.approx(w[0], abs=1e-11) and m == pytest.approx(w[0], abs=1e-11)
+
+
 def test_scan_rays_far_from_support_empty(bump1):
     m, c, outer, _ = _scan_one_ray(bump1, 10 * bump1.lip_bound, 2.0, [2.5], [-1.0])
     assert m == 0.0 and c == 0 and outer == 0.0
@@ -380,7 +398,7 @@ GOLDEN_BUDGETS = {2: (24, 8, 8, 96), 3: (12, 4, 4, 48)}
 
 class CountingField:
     """Delegates to a field; counts and hashes the points passed to `evaluate`
-    and the ray points `ray_values` stands for."""
+    and the ray points each `along` binding is read at."""
 
     def __init__(self, base):
         self.base = base
@@ -396,11 +414,16 @@ class CountingField:
         self.digest.update(np.ascontiguousarray(pts, dtype=float).tobytes())
         return self.base.evaluate(pts)
 
-    def ray_values(self, xs, ws, r):
-        pts = np.moveaxis(xs[:, :, None] + ws[:, :, None] * r, 0, -1)
-        self.points += pts.size // pts.shape[-1]
-        self.digest.update(np.ascontiguousarray(pts, dtype=float).tobytes())
-        return self.base.ray_values(xs, ws, r)
+    def along(self, xs, ws):
+        u = self.base.along(xs, ws)
+
+        def counted(r):
+            pts = np.moveaxis(xs[:, :, None] + ws[:, :, None] * r, 0, -1)
+            self.points += pts.size // pts.shape[-1]
+            self.digest.update(np.ascontiguousarray(pts, dtype=float).tobytes())
+            return u(r)
+
+        return counted
 
 
 def _golden_polar(f, lam_factor):

@@ -31,6 +31,18 @@ def test_gauss_exact_for_low_degree_polynomials(n, coeffs):
     assert val == pytest.approx(exact, abs=1e-10)
 
 
+@pytest.mark.parametrize("n", [1, 4, 8, 48])
+def test_gauss_rules_are_cached_read_only_and_equal_leggauss(n):
+    x, w = q.gauss_nodes_1d(n)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+    assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes()
+    assert q.gauss_nodes_1d(n)[0] is x
+    for a in (x, w):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
 @pytest.mark.parametrize("n_dim", [1, 2, 3, 4])
 def test_sphere_rule_moments(n_dim):
     rule = q.sphere_rule(n_dim, 32)
