@@ -9,8 +9,9 @@ conservatively, which segments can meet its support at all.
 Bumps and the axis profiles of separable fields rest on two jets, `_bump_jet`
 and `_step_jet`, each [value, d1, ..., d_order] from one mask and one set of
 exponentials; only the radial bump's gradient keeps a formula of its own.  A
-window's value is its nearer edge's step.  `along(xs, ws)` binds rays once and
-returns u along them as a function of r (a quadratic in r for radial bumps).
+window's value is its nearer edge's step.  `along(xs, ws)` binds a ray list once
+and returns u(r, b) on its ray subsets b: a quadratic in r for radial bumps, and
+on a shared row r tables per distinct (x_i, w_i) pair for separable fields.
 """
 from __future__ import annotations
 
@@ -75,10 +76,11 @@ class ScalarField:
         raise NotImplementedError
 
     def along(self, xs, ws):
-        """u along the (N, k) axis-major rays xs + r ws: a function of radii r
-        broadcast to (k, m) returning a new (k, m) array.  The base class builds
-        the (N, k, m) points, so each coordinate `evaluate` reads is contiguous."""
-        return lambda r: self.evaluate(np.moveaxis(xs[:, :, None] + ws[:, :, None] * r, 0, -1))
+        """u along the (N, k) axis-major rays xs + r ws: u(r, b) on the ray subset
+        b at radii r, a shared (m,) row or per-ray (len(b), 1), as a new (len(b),
+        m) array.  The base class builds the (N, len(b), m) points, so each
+        coordinate `evaluate` reads is contiguous."""
+        return lambda r, b=slice(None): self.evaluate(np.moveaxis(xs[:, b, None] + ws[:, b, None] * r, 0, -1))
 
     def gradient(self, pts):
         raise NotImplementedError
@@ -273,11 +275,11 @@ class _RadialBump(ScalarField):
             dd, dw, ww = dd + d * d, dw + d * ws[i], ww + ws[i] * ws[i]
         dd, dw2, ww, r2 = dd[:, None], 2.0 * dw[:, None], ww[:, None], self.radius ** 2
 
-        def u(r):
-            q = r * ww                # q = (dd + r (2 dw + r ww)) / R^2, in place
-            q += dw2
+        def u(r, b=slice(None)):
+            q = r * ww[b]             # q = (dd + r (2 dw + r ww)) / R^2, in place
+            q += dw2[b]
             q *= r
-            q += dd
+            q += dd[b]
             q /= r2
             # a exp(-1 / (1 - q)) without a mask: inside the ball 1 - q >= 2^-53,
             # outside the floor 2^-53 sends exp to exactly 0 (-0.0 when a < 0)
@@ -351,6 +353,30 @@ class _SeparableField(ScalarField):
             out *= prof.jet(pts[..., i])[0]
         return out
 
+    def along(self, xs, ws):
+        # on a shared row r, axis i reads its profile at x_i + w_i r only; when
+        # every axis has at most half as many distinct (x_i, w_i) bit patterns
+        # as rays (a tensor grid), tabulate each pair once on the first such read
+        direct, k, tab = super().along(xs, ws), xs.shape[1], [None, None]
+
+        def u(r, b=slice(None)):
+            if np.ndim(r) == 1 and tab[0] is not r:
+                axes = [_axis_pairs(xs[i], ws[i]) for i in range(self.dim)]
+                tab[:] = r, None
+                if all(2 * px.size <= k for px, _, _ in axes):
+                    tab[1] = [(prof.jet(px[:, None] + pw[:, None] * r)[0], pair)
+                              for prof, (px, pw, pair) in zip(self.profiles, axes)]
+                    np.multiply(tab[1][0][0], self.amplitude, out=tab[1][0][0])
+            if np.ndim(r) != 1 or tab[1] is None:
+                return direct(r, b)
+            (t0, p0), *rest = tab[1]
+            out = t0[p0[b]]          # a * phi_0, then *= phi_i: evaluate's order
+            for t, pair in rest:
+                out *= t[pair[b]]
+            return out
+
+        return u
+
     def segments_meet_support(self, X, W, length, margin):
         # every profile vanishes outside its sweep extent, so u does outside the box
         ext = np.array([p.sweep_extent() for p in self.profiles])
@@ -367,6 +393,15 @@ class _SeparableField(ScalarField):
                     g = g * jets[j][0]
             out[..., i] = g
         return out
+
+
+def _axis_pairs(x, w):
+    """The distinct (x, w) bit patterns of one axis of a ray list: their x and
+    w, and each ray's pair index (three 1-D sorts; signed zeros stay apart)."""
+    ux, ix = np.unique(x.view(np.int64), return_inverse=True)
+    uw, iw = np.unique(w.view(np.int64), return_inverse=True)
+    code, pair = np.unique(ix * uw.size + iw, return_inverse=True)
+    return ux.view(float)[code // uw.size], uw.view(float)[code % uw.size], pair
 
 
 class _SumField(ScalarField):
@@ -392,7 +427,7 @@ class _SumField(ScalarField):
 
     def along(self, xs, ws):
         first, *rest = (f.along(xs, ws) for f in self.fields)
-        return lambda r: sum((t(r) for t in rest), first(r))     # in term order
+        return lambda r, b=slice(None): sum((t(r, b) for t in rest), first(r, b))  # in term order
 
     def segments_meet_support(self, X, W, length, margin):
         out = self.fields[0].segments_meet_support(X, W, length, margin)
@@ -425,7 +460,7 @@ class _ScaledField(ScalarField):
 
     def along(self, xs, ws):
         base = self.base.along(xs, ws)
-        return lambda r: self.factor * base(r)
+        return lambda r, b=slice(None): self.factor * base(r, b)
 
     def segments_meet_support(self, X, W, length, margin):
         return self.base.segments_meet_support(X, W, length, margin)

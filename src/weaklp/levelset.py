@@ -13,10 +13,12 @@ integral.  It hands the kernel only the rays that the field's conservative
 the others, at x too), so every estimate equals the unpruned scan's bit for
 bit; the ray sandwich check hands it all its sampled rays in one call, and a
 polar pass one call per run of x chunks.  The kernel reads u through
-`ScalarField.along`, bound once per scan block and per bisection; radial
-bumps evaluate it as a quadratic in r, which can flip a crossing decision
-where g is within rounding of 0.  It tests |u(y) - u(x)| >= lambda r^alpha,
-which decides as g >= 0 does: with gradual underflow a - b >= 0 iff a >= b.
+`ScalarField.along`, bound once per call and read block by block on the shared
+scan row, and once per bisection; separable fields tabulate their profiles per
+distinct (x_i, w_i) pair on that row, bit for bit, and radial bumps take u as
+a quadratic in r, which can flip a crossing decision where g is within
+rounding of 0.  It tests |u(y) - u(x)| >= lambda r^alpha, which decides as
+g >= 0 does: with gradual underflow a - b >= 0 iff a >= b.
 
 Truncation: members satisfy lambda r^{alpha-1} <= lip_bound, so the scan stops
 at r_cap = (lip_bound/lambda)^{1/(alpha-1)} clipped to the support-dilate
@@ -63,8 +65,9 @@ __all__ = [
 ]
 
 CROSSING_CAP = 64
-_BLOCK_POINTS = 2 ** 14    # ray points per scan block: its 128 KiB temporaries stay in L2;
-                           # 2^15 took 9x the page faults of a polar-2d pass (glibc malloc)
+_BLOCK_POINTS = 2 ** 14    # ray points per scan block, one slice of the call's `along`
+                           # binding: its 128 KiB temporaries stay in L2; 2^15 took
+                           # 9x the page faults of a polar-2d pass (glibc malloc)
 _X_CHUNK = 512             # x nodes per partial sum of pair_measure_polar's reduction
 _SCAN_POINTS = 2 ** 22     # nominal ray points per pair_measure_polar kernel call
 _PRUNE_MARGIN = 1e-9       # pruning slack relative to r_cap + support_radius: covers
@@ -129,9 +132,10 @@ def _scan_rays(f, lam, alpha, xs, ws, uxs, r_cap, scan, tol):
     lam_r = lam * r ** alpha
     member = np.empty((k, scan), dtype=bool)
     block = max(1, _BLOCK_POINTS // scan)
+    u = f.along(xs, ws)
     for b0 in range(0, k, block):
         b = slice(b0, b0 + block)
-        g = f.along(xs[:, b], ws[:, b])(r) - uxs[b, None]
+        g = u(r, b) - uxs[b, None]
         np.abs(g, out=g)
         np.greater_equal(g, lam_r, out=member[b])
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weaklp import fields as F
+from weaklp import quadrature as Q
 from weaklp.errors import InvalidParameterError
 
 # adaptive-quadrature oracle values, frozen before the estimators were built
@@ -310,9 +311,11 @@ def test_segments_meet_support_is_tighter_than_the_centred_ball():
 # ---------------------------------------------------------------------------
 
 def _ray_tolerance(f, xs, ws, r):
-    """Bound on |along - evaluate|: 0 for separable fields, which build
-    the same points; for a radial bump the quadratic in r rounds relative to
-    (|x - c| + r |w|)^2 / R^2, and the bump's slope in q is below |a|."""
+    """Bound on |along - evaluate|: 0 for separable fields, which compute the
+    same x + w r per element (directly, or once per distinct (x_i, w_i) pair
+    on a shared row) and multiply in evaluate's order; for a radial bump the
+    quadratic in r rounds relative to (|x - c| + r |w|)^2 / R^2, and the
+    bump's slope in q is below |a|."""
     if isinstance(f, F._SumField):
         return sum(_ray_tolerance(t, xs, ws, r) for t in f.fields)
     if isinstance(f, F._ScaledField):
@@ -324,24 +327,61 @@ def _ray_tolerance(f, xs, ws, r):
     return 0.0
 
 
-@pytest.mark.parametrize("name", F.catalogue_names() + ["scaled", "radial_sum"])
-def test_ray_values_match_evaluate(cat, name):
-    extra = {"scaled": F.scale_field(cat["bump2_off"], -3.0),
-             "radial_sum": F.make_sum([cat["bump2"], cat["bump2_off"], F.make_bump([0.3, 0.1], 0.05, 2.0)])}
-    f = extra[name] if name in extra else cat[name]
-    rng = np.random.default_rng(len(name))
-    k, n = 300, f.dim
-    half = f.support_radius + 1.0
+def _random_rays(rng, n, half):
+    """300 random (N, k) axis-major rays, |w| != 1 on every other one."""
+    k = 300
     xs = rng.uniform(-half, half, (n, k))
     ws = rng.normal(size=(n, k))
     ws /= np.linalg.norm(ws, axis=0)
-    ws[:, ::2] *= rng.uniform(0.25, 3.0, k // 2)       # |w| != 1 on every other ray
-    for r in (np.linspace(0.0, 2.0, 65)[None, :], rng.uniform(0.0, 2.0, (k, 1))):
-        got = f.along(xs, ws)(r)
-        want = f.evaluate(np.moveaxis(xs[:, :, None] + ws[:, :, None] * r, 0, -1))
-        assert got.shape == want.shape == np.broadcast_shapes((k, 1), r.shape)
-        assert np.all(np.abs(got - want) <= _ray_tolerance(f, xs, ws, r))
-        assert np.any(want)
+    ws[:, ::2] *= rng.uniform(0.25, 3.0, k // 2)
+    return xs, ws
+
+
+def _product_rays(X, W):
+    """Every (x, w) pair of the rows of X and W as (N, k) axis-major rays."""
+    return np.repeat(X, len(W), axis=0).T.copy(), np.tile(W, (len(X), 1)).T.copy()
+
+
+def _grid_rays(n, half):
+    """The rays of a small polar grid: each (x_i, w_i) pair repeats."""
+    X, _ = Q.centered_box_grid(half, n, 24 // n, order=4).points_weights()
+    return _product_rays(X, Q.sphere_rule(n, 8 if n < 3 else 4).half().nodes)
+
+
+def _signed_zero_rays(n):
+    """A product of x and w coordinates holding both 0.0 and -0.0, |w| != 1."""
+    def product(vals):
+        return np.stack(np.meshgrid(*[np.array(vals)] * n, indexing="ij"), -1).reshape(-1, n)
+
+    return _product_rays(product([-0.0, 0.0, 0.3, -0.45]), product([0.0, -0.0, 1.5, -0.7]))
+
+
+@pytest.mark.parametrize("name", F.catalogue_names() + ["scaled", "radial_sum", "separable_sum"])
+def test_ray_values_match_evaluate(cat, name):
+    extra = {"scaled": F.scale_field(cat["bump2_off"], -3.0),
+             "radial_sum": F.make_sum([cat["bump2"], cat["bump2_off"], F.make_bump([0.3, 0.1], 0.05, 2.0)]),
+             "separable_sum": F.make_sum([cat["plateau2"], F.scale_field(cat["product2"], -2.0),
+                                          F.make_product_bump([0.2, -0.1], [0.9, 1.1], -1.7)])}
+    f = extra[name] if name in extra else cat[name]
+    rng = np.random.default_rng(len(name))
+    n = f.dim
+    half = f.support_radius + 1.0
+    row, row2 = np.linspace(0.0, 2.0, 65), np.linspace(0.0, 2.0, 33)
+    for xs, ws in (_random_rays(rng, n, half), _grid_rays(n, half), _signed_zero_rays(n)):
+        k = xs.shape[1]
+        per_ray = rng.uniform(0.0, 2.0, (k, 1))
+        u = f.along(xs, ws)      # one binding, read on ray subsets as the scan does
+        for b in (slice(None), slice(0, 1), slice(5, k // 2), slice(k // 3, None)):
+            for r in (row, per_ray[b], row2):
+                got = u(r, b)
+                want = f.evaluate(np.moveaxis(xs[:, b, None] + ws[:, b, None] * r, 0, -1))
+                assert got.shape == want.shape == np.broadcast_shapes((len(range(k)[b]), 1), r.shape)
+                tol = _ray_tolerance(f, xs[:, b], ws[:, b], r)
+                if np.all(tol == 0.0):
+                    assert got.tobytes() == want.tobytes()
+                else:
+                    assert np.all(np.abs(got - want) <= tol)
+        assert np.any(u(row))
 
 
 def _reference_radial_along(f, xs, ws, r):

@@ -398,7 +398,7 @@ GOLDEN_BUDGETS = {2: (24, 8, 8, 96), 3: (12, 4, 4, 48)}
 
 class CountingField:
     """Delegates to a field; counts and hashes the points passed to `evaluate`
-    and the ray points each `along` binding is read at."""
+    and the nominal ray points of each block an `along` binding is read at."""
 
     def __init__(self, base):
         self.base = base
@@ -417,11 +417,11 @@ class CountingField:
     def along(self, xs, ws):
         u = self.base.along(xs, ws)
 
-        def counted(r):
-            pts = np.moveaxis(xs[:, :, None] + ws[:, :, None] * r, 0, -1)
+        def counted(r, b=slice(None)):
+            pts = np.moveaxis(xs[:, b, None] + ws[:, b, None] * r, 0, -1)
             self.points += pts.size // pts.shape[-1]
             self.digest.update(np.ascontiguousarray(pts, dtype=float).tobytes())
-            return u(r)
+            return u(r, b)
 
         return counted
 
@@ -635,6 +635,15 @@ def _parent_scan_measures(f, lam, alpha, X, W, r_cap, scan, tol, n_dim):
     return acc / n_dim, np.bincount(cell, minlength=nx * nw)
 
 
+def _assert_kernel_matches_reference(f, lam, alpha, X, W):
+    half, r_cap = F.pair_region(f, lam, alpha)
+    got = LS._grid_measures(f, lam, alpha, X, W, r_cap, 40, 1e-10)
+    want = _parent_scan_measures(f, lam, alpha, X, W, r_cap, 40, 1e-10, f.dim)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.array_equal(got[1], want[1])
+    assert np.any(want[0]) and np.any(want[1])
+
+
 @pytest.mark.parametrize("name", F.catalogue_names())
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_scan_kernel_bitwise_equal_to_x_pruned_reference(cat, name, seed):
@@ -643,16 +652,96 @@ def test_scan_kernel_bitwise_equal_to_x_pruned_reference(cat, name, seed):
     n = f.dim
     lam = f.lip_bound * 10.0 ** rng.uniform(-1.0, 1.3)
     alpha = n + 1.0
-    half, r_cap = F.pair_region(f, lam, alpha)
+    half, _ = F.pair_region(f, lam, alpha)
     X = rng.uniform(-half, half, size=(97, n))
     W = rng.normal(size=(7, n))
     W /= np.linalg.norm(W, axis=1, keepdims=True)
     W = np.vstack([W, np.eye(n)])     # axis directions: zero components
+    _assert_kernel_matches_reference(f, lam, alpha, X, W)
+
+
+def _polar_rays(f, lam, alpha):
+    """A tensor grid of x nodes and a half sphere rule, as pair_measure_polar
+    scans them: every (x_i, w_i) pair repeats across rays."""
+    X, _ = Q.centered_box_grid(F.pair_region(f, lam, alpha)[0], f.dim, 36).points_weights()
+    return X, Q.sphere_rule(f.dim, 12).half().nodes
+
+
+@pytest.mark.parametrize("name", ["plateau2", "product2"])
+@pytest.mark.parametrize("lam_factor", [4.0, 0.5])
+def test_scan_kernel_bitwise_equal_to_x_pruned_reference_on_a_tensor_grid(cat, name, lam_factor):
+    # separable fields read their profiles from per-pair tables on these rays;
+    # the scanned rays span several blocks of the shared tables
+    f = cat[name]
+    lam, alpha = lam_factor * f.lip_bound, 3.0
+    X, W = _polar_rays(f, lam, alpha)
+    r_cap = F.pair_region(f, lam, alpha)[1]
+    rays = np.count_nonzero(f.segments_meet_support(X, W, r_cap, 1e-9))
+    assert rays > 2 * (LS._BLOCK_POINTS // 40)
+    _assert_kernel_matches_reference(f, lam, alpha, X, W)
+
+
+@pytest.mark.parametrize("name", F.catalogue_names(2))
+def test_scan_block_size_keeps_every_bit(cat, monkeypatch, name):
+    # 2^7 ray points make blocks of 3 rays: every binding is read on many slices
+    f = cat[name]
+    lam, alpha = 0.5 * f.lip_bound, 3.0
+    X, W = _polar_rays(f, lam, alpha)
+    r_cap = F.pair_region(f, lam, alpha)[1]
+    want = LS._grid_measures(f, lam, alpha, X, W, r_cap, 40, 1e-10)
+    monkeypatch.setattr(LS, "_BLOCK_POINTS", 2 ** 7)
     got = LS._grid_measures(f, lam, alpha, X, W, r_cap, 40, 1e-10)
-    want = _parent_scan_measures(f, lam, alpha, X, W, r_cap, 40, 1e-10, n)
     assert got[0].tobytes() == want[0].tobytes()
     assert np.array_equal(got[1], want[1])
-    assert np.any(want[0]) and np.any(want[1])
+    assert np.any(want[0])
+
+
+def test_separable_scan_evaluates_each_axis_pair_once(cat, monkeypatch):
+    f = cat["plateau2"]
+    lam, alpha, scan = 0.5 * f.lip_bound, 3.0, 64
+    r_cap = F.pair_region(f, lam, alpha)[1]
+    calls = {id(p): [] for p in f.profiles}      # points per profile jet call
+    counting = [True]
+    jet, bisect = F._Window1D.jet, LS._bisect_crossings
+
+    def counted_jet(self, t, order=0):
+        if counting[0]:
+            calls[id(self)].append(np.size(t))
+        return jet(self, t, order)
+
+    def uncounted_bisect(*args):
+        # the bisection reads per-ray radii, never a table: count the scan only
+        counting[0] = False
+        try:
+            return bisect(*args)
+        finally:
+            counting[0] = True
+
+    monkeypatch.setattr(F._Window1D, "jet", counted_jet)
+    monkeypatch.setattr(LS, "_bisect_crossings", uncounted_bisect)
+
+    def scan_calls(xs, ws):
+        ux = f.evaluate(xs.T)
+        for c in calls.values():
+            c.clear()
+        LS._scan_rays(f, lam, alpha, xs, ws, ux, r_cap, scan, 1e-10)
+        return [calls[id(p)] for p in f.profiles]
+
+    # polar-grid rays: per axis at most (distinct (x_i, w_i) pairs) x scan points
+    X, W = _polar_rays(f, lam, alpha)
+    xs, ws = np.repeat(X, len(W), axis=0).T.copy(), np.tile(W, (len(X), 1)).T.copy()
+    k = xs.shape[1]
+    pairs = [len(set(zip(xs[i].tolist(), ws[i].tolist()))) for i in range(f.dim)]
+    assert all(2 * n <= k for n in pairs)
+    assert all(0 < sum(c) <= n * scan for c, n in zip(scan_calls(xs, ws), pairs))
+    # random rays repeat no pair: no table, each block's points evaluated once
+    rng = np.random.default_rng(5)
+    k = 500
+    xs, ws = rng.uniform(-1.0, 1.0, (f.dim, k)), rng.normal(size=(f.dim, k))
+    block = LS._BLOCK_POINTS // scan
+    assert k > block
+    blocks = [min(block, k - b0) * scan for b0 in range(0, k, block)]
+    assert scan_calls(xs, ws) == [blocks] * f.dim
 
 
 # Per (field, lam / lip_bound) at p = 1, for the 200 rays of `_golden_rays`:
