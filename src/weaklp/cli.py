@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 from .errors import ConsistencyError, InvalidParameterError, PreconditionError
-from .experiments import ConfigError, config_seed, run_experiment
+from .experiments import ConfigError, config_seed, read_experiment, run_experiment
 from .quadrature import ordered_parallel_map
 from .reporting import Report, write_csv
 
@@ -66,14 +66,11 @@ def _finish(report: Report, out: Path, timings, verbose):
 
 def _cmd_run(args):
     cfg = _load_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     workers = _resolve_workers(args)
-    seed = args.seed if args.seed is not None else cfg.get("seed")
     t0 = time.perf_counter()
-    report = run_experiment(cfg, out, workers, seed)
+    report = run_experiment(cfg, args.out, workers, args.seed)
     timings = {"total_s": time.perf_counter() - t0}
-    return _finish(report, out, timings, args.verbose)
+    return _finish(report, Path(args.out), timings, args.verbose)
 
 
 def _cmd_sweep(args):
@@ -87,12 +84,8 @@ def _cmd_sweep(args):
     if any(not isinstance(g, list) or not g for g in grids):
         raise ConfigError("config field 'sweep.*' entries must be non-empty lists")
     jobs = list(itertools.product(*grids))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    workers = _resolve_workers(args)
-
-    def run_job(item):
-        idx, combo = item
+    runs = []           # every job is checked before the first one runs
+    for idx, combo in enumerate(jobs):
         job_cfg = json.loads(json.dumps({k: v for k, v in cfg.items() if k != "sweep"}))
         for key, val in zip(keys, combo):
             node = job_cfg
@@ -100,14 +93,20 @@ def _cmd_sweep(args):
             for part in parts[:-1]:
                 node = node.setdefault(part, {})
             node[parts[-1]] = val
+        runs.append(read_experiment(job_cfg, base_seed ^ idx))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    workers = _resolve_workers(args)
+
+    def run_job(item):
+        idx, run = item
         job_out = out / f"job_{idx:03d}"
-        job_out.mkdir(parents=True, exist_ok=True)
-        report = run_experiment(job_cfg, job_out, 1, base_seed ^ idx)
+        report = run(job_out, 1)
         report.write(job_out / "report.json")
         return report
 
     t0 = time.perf_counter()
-    reports = ordered_parallel_map(run_job, list(enumerate(jobs)), workers)
+    reports = ordered_parallel_map(run_job, list(enumerate(runs)), workers)
 
     rows = []
     worst = EXIT_PASS
@@ -137,7 +136,6 @@ def _cmd_sweep(args):
 def _cmd_constants(args):
     cfg = {"experiment": "constants", "seed": 0, "params": {}}
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     report = run_experiment(cfg, out, _resolve_workers(args), 0)
     return _finish(report, out, {"total_s": 0.0}, args.verbose)
 

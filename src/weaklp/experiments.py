@@ -1,6 +1,6 @@
-"""Experiment implementations behind the CLI: each takes a validated config,
-runs the relevant module operations, writes CSV artifacts, and returns a
-Report whose verdicts all cite their tolerances.
+"""Experiment implementations behind the CLI: each takes its params as read
+from its kind's row of the params table, runs the relevant module operations,
+writes CSV artifacts, and fills a Report whose verdicts all cite tolerances.
 
 Worker counts only control scheduling of independent jobs; results are
 reduced in fixed index order and must be byte-identical for any count.
@@ -33,75 +33,21 @@ class ConfigError(ValueError):
     """Invalid experiment config; the message names the offending field."""
 
 
-def _get(cfg, path, default=None, required=False):
-    """The config value at the dotted `path`; every part before the last
-    must be an object where it is present."""
-    node = cfg
-    parts = path.split(".")
-    for i, part in enumerate(parts):
-        if i and not isinstance(node, dict):
-            raise ConfigError(f"config field '{'.'.join(parts[:i])}' must be an object, got {node!r}")
-        if part not in node:
-            if required:
-                raise ConfigError(f"config field '{path}' is required")
-            return default
-        node = node[part]
-    return node
-
-
-def _field_from(cfg):
-    try:
-        return fields.field_from_spec(_get(cfg, "field", required=True))
-    except InvalidParameterError as exc:
-        raise ConfigError(f"config field 'field': {exc}") from exc
-
-
-def _fields_from(specs):
-    """The fields of `params.fields`: catalogue names or field specs."""
-    specs = [{"kind": "catalogue", "name": s} if isinstance(s, str) else s for s in specs]
-    try:
-        return [fields.field_from_spec(s) for s in specs]
-    except InvalidParameterError as exc:
-        raise ConfigError(f"config field 'params.fields': {exc}") from exc
-
-
-def _positive(cfg, path, default=None, required=False):
-    v = _get(cfg, path, default, required)
-    if v is not None and (not isinstance(v, (int, float)) or v <= 0):
-        raise ConfigError(f"config field '{path}' must be positive, got {v!r}")
-    return v
-
-
-def _count(cfg, path, default):
-    v = _get(cfg, path, default)
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or v < 0 or not float(v).is_integer():
-        raise ConfigError(f"config field '{path}' must be a non-negative integer, got {v!r}")
-    return int(v)
+# the value kinds of the params table (see KINDS); REQUIRED marks a param
+# with no default
+POS, NUM, OPT_NUM, INT, INT0 = (
+    "positive number", "number", "optional number", "positive integer", "non-negative integer")
+NUMS, INTS, FIELDS, SECTION, FIELD, STATEMENT = (
+    "number list", "integer list", "field list", "section", "field", "statement")
+REQUIRED = object()
 
 
 def _real(x):
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
-# list entry kind -> (test, what the error calls an entry)
-_ENTRIES = {
-    "number": (_real, "a number"),
-    "integer": (lambda x: _real(x) and x % 1 == 0, "an integer"),
-    "field": (lambda x: isinstance(x, (str, dict)), "a catalogue name or a field spec object"),
-}
-
-
-def _list(cfg, path, default, entry):
-    """A non-empty list-valued config field whose entries are each of kind
-    `entry` (a key of _ENTRIES); integer entries come back as ints."""
-    v = _get(cfg, path, default)
-    if not isinstance(v, list) or not v:
-        raise ConfigError(f"config field '{path}' must be a non-empty list, got {v!r}")
-    ok, what = _ENTRIES[entry]
-    for x in v:
-        if not ok(x):
-            raise ConfigError(f"config field '{path}' entries must each be {what}, got {x!r}")
-    return [int(x) for x in v] if entry == "integer" else v
+def _whole(x):
+    return _real(x) and x % 1 == 0
 
 
 def config_seed(seed):
@@ -109,42 +55,31 @@ def config_seed(seed):
     not a non-negative integer (a bool, a string, a fraction, a negative)."""
     if seed is None:
         raise ConfigError("config field 'seed' is required")
-    if not _ENTRIES["integer"][0](seed) or seed < 0:
-        raise ConfigError(f"config field 'seed' must be a non-negative integer, got {seed!r}")
-    return int(seed)
+    return KINDS[INT0]("seed", seed)
 
 
-def _section(cfg, path):
-    """An optional sub-object of the config; None when absent or empty."""
-    v = _get(cfg, path)
-    if v is not None and not isinstance(v, dict):
-        raise ConfigError(f"config field '{path}' must be an object, got {v!r}")
-    return v or None
-
-
-def _lambda_grid(f, params):
-    n = int(_positive(params, "lambda_points", 48))
-    lo = _positive(params, "lambda_lo_factor", 0.1)
-    hi = _positive(params, "lambda_hi_factor", 1e3)
-    if n < 2 or hi <= lo:
-        raise ConfigError("config field 'params.lambda_points'/factors malformed")
+def _lambda_grid(f, prm):
+    n, lo, hi = prm["lambda_points"], prm["lambda_lo_factor"], prm["lambda_hi_factor"]
+    if n < 2:
+        raise ConfigError(f"config field 'params.lambda_points' must be at least 2, got {n}")
+    if hi <= lo:
+        raise ConfigError(f"config field 'params.lambda_hi_factor' must exceed "
+                          f"'params.lambda_lo_factor' ({lo!r}), got {hi!r}")
     return levelset.default_lambda_grid(f, n, lo, hi)
 
 
 # ---------------------------------------------------------------------------
-# experiment kinds
+# experiment kinds: runner(rep, prm, out, workers) fills the Report `rep`;
+# `prm` holds every param of the kind's table, filled, and the `budgets`
 # ---------------------------------------------------------------------------
 
-def run_constants(cfg, out, workers, seed):
-    n_values = _list(cfg, "params.N_values", [1, 2, 3, 4], "integer")
-    p_values = _list(cfg, "params.p_values", DEFAULT_P_VALUES, "number")
-    tol = _positive(cfg, "params.tolerance", 1e-6)
-    rep = Report("constants", cfg, seed)
+def run_constants(rep, prm, out, workers):
+    n_values, tol = prm["N_values"], prm["tolerance"]
     rows = []
     worst = 0.0
     ok = True
     for n in n_values:
-        for p in p_values:
+        for p in prm["p_values"]:
             try:
                 sc = quadrature.sphere_abs_moment(p, n, rtol=tol)
             except ConsistencyError:
@@ -162,25 +97,18 @@ def run_constants(cfg, out, workers, seed):
         "constants:closed_vs_quad", ok and worst <= tol, tol, observed=worst,
         detail="closed form vs sphere quadrature, relative",
     )
-    return rep
 
 
-def run_limit(cfg, out, workers, seed):
-    f = _field_from(cfg)
-    params = _get(cfg, "params", {})
-    p = _positive(cfg, "params.p", required=True)
-    tol = _positive(cfg, "params.tolerance", 0.05)
-    window = int(_positive(cfg, "params.window", 8))
-    budgets = _get(cfg, "budgets", {})
+def run_limit(rep, prm, out, workers):
+    f, p, tol = prm["field"], prm["p"], prm["tolerance"]
     alpha = f.dim / p + 1.0
-    grid = _lambda_grid(f, params)
-    prof = levelset.distribution_profile(f, p, alpha, grid, budgets=budgets, workers=workers)
-    lim = levelset.tail_limit(prof, window, tol=_positive(cfg, "params.flatness_tol", 0.03))
+    grid = _lambda_grid(f, prm)
+    prof = levelset.distribution_profile(f, p, alpha, grid, budgets=prm["budgets"], workers=workers)
+    lim = levelset.tail_limit(prof, prm["window"], tol=prm["flatness_tol"])
     moment = quadrature.sphere_abs_moment(p, f.dim).moment
     grad = fields.gradient_lp_norm(f, p).value
     target = moment / f.dim * grad
     write_csv(out / "profile.csv", PROFILE_HEADER, prof.rows())
-    rep = Report("limit", cfg, seed)
     rep.results["plateau"] = lim.plateau
     rep.results["flatness"] = lim.flatness
     rep.results["target"] = target
@@ -191,29 +119,20 @@ def run_limit(cfg, out, workers, seed):
         "thm1.2:limit", passed, tol, observed=lim.plateau, target=target,
         detail=f"relative deviation {rel:.4g}, plateau flatness {lim.flatness:.4g}",
     )
-    return rep
 
 
-def run_quasinorm(cfg, out, workers, seed):
-    f = _field_from(cfg)
-    params = _get(cfg, "params", {})
-    p = _positive(cfg, "params.p", required=True)
-    (budgets,) = quadrature.split_budgets(f.dim, _get(cfg, "budgets", {}), "polar")
-    refine = _count(cfg, "params.refine", 12)
-    sand = _section(cfg, "params.sandwich")
-    lam_factors = _list(cfg, "params.sandwich.lambda_factors", [10.0, 100.0], "number")
-    deltas = _list(cfg, "params.sandwich.deltas", [0.25, 0.5], "number")
-    hold = _section(cfg, "params.holder")
+def run_quasinorm(rep, prm, out, workers):
+    f, p, refine = prm["field"], prm["p"], prm["refine"]
+    (budgets,) = quadrature.split_budgets(f.dim, prm["budgets"], "polar")
     alpha = f.dim / p + 1.0
-    grid = _lambda_grid(f, params)
+    grid = _lambda_grid(f, prm)
     prof = levelset.distribution_profile(f, p, alpha, grid, budgets=budgets, workers=workers)
     sup_val, flagged = levelset.weak_quasinorm(prof, refine=refine, with_flag=True)
     grad = fields.gradient_lp_norm(f, p).value
     moment = quadrature.sphere_abs_moment(p, f.dim).moment
     write_csv(out / "profile.csv", PROFILE_HEADER, prof.rows())
 
-    rep = Report("quasinorm", cfg, seed)
-    lower_tol = _positive(cfg, "params.lower_tolerance", 0.05)
+    lower_tol = prm["lower_tolerance"]
     lower_target = (1.0 - lower_tol) * moment / f.dim * grad
     c_emp = sup_val / grad if grad > 0 else 0.0
     rep.results["sup_lambda_p_mu"] = sup_val
@@ -228,7 +147,7 @@ def run_quasinorm(cfg, out, workers, seed):
         detail="sup lambda^p mu >= (1-tol) * moment/N * grad_lp",
     )
 
-    stability_tol = _positive(cfg, "params.stability_tolerance", 0.10)
+    stability_tol = prm["stability_tolerance"]
     ref_budgets = budgets | {"x_nodes": 2 * budgets["x_nodes"], "scan": 2 * budgets["scan"]}
     prof2 = levelset.distribution_profile(f, p, alpha, grid, budgets=ref_budgets, workers=workers)
     sup2 = levelset.weak_quasinorm(prof2, refine=refine)
@@ -240,40 +159,31 @@ def run_quasinorm(cfg, out, workers, seed):
         detail="empirical upper ratio drift under one full refinement",
     )
 
-    if sand:
-        stream = RandomStream(seed, 1)
-        samples = int(_positive(cfg, "params.sandwich.samples", 500))
+    if prm["sandwich"]:
+        stream = RandomStream(rep.seed, 1)
         recs = [
-            levelset.verify_sandwich(f, p, lam_f * f.lip_bound, samples, delta, stream)
-            for lam_f in lam_factors
-            for delta in deltas
+            levelset.verify_sandwich(f, p, lam_f * f.lip_bound, prm["sandwich.samples"], delta, stream)
+            for lam_f in prm["sandwich.lambda_factors"]
+            for delta in prm["sandwich.deltas"]
         ]
         total_bad = sum(r["violations_upper"] + r["violations_lower"] for r in recs)
         rep.results["sandwich"] = recs
         rep.add_verdict("sec3:sandwich", total_bad == 0, 0, observed=total_bad,
                         detail="ray containment violations")
-    if hold:
-        stream = RandomStream(seed, 2)
+    if prm["holder"]:
+        stream = RandomStream(rep.seed, 2)
         rec = covering.holder_containment_check(
-            f, p, _positive(cfg, "params.holder.lambda_factor", 1.0) * f.lip_bound,
-            int(_positive(cfg, "params.holder.samples", 10000)), stream,
+            f, p, prm["holder.lambda_factor"] * f.lip_bound, prm["holder.samples"], stream,
         )
         rep.results["holder"] = rec
         rep.add_verdict("sec2:holder", rec["violations"] == 0, covering.HOLDER_TOL,
                         observed=rec["violations"],
                         detail=f"members {rec['members']}, segment-mass tolerance relative")
-    return rep
 
 
-def run_gagliardo(cfg, out, workers, seed):
-    f = _field_from(cfg)
-    params = _get(cfg, "params", {})
-    s = _positive(cfg, "params.s", required=True)
-    p = _positive(cfg, "params.p", required=True)
-    delta_in = params.get("delta_in", 0.0)
-    q = seminorms.SeminormQuery(f, s, p, delta_in)
-    res = seminorms.gagliardo(q, **_get(cfg, "budgets") or {})
-    rep = Report("gagliardo", cfg, seed)
+def run_gagliardo(rep, prm, out, workers):
+    q = seminorms.SeminormQuery(prm["field"], prm["s"], prm["p"], prm["delta_in"])
+    res = seminorms.gagliardo(q, **prm["budgets"])
     rep.results["value"] = res.value
     rep.results["error_estimate"] = res.error_estimate
     rep.results["nodes_used"] = res.nodes_used
@@ -282,13 +192,11 @@ def run_gagliardo(cfg, out, workers, seed):
         observed=res.error_estimate / max(abs(res.value), 1e-300),
         detail="refinement delta relative to value",
     )
-    return rep
 
 
-def run_covering(cfg, out, workers, seed):
-    trials = int(_positive(cfg, "params.trials", 100))
-    gammas = _list(cfg, "params.gammas", [0.5, 1.0, 2.0], "number")
-    rng = np.random.default_rng(seed)
+def run_covering(rep, prm, out, workers):
+    trials = prm["trials"]
+    rng = np.random.default_rng(rep.seed)
     disjoint_ok = True
     cover_bad = 0
     energy_ok = True
@@ -298,7 +206,7 @@ def run_covering(cfg, out, workers, seed):
         m = int(rng.integers(16, 129))
         vals = rng.uniform(0.0, 3.0, m) * (rng.random(m) < 0.7)
         f = covering.PiecewiseConstantField(-1.0, 1.5, vals)
-        for gamma in gammas:
+        for gamma in prm["gammas"]:
             fam = covering.admissible_intervals(f, gamma)
             cov = covering.vitali_select(fam)
             order = np.argsort(cov.starts)
@@ -322,7 +230,6 @@ def run_covering(cfg, out, workers, seed):
         dump = [(f.node(a), f.node(b), int((a, b) in sel))
                 for a, b in zip(fam.starts, fam.ends)]
         write_csv(out / "cover.csv", COVER_HEADER, dump)
-    rep = Report("covering", cfg, seed)
     rep.results["trials"] = trials
     rep.add_verdict("prop2.1:disjoint", disjoint_ok, 0, observed=int(not disjoint_ok),
                     detail="exact pairwise disjointness of the greedy selection")
@@ -330,16 +237,11 @@ def run_covering(cfg, out, workers, seed):
                     detail="member pairs outside every selected 5J x 5J")
     rep.add_verdict("prop2.1:energy", energy_ok, 1e-9, observed=int(not energy_ok),
                     detail="energy <= factor * sum |J|^(gamma+1) <= factor * mass")
-    return rep
 
 
-def run_rotation(cfg, out, workers, seed):
-    names = _list(cfg, "params.fields",
-                  ["bump2", "bump2_off", "plateau2", "bumps2_pair", "product2"], "field")
-    n_mc = int(_positive(cfg, "params.mc_samples", 150_000))
-    cells = int(_positive(cfg, "params.line_cells", 256))
-    drift_tol = _positive(cfg, "params.stability_tolerance", 0.10)
-    flds = _fields_from(names)
+def run_rotation(rep, prm, out, workers):
+    n_mc, cells, drift_tol = prm["mc_samples"], prm["line_cells"], prm["stability_tolerance"]
+    names, flds = zip(*prm["fields"])
     rows = []
     agree_ok = True
     bound_ok = True
@@ -348,7 +250,7 @@ def run_rotation(cfg, out, workers, seed):
     def one(item):
         idx, f = item
         rec = covering.rotation_measure(f, line_cells=cells, offset_cells=cells // 2)
-        return rec, covering.rotation_measure_mc(f, n_mc, RandomStream(seed, 100 + idx))
+        return rec, covering.rotation_measure_mc(f, n_mc, RandomStream(rep.seed, 100 + idx))
 
     for name, (rec, mc) in zip(names, ordered_parallel_map(one, list(enumerate(flds)), workers)):
         sig = math.hypot(rec["measure"].error_estimate, mc.error_estimate)
@@ -361,7 +263,6 @@ def run_rotation(cfg, out, workers, seed):
     write_csv(out / "rotation.csv",
               ["field", "foliation", "foliation_err", "mc", "mc_err", "z", "c_emp",
                "c_emp_drift"], rows)
-    rep = Report("rotation", cfg, seed)
     rep.results["rows"] = [list(r) for r in rows]
     rep.add_verdict("prop2.2:agreement", agree_ok, 3.0,
                     observed=max(r[5] for r in rows), detail="combined standard errors")
@@ -369,25 +270,16 @@ def run_rotation(cfg, out, workers, seed):
                     detail="measure <= certified multiple of ||F||_1")
     rep.add_verdict("prop2.2:cemp_stable", drift_ok, drift_tol,
                     observed=max(r[7] for r in rows), detail="c_emp refinement drift")
-    return rep
 
 
-def run_maximal(cfg, out, workers, seed):
-    f = _field_from(cfg)
-    params = _get(cfg, "params", {})
-    p = _positive(cfg, "params.p", 2.0)
-    cells = int(_positive(cfg, "params.cells", 96 if f.dim == 1 else 64))
-    grid = _lambda_grid(f, {"lambda_points": int(params.get("lambda_points", 12)),
-                            "lambda_lo_factor": params.get("lambda_lo_factor", 0.5),
-                            "lambda_hi_factor": params.get("lambda_hi_factor", 100.0)})
-    budgets = _get(cfg, "budgets", {})
-    rec = maximal.maximal_route_bound(f, p, grid, RandomStream(seed, 5), cells=cells,
-                                      profile_budgets=budgets)
-    ref = maximal.lusin_lipschitz_check(f, 20_000, RandomStream(seed, 6), cells=2 * cells)
+def run_maximal(rep, prm, out, workers):
+    f, p, cells = prm["field"], prm["p"], prm["cells"]
+    rec = maximal.maximal_route_bound(f, p, _lambda_grid(f, prm), RandomStream(rep.seed, 5),
+                                      cells=cells, profile_budgets=prm["budgets"])
+    ref = maximal.lusin_lipschitz_check(f, 20_000, RandomStream(rep.seed, 6), cells=2 * cells)
     scaled = maximal.lusin_lipschitz_check(
-        fields.scale_field(f, 3.0), 20_000, RandomStream(seed, 6), cells=2 * cells
+        fields.scale_field(f, 3.0), 20_000, RandomStream(rep.seed, 6), cells=2 * cells
     )
-    rep = Report("maximal", cfg, seed)
     rep.results["bound"] = rec["bound"]
     rep.results["direct_max"] = rec["direct_max"]
     rep.results["c_emp"] = rec["c_emp"]
@@ -405,55 +297,48 @@ def run_maximal(cfg, out, workers, seed):
     scale_dev = abs(scaled["c_emp"] / ref["c_emp"] - 1.0) if ref["c_emp"] > 0 else 0.0
     rep.add_verdict("rmk2.3:cemp_scaling", scale_dev <= 1e-2, 1e-2, observed=scale_dev,
                     detail="amplitude invariance of c_emp")
-    return rep
 
 
+# statement -> (verdict tag, the statement's own params, check(field, prm, budgets))
 _STATEMENTS = {
-    "weak-1d": ("cor1.4", lambda f, prm, b: corollaries.check_weak_gradient_1d(
-        f, prm.get("p", 1.5), budgets=b)),
-    "weak-sup": ("cor1.5", lambda f, prm, b: corollaries.check_weak_sup_interpolation(
-        f, prm.get("p", 1.5), budgets=b)),
-    "weak-seminorm": ("cor1.6", lambda f, prm, b: corollaries.check_weak_seminorm_interpolation(
-        f, corollaries.GNParams(prm.get("theta", 0.5), prm.get("p1", 2.0), prm.get("s1", 0.5)),
-        budgets=b)),
-    "strong-interp": ("gn", lambda f, prm, b: corollaries.check_strong_interpolation(
-        f, prm.get("theta", 0.5), prm.get("p1", 2.0), budgets=b)),
-    "embedding": ("sobolev", lambda f, prm, b: corollaries.check_strong_embedding(
-        f, prm.get("s", 0.5), budgets=b)),
+    "weak-1d": ("cor1.4", {"p": (NUM, 1.5)},
+                lambda f, prm, b: corollaries.check_weak_gradient_1d(f, prm["p"], budgets=b)),
+    "weak-sup": ("cor1.5", {"p": (NUM, 1.5)},
+                 lambda f, prm, b: corollaries.check_weak_sup_interpolation(f, prm["p"], budgets=b)),
+    "weak-seminorm": ("cor1.6", {"theta": (NUM, 0.5), "p1": (NUM, 2.0), "s1": (NUM, 0.5)},
+                      lambda f, prm, b: corollaries.check_weak_seminorm_interpolation(
+                          f, corollaries.GNParams(prm["theta"], prm["p1"], prm["s1"]), budgets=b)),
+    "strong-interp": ("gn", {"theta": (NUM, 0.5), "p1": (NUM, 2.0)},
+                      lambda f, prm, b: corollaries.check_strong_interpolation(
+                          f, prm["theta"], prm["p1"], budgets=b)),
+    "embedding": ("sobolev", {"s": (NUM, 0.5)},
+                  lambda f, prm, b: corollaries.check_strong_embedding(f, prm["s"], budgets=b)),
 }
 
 
-def run_corollary(cfg, out, workers, seed):
-    statement = _get(cfg, "params.statement", required=True)
-    params = _get(cfg, "params")
-    if statement not in _STATEMENTS:
-        raise ConfigError(
-            f"config field 'params.statement' must be one of {sorted(_STATEMENTS)}"
-        )
-    tag, runner = _STATEMENTS[statement]
-    budgets = _get(cfg, "budgets", {})
-    if params.get("fields") is None:
-        eps_ladder = _list(cfg, "params.eps_ladder", [0.2, 0.1, 0.05, 0.025], "number")
-        dim = int(params.get("dim", 1))
-        box = [[0.0, 1.0]] * dim
-        flds = [fields.make_mollified_indicator(box, e) for e in eps_ladder]
+def run_corollary(rep, prm, out, workers):
+    tag, _, check = _STATEMENTS[prm["statement"]]
+    budgets = prm["budgets"]
+    if prm["fields"] is None:
+        box = [[0.0, 1.0]] * prm["dim"]
+        flds = [fields.make_mollified_indicator(box, e) for e in prm["eps_ladder"]]
     else:
-        flds = _fields_from(_list(cfg, "params.fields", None, "field"))
+        flds = [f for _, f in prm["fields"]]
 
     def one(f):
-        return runner(f, params, budgets)
+        return check(f, prm, budgets)
 
     reports = ordered_parallel_map(one, flds, workers)
     ratios = [r.ratio for r in reports]
     med = float(np.median(ratios))
-    spread_tol = _positive(cfg, "params.spread_factor", 3.0)
+    spread_tol = prm["spread_factor"]
     bounded = all(math.isfinite(r) for r in ratios) and (
         med == 0.0 or all(med / spread_tol <= r <= med * spread_tol for r in ratios)
     )
 
     homo_tol = 1e-2
     r1 = reports[0]
-    r3 = runner(fields.scale_field(flds[0], 3.0), params, budgets)
+    r3 = check(fields.scale_field(flds[0], 3.0), prm, budgets)
     homo_dev = max(
         abs(r3.lhs / (3.0 * r1.lhs) - 1.0) if r1.lhs > 0 else 0.0,
         abs(r3.rhs / (3.0 * r1.rhs) - 1.0) if r1.rhs > 0 else 0.0,
@@ -465,31 +350,23 @@ def run_corollary(cfg, out, workers, seed):
         for r in reports
     ]
     write_csv(out / "corollary.csv", COROLLARY_HEADER, rows)
-    rep = Report("corollary", cfg, seed)
     rep.results["ratios"] = ratios
     rep.results["median_ratio"] = med
     rep.add_verdict(f"{tag}:bounded", bounded, spread_tol, observed=max(ratios),
                     target=med, detail="ratios within a fixed factor of their median")
     rep.add_verdict(f"{tag}:homogeneity", homo_dev <= homo_tol, homo_tol,
                     observed=homo_dev, detail="both sides 1-homogeneous at c in {1, 3}")
-    return rep
 
 
-def run_failure(cfg, out, workers, seed):
-    params = _get(cfg, "params", {})
-    p = _positive(cfg, "params.p", 2.0)
-    eps_ladder = _list(cfg, "params.eps_ladder", [0.2, 0.1, 0.05, 0.025], "number")
+def run_failure(rep, prm, out, workers):
     probe = corollaries.strong_norm_divergence_probe(
-        p, eps_ladder,
-        delta_in=params.get("delta_in"),
-        weak_p=params.get("weak_p"),
-        budgets=_get(cfg, "budgets", {}),
+        prm["p"], prm["eps_ladder"], delta_in=prm["delta_in"], weak_p=prm["weak_p"],
+        budgets=prm["budgets"],
     )
     write_csv(out / "failure_ladder.csv", LADDER_HEADER,
               list(zip(probe["eps"], probe["values"])))
-    rep = Report("failure", cfg, seed)
     rep.results.update(probe)
-    drift_tol = _positive(cfg, "params.increment_tolerance", 0.25)
+    drift_tol = prm["increment_tolerance"]
     rep.add_verdict(
         "eq4.3:divergence",
         probe["increments_positive"] and probe["increment_drift"] <= drift_tol,
@@ -501,24 +378,16 @@ def run_failure(cfg, out, workers, seed):
     ok = med == 0.0 or all(med / 3.0 <= w <= med * 3.0 for w in weak)
     rep.add_verdict("cor1.4:bounded", ok, 3.0, observed=max(weak), target=med,
                     detail="weak counterpart ratios on the same ladder")
-    return rep
 
 
-def run_crosscheck(cfg, out, workers, seed):
-    f = _field_from(cfg)
-    params = _get(cfg, "params", {})
-    p = _positive(cfg, "params.p", required=True)
-    tol = _positive(cfg, "params.tolerance", 0.10)
-    s_ladder = _list(cfg, "params.s_ladder", [0.5, 0.75, 0.875, 0.9375, 0.96875], "number")
-    deltas = _list(cfg, "params.delta_ladder", [1e-2, 1e-3, 1e-4, 1e-5], "number")
-    budgets = _get(cfg, "budgets") or {}
-    fac = seminorms.seminorm_limit_factor(f, p, s_ladder, tol=tol, **budgets)
-    probe = seminorms.diagonal_divergence_probe(f, p, deltas, tol=tol, **budgets)
+def run_crosscheck(rep, prm, out, workers):
+    f, p, tol, budgets = prm["field"], prm["p"], prm["tolerance"], prm["budgets"]
+    fac = seminorms.seminorm_limit_factor(f, p, prm["s_ladder"], tol=tol, **budgets)
+    probe = seminorms.diagonal_divergence_probe(f, p, prm["delta_ladder"], tol=tol, **budgets)
     write_csv(out / "limit_factor_ladder.csv", LADDER_HEADER,
               list(zip(fac["s_values"], fac["factors"])))
     write_csv(out / "divergence_ladder.csv", LADDER_HEADER,
               list(zip(probe["deltas"], probe["values"])))
-    rep = Report("crosscheck", cfg, seed)
     rep.results["limit_factor"] = fac
     rep.results["divergence"] = probe
     rep.add_verdict("limit_factor:multiple", fac["passed"], tol,
@@ -531,34 +400,162 @@ def run_crosscheck(cfg, out, workers, seed):
     rep.add_verdict("limit_factor:probe_consistency", abs(consistency - 1.0) <= tol, tol,
                     observed=consistency,
                     detail="slope vs p * plateau, mutually independent estimates")
-    return rep
 
 
-# kind -> (runner, the quadrature.BUDGETS entries its `budgets` feed)
+_FIELD = {"field": (FIELD, REQUIRED)}
+_LADDER = {"eps_ladder": (NUMS, [0.2, 0.1, 0.05, 0.025])}
+
+
+def _lambdas(n, lo, hi):
+    return {"lambda_points": (INT, n), "lambda_lo_factor": (POS, lo), "lambda_hi_factor": (POS, hi)}
+
+
+# kind -> (runner, the quadrature.BUDGETS entries its `budgets` feed, params);
+# params maps each param's path under `params` (`field` is the top-level
+# field spec) to its value kind and default, a (1-D, higher) pair of
+# defaults being picked by the field's dimension, as in BUDGETS
 EXPERIMENTS = {
-    "constants": (run_constants, ()),
-    "limit": (run_limit, ("polar",)),
-    "quasinorm": (run_quasinorm, ("polar",)),
-    "gagliardo": (run_gagliardo, ("gagliardo",)),
-    "covering": (run_covering, ()),
-    "rotation": (run_rotation, ()),
-    "maximal": (run_maximal, ("polar",)),
-    "corollary": (run_corollary, ("weak", "polar", "gagliardo")),
-    "failure": (run_failure, ("gagliardo", "weak", "polar")),
-    "crosscheck": (run_crosscheck, ("gagliardo",)),
+    "constants": (run_constants, (), {"N_values": (INTS, [1, 2, 3, 4]),
+                                      "p_values": (NUMS, DEFAULT_P_VALUES), "tolerance": (POS, 1e-6)}),
+    "limit": (run_limit, ("polar",), _FIELD | {
+        "p": (POS, REQUIRED), "tolerance": (POS, 0.05), "window": (INT, 8), "flatness_tol": (POS, 0.03),
+    } | _lambdas(48, 0.1, 1e3)),
+    "quasinorm": (run_quasinorm, ("polar",), _FIELD | {
+        "p": (POS, REQUIRED), "refine": (INT0, 12), "lower_tolerance": (POS, 0.05),
+        "stability_tolerance": (POS, 0.10), "sandwich": (SECTION, None),
+        "sandwich.lambda_factors": (NUMS, [10.0, 100.0]), "sandwich.deltas": (NUMS, [0.25, 0.5]),
+        "sandwich.samples": (INT, 500), "holder": (SECTION, None),
+        "holder.lambda_factor": (POS, 1.0), "holder.samples": (INT, 10000),
+    } | _lambdas(48, 0.1, 1e3)),
+    "gagliardo": (run_gagliardo, ("gagliardo",), _FIELD | {
+        "s": (POS, REQUIRED), "p": (POS, REQUIRED), "delta_in": (NUM, 0.0)}),
+    "covering": (run_covering, (), {"trials": (INT, 100), "gammas": (NUMS, [0.5, 1.0, 2.0])}),
+    "rotation": (run_rotation, (), {
+        "fields": (FIELDS, ["bump2", "bump2_off", "plateau2", "bumps2_pair", "product2"]),
+        "mc_samples": (INT, 150_000), "line_cells": (INT, 256), "stability_tolerance": (POS, 0.10)}),
+    "maximal": (run_maximal, ("polar",),
+                _FIELD | {"p": (POS, 2.0), "cells": (INT, (96, 64))} | _lambdas(12, 0.5, 100.0)),
+    "corollary": (run_corollary, ("weak", "polar", "gagliardo"), {
+        "statement": (STATEMENT, REQUIRED), "fields": (FIELDS, None), "dim": (INT, 1),
+        "spread_factor": (POS, 3.0)} | _LADDER),
+    "failure": (run_failure, ("gagliardo", "weak", "polar"), {
+        "p": (POS, 2.0), "delta_in": (OPT_NUM, None), "weak_p": (OPT_NUM, None),
+        "increment_tolerance": (POS, 0.25)} | _LADDER),
+    "crosscheck": (run_crosscheck, ("gagliardo",), _FIELD | {
+        "p": (POS, REQUIRED), "tolerance": (POS, 0.10),
+        "s_ladder": (NUMS, [0.5, 0.75, 0.875, 0.9375, 0.96875]),
+        "delta_ladder": (NUMS, [1e-2, 1e-3, 1e-4, 1e-5])}),
 }
 
 
+def _one(test, what, convert=None):
+    """Reader of a value that passes `test`; `what` names it in errors."""
+    def read(path, v):
+        if not test(v):
+            raise ConfigError(f"config field '{path}' must be {what}, got {v!r}")
+        return v if convert is None else convert(path, v)
+    return read
+
+
+def _many(test, what, convert=None):
+    """Reader of a non-empty list whose entries each pass `test`."""
+    def read(path, v):
+        if not isinstance(v, list) or not v:
+            raise ConfigError(f"config field '{path}' must be a non-empty list, got {v!r}")
+        for x in v:
+            if not test(x):
+                raise ConfigError(f"config field '{path}' entries must each be {what}, got {x!r}")
+        return v if convert is None else [convert(path, x) for x in v]
+    return read
+
+
+def _field(path, spec):
+    """The field of a spec object or a catalogue name."""
+    try:
+        return fields.field_from_spec({"kind": "catalogue", "name": spec} if isinstance(spec, str) else spec)
+    except InvalidParameterError as exc:
+        raise ConfigError(f"config field '{path}': {exc}") from exc
+
+
+# value kind -> reader(path, value) that checks a value and returns it filled
+KINDS = {
+    POS: _one(lambda x: _real(x) and x > 0, "a positive number"),
+    NUM: _one(_real, "a number"),
+    OPT_NUM: _one(lambda x: x is None or _real(x), "a number or null"),
+    INT: _one(lambda x: _whole(x) and x >= 1, "a positive integer", lambda path, x: int(x)),
+    INT0: _one(lambda x: _whole(x) and x >= 0, "a non-negative integer", lambda path, x: int(x)),
+    NUMS: _many(_real, "a number"),
+    INTS: _many(_whole, "an integer", lambda path, x: int(x)),
+    # (entry, field) pairs: rotation rows are labelled by the entry as written
+    FIELDS: _many(lambda x: isinstance(x, (str, dict)), "a catalogue name or a field spec object",
+                  lambda path, x: (x, _field(path, x))),
+    SECTION: _one(lambda x: isinstance(x, dict), "an object", lambda path, x: x or None),
+    FIELD: _one(lambda x: isinstance(x, dict), "a field spec object", _field),
+    STATEMENT: _one(lambda x: isinstance(x, str) and x in _STATEMENTS, f"one of {sorted(_STATEMENTS)}"),
+}
+_MISSING = object()
+
+
+def _flatten(cfg, inner):
+    """{path: value} for the top-level keys of `cfg` and, below them, the keys
+    of each object at a path in `inner` (`params` and its sections)."""
+    flat, nodes = {}, [("", cfg)]
+    while nodes:
+        prefix, node = nodes.pop()
+        for key, v in node.items():
+            flat[path := prefix + key] = v
+            if path in inner:
+                nodes.append((path + ".", KINDS[SECTION](path, v) or {}))
+    return flat
+
+
+def _value(flat, path, what, default, dim=1):
+    """The value at `path` read as kind `what`, else its default at `dim`."""
+    v = flat.get(path, _MISSING)
+    if v is _MISSING:
+        if default is REQUIRED:
+            raise ConfigError(f"config field '{path}' is required")
+        v = default[dim > 1] if isinstance(default, tuple) else default
+        if v is None:
+            return None
+    return KINDS[what](path, v)
+
+
+def read_experiment(cfg, seed=None):
+    """Check `cfg` against its kind's row of EXPERIMENTS before any output or
+    work: its budgets, its keys (none unknown) and the kind of every value.
+    Returns run(out, workers) -> Report; `seed` overrides the config's."""
+    kind = cfg.get("experiment")
+    if not isinstance(kind, str) or kind not in EXPERIMENTS:
+        raise ConfigError(f"config field 'experiment' must be one of {sorted(EXPERIMENTS)}, got {kind!r}")
+    runner, estimators, spec = EXPERIMENTS[kind]
+    budgets = KINDS[SECTION]("budgets", cfg.get("budgets", {})) or {}
+    quadrature.split_budgets(1, budgets, *estimators)
+    flat = _flatten(cfg, {"params"} | {f"params.{k}" for k, (what, _) in spec.items() if what == SECTION})
+    if "statement" in spec and "params.statement" in flat:
+        spec = spec | _STATEMENTS[_value(flat, "params.statement", *spec["statement"])][1]
+    paths = {key if key == "field" else f"params.{key}": key for key in spec}
+    known = {"experiment", "seed", "budgets", "params", *paths}
+    for path in flat:
+        if path not in known:
+            takes = sorted(k for k in known if k.rpartition(".")[0] == path.rpartition(".")[0])
+            raise ConfigError(f"config field '{path}' is not one that {kind} takes; "
+                              f"it takes {', '.join(takes)}")
+    prm = {"budgets": budgets}
+    for path, key in paths.items():
+        prm[key] = _value(flat, path, *spec[key], prm["field"].dim if "field" in prm else 1)
+    seed = config_seed(cfg.get("seed") if seed is None else seed)
+
+    def run(out, workers):
+        out = Path(out)
+        out.mkdir(parents=True, exist_ok=True)
+        rep = Report(kind, cfg, seed)
+        runner(rep, prm, out, workers)
+        return rep
+
+    return run
+
+
 def run_experiment(cfg, out, workers, seed):
-    kind = _get(cfg, "experiment", required=True)
-    if kind not in EXPERIMENTS:
-        raise ConfigError(
-            f"config field 'experiment' must be one of {sorted(EXPERIMENTS)}, got {kind!r}"
-        )
-    runner, estimators = EXPERIMENTS[kind]
-    quadrature.split_budgets(1, _section(cfg, "budgets"), *estimators)
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
-    if seed is None:
-        seed = _get(cfg, "seed")
-    return runner(cfg, out, workers, config_seed(seed))
+    """Run `cfg` into the directory `out`, once `read_experiment` passes it."""
+    return read_experiment(cfg, seed)(out, workers)

@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from weaklp.cli import main
-from weaklp.experiments import EXPERIMENTS, run_experiment
+from weaklp.experiments import _STATEMENTS, EXPERIMENTS, REQUIRED, run_experiment
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -281,8 +282,7 @@ def test_inconclusive_exit_code(tmp_path):
      "params": {"p": 2.0, "cells": 96, "lambda_points": 6},
      "budgets": {"x_nodes": 96, "scan": 256}, "seed": 3},
     {"experiment": "corollary",
-     "params": {"statement": "weak-1d", "p": 1.5, "eps_ladder": [0.2, 0.1],
-                "lambda_points": 8},
+     "params": {"statement": "weak-1d", "p": 1.5, "eps_ladder": [0.2, 0.1]},
      "budgets": {"lambda_points": 8}, "seed": 3},
     {"experiment": "failure",
      "params": {"p": 2.0, "eps_ladder": [0.2, 0.1, 0.05], "weak_p": 1.5},
@@ -404,3 +404,144 @@ def test_odd_2d_sphere_order_is_a_config_error(tmp_path, capsys):
                                "budgets": {"sphere_order": 13}})
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert "sphere_order" in capsys.readouterr().err
+
+
+# -- the params table -------------------------------------------------------
+
+# a value of the wrong kind for each value kind
+WRONG = {"positive number": "x", "number": "x", "optional number": "x", "positive integer": 1.5,
+         "non-negative integer": "two", "number list": ["x"], "integer list": [1.5],
+         "field list": [3], "section": True, "field": "bump1", "statement": "weak-2d"}
+DROP = object()
+
+
+def _path(key):
+    return key if key == "field" else f"params.{key}"
+
+
+def _with(cfg, path, value=DROP):
+    """A copy of `cfg` with the dotted `path` set to `value`, or removed."""
+    cfg = json.loads(json.dumps(cfg))
+    *parents, last = path.split(".")
+    node = cfg
+    for part in parents:
+        node = node.setdefault(part, {})
+    if value is DROP:
+        node.pop(last, None)
+    else:
+        node[last] = value
+    return cfg
+
+
+def _table_cases():
+    """(kind, statement, param, value kind) for every param of the table."""
+    for kind, (_, _, spec) in EXPERIMENTS.items():
+        for key, (what, _) in spec.items():
+            yield pytest.param(kind, "weak-1d", key, what, id=f"{kind}-{key}")
+        if "statement" in spec:
+            for statement, (_, own, _) in _STATEMENTS.items():
+                for key, (what, _) in own.items():
+                    yield pytest.param(kind, statement, key, what, id=f"{kind}-{statement}-{key}")
+
+
+@pytest.mark.parametrize("kind, statement, key, what", _table_cases())
+def test_params_table_walk(tmp_path, capsys, kind, statement, key, what):
+    # a value of the wrong kind, and then the key misspelled, each exit 1
+    # naming the field before any output
+    cfg = {"experiment": kind, "seed": 1, "params": {}}
+    for k, (_, default) in EXPERIMENTS[kind][2].items():
+        if default is REQUIRED:
+            cfg = _with(cfg, _path(k), BUMP1 if k == "field" else statement if k == "statement" else 1.0)
+    path = _path(key)
+    for bad, named in ((_with(cfg, path, WRONG[what]), path),
+                       (_with(_with(cfg, path), path + "x", 1.0), path + "x")):
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(write_cfg(tmp_path, bad)), "--out", str(out)]) == 1
+        assert f"'{named}'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+GAGLIARDO = {"experiment": "gagliardo", "seed": 1, "field": BUMP1, "params": {"s": 0.5, "p": 2.0}}
+
+
+@pytest.mark.parametrize("cfg, field", [
+    # each of these died with a traceback or ran on the defaults and exited 0
+    ({"experiment": "corollary", "params": {"statement": "weak-1d", "p": "x"}}, "params.p"),
+    (_with(_with(GAGLIARDO, "params.s", 1.0), "params.delta_in", "x"), "params.delta_in"),
+    ({"experiment": "maximal", "field": BUMP1, "params": {"lambda_points": "x"}},
+     "params.lambda_points"),
+    (_with(GAGLIARDO, "params.delta_inn", 0.1), "params.delta_inn"),
+    (_with(GAGLIARDO, "budget", {"x_nodes": 32}), "budget"),
+    (_with(GAGLIARDO, "parms", {"s": 0.5}), "parms"),
+    ({"experiment": "covering", "params": {"trials": 1.5}}, "params.trials"),
+    # a key no runner reads
+    ({"experiment": "corollary",
+      "params": {"statement": "weak-1d", "p": 1.5, "eps_ladder": [0.2, 0.1], "lambda_points": 8},
+      "budgets": {"lambda_points": 8}}, "params.lambda_points"),
+    # a param of another statement
+    ({"experiment": "corollary", "params": {"statement": "weak-1d", "theta": 0.5}}, "params.theta"),
+])
+def test_config_errors_name_the_field(tmp_path, capsys, cfg, field):
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(write_cfg(tmp_path, dict({"seed": 1}, **cfg))),
+                 "--out", str(out)]) == 1
+    assert f"'{field}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("params, field", [
+    ({"lambda_points": 1}, "params.lambda_points"),
+    ({"lambda_lo_factor": 5.0, "lambda_hi_factor": 2.0}, "params.lambda_hi_factor"),
+])
+def test_malformed_lambda_grid_names_one_field(tmp_path, capsys, params, field):
+    cfg = write_cfg(tmp_path, {"experiment": "maximal", "seed": 1, "field": BUMP1, "params": params})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert f"config field '{field}' must" in capsys.readouterr().err
+
+
+def test_integral_lambda_points_read_as_an_int(tmp_path):
+    outs = []
+    for n in (24, 24.0):
+        cfg = write_cfg(tmp_path, _with(BASE_LIMIT, "params.lambda_points", n))
+        outs.append(tmp_path / str(n))
+        assert main(["run", "--config", str(cfg), "--out", str(outs[-1])]) == 0
+    assert (outs[0] / "profile.csv").read_bytes() == (outs[1] / "profile.csv").read_bytes()
+
+
+def test_sweep_checks_every_job_before_running_any(tmp_path, capsys):
+    # job 0 used to run and write its outputs before job 1 failed
+    cfg = write_cfg(tmp_path, {"experiment": "constants", "seed": 1, "params": {},
+                               "sweep": {"params.tolerance": [1e-6, "x"]}})
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "'params.tolerance'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("o/job_*"))
+
+
+def _default(d):
+    if d is REQUIRED:
+        return "required"
+    if isinstance(d, tuple):
+        return f"{d[0]} in 1-D, {d[1]} above"
+    return "unset" if d is None else json.dumps(d)
+
+
+def params_markdown():
+    """The README's list of every kind's params, rendered from the table."""
+    lines = []
+    for kind, (_, _, spec) in EXPERIMENTS.items():
+        lines.append(f"* `{kind}`: " + "; ".join(
+            f"`{_path(key)}` ({what}, {_default(d)})" for key, (what, d) in spec.items()))
+        if "statement" in spec:
+            lines += [f"  * with `params.statement` `{st}`: " + "; ".join(
+                f"`{_path(key)}` ({what}, {_default(d)})" for key, (what, d) in own.items())
+                for st, (_, own, _) in _STATEMENTS.items()]
+    return "\n".join(lines)
+
+
+def test_readme_lists_the_params_table():
+    # regenerate the block with
+    # PYTHONPATH=src:tests python -c "import test_cli; print(test_cli.params_markdown())"
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("<!-- params table -->\n")[1].split("\n<!-- end params table -->")[0]
+    assert block == params_markdown()
