@@ -90,8 +90,11 @@ def _cmd_sweep(args):
         for key, val in zip(keys, combo):
             node = job_cfg
             parts = key.split(".")
-            for part in parts[:-1]:
+            for i, part in enumerate(parts[:-1]):
                 node = node.setdefault(part, {})
+                if not isinstance(node, dict):
+                    raise ConfigError(f"config field '{'.'.join(parts[:i + 1])}' must be an object "
+                                      f"to sweep 'sweep.{key}', got {node!r}")
             node[parts[-1]] = val
         runs.append(read_experiment(job_cfg, base_seed ^ idx))
     out = Path(args.out)

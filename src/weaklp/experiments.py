@@ -35,8 +35,9 @@ class ConfigError(ValueError):
 
 # the value kinds of the params table (see KINDS); REQUIRED marks a param
 # with no default
-POS, NUM, OPT_NUM, INT, INT0 = (
-    "positive number", "number", "optional number", "positive integer", "non-negative integer")
+POS, NUM, OPT_NUM, INT, INT0, INT2 = (
+    "positive number", "number", "optional number", "positive integer", "non-negative integer",
+    "integer >= 2")
 NUMS, INTS, FIELDS, SECTION, FIELD, STATEMENT = (
     "number list", "integer list", "field list", "section", "field", "statement")
 REQUIRED = object()
@@ -59,13 +60,8 @@ def config_seed(seed):
 
 
 def _lambda_grid(f, prm):
-    n, lo, hi = prm["lambda_points"], prm["lambda_lo_factor"], prm["lambda_hi_factor"]
-    if n < 2:
-        raise ConfigError(f"config field 'params.lambda_points' must be at least 2, got {n}")
-    if hi <= lo:
-        raise ConfigError(f"config field 'params.lambda_hi_factor' must exceed "
-                          f"'params.lambda_lo_factor' ({lo!r}), got {hi!r}")
-    return levelset.default_lambda_grid(f, n, lo, hi)
+    return levelset.default_lambda_grid(
+        f, prm["lambda_points"], prm["lambda_lo_factor"], prm["lambda_hi_factor"])
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +403,7 @@ _LADDER = {"eps_ladder": (NUMS, [0.2, 0.1, 0.05, 0.025])}
 
 
 def _lambdas(n, lo, hi):
-    return {"lambda_points": (INT, n), "lambda_lo_factor": (POS, lo), "lambda_hi_factor": (POS, hi)}
+    return {"lambda_points": (INT2, n), "lambda_lo_factor": (POS, lo), "lambda_hi_factor": (POS, hi)}
 
 
 # kind -> (runner, the quadrature.BUDGETS entries its `budgets` feed, params);
@@ -477,6 +473,16 @@ def _field(path, spec):
         raise ConfigError(f"config field '{path}': {exc}") from exc
 
 
+def _labelled_field(path, spec):
+    """(row label, field) of a catalogue name or a field spec object: rotation
+    rows are labelled by the catalogue name, else by the field's label with
+    its commas as semicolons, so that the label fills one CSV cell."""
+    f = _field(path, spec)
+    if isinstance(spec, str):
+        return spec, f
+    return (spec["name"] if spec["kind"] == "catalogue" else f.label.replace(",", ";")), f
+
+
 # value kind -> reader(path, value) that checks a value and returns it filled
 KINDS = {
     POS: _one(lambda x: _real(x) and x > 0, "a positive number"),
@@ -484,11 +490,11 @@ KINDS = {
     OPT_NUM: _one(lambda x: x is None or _real(x), "a number or null"),
     INT: _one(lambda x: _whole(x) and x >= 1, "a positive integer", lambda path, x: int(x)),
     INT0: _one(lambda x: _whole(x) and x >= 0, "a non-negative integer", lambda path, x: int(x)),
+    INT2: _one(lambda x: _whole(x) and x >= 2, "an integer at least 2", lambda path, x: int(x)),
     NUMS: _many(_real, "a number"),
     INTS: _many(_whole, "an integer", lambda path, x: int(x)),
-    # (entry, field) pairs: rotation rows are labelled by the entry as written
     FIELDS: _many(lambda x: isinstance(x, (str, dict)), "a catalogue name or a field spec object",
-                  lambda path, x: (x, _field(path, x))),
+                  _labelled_field),
     SECTION: _one(lambda x: isinstance(x, dict), "an object", lambda path, x: x or None),
     FIELD: _one(lambda x: isinstance(x, dict), "a field spec object", _field),
     STATEMENT: _one(lambda x: isinstance(x, str) and x in _STATEMENTS, f"one of {sorted(_STATEMENTS)}"),
@@ -544,6 +550,10 @@ def read_experiment(cfg, seed=None):
     prm = {"budgets": budgets}
     for path, key in paths.items():
         prm[key] = _value(flat, path, *spec[key], prm["field"].dim if "field" in prm else 1)
+    if prm.get("lambda_hi_factor", math.inf) <= prm.get("lambda_lo_factor", 0.0):
+        raise ConfigError(f"config field 'params.lambda_hi_factor' must exceed "
+                          f"'params.lambda_lo_factor' ({prm['lambda_lo_factor']!r}), "
+                          f"got {prm['lambda_hi_factor']!r}")
     seed = config_seed(cfg.get("seed") if seed is None else seed)
 
     def run(out, workers):

@@ -3,14 +3,13 @@ difference bound it yields.
 
 The sup over radii is approximated by a geometric radius ladder (ratio
 2^(1/4)) from half a cell width to the domain diameter.  Averages use exact
-cell overlaps in 1-D and exact polygon clipping of a 16-gon disk in 2-D,
-with the function extended by zero outside the grid.
+cell overlaps in 1-D and exact disk-cell overlap areas in closed form in
+2-D, with the function extended by zero outside the grid.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -28,7 +27,6 @@ __all__ = [
 ]
 
 _LADDER_RATIO = 2.0 ** 0.25
-_DISK_SIDES = 16
 
 
 @dataclass(frozen=True)
@@ -74,9 +72,7 @@ class GriddedFunction:
 
 def radius_ladder(g: GriddedFunction):
     """Geometric radii from half a cell width to the domain diameter."""
-    h = float(np.min(g.widths))
-    r = 0.5 * h
-    out = [r]
+    out = [0.5 * float(np.min(g.widths))]
     top = g.diameter()
     while out[-1] < top:
         out.append(out[-1] * _LADDER_RATIO)
@@ -84,102 +80,63 @@ def radius_ladder(g: GriddedFunction):
 
 
 def _maximal_1d(g: GriddedFunction):
-    h = float(g.widths[0])
-    vals = g.values
-    prefix = np.concatenate([[0.0], np.cumsum(vals)]) * h
-    lo = g.box[0, 0]
-    hi = g.box[0, 1]
-    nodes = np.linspace(lo, hi, vals.size + 1)
+    prefix = np.concatenate([[0.0], np.cumsum(g.values)]) * float(g.widths[0])
+    nodes = np.linspace(*g.box[0], g.values.size + 1)
     c = g.centers(0)
-
-    def mass(t):
-        return np.interp(t, nodes, prefix, left=0.0, right=prefix[-1])
-
-    best = np.array(vals, dtype=float)   # r = h/2 recovers the cell value
+    best = np.array(g.values, dtype=float)   # r = h/2 recovers the cell value
     for r in radius_ladder(g)[1:]:
-        avg = (mass(c + r) - mass(c - r)) / (2.0 * r)
-        best = np.maximum(best, avg)
+        lo, hi = np.interp([c - r, c + r], nodes, prefix, left=0.0, right=prefix[-1])
+        best = np.maximum(best, (hi - lo) / (2.0 * r))
     return GriddedFunction(g.box, best)
 
 
-def _clip_polygon_to_cell(poly, cx0, cx1, cy0, cy1):
-    """Sutherland-Hodgman clip of a convex polygon against a cell rectangle."""
-    def clip(pts, inside, intersect):
-        out = []
-        m = len(pts)
-        for i in range(m):
-            a, b = pts[i], pts[(i + 1) % m]
-            ia, ib = inside(a), inside(b)
-            if ia:
-                out.append(a)
-                if not ib:
-                    out.append(intersect(a, b))
-            elif ib:
-                out.append(intersect(a, b))
-        return out
+def _disk_kernel(rho):
+    """Overlap areas of the disk of radius rho (in cell units) centred on a
+    cell centre with the unit cells at integer offsets, in closed form.
 
-    def x_cut(a, b, x):
-        t = (x - a[0]) / (b[0] - a[0])
-        return (x, a[1] + t * (b[1] - a[1]))
+    For x, y >= 0 the disk meets [0, x] x [0, y] in area
+    F = y b + H(a) - H(b), a = min(x, rho), b = min(a, sqrt(rho^2 - y^2)^+),
+    H(s) = (s sqrt(rho^2 - s^2) + rho^2 arcsin(s / rho)) / 2; F is odd in x
+    and in y, and a cell's overlap is the second difference of F over its
+    edges.
+    """
+    reach = int(math.ceil(rho))
+    edges = np.arange(-reach - 0.5, reach + 1.0)
+    t = np.abs(edges)
+    a = np.minimum(t, rho)[:, None]
+    b = np.minimum(a, np.sqrt(np.maximum(rho * rho - t * t, 0.0)))
 
-    def y_cut(a, b, y):
-        t = (y - a[1]) / (b[1] - a[1])
-        return (a[0] + t * (b[0] - a[0]), y)
+    def h(s):
+        return 0.5 * (s * np.sqrt(rho * rho - s * s) + rho * rho * np.arcsin(s / rho))
 
-    pts = list(poly)
-    for inside, cut in (
-        (lambda q: q[0] >= cx0, lambda a, b: x_cut(a, b, cx0)),
-        (lambda q: q[0] <= cx1, lambda a, b: x_cut(a, b, cx1)),
-        (lambda q: q[1] >= cy0, lambda a, b: y_cut(a, b, cy0)),
-        (lambda q: q[1] <= cy1, lambda a, b: y_cut(a, b, cy1)),
-    ):
-        pts = clip(pts, inside, cut)
-        if not pts:
-            return 0.0
-    area = 0.0
-    for i in range(len(pts)):
-        x0, y0 = pts[i]
-        x1, y1 = pts[(i + 1) % len(pts)]
-        area += x0 * y1 - x1 * y0
-    return 0.5 * abs(area)
+    area = np.outer(np.sign(edges), np.sign(edges)) * (t * b + h(a) - h(b))
+    return np.diff(np.diff(area, axis=0), axis=1)
 
 
-@lru_cache(maxsize=512)
-def _disk_kernel(ratio_key):
-    """Cell-overlap areas of the 16-gon of radius rho (in cell units) with
-    unit cells at integer offsets; cached by the rounded radius ratio."""
-    rho = ratio_key / 1024.0
-    ang = 2.0 * math.pi * np.arange(_DISK_SIDES) / _DISK_SIDES
-    poly = [(rho * math.cos(a), rho * math.sin(a)) for a in ang]
-    reach = int(math.ceil(rho)) + 1
-    size = 2 * reach + 1
-    k = np.zeros((size, size))
-    for di in range(-reach, reach + 1):
-        for dj in range(0, reach + 1):    # mirror the j < 0 half
-            a = _clip_polygon_to_cell(poly, di - 0.5, di + 0.5, dj - 0.5, dj + 0.5)
-            k[di + reach, reach + dj] = a
-            k[di + reach, reach - dj] = a
-    return k
+def _disk_mass(vals, rho):
+    """Mass of the unit-cell values `vals`, zero outside the grid, in the disk
+    of radius rho about each cell centre: the "same" crop of the linear
+    convolution with the point-symmetric `_disk_kernel`."""
+    # imported here, so that only the 2-D maximal function pays for it
+    from scipy.fft import irfft2, next_fast_len, rfft2
+
+    k = _disk_kernel(rho)
+    reach = k.shape[0] // 2
+    shape = [next_fast_len(n + 2 * reach, real=True) for n in vals.shape]
+    full = irfft2(rfft2(vals, shape) * rfft2(k, shape), shape)
+    return full[reach:reach + vals.shape[0], reach:reach + vals.shape[1]]
 
 
 def _maximal_2d(g: GriddedFunction):
     wx, wy = g.widths
     if abs(wx - wy) > 1e-12 * max(wx, wy):
         raise InvalidParameterError("2-D maximal function needs square cells")
-    # imported here: scipy.signal takes about a second and 50 MB to import,
-    # and only the 2-D maximal function uses it
-    from scipy.signal import fftconvolve
-
     h = float(wx)
-    vals = g.values
-    best = np.array(vals, dtype=float)
+    best = np.array(g.values, dtype=float)
     for r in radius_ladder(g)[1:]:
-        k = _disk_kernel(int(round(1024.0 * r / h)))
-        area = k.sum()
-        if area <= 0:
-            continue
-        mass = fftconvolve(vals, k[::-1, ::-1], mode="same")
-        best = np.maximum(best, np.maximum(mass, 0.0) / area)
+        rho = r / h
+        mass = _disk_mass(g.values, rho)
+        best = np.maximum(best, np.maximum(mass, 0.0) / (math.pi * rho * rho))
     return GriddedFunction(g.box, best)
 
 
@@ -192,14 +149,8 @@ def hl_maximal(g: GriddedFunction):
 
 def grid_rows(g: GriddedFunction):
     """CSV-friendly rows of cell centers and values."""
-    if g.dim == 1:
-        return [(float(x), float(v)) for x, v in zip(g.centers(0), g.values)]
-    xs, ys = g.centers(0), g.centers(1)
-    return [
-        (float(xs[i]), float(ys[j]), float(g.values[i, j]))
-        for i in range(g.values.shape[0])
-        for j in range(g.values.shape[1])
-    ]
+    centers = np.meshgrid(*(g.centers(a) for a in range(g.dim)), indexing="ij")
+    return [tuple(map(float, row)) for row in zip(*(c.ravel() for c in centers), g.values.ravel())]
 
 
 def gridded_gradient_norm(field, cells):
@@ -215,10 +166,8 @@ def gridded_gradient_norm(field, cells):
 
 
 def _cell_center_points(g: GriddedFunction, idx):
-    if g.dim == 1:
-        return g.centers(0)[idx][:, None]
-    m1 = g.values.shape[1]
-    return np.stack([g.centers(0)[idx // m1], g.centers(1)[idx % m1]], axis=-1)
+    cells = np.unravel_index(idx, g.values.shape)
+    return np.stack([g.centers(a)[i] for a, i in enumerate(cells)], axis=-1)
 
 
 def lusin_lipschitz_check(field, samples, stream, cells=96, maximal=None):

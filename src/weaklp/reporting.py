@@ -50,7 +50,7 @@ class Report:
         if tolerance is None:
             raise InvalidParameterError(f"verdict {key} needs a tolerance")
         self.verdicts[key] = {
-            "pass": passed,
+            "pass": passed if isinstance(passed, str) else bool(passed),
             "tolerance": tolerance,
             "observed": observed,
             "target": target,

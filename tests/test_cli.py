@@ -136,6 +136,19 @@ def test_rotation_outputs_identical_across_workers(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_rotation_rows_are_labelled_by_name_or_field_label(tmp_path):
+    # a field spec object was written as its dict repr, commas and all
+    pair = {"kind": "sum", "terms": [{"kind": "bump", "center": [0.0, 0.0], "radius": 0.7},
+                                     {"kind": "bump", "center": [0.5, 0.0], "radius": 0.6}]}
+    cfg = {"experiment": "rotation", "seed": 4,
+           "params": {"fields": [{"kind": "catalogue", "name": "bump2"}, pair],
+                      "mc_samples": 2000, "line_cells": 16}}
+    run_experiment(cfg, tmp_path, 1, None)
+    header, *rows = [line.split(",") for line in (tmp_path / "rotation.csv").read_text().splitlines()]
+    assert [len(r) for r in rows] == [len(header)] * 2
+    assert [r[0] for r in rows] == ["bump2", "sum(bump(N=2;R=0.7;a=1.0);bump(N=2;R=0.6;a=1.0))"]
+
+
 def test_corollary_outputs_identical_across_workers(tmp_path):
     # workers run the eps ladder's four fields in parallel threads
     cfg = write_cfg(tmp_path, {"experiment": "corollary", "seed": 3,
@@ -220,6 +233,16 @@ def test_badly_shaped_quasinorm_params_are_config_errors(tmp_path, capsys, param
                                "params": dict(params, p=1.0, lambda_points=4)})
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert f"'{field}'" in capsys.readouterr().err
+
+
+def test_sweep_through_a_non_object_names_the_path(tmp_path, capsys):
+    # this died with a TypeError in the job builder
+    cfg = write_cfg(tmp_path, {"experiment": "constants", "seed": 1, "params": 5,
+                               "sweep": {"params.tolerance": [1e-6]}})
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "config field 'params' must be an object" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_empty_grid_errors(tmp_path, capsys):
@@ -410,7 +433,7 @@ def test_odd_2d_sphere_order_is_a_config_error(tmp_path, capsys):
 
 # a value of the wrong kind for each value kind
 WRONG = {"positive number": "x", "number": "x", "optional number": "x", "positive integer": 1.5,
-         "non-negative integer": "two", "number list": ["x"], "integer list": [1.5],
+         "non-negative integer": "two", "integer >= 2": 1, "number list": ["x"], "integer list": [1.5],
          "field list": [3], "section": True, "field": "bump1", "statement": "weak-2d"}
 DROP = object()
 
@@ -494,9 +517,11 @@ def test_config_errors_name_the_field(tmp_path, capsys, cfg, field):
     ({"lambda_lo_factor": 5.0, "lambda_hi_factor": 2.0}, "params.lambda_hi_factor"),
 ])
 def test_malformed_lambda_grid_names_one_field(tmp_path, capsys, params, field):
+    # checked with the params, before the output directory is made
     cfg = write_cfg(tmp_path, {"experiment": "maximal", "seed": 1, "field": BUMP1, "params": params})
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert f"config field '{field}' must" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_integral_lambda_points_read_as_an_int(tmp_path):

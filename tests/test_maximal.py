@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 import weaklp
 from weaklp import fields as F
@@ -14,14 +15,76 @@ from weaklp.errors import InvalidParameterError, PreconditionError
 
 
 def test_importing_the_package_leaves_scipy_signal_unloaded():
-    # scipy.signal costs about a second and 50 MB to import; only the 2-D
-    # maximal function needs it, so it is imported there
+    # scipy.signal costs about a second and 50 MB to import, and nothing in
+    # the package needs it
     src = str(Path(weaklp.__file__).resolve().parents[1])
     env = os.environ | {"PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "import sys, weaklp, weaklp.experiments, weaklp.cli; print('scipy.signal' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_2d_maximal_leaves_scipy_signal_unloaded():
+    # the 2-D maximal function convolves through scipy.fft, imported when it
+    # runs; the package import loads neither
+    src = str(Path(weaklp.__file__).resolve().parents[1])
+    env = os.environ | {"PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, numpy as np, weaklp, weaklp.cli; from weaklp import maximal as M; "
+            "print(sorted({'scipy.fft', 'scipy.signal'} & set(sys.modules))); "
+            "M.hl_maximal(M.GriddedFunction(np.array([[0.0, 1.0], [0.0, 1.0]]), np.ones((8, 8)))); "
+            "print('scipy.signal' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split("\n")[:2] == ["[]", "False"]
+
+
+@pytest.mark.parametrize("rho", [0.3, 0.7, 1.3, 5.0, 40.2])
+def test_disk_kernel_sums_to_the_disk_area(rho):
+    assert M._disk_kernel(rho).sum() == pytest.approx(np.pi * rho ** 2, rel=1e-12, abs=0)
+
+
+def _chord_overlap(rho, i, j):
+    """Area of the disk of radius rho at 0 inside the unit cell at offset (i, j):
+    the integral over the cell's x-range of its y-range met with the chord."""
+    y0, y1 = j - 0.5, j + 0.5
+
+    def chord(x):
+        c = np.sqrt(max(rho * rho - x * x, 0.0))
+        return max(min(y1, c) - max(y0, -c), 0.0)
+
+    kinks = [s * np.sqrt(rho * rho - y * y) for y in (y0, y1) if abs(y) < rho for s in (-1, 1)]
+    return integrate.quad(chord, i - 0.5, i + 0.5, points=[x for x in kinks + [-rho, rho]
+                                                        if i - 0.5 < x < i + 0.5] or None,
+                          epsabs=1e-14, epsrel=1e-13)[0]
+
+
+@pytest.mark.parametrize("rho, i, j", [
+    (5.0, 1, 2),       # inside the disk
+    (5.0, 4, 2),       # cut by the circle
+    (5.3, 0, -5),      # cut, across the axis
+    (0.7, 0, 0),       # the centre cell, cut on all four sides
+    (0.3, 0, 0),       # the whole disk
+])
+def test_disk_kernel_cells_match_chord_quadrature(rho, i, j):
+    k = M._disk_kernel(rho)
+    reach = k.shape[0] // 2
+    assert k[reach + i, reach + j] == pytest.approx(_chord_overlap(rho, i, j), abs=1e-12)
+
+
+@pytest.mark.parametrize("rho", [2.3, 8.2])
+def test_disk_mass_matches_a_direct_double_sum(rng, rho):
+    # the second kernel reaches past the grid on every side and still cuts
+    # cells inside it
+    vals = rng.uniform(0, 1, (7, 9))
+    k = M._disk_kernel(rho)
+    reach = k.shape[0] // 2
+    direct = np.zeros_like(vals)
+    for i, j in np.ndindex(vals.shape):
+        for l, m in np.ndindex(vals.shape):
+            if abs(l - i) <= reach and abs(m - j) <= reach:
+                direct[i, j] += vals[l, m] * k[reach + l - i, reach + m - j]
+    assert np.abs(M._disk_mass(vals, rho) - direct).max() <= 1e-12 * direct.max()
 
 
 def box1(lo, hi):

@@ -23,6 +23,14 @@ def test_worst_exit_code_ordering():
     assert rep.worst_exit_code() == 2
 
 
+def test_a_numpy_false_verdict_is_a_failure():
+    # np.False_ is not False: a failed numpy comparison used to exit 0
+    rep = Report("rotation", {}, 1)
+    rep.add_verdict("a", np.float64(0.15) <= 0.1, 0.1)
+    assert rep.worst_exit_code() == 2
+    assert rep.verdicts["a"]["pass"] is False
+
+
 def test_json_round_trips_numpy_scalars():
     rep = Report("limit", {"x": np.float64(1.5)}, 1)
     rep.results["arr"] = np.array([1.0, 2.0])
