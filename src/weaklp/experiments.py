@@ -341,7 +341,7 @@ def run_corollary(rep, prm, out, workers):
     )
 
     rows = [
-        (r.field_label, str(r.params).replace(",", ";"), r.lhs, r.rhs, r.ratio,
+        (r.field_label.replace(",", ";"), str(r.params).replace(",", ";"), r.lhs, r.rhs, r.ratio,
          "bounded" if bounded else "spread")
         for r in reports
     ]

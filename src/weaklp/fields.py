@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .quadrature import QuadratureResult, _sum_squares, centered_box_grid
+from .quadrature import QuadratureResult, centered_box_grid
 
 __all__ = [
     "FieldBounds",
@@ -40,6 +40,21 @@ __all__ = [
 
 _CERT_GRID = 2 ** 12          # per-axis certification sweep resolution
 _CERT_SAFETY = 1.05
+
+
+def _sum_squares(pts, center=None):
+    """sum((pts - center)^2, axis=-1), accumulated axis by axis: numpy reduces a
+    short trailing axis in this same order, so the bits agree, and the loop skips
+    the slow small-axis reduce and the (..., N) temporaries."""
+    pts = np.asarray(pts, dtype=float)
+    q = None
+    for i in range(pts.shape[-1]):
+        d = pts[..., i] if center is None else pts[..., i] - center[i]
+        if q is None:
+            q = d * d
+        else:
+            q += d * d
+    return q
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, ndtri
+from scipy.special import gammaln
 
 from .errors import ConsistencyError, InvalidParameterError
 
@@ -307,41 +307,33 @@ class RandomStream:
         return RandomStream(self.seed, (self.stream_id * 1_000_003 + 1 + tag) % 2 ** 64)
 
 
-def _sum_squares(pts, center=None):
-    """sum((pts - center)^2, axis=-1), accumulated axis by axis: numpy reduces a
-    short trailing axis in this same order, so the bits agree, and the loop skips
-    the slow small-axis reduce and the (..., N) temporaries."""
-    pts = np.asarray(pts, dtype=float)
-    q = None
-    for i in range(pts.shape[-1]):
-        d = pts[..., i] if center is None else pts[..., i] - center[i]
-        if q is None:
-            q = d * d
-        else:
-            q += d * d
-    return q
-
-
 def _unit_vectors(u, n_dim):
+    # uniform on S^{N-1} from N - 1 uniforms a row (1-D: a sign); t = tan(pi (u - 1/2))
+    # gives (cos, sin)(2 pi u) = (t^2 - 1, -2t) / (1 + t^2), no cos or sin call; 3-D
+    # (Archimedes): z = 2 u - 1 is uniform, times sqrt((1 - z)(1 + z)) (0 at u = 0)
     if n_dim == 1:
         return np.where(u[:, 0] < 0.5, -1.0, 1.0)[:, None]
-    # inverse-CDF gaussians, normalised in place: one uniform per gaussian keeps the
-    # per-sample slot count fixed (a ziggurat's variable draws break counter alignment)
-    g = np.clip(u, 1e-16, 1.0 - 1e-16)
-    ndtri(g, out=g)
-    norm = np.sqrt(_sum_squares(g))
-    norm[norm < 1e-300] = 1.0
-    g /= norm[:, None]
-    return g
+    out = np.empty((u.shape[0], n_dim))
+    t = np.tan(np.pi * (u[:, 0] - 0.5))
+    t2 = t * t
+    scale = 1.0 / (1.0 + t2)
+    if n_dim == 3:
+        out[:, 2] = z = 2.0 * u[:, 1] - 1.0
+        scale *= np.sqrt((1.0 - z) * (1.0 + z))
+    np.multiply(t2 - 1.0, scale, out=out[:, 0])
+    np.multiply(t, -2.0 * scale, out=out[:, 1])
+    return out
 
 
 class PairSampler:
-    """Uniform samples of pairs (x, x + r w): x uniform on the centered ball of
-    radius `half`, w uniform on the sphere, r on (0, r_cap] with density
+    """Uniform samples of pairs (x, x + r w), N <= 3: x uniform on the centered
+    ball of radius `half`, w uniform on the sphere, r on (0, r_cap] with density
     proportional to r^{N-1}, all made by `draw`.  Every pair has the scalar
     weight |B_half| * sigma_{N-1} * r_cap^N / N, the pair-coordinate volume."""
 
     def __init__(self, dim, half, r_cap):
+        if dim not in (1, 2, 3):
+            raise InvalidParameterError("pair sampling supports N <= 3")
         self.dim = dim
         self.half = half
         self.r_cap = r_cap
@@ -349,12 +341,15 @@ class PairSampler:
 
     def draw(self, stream, start, count):
         """(x, w, r), shaped (count, N), (count, N), (count,), of samples [start,
-        start + count); each reads only its own 2N + 2 uniforms of `stream`."""
+        start + count); each reads only its own 2(N - 1) + 2 uniforms of `stream`
+        (4 in 1-D): x's direction and radius, w's direction, r; radii by sqrt, cbrt."""
         n = self.dim
-        u = stream.uniform_matrix(start, count, 2 * n + 2)
-        x = (self.half * u[:, n] ** (1.0 / n))[:, None] * _unit_vectors(u[:, :n], n)
-        w = _unit_vectors(u[:, n + 1 : 2 * n + 1], n)
-        r = self.r_cap * u[:, 2 * n + 1] ** (1.0 / n)
+        m = max(n - 1, 1)
+        u = stream.uniform_matrix(start, count, 2 * m + 2)
+        root = (np.positive, np.sqrt, np.cbrt)[n - 1]
+        x = (self.half * root(u[:, m]))[:, None] * _unit_vectors(u[:, :m], n)
+        w = _unit_vectors(u[:, m + 1 : 2 * m + 1], n)
+        r = self.r_cap * root(u[:, 2 * m + 1])
         return x, w, r
 
 

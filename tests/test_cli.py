@@ -164,6 +164,17 @@ def test_corollary_outputs_identical_across_workers(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_corollary_rows_have_the_header_cells(tmp_path):
+    # a mollified indicator's label has commas, which once spilled into extra cells
+    cfg = {"experiment": "corollary", "seed": 3, "params": {"statement": "weak-1d"},
+           "budgets": {"lambda_points": 8, "refine": 2}}
+    run_experiment(cfg, tmp_path, 1, None)
+    header, *rows = [line.split(",") for line in (tmp_path / "corollary.csv").read_text().splitlines()]
+    assert len(header) == 6
+    assert [len(r) for r in rows] == [6] * 4
+    assert rows[0][0].startswith("mollified_indicator(N=1;eps=0.2")
+
+
 @pytest.mark.parametrize("statement", ["embedding", "strong-interp"])
 def test_strong_corollary_unknown_budget_is_a_config_error(tmp_path, capsys, statement):
     # a polar budget key has no meaning for the strong seminorm checks

@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from weaklp import quadrature as q
 from weaklp.errors import ConsistencyError, InvalidParameterError
@@ -189,6 +191,64 @@ def test_pair_sampler_draw_splits_bitwise(dim):
         parts = zip(sampler.draw(stream, 0, k), sampler.draw(stream, k, 300 - k))
         for a, (lo, hi) in zip(whole, parts):
             assert np.concatenate([lo, hi]).tobytes() == a.tobytes()
+
+
+def test_pair_sampler_1d_draw_is_pinned():
+    # sha256 of x, w and r bytes for 300 1-D samples, recorded before the 2-D and
+    # 3-D directions moved to the tangent formula: the 1-D path must not move a bit
+    x, w, r = q.PairSampler(1, 1.3, 0.6).draw(q.RandomStream(17, 1), 0, 300)
+    digest = hashlib.sha256(x.tobytes() + w.tobytes() + r.tobytes()).hexdigest()
+    assert digest == "0f73b6b55216c4e88a3ee68ce3da87a4e06544cd66bf188cd2fe0561b1605602"
+
+
+@pytest.mark.parametrize("dim, k", [(1, 4), (2, 4), (3, 6)])
+def test_pair_sampler_reads_n_minus_1_uniforms_per_direction(monkeypatch, dim, k):
+    seen = []
+    uniform_matrix = q.RandomStream.uniform_matrix
+
+    def recording(self, start, count, k_):
+        seen.append(k_)
+        return uniform_matrix(self, start, count, k_)
+
+    monkeypatch.setattr(q.RandomStream, "uniform_matrix", recording)
+    q.PairSampler(dim, 1.0, 1.0).draw(q.RandomStream(1, 0), 0, 8)
+    assert seen == [k]
+
+
+def test_pair_sampler_supports_n_up_to_3():
+    with pytest.raises(InvalidParameterError, match="N <= 3"):
+        q.PairSampler(4, 1.0, 1.0)
+
+
+def _within(samples, mean, sigmas=4.0):
+    """Whether the sample mean of each column is within `sigmas` standard errors of `mean`."""
+    err = samples.std(axis=0) / math.sqrt(samples.shape[0])
+    return np.all(np.abs(samples.mean(axis=0) - mean) <= sigmas * err)
+
+
+def _chi2_uniform_bins(values, lo, hi, bins=8):
+    counts, _ = np.histogram(values, bins=bins, range=(lo, hi))
+    return stats.chisquare(counts).pvalue
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_pair_sampler_direction_and_ball_laws(dim):
+    n = 200_000
+    half = 1.3
+    x, w, _ = q.PairSampler(dim, half, 0.6).draw(q.RandomStream(23, dim), 0, n)
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(np.sqrt(np.sum(w * w, axis=1)) - 1.0)) <= 4 * eps
+    # E w = 0 and E w w^T = I / N
+    assert _within(w, 0.0)
+    outer = (w[:, :, None] * w[:, None, :]).reshape(n, -1)
+    assert _within(outer, np.eye(dim).ravel() / dim)
+    # the azimuth is uniform on 8 bins, and in 3-D so is the height (Archimedes)
+    assert _chi2_uniform_bins(np.arctan2(w[:, 1], w[:, 0]), -math.pi, math.pi) > 1e-3
+    if dim == 3:
+        assert _chi2_uniform_bins(w[:, 2], -1.0, 1.0) > 1e-3
+    # x uniform on the ball of radius half: |x|^N / half^N is uniform on [0, 1]
+    rn = np.sum(x * x, axis=1) ** (dim / 2)
+    assert _within(rn[:, None], half ** dim / 2)
 
 
 def test_budget_values_must_be_numbers():
