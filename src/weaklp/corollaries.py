@@ -9,7 +9,7 @@ amplitude, which the suites assert by running at two amplitudes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,7 +70,6 @@ class CorollaryReport:
     rhs: float
     field_label: str
     params: dict
-    extras: dict = dc_field(default_factory=dict)
 
     @property
     def ratio(self):
@@ -79,7 +78,7 @@ class CorollaryReport:
 
 def _weak_lhs(field, p, alpha, budgets):
     weak, polar = split_budgets(field.dim, budgets, "weak", "polar")
-    grid = default_lambda_grid(field, weak["lambda_points"], weak["lambda_lo"], weak["lambda_hi"])
+    grid = default_lambda_grid(field, weak["lambda_points"])
     prof = distribution_profile(field, p, alpha, grid, budgets=polar)
     return weak_quasinorm(prof, refine=weak["refine"]) ** (1.0 / p)
 

@@ -295,25 +295,28 @@ def run_maximal(rep, prm, out, workers):
                     detail="amplitude invariance of c_emp")
 
 
-# statement -> (verdict tag, the statement's own params, check(field, prm, budgets))
+# statement -> (verdict tag, the quadrature.BUDGETS entries its check runs, the
+# statement's own params, check(field, prm, budgets)); weak-seminorm's
+# seminorm runs at the gagliardo defaults
+_WEAK, _STRONG = ("weak", "polar"), ("gagliardo",)
 _STATEMENTS = {
-    "weak-1d": ("cor1.4", {"p": (NUM, 1.5)},
+    "weak-1d": ("cor1.4", _WEAK, {"p": (NUM, 1.5)},
                 lambda f, prm, b: corollaries.check_weak_gradient_1d(f, prm["p"], budgets=b)),
-    "weak-sup": ("cor1.5", {"p": (NUM, 1.5)},
+    "weak-sup": ("cor1.5", _WEAK, {"p": (NUM, 1.5)},
                  lambda f, prm, b: corollaries.check_weak_sup_interpolation(f, prm["p"], budgets=b)),
-    "weak-seminorm": ("cor1.6", {"theta": (NUM, 0.5), "p1": (NUM, 2.0), "s1": (NUM, 0.5)},
+    "weak-seminorm": ("cor1.6", _WEAK, {"theta": (NUM, 0.5), "p1": (NUM, 2.0), "s1": (NUM, 0.5)},
                       lambda f, prm, b: corollaries.check_weak_seminorm_interpolation(
                           f, corollaries.GNParams(prm["theta"], prm["p1"], prm["s1"]), budgets=b)),
-    "strong-interp": ("gn", {"theta": (NUM, 0.5), "p1": (NUM, 2.0)},
+    "strong-interp": ("gn", _STRONG, {"theta": (NUM, 0.5), "p1": (NUM, 2.0)},
                       lambda f, prm, b: corollaries.check_strong_interpolation(
                           f, prm["theta"], prm["p1"], budgets=b)),
-    "embedding": ("sobolev", {"s": (NUM, 0.5)},
+    "embedding": ("sobolev", _STRONG, {"s": (NUM, 0.5)},
                   lambda f, prm, b: corollaries.check_strong_embedding(f, prm["s"], budgets=b)),
 }
 
 
 def run_corollary(rep, prm, out, workers):
-    tag, _, check = _STATEMENTS[prm["statement"]]
+    tag, _, _, check = _STATEMENTS[prm["statement"]]
     budgets = prm["budgets"]
     if prm["fields"] is None:
         box = [[0.0, 1.0]] * prm["dim"]
@@ -406,10 +409,11 @@ def _lambdas(n, lo, hi):
     return {"lambda_points": (INT2, n), "lambda_lo_factor": (POS, lo), "lambda_hi_factor": (POS, hi)}
 
 
-# kind -> (runner, the quadrature.BUDGETS entries its `budgets` feed, params);
-# params maps each param's path under `params` (`field` is the top-level
-# field spec) to its value kind and default, a (1-D, higher) pair of
-# defaults being picked by the field's dimension, as in BUDGETS
+# kind -> (runner, the quadrature.BUDGETS entries its `budgets` feed, params),
+# which a corollary's statement narrows to its own row's entries; params maps
+# each param's path under `params` (`field` is the top-level field spec) to
+# its value kind and default, a (1-D, higher) pair of defaults being picked
+# by the field's dimension, as in BUDGETS
 EXPERIMENTS = {
     "constants": (run_constants, (), {"N_values": (INTS, [1, 2, 3, 4]),
                                       "p_values": (NUMS, DEFAULT_P_VALUES), "tolerance": (POS, 1e-6)}),
@@ -431,7 +435,7 @@ EXPERIMENTS = {
         "mc_samples": (INT, 150_000), "line_cells": (INT, 256), "stability_tolerance": (POS, 0.10)}),
     "maximal": (run_maximal, ("polar",),
                 _FIELD | {"p": (POS, 2.0), "cells": (INT, (96, 64))} | _lambdas(12, 0.5, 100.0)),
-    "corollary": (run_corollary, ("weak", "polar", "gagliardo"), {
+    "corollary": (run_corollary, _WEAK + _STRONG, {
         "statement": (STATEMENT, REQUIRED), "fields": (FIELDS, None), "dim": (INT, 1),
         "spread_factor": (POS, 3.0)} | _LADDER),
     "failure": (run_failure, ("gagliardo", "weak", "polar"), {
@@ -529,17 +533,19 @@ def _value(flat, path, what, default, dim=1):
 
 def read_experiment(cfg, seed=None):
     """Check `cfg` against its kind's row of EXPERIMENTS before any output or
-    work: its budgets, its keys (none unknown) and the kind of every value.
+    work: its budgets (against a corollary statement's own row), its keys
+    (none unknown) and the kind of every value.
     Returns run(out, workers) -> Report; `seed` overrides the config's."""
     kind = cfg.get("experiment")
     if not isinstance(kind, str) or kind not in EXPERIMENTS:
         raise ConfigError(f"config field 'experiment' must be one of {sorted(EXPERIMENTS)}, got {kind!r}")
     runner, estimators, spec = EXPERIMENTS[kind]
     budgets = KINDS[SECTION]("budgets", cfg.get("budgets", {})) or {}
-    quadrature.split_budgets(1, budgets, *estimators)
     flat = _flatten(cfg, {"params"} | {f"params.{k}" for k, (what, _) in spec.items() if what == SECTION})
     if "statement" in spec and "params.statement" in flat:
-        spec = spec | _STATEMENTS[_value(flat, "params.statement", *spec["statement"])][1]
+        _, estimators, own, _ = _STATEMENTS[_value(flat, "params.statement", *spec["statement"])]
+        spec = spec | own
+    quadrature.split_budgets(1, budgets, *estimators)
     paths = {key if key == "field" else f"params.{key}": key for key in spec}
     known = {"experiment", "seed", "budgets", "params", *paths}
     for path in flat:

@@ -37,10 +37,8 @@ import numpy as np
 from .errors import InvalidParameterError, PreconditionError
 from .fields import pair_members, pair_region, truncation_radius
 from .quadrature import (
-    BUDGETS,
     PairSampler,
     QuadratureResult,
-    SphereRule,
     TensorGrid,
     centered_box_grid,
     monte_carlo,
@@ -72,6 +70,7 @@ _X_CHUNK = 512             # x nodes per partial sum of pair_measure_polar's red
 _SCAN_POINTS = 2 ** 22     # nominal ray points per pair_measure_polar kernel call
 _PRUNE_MARGIN = 1e-9       # pruning slack relative to r_cap + support_radius: covers
                            # the rounding of x + r w, so pruned rays read u = 0 exactly
+_BISECT_TOL = 1e-10        # crossing radius tolerance of the polar estimator
 
 
 @dataclass(frozen=True)
@@ -159,8 +158,8 @@ def _scan_rays(f, lam, alpha, xs, ws, uxs, r_cap, scan, tol):
     return acc / n_dim, np.bincount(ray, minlength=k), outer
 
 
-def _grid_measures(f, lam, alpha, X, W, r_cap, scan, tol):
-    """Measures and crossing counts of every (x, w) cell, (nx*nw,) each.
+def _grid_measures(f, lam, alpha, X, W, r_cap, scan):
+    """Measure of every (x, w) cell, (nx*nw,).
 
     Only the rays x + r w, 0 < r <= r_cap, that `segments_meet_support`
     reports are scanned: on every other ray u is exactly 0, at x too, so its
@@ -174,11 +173,11 @@ def _grid_measures(f, lam, alpha, X, W, r_cap, scan, tol):
     live = np.unique(ray_x)
     if live.size:
         ux[live] = f.evaluate(X[live])
-    measures, crossings = np.zeros(nx * nw), np.zeros(nx * nw, dtype=int)
-    measures[rays], crossings[rays], _ = _scan_rays(
-        f, lam, alpha, X.T[:, ray_x], W.T[:, ray_w], ux[ray_x], r_cap, scan, tol
-    )
-    return measures, crossings
+    measures = np.zeros(nx * nw)
+    measures[rays] = _scan_rays(
+        f, lam, alpha, X.T[:, ray_x], W.T[:, ray_w], ux[ray_x], r_cap, scan, _BISECT_TOL
+    )[0]
+    return measures
 
 
 # ---------------------------------------------------------------------------
@@ -263,35 +262,28 @@ def verify_sandwich(f, p, lam, samples, delta, stream, scan=1024):
 # pair measures
 # ---------------------------------------------------------------------------
 
-def pair_measure_polar(
-    q: LevelSetQuery,
-    x_grid: TensorGrid,
-    sphere: SphereRule,
-    scan,
-    tol=BUDGETS["polar"]["bisect_tol"],
-):
+def pair_measure_polar(q: LevelSetQuery, x_nodes, sphere_order, scan):
     """L^{2N} measure of the superlevel set by polar pair coordinates.
 
-    The inner radial integral is exact on each membership run; the outer
-    integrals use the tensor grid and `sphere.half()`: the pair swap
-    (x, w, r) -> (x + r w, -w, r) preserves the set and the measure, so the
-    x-integrated ray measure in direction w equals that in -w and the
-    hemisphere with doubled weights gives the same integral from half the
-    rays (the sphere rule needs an even size).  That holds exactly while the
-    x box holds both ends of every member pair, i.e. r_cap <= 1; beyond, the
-    box drops pairs either way and the two truncations differ for fields
-    that are not centrally symmetric.  Error estimate comes from one
-    combined coarsening step (half the panels and scan); a fine pass with 1
-    panel or at most 8 scan nodes cannot be coarsened and reports
-    converged=False.
+    The x integral runs over `centered_box_grid` of about `x_nodes` nodes
+    per axis on the box of `pair_region`, the directions over
+    `sphere_rule(N, sphere_order).half()` and the ray radius over `scan`
+    bracketing points, every crossing bisected to 1e-10.  The inner radial
+    integral is exact on each membership run.  The hemisphere with doubled
+    weights gives the full-sphere integral from half the rays: the pair
+    swap (x, w, r) -> (x + r w, -w, r) preserves the set and the measure, so
+    the x-integrated ray measure in direction w equals that in -w (the
+    sphere rule needs an even size).  That holds exactly while the x box
+    holds both ends of every member pair, i.e. r_cap <= 1; beyond, the box
+    drops pairs either way and the two truncations differ for fields that
+    are not centrally symmetric.  Error estimate comes from one combined
+    coarsening step (half the panels and scan); a fine pass with at most 8
+    scan nodes cannot be coarsened and reports converged=False.
     """
     f = q.field
-    sphere = sphere.half()
-    need, r_cap = pair_region(f, q.lam, q.alpha)
-    if np.any(x_grid.box[:, 0] > -need + 1e-12) or np.any(x_grid.box[:, 1] < need - 1e-12):
-        raise PreconditionError(
-            f"x grid must cover the support dilate (need half-width {need:.6g})"
-        )
+    half, r_cap = pair_region(f, q.lam, q.alpha)
+    x_grid = centered_box_grid(half, f.dim, x_nodes)
+    sphere = sphere_rule(f.dim, sphere_order).half()
 
     def run(grid, scan_n):
         if r_cap <= 0.0:
@@ -302,7 +294,7 @@ def pair_measure_polar(
         # _SCAN_POINTS nominal ray points; the sum still goes chunk by chunk
         run_x = _X_CHUNK * max(1, _SCAN_POINTS // (_X_CHUNK * nw * scan_n))
         m = np.concatenate([
-            _grid_measures(f, q.lam, q.alpha, pts[r0 : r0 + run_x], sphere.nodes, r_cap, scan_n, tol)[0]
+            _grid_measures(f, q.lam, q.alpha, pts[r0 : r0 + run_x], sphere.nodes, r_cap, scan_n)
             for r0 in range(0, nx, run_x)
         ]).reshape(nx, nw) * sphere.weights
         total = 0.0
@@ -312,15 +304,15 @@ def pair_measure_polar(
 
     value, nodes = run(x_grid, scan)
     # the coarse pass halves panels and scan, at least to 2 panels and 64 scan
-    # nodes where that is still coarser, else down to floors of 1 and 8
+    # nodes where that is still coarser, else down to floors of 1 and 8; the
+    # grid has at least 2 panels, so only the scan can sit at its floor
     panels = x_grid.panels
     coarse_panels = max(2 if panels > 2 else 1, panels // 2)
     coarse_scan = min(scan, max(64 if scan > 64 else 8, scan // 2))
     coarse, n2 = run(TensorGrid(x_grid.box, coarse_panels, x_grid.order), coarse_scan)
     err = abs(value - coarse)
-    # a fine pass already at a floor has no coarser pass to compare with
-    coarser = coarse_panels < panels and coarse_scan < scan
-    converged = coarser and err <= 0.05 * max(abs(value), 1e-300)
+    # a fine pass already at the scan floor has no coarser pass to compare with
+    converged = coarse_scan < scan and err <= 0.05 * max(abs(value), 1e-300)
     return QuadratureResult(value, err, nodes + n2, converged)
 
 
@@ -381,13 +373,7 @@ def distribution_profile(f, p, alpha, lam_grid, estimator="polar", budgets=None,
         (budgets,) = split_budgets(f.dim, budgets, "polar")
 
         def one(lam):
-            return pair_measure_polar(
-                LevelSetQuery(f, p, alpha, lam),
-                centered_box_grid(pair_region(f, lam, alpha)[0], f.dim, budgets["x_nodes"]),
-                sphere_rule(f.dim, budgets["sphere_order"]),
-                scan=budgets["scan"],
-                tol=budgets["bisect_tol"],
-            )
+            return pair_measure_polar(LevelSetQuery(f, p, alpha, lam), **budgets)
     elif estimator == "mc":
         if stream is None:
             raise InvalidParameterError("mc estimator needs a RandomStream")

@@ -353,35 +353,36 @@ class PairSampler:
         return x, w, r
 
 
-# every estimator's budget keys and defaults; a pair is (N = 1, N >= 2)
+# every estimator's budget keys and defaults, all counts; a pair is (N = 1, N >= 2)
 BUDGETS = {
-    "polar": {"x_nodes": (256, 48), "sphere_order": 16, "scan": (768, 224), "bisect_tol": 1e-10},
+    "polar": {"x_nodes": (256, 48), "sphere_order": 16, "scan": (768, 224)},
     "mc": {"mc_samples": 200_000},
-    "gagliardo": {"x_nodes": (192, 40), "sphere_order": 16, "v_order": 8, "panels_per_decade": 3},
-    "weak": {"lambda_points": 32, "lambda_lo": 0.1, "lambda_hi": 1e3, "refine": 8},
+    "gagliardo": {"x_nodes": (192, 40), "sphere_order": 16},
+    "weak": {"lambda_points": 32, "refine": 8},
 }
 
 
-def _budget_value(key, value, default):
-    """`value` if it is a real number, as an int where `default` is one."""
-    whole = isinstance(default, int)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or whole and value % 1 != 0:
-        raise InvalidParameterError(
-            f"budgets.{key} must be {'an integer' if whole else 'a number'}, got {value!r}")
-    return int(value) if whole else value
+def _budget_value(key, value):
+    """`value` as an int: every budget is a count of at least 1, except
+    `refine`, where 0 skips the refinement."""
+    least = 0 if key == "refine" else 1
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1 != 0 \
+            or value < least:
+        raise InvalidParameterError(f"budgets.{key} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def split_budgets(dim, budgets, *estimators):
     """One dict per named `BUDGETS` entry: its defaults at dimension `dim`,
     overridden by the keys of `budgets` it is the first listed to take.  A
-    key none takes, or a value that is not a number (an integer where the
-    default is one), is an error naming it.  Kept out of __all__, like
+    key none takes, or a value that is not a whole number of at least 1 (0
+    for `refine`), is an error naming it.  Kept out of __all__, like
     `ordered_parallel_map`, so the perfbench tracer adds no span for it."""
     rest = dict(budgets or {})
     out = [{k: v[dim > 1] if isinstance(v, tuple) else v for k, v in BUDGETS[e].items()}
            for e in estimators]
     for b in out:
-        b |= {k: _budget_value(k, rest.pop(k), b[k]) for k in b if k in rest}
+        b |= {k: _budget_value(k, rest.pop(k)) for k in b if k in rest}
     if rest:
         takes = "; ".join(f"{e} takes {', '.join(BUDGETS[e])}" for e in estimators)
         raise InvalidParameterError(

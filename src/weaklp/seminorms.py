@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 _NEAR_SPLIT = 1e-6
+_V_ORDER = 8               # Gauss order of the log-radius panels
+_PANELS_PER_DECADE = 3     # log-radius panels per decade in the coarse pass; doubled in the fine
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,7 @@ def _exit_radius(X, W):
     return -xw + np.sqrt(np.maximum(xw ** 2 + (1.0 - x2)[:, None], 0.0))
 
 
-def _gagliardo_pass(f, s, p, delta_in, x_nodes, sphere_order, v_order, panels_per_decade):
+def _gagliardo_pass(f, s, p, delta_in, x_nodes, sphere_order, panels_per_decade):
     R = f.support_radius
     grid = centered_box_grid(R, f.dim, x_nodes)
     pts, wx = grid.points_weights()
@@ -106,7 +108,7 @@ def _gagliardo_pass(f, s, p, delta_in, x_nodes, sphere_order, v_order, panels_pe
     hi_v = np.log(np.maximum(t_exit, 1e-300))
     span = float(np.max(np.maximum(hi_v - lo_v, 0.0)))
     n_panels = max(2, int(math.ceil(panels_per_decade * span / math.log(10.0))))
-    vg, vw = composite_gauss(0.0, 1.0, n_panels, v_order)   # reference panelization
+    vg, vw = composite_gauss(0.0, 1.0, n_panels, _V_ORDER)   # reference panelization
 
     mid = np.zeros_like(t_exit)
     active = hi_v > lo_v
@@ -141,13 +143,14 @@ def gagliardo(q: SeminormQuery, **budgets):
     """iint |u(x)-u(y)|^p / |x-y|^{N+sp} dx dy with one refinement step.
 
     For s = 1 only pairs with |x-y| >= delta_in are counted.  The fine pass
-    doubles the `x_nodes` and `panels_per_decade` budgets.
+    doubles the `x_nodes` budget and the log-radius panels per decade.
     """
     f = q.field
     (b,) = split_budgets(f.dim, budgets, "gagliardo")
-    fine_b = b | {"x_nodes": 2 * b["x_nodes"], "panels_per_decade": 2 * b["panels_per_decade"]}
-    coarse, _, n1 = _gagliardo_pass(f, q.s, q.p, q.delta_in, **b)
-    fine, err_lin, n2 = _gagliardo_pass(f, q.s, q.p, q.delta_in, **fine_b)
+    x_nodes, order = b["x_nodes"], b["sphere_order"]
+    coarse, _, n1 = _gagliardo_pass(f, q.s, q.p, q.delta_in, x_nodes, order, _PANELS_PER_DECADE)
+    fine, err_lin, n2 = _gagliardo_pass(
+        f, q.s, q.p, q.delta_in, 2 * x_nodes, order, 2 * _PANELS_PER_DECADE)
     err = abs(fine - coarse) + err_lin
     converged = err <= 1e-3 * max(abs(fine), 1e-300)
     return QuadratureResult(fine, err, n1 + n2, converged)

@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 from weaklp.cli import main
-from weaklp.experiments import _STATEMENTS, EXPERIMENTS, REQUIRED, run_experiment
+from weaklp.experiments import _STATEMENTS, EXPERIMENTS, REQUIRED, read_experiment, run_experiment
+from weaklp.quadrature import BUDGETS
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -175,15 +176,24 @@ def test_corollary_rows_have_the_header_cells(tmp_path):
     assert rows[0][0].startswith("mollified_indicator(N=1;eps=0.2")
 
 
-@pytest.mark.parametrize("statement", ["embedding", "strong-interp"])
-def test_strong_corollary_unknown_budget_is_a_config_error(tmp_path, capsys, statement):
-    # a polar budget key has no meaning for the strong seminorm checks
+# per statement, a budget key of an estimator its check does not run
+FOREIGN_BUDGET = {"weak-1d": "mc_samples", "weak-sup": "mc_samples", "weak-seminorm": "mc_samples",
+                  "strong-interp": "scan", "embedding": "lambda_points"}
+
+
+@pytest.mark.parametrize("statement", sorted(_STATEMENTS))
+def test_corollary_statement_rejects_budgets_it_does_not_run(tmp_path, capsys, statement):
+    # the strong checks once took the weak and polar keys here and failed
+    # after making the output directory
+    key = FOREIGN_BUDGET[statement]
     cfg = write_cfg(tmp_path, {"experiment": "corollary", "seed": 1,
                                "params": {"statement": statement, "fields": ["plateau2"]},
-                               "budgets": {"scan": 64, "x_nodes": 16}})
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+                               "budgets": {key: 64, "x_nodes": 16}})
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "'scan'" in err and "'x_nodes'" not in err
+    assert f"unknown budget '{key}'" in err and "'x_nodes'" not in err
+    assert not out.exists()
 
 
 def test_weak_corollary_unknown_budget_is_a_config_error(tmp_path, capsys):
@@ -340,13 +350,30 @@ def test_remaining_experiment_kinds_pass(tmp_path, cfg):
 @pytest.mark.parametrize("cfg, key", [
     (BASE_LIMIT, "x_nodes"),
     ({"experiment": "corollary", "params": {"statement": "weak-1d", "p": 1.5}}, "refine"),
+    (BASE_LIMIT, "scan"),
 ])
-@pytest.mark.parametrize("value", ["many", True, 2.5])
+@pytest.mark.parametrize("value", ["many", True, 2.5, -3])
 def test_budget_values_are_checked(tmp_path, capsys, cfg, key, value):
-    # a string once reached the grid builders and died there with a TypeError
+    # a string once reached the grid builders and died there with a TypeError;
+    # a negative x_nodes ran silently at 16 nodes, a negative scan died in numpy
     path = write_cfg(tmp_path, dict(cfg, seed=1, budgets={key: value}))
-    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
     assert f"budgets.{key} must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["x_nodes", "scan"])
+def test_zero_budget_counts_are_config_errors_except_refine(tmp_path, capsys, key):
+    # x_nodes 0 ran silently at 16 nodes and scan 0 died dividing by zero;
+    # refine 0 is the one zero count, which skips the refinement
+    assert read_experiment({"experiment": "corollary", "seed": 1,
+                            "params": {"statement": "weak-1d"}, "budgets": {"refine": 0}})
+    out = tmp_path / "o"
+    cfg = write_cfg(tmp_path, dict(BASE_LIMIT, budgets={key: 0}))
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"budgets.{key} must be an integer >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 BUMP1 = {"kind": "catalogue", "name": "bump1"}
@@ -473,7 +500,7 @@ def _table_cases():
         for key, (what, _) in spec.items():
             yield pytest.param(kind, "weak-1d", key, what, id=f"{kind}-{key}")
         if "statement" in spec:
-            for statement, (_, own, _) in _STATEMENTS.items():
+            for statement, (_, _, own, _) in _STATEMENTS.items():
                 for key, (what, _) in own.items():
                     yield pytest.param(kind, statement, key, what, id=f"{kind}-{statement}-{key}")
 
@@ -571,13 +598,28 @@ def params_markdown():
         if "statement" in spec:
             lines += [f"  * with `params.statement` `{st}`: " + "; ".join(
                 f"`{_path(key)}` ({what}, {_default(d)})" for key, (what, d) in own.items())
-                for st, (_, own, _) in _STATEMENTS.items()]
+                for st, (_, _, own, _) in _STATEMENTS.items()]
     return "\n".join(lines)
+
+
+def budgets_markdown():
+    """The README's list of every budget key and default, rendered from BUDGETS."""
+    return "\n".join(f"* `{e}`: " + "; ".join(f"`{k}` ({_default(d)})" for k, d in keys.items())
+                     for e, keys in BUDGETS.items())
+
+
+def _readme_block(name):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split(f"<!-- {name} -->\n")[1].split(f"\n<!-- end {name} -->")[0]
 
 
 def test_readme_lists_the_params_table():
     # regenerate the block with
     # PYTHONPATH=src:tests python -c "import test_cli; print(test_cli.params_markdown())"
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("<!-- params table -->\n")[1].split("\n<!-- end params table -->")[0]
-    assert block == params_markdown()
+    assert _readme_block("params table") == params_markdown()
+
+
+def test_readme_lists_the_budget_table():
+    # regenerate the block with
+    # PYTHONPATH=src:tests python -c "import test_cli; print(test_cli.budgets_markdown())"
+    assert _readme_block("budget table") == budgets_markdown()

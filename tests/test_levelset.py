@@ -9,6 +9,8 @@ from weaklp import levelset as LS
 from weaklp import quadrature as Q
 from weaklp.errors import InvalidParameterError, PreconditionError
 
+from oracles import BUMP2_MU
+
 LIMIT_1D_P1 = 1.4715177646857693        # moment(1,1) * int |u'| = 2 * 2/e
 TV_BUMP = 2 / math.e
 GRAD1_BUMP_2D = 1.3948477111129345
@@ -182,22 +184,15 @@ def test_verify_sandwich_no_violations(cat, name):
 # pair measures
 # ---------------------------------------------------------------------------
 
-def _grid_for(f, lam, alpha, nodes):
-    need = f.support_radius + min(1.0, LS.truncation_radius(f, lam, alpha))
-    return Q.centered_box_grid(need, f.dim, nodes)
-
-
 def test_pair_measure_polar_zero_field():
-    z = zero_field()
-    q = LS.LevelSetQuery(z, 1.0, 2.0, 1.0)
-    res = LS.pair_measure_polar(q, _grid_for(z, 1.0, 2.0, 64), Q.sphere_rule(1, 4), scan=128)
+    q = LS.LevelSetQuery(zero_field(), 1.0, 2.0, 1.0)
+    res = LS.pair_measure_polar(q, 64, 4, scan=128)
     assert res.value == 0.0
 
 
 def test_pair_measure_polar_fixture_large_threshold(bump1):
     q = LS.LevelSetQuery(bump1, 1.0, 2.0, 100.0)
-    res = LS.pair_measure_polar(q, _grid_for(bump1, 100.0, 2.0, 256), Q.sphere_rule(1, 4),
-                                scan=768)
+    res = LS.pair_measure_polar(q, 256, 4, scan=768)
     assert 100.0 * res.value == pytest.approx(LIMIT_1D_P1, rel=0.05)
 
 
@@ -205,18 +200,16 @@ def test_pair_measure_polar_translation_invariance():
     lam = 5.0
     a = F.make_bump([0.0], 1.0, 1.0)
     b = F.make_bump([0.4], 1.0, 1.0)
-    va = LS.pair_measure_polar(LS.LevelSetQuery(a, 1.0, 2.0, lam),
-                               _grid_for(a, lam, 2.0, 256), Q.sphere_rule(1, 4), scan=512)
-    vb = LS.pair_measure_polar(LS.LevelSetQuery(b, 1.0, 2.0, lam),
-                               _grid_for(b, lam, 2.0, 256), Q.sphere_rule(1, 4), scan=512)
+    va = LS.pair_measure_polar(LS.LevelSetQuery(a, 1.0, 2.0, lam), 256, 4, scan=512)
+    vb = LS.pair_measure_polar(LS.LevelSetQuery(b, 1.0, 2.0, lam), 256, 4, scan=512)
     assert vb.value == pytest.approx(va.value, rel=1e-3)
 
 
-def test_pair_measure_polar_grid_must_cover(bump1):
-    q = LS.LevelSetQuery(bump1, 1.0, 2.0, 1.0)
-    small = Q.centered_box_grid(0.5 * bump1.support_radius, 1, 64)
-    with pytest.raises(PreconditionError):
-        LS.pair_measure_polar(q, small, Q.sphere_rule(1, 4), scan=512)
+@pytest.mark.parametrize("lam_factor", sorted(BUMP2_MU))
+def test_polar_defaults_meet_the_radial_oracle(bump2, lam_factor):
+    # the 2-D polar defaults: 48 x nodes per axis, sphere order 16, scan 224
+    prof = LS.distribution_profile(bump2, 1.0, 3.0, [lam_factor * bump2.lip_bound])
+    assert abs(prof.mu[0] - BUMP2_MU[lam_factor]) <= prof.err[0]
 
 
 def test_pair_measure_mc_zero_field():
@@ -228,8 +221,7 @@ def test_pair_measure_mc_zero_field():
 def test_pair_measure_mc_matches_polar(bump1):
     lam = 2.0
     q = LS.LevelSetQuery(bump1, 1.0, 2.0, lam)
-    polar = LS.pair_measure_polar(q, _grid_for(bump1, lam, 2.0, 256), Q.sphere_rule(1, 4),
-                                  scan=512)
+    polar = LS.pair_measure_polar(q, 256, 4, scan=512)
     mc = LS.pair_measure_mc(q, 200_000, Q.RandomStream(3, 2))
     assert abs(mc.value - polar.value) <= 3 * math.hypot(mc.error_estimate,
                                                          polar.error_estimate)
@@ -377,7 +369,10 @@ def test_pair_measures_capped_at_three_dimensions():
 # against the full-sphere values before, the centrally symmetric rows
 # (bump2, plateau2, bump3) moved by at most one ulp of the value (value and
 # error estimate alike), the others by at most a third of the old error
-# estimate; nodes_used halved.
+# estimate; nodes_used halved.  bump3 re-pinned when the estimator began to
+# build its own grid, always of Gauss order 8: it was recorded on an order-4
+# grid (12 nodes per axis), and the old and new entry points agree on this
+# order-8 grid (16 nodes per axis) bit for bit.
 # lam = 4 lip_bound gives r_cap < 1, so x nodes in the grid corners lie
 # farther than r_cap from the support; lam = lip_bound / 2 sits below it.
 POLAR_GOLDENS = {
@@ -389,11 +384,11 @@ POLAR_GOLDENS = {
     ("bumps2_pair", 0.5): ("0x1.1ca9b6346633ep+1", "0x1.a0bec2c1dee40p-4", 286720),
     ("product2", 4.0): ("0x1.f39df2ee1504ap-2", "0x1.25b589de7c9e0p-5", 286720),
     ("product2", 0.5): ("0x1.ba4876fd8479ap+1", "0x1.7c15ad7f9abc0p-5", 286720),
-    ("bump3", 4.0): ("0x1.0c5467caf77d3p+0", "0x1.074c1b578bd60p-5", 1523712),
+    ("bump3", 4.0): ("0x1.0d3430cb2f6d2p+0", "0x1.7f665d319d800p-7", 3342336),
 }
-# (x nodes per axis, Gauss order, sphere order, scan) per dimension; the 2-D
-# grid has 576 x nodes and the 3-D one 1728, so both span several x chunks
-GOLDEN_BUDGETS = {2: (24, 8, 8, 96), 3: (12, 4, 4, 48)}
+# (x nodes per axis, sphere order, scan) per dimension; the 2-D grid has 576
+# x nodes and the 3-D one 4096, so both span several x chunks
+GOLDEN_BUDGETS = {2: (24, 8, 96), 3: (16, 4, 48)}
 
 
 class CountingField:
@@ -427,13 +422,8 @@ class CountingField:
 
 
 def _golden_polar(f, lam_factor):
-    x_nodes, order, sphere_order, scan = GOLDEN_BUDGETS[f.dim]
-    alpha = f.dim + 1.0
-    lam = lam_factor * f.lip_bound
-    need = f.support_radius + min(1.0, LS.truncation_radius(f, lam, alpha))
-    grid = Q.centered_box_grid(need, f.dim, x_nodes, order=order)
-    return LS.pair_measure_polar(LS.LevelSetQuery(f, 1.0, alpha, lam), grid,
-                                 Q.sphere_rule(f.dim, sphere_order), scan=scan)
+    q = LS.LevelSetQuery(f, 1.0, f.dim + 1.0, lam_factor * f.lip_bound)
+    return LS.pair_measure_polar(q, *GOLDEN_BUDGETS[f.dim])
 
 
 @pytest.mark.parametrize("name, lam_factor", sorted(POLAR_GOLDENS))
@@ -461,7 +451,7 @@ def _full_sphere_polar(q, grid, sphere, scan):
 
     def run(g, scan_n):
         pts, w = g.points_weights()
-        m, _ = LS._grid_measures(f, q.lam, q.alpha, pts, sphere.nodes, r_cap, scan_n, 1e-10)
+        m = LS._grid_measures(f, q.lam, q.alpha, pts, sphere.nodes, r_cap, scan_n)
         return float(np.sum(w * (m.reshape(pts.shape[0], -1) * sphere.weights).sum(axis=1)))
 
     value = run(grid, scan)
@@ -471,19 +461,20 @@ def _full_sphere_polar(q, grid, sphere, scan):
     return value, abs(value - coarse)
 
 
-# (x nodes per axis, Gauss order, sphere order, scan): the 1-D polar
-# defaults, and the golden budgets above
-FOLD_BUDGETS = {1: (256, 8, 4, 768)} | GOLDEN_BUDGETS
+# (x nodes per axis, sphere order, scan): the 1-D polar defaults, and the
+# golden budgets above
+FOLD_BUDGETS = {1: (256, 4, 768)} | GOLDEN_BUDGETS
 
 
 def _fold_and_full(f, lam_factor):
-    x_nodes, order, sphere_order, scan = FOLD_BUDGETS[f.dim]
+    x_nodes, sphere_order, scan = FOLD_BUDGETS[f.dim]
     alpha = f.dim + 1.0
     lam = lam_factor * f.lip_bound
-    grid = Q.centered_box_grid(F.pair_region(f, lam, alpha)[0], f.dim, x_nodes, order=order)
+    grid = Q.centered_box_grid(F.pair_region(f, lam, alpha)[0], f.dim, x_nodes)
     q = LS.LevelSetQuery(f, 1.0, alpha, lam)
     sphere = Q.sphere_rule(f.dim, sphere_order)
-    return LS.pair_measure_polar(q, grid, sphere, scan), _full_sphere_polar(q, grid, sphere, scan)
+    return (LS.pair_measure_polar(q, x_nodes, sphere_order, scan),
+            _full_sphere_polar(q, grid, sphere, scan))
 
 
 @pytest.mark.parametrize("name", ["bump1", "plateau1", "bump2", "plateau2", "bump3"])
@@ -557,24 +548,22 @@ def test_scan_far_from_support_is_zero_without_evaluation(bump2, monkeypatch):
     away = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [math.sqrt(0.5)] * 2])
     toward = np.array([[-1.0, 0.0]])
     f = CountingField(bump2)
-    measures, crossings = LS._grid_measures(f, lam, 3.0, x, away, r_cap, 64, 1e-10)
+    measures = LS._grid_measures(f, lam, 3.0, x, away, r_cap, 64)
     assert f.points == 0 and calls[-1][1].shape == (0, 2)
-    assert not np.any(measures) and not np.any(crossings)
+    assert not np.any(measures)
     # a ray toward the support that stops two margins short also evaluates nothing
     f = CountingField(bump2)
     short = x + [[2.0 * margin, 0.0]]
-    measures, crossings = LS._grid_measures(f, lam, 3.0, short, toward, r_cap, 64, 1e-10)
+    measures = LS._grid_measures(f, lam, 3.0, short, toward, r_cap, 64)
     assert f.points == 0 and calls[-1][1].shape == (0, 2)
-    assert not np.any(measures) and not np.any(crossings)
+    assert not np.any(measures)
     # the ray that reaches the support boundary exactly at r_cap, where u
     # vanishes, is scanned (u(x) once, then its 64 ray points), as is one
     # that stops half a margin short; their measures are still zero
     for start in (x, x + [[0.5 * margin, 0.0]]):
         f = CountingField(bump2)
-        measures, crossings = LS._grid_measures(
-            f, lam, 3.0, start, np.vstack([away, toward]), r_cap, 64, 1e-10
-        )
-        ray_x, ray_w, (_, _, outer) = calls[-1]
+        measures = LS._grid_measures(f, lam, 3.0, start, np.vstack([away, toward]), r_cap, 64)
+        ray_x, ray_w, (_, crossings, outer) = calls[-1]
         assert ray_x.tolist() == start.tolist() and ray_w.tolist() == toward.tolist()
         assert f.points == 1 + 64
         assert not np.any(measures) and not np.any(crossings)
@@ -637,11 +626,14 @@ def _parent_scan_measures(f, lam, alpha, X, W, r_cap, scan, tol, n_dim):
 
 def _assert_kernel_matches_reference(f, lam, alpha, X, W):
     half, r_cap = F.pair_region(f, lam, alpha)
-    got = LS._grid_measures(f, lam, alpha, X, W, r_cap, 40, 1e-10)
-    want = _parent_scan_measures(f, lam, alpha, X, W, r_cap, 40, 1e-10, f.dim)
-    assert got[0].tobytes() == want[0].tobytes()
-    assert np.array_equal(got[1], want[1])
-    assert np.any(want[0]) and np.any(want[1])
+    got = LS._grid_measures(f, lam, alpha, X, W, r_cap, 40)
+    want, crossings = _parent_scan_measures(f, lam, alpha, X, W, r_cap, 40, 1e-10, f.dim)
+    assert got.tobytes() == want.tobytes()
+    assert np.any(want) and np.any(crossings)
+    # crossing counts of every ray, pruned or not, from the unpruned kernel
+    xs, ws = np.repeat(X, len(W), axis=0).T.copy(), np.tile(W, (len(X), 1)).T.copy()
+    ux = np.repeat(f.evaluate(X), len(W))
+    assert np.array_equal(LS._scan_rays(f, lam, alpha, xs, ws, ux, r_cap, 40, 1e-10)[1], crossings)
 
 
 @pytest.mark.parametrize("name", F.catalogue_names())
@@ -688,12 +680,11 @@ def test_scan_block_size_keeps_every_bit(cat, monkeypatch, name):
     lam, alpha = 0.5 * f.lip_bound, 3.0
     X, W = _polar_rays(f, lam, alpha)
     r_cap = F.pair_region(f, lam, alpha)[1]
-    want = LS._grid_measures(f, lam, alpha, X, W, r_cap, 40, 1e-10)
+    want = LS._grid_measures(f, lam, alpha, X, W, r_cap, 40)
     monkeypatch.setattr(LS, "_BLOCK_POINTS", 2 ** 7)
-    got = LS._grid_measures(f, lam, alpha, X, W, r_cap, 40, 1e-10)
-    assert got[0].tobytes() == want[0].tobytes()
-    assert np.array_equal(got[1], want[1])
-    assert np.any(want[0])
+    got = LS._grid_measures(f, lam, alpha, X, W, r_cap, 40)
+    assert got.tobytes() == want.tobytes()
+    assert np.any(want)
 
 
 def test_separable_scan_evaluates_each_axis_pair_once(cat, monkeypatch):
@@ -789,25 +780,16 @@ def test_scan_rays_outer_and_crossings_goldens(cat, name, lam_factor):
 
 
 def test_error_pass_is_strictly_coarser_on_small_grids(cat):
-    # 2 panels of order 4 and 48 scan nodes: the coarse pass used to keep the
-    # 2 panels and raise the scan to 64, reporting an error of 2.6e-12
-    f = cat["bump3"]
-    lam = 4.0 * f.lip_bound
-    half, _ = F.pair_region(f, lam, 4.0)
-    q = LS.LevelSetQuery(f, 1.0, 4.0, lam)
-    sphere = Q.sphere_rule(3, 4)
-    nw = sphere.nodes.shape[0]
-    grid = Q.centered_box_grid(half, 3, 8, order=4)
-    assert grid.panels == 2
-    res = LS.pair_measure_polar(q, grid, sphere, scan=48)
-    assert res.value.hex() == "0x1.148ec8a5b3dbdp+0"
+    # 2 panels (16 nodes per axis) and 48 scan nodes: the coarse pass used to
+    # keep the 2 panels and raise the scan to 64, reporting an error of 2.6e-12
+    q = LS.LevelSetQuery(cat["bump3"], 1.0, 4.0, 4.0 * cat["bump3"].lip_bound)
+    nw = Q.sphere_rule(3, 4).nodes.shape[0]
+    res = LS.pair_measure_polar(q, 16, 4, scan=48)
     assert res.error_estimate > 1e-2 * res.value
-    assert res.nodes_used == (8 ** 3 * nw * 48 + 4 ** 3 * nw * 24) // 2   # hemisphere
-    # a fine pass already at a floor (1 panel, or 8 scan nodes) has no
-    # coarser pass and never reports converged
-    one_panel = Q.TensorGrid(grid.box, 1, 4)
-    assert not LS.pair_measure_polar(q, one_panel, sphere, scan=48).converged
-    assert not LS.pair_measure_polar(q, grid, sphere, scan=8).converged
+    assert res.nodes_used == (16 ** 3 * nw * 48 + 8 ** 3 * nw * 24) // 2   # hemisphere
+    # a fine pass already at the scan floor of 8 nodes has no coarser pass
+    # and never reports converged
+    assert not LS.pair_measure_polar(q, 16, 4, scan=8).converged
 
 
 # ---------------------------------------------------------------------------
@@ -863,28 +845,27 @@ def test_pair_measure_mc_bitwise_across_workers(cat, name):
 
 
 def test_polar_budgets_fill_defaults_and_keep_overrides():
-    assert Q.split_budgets(1, None, "polar") == [{"x_nodes": 256, "sphere_order": 16, "scan": 768,
-                                                  "bisect_tol": 1e-10}]
+    assert Q.split_budgets(1, None, "polar") == [{"x_nodes": 256, "sphere_order": 16, "scan": 768}]
     given = {"scan": 96}
     (filled,) = Q.split_budgets(3, given, "polar")
-    assert filled == {"x_nodes": 48, "sphere_order": 16, "scan": 96, "bisect_tol": 1e-10}
+    assert filled == {"x_nodes": 48, "sphere_order": 16, "scan": 96}
     assert given == {"scan": 96}
     # a key the polar estimator does not take is named, with the keys it takes
     with pytest.raises(InvalidParameterError) as err:
         Q.split_budgets(3, {"scan": 96, "mc_samples": 5000, "scna": 64}, "polar")
     msg = str(err.value)
     assert "'mc_samples', 'scna'" in msg and "'scan'" not in msg
-    assert "x_nodes, sphere_order, scan, bisect_tol" in msg
+    assert "polar takes x_nodes, sphere_order, scan" in msg
 
 
 def test_split_budgets_sends_each_key_to_the_first_estimator_that_takes_it():
     gag, weak, polar = Q.split_budgets(1, {"x_nodes": 64, "refine": 2, "scan": 128},
                                        "gagliardo", "weak", "polar")
-    assert gag == {"x_nodes": 64, "sphere_order": 16, "v_order": 8, "panels_per_decade": 3}
-    assert weak == {"lambda_points": 32, "lambda_lo": 0.1, "lambda_hi": 1e3, "refine": 2}
-    assert polar == {"x_nodes": 256, "sphere_order": 16, "scan": 128, "bisect_tol": 1e-10}
+    assert gag == {"x_nodes": 64, "sphere_order": 16}
+    assert weak == {"lambda_points": 32, "refine": 2}
+    assert polar == {"x_nodes": 256, "sphere_order": 16, "scan": 128}
     assert Q.split_budgets(2, {}, "gagliardo", "mc") == [
-        {"x_nodes": 40, "sphere_order": 16, "v_order": 8, "panels_per_decade": 3},
+        {"x_nodes": 40, "sphere_order": 16},
         {"mc_samples": 200_000},
     ]
     # with no estimator named, every key is unknown

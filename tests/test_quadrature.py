@@ -252,14 +252,24 @@ def test_pair_sampler_direction_and_ball_laws(dim):
 
 
 def test_budget_values_must_be_numbers():
-    (b,) = q.split_budgets(1, {"x_nodes": 64.0, "bisect_tol": 1}, "polar")
-    assert b["x_nodes"] == 64 and isinstance(b["x_nodes"], int) and b["bisect_tol"] == 1
-    for value in ("many", True, None, 64.5, math.inf, math.nan):
-        with pytest.raises(InvalidParameterError, match="budgets.scan must be an integer"):
+    # every budget is a count: an integer >= 1, or >= 0 for refine
+    (b,) = q.split_budgets(1, {"x_nodes": 64.0}, "polar")
+    assert b["x_nodes"] == 64 and isinstance(b["x_nodes"], int)
+    for value in ("many", True, None, 64.5, math.inf, math.nan, 0, -3):
+        with pytest.raises(InvalidParameterError, match="budgets.scan must be an integer >= 1"):
             q.split_budgets(2, {"scan": value}, "polar")
-    for value in ("1e-9", False, [1e-9]):
-        with pytest.raises(InvalidParameterError, match="budgets.bisect_tol must be a number"):
-            q.split_budgets(2, {"bisect_tol": value}, "polar")
+    assert q.split_budgets(1, {"refine": 0}, "weak") == [{"lambda_points": 32, "refine": 0}]
+    with pytest.raises(InvalidParameterError, match="budgets.refine must be an integer >= 0"):
+        q.split_budgets(1, {"refine": -1}, "weak")
+
+
+@pytest.mark.parametrize("estimator, key", [
+    ("polar", "bisect_tol"), ("gagliardo", "v_order"), ("gagliardo", "panels_per_decade"),
+    ("weak", "lambda_lo"), ("weak", "lambda_hi"),
+])
+def test_constant_resolutions_are_not_budgets(estimator, key):
+    with pytest.raises(InvalidParameterError, match=f"unknown budget '{key}'"):
+        q.split_budgets(1, {key: 1}, estimator)
 
 
 def test_monte_carlo_bitwise_deterministic_across_workers():
