@@ -64,11 +64,11 @@ def _finish(report: Report, out: Path, timings, verbose):
     return code
 
 
-def _cmd_run(args):
-    cfg = _load_config(args.config)
+def _run(args, cfg, seed):
+    """Run `cfg` into `args.out`; its wall time goes to timings.json."""
     workers = _resolve_workers(args)
     t0 = time.perf_counter()
-    report = run_experiment(cfg, args.out, workers, args.seed)
+    report = run_experiment(cfg, args.out, workers, seed)
     timings = {"total_s": time.perf_counter() - t0}
     return _finish(report, Path(args.out), timings, args.verbose)
 
@@ -136,13 +136,6 @@ def _cmd_sweep(args):
     return worst
 
 
-def _cmd_constants(args):
-    cfg = {"experiment": "constants", "seed": 0, "params": {}}
-    out = Path(args.out)
-    report = run_experiment(cfg, out, _resolve_workers(args), 0)
-    return _finish(report, out, {"total_s": 0.0}, args.verbose)
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="weaklp",
@@ -166,10 +159,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            return _cmd_run(args)
+            return _run(args, _load_config(args.config), args.seed)
         if args.command == "sweep":
             return _cmd_sweep(args)
-        return _cmd_constants(args)
+        return _run(args, {"experiment": "constants", "seed": 0, "params": {}}, 0)
     except (ConfigError, InvalidParameterError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

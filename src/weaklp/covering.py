@@ -18,7 +18,7 @@ from .fields import pair_members, pair_region
 from .quadrature import (
     PairSampler,
     QuadratureResult,
-    TensorGrid,
+    centered_box_grid,
     gauss_nodes_1d,
     monte_carlo,
     sphere_rule,
@@ -77,10 +77,6 @@ class PiecewiseConstantField:
 
     def node(self, i):
         return self.lo + i * self.h
-
-    def mass(self, i, j):
-        """Exact integral over [node(i), node(j)]."""
-        return float(self.prefix[j] - self.prefix[i])
 
 
 @dataclass
@@ -165,23 +161,17 @@ def vitali_select(family: IntervalFamily):
     it is contained in that interval's 5-dilate.
     """
     starts, ends = family.starts, family.ends
-    sel_s, sel_e = [], []
-    if starts.size:
-        order = np.lexsort((starts, -(ends - starts)))
-        taken_s = np.empty(starts.size, dtype=np.int64)
-        taken_e = np.empty(starts.size, dtype=np.int64)
-        k = 0
-        for idx in order:
-            a, b = starts[idx], ends[idx]
-            # closed intervals: sharing an endpoint counts as intersecting
-            if not np.any((taken_s[:k] <= b) & (a <= taken_e[:k])):
-                taken_s[k] = a
-                taken_e[k] = b
-                k += 1
-        sel_s, sel_e = taken_s[:k], taken_e[:k]
-    return VitaliCover(
-        family, np.asarray(sel_s, dtype=np.int64), np.asarray(sel_e, dtype=np.int64)
-    )
+    # closed intervals on integer nodes intersect exactly when they share a
+    # node, so one occupancy flag per node decides disjointness
+    taken = np.zeros(family.f.cells + 1, dtype=bool)
+    picked = []
+    for idx in np.lexsort((starts, -(ends - starts))):
+        a, b = starts[idx], ends[idx]
+        if not taken[a : b + 1].any():
+            taken[a : b + 1] = True
+            picked.append(idx)
+    picked = np.array(picked, dtype=np.int64)
+    return VitaliCover(family, starts[picked].astype(np.int64), ends[picked].astype(np.int64))
 
 
 def verify_5j_cover(f: PiecewiseConstantField, gamma, cover: VitaliCover):
@@ -322,8 +312,7 @@ def rotation_measure(F, line_cells=160, offset_cells=64, sphere_order=24):
         if n == 1:
             offsets, w_off = np.zeros((1, 1)), np.array([1.0])
         else:
-            grid = TensorGrid(np.array([[-R, R]] * (n - 1)), max(2, m_off // 8), 8)
-            offsets, w_off = grid.points_weights()
+            offsets, w_off = centered_box_grid(R, n - 1, m_off).points_weights()
         tgrid = np.linspace(-half_t, half_t, m_line + 1)
         tm = 0.5 * (tgrid[:-1] + tgrid[1:])
         ht = tgrid[1] - tgrid[0]

@@ -533,8 +533,8 @@ def _value(flat, path, what, default, dim=1):
 
 def read_experiment(cfg, seed=None):
     """Check `cfg` against its kind's row of EXPERIMENTS before any output or
-    work: its budgets (against a corollary statement's own row), its keys
-    (none unknown) and the kind of every value.
+    work: its budgets (against a corollary statement's own row, at each
+    dimension it runs), its keys (none unknown) and the kind of every value.
     Returns run(out, workers) -> Report; `seed` overrides the config's."""
     kind = cfg.get("experiment")
     if not isinstance(kind, str) or kind not in EXPERIMENTS:
@@ -556,6 +556,12 @@ def read_experiment(cfg, seed=None):
     prm = {"budgets": budgets}
     for path, key in paths.items():
         prm[key] = _value(flat, path, *spec[key], prm["field"].dim if "field" in prm else 1)
+    # the budgets again at each other dimension the run uses: the field's, a
+    # corollary's fields' or its ladder's (`failure`'s ladder is 1-D)
+    dims = {prm["field"].dim} if "field" in prm else \
+        {f.dim for _, f in prm["fields"]} if prm.get("fields") else {prm.get("dim", 1)}
+    for dim in sorted(dims - {1}):
+        quadrature.split_budgets(dim, budgets, *estimators)
     if prm.get("lambda_hi_factor", math.inf) <= prm.get("lambda_lo_factor", 0.0):
         raise ConfigError(f"config field 'params.lambda_hi_factor' must exceed "
                           f"'params.lambda_lo_factor' ({prm['lambda_lo_factor']!r}), "

@@ -39,7 +39,6 @@ from .fields import pair_members, pair_region, truncation_radius
 from .quadrature import (
     PairSampler,
     QuadratureResult,
-    TensorGrid,
     centered_box_grid,
     monte_carlo,
     sphere_rule,
@@ -303,13 +302,11 @@ def pair_measure_polar(q: LevelSetQuery, x_nodes, sphere_order, scan):
         return total, nx * nw * scan_n
 
     value, nodes = run(x_grid, scan)
-    # the coarse pass halves panels and scan, at least to 2 panels and 64 scan
-    # nodes where that is still coarser, else down to floors of 1 and 8; the
-    # grid has at least 2 panels, so only the scan can sit at its floor
-    panels = x_grid.panels
-    coarse_panels = max(2 if panels > 2 else 1, panels // 2)
+    # the coarse pass halves panels and scan, the scan at least to 64 nodes
+    # where that is still coarser, else down to a floor of 8; the grid has at
+    # least 2 panels, so only the scan can sit at its floor
     coarse_scan = min(scan, max(64 if scan > 64 else 8, scan // 2))
-    coarse, n2 = run(TensorGrid(x_grid.box, coarse_panels, x_grid.order), coarse_scan)
+    coarse, n2 = run(x_grid.coarsened(), coarse_scan)
     err = abs(value - coarse)
     # a fine pass already at the scan floor has no coarser pass to compare with
     converged = coarse_scan < scan and err <= 0.05 * max(abs(value), 1e-300)

@@ -64,11 +64,14 @@ def gauss_nodes_1d(n):
     return x, w
 
 
-def composite_gauss(lo, hi, panels, order=8):
+_GAUSS_ORDER = 8    # nodes per panel of every composite Gauss rule
+
+
+def composite_gauss(lo, hi, panels):
     """Composite Gauss-Legendre rule on [lo, hi] with `panels` equal panels."""
-    if panels < 1 or order < 1:
-        raise InvalidParameterError("panels and order must be >= 1")
-    xg, wg = gauss_nodes_1d(order)
+    if panels < 1:
+        raise InvalidParameterError("panels must be >= 1")
+    xg, wg = gauss_nodes_1d(_GAUSS_ORDER)
     edges = np.linspace(lo, hi, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -83,19 +86,13 @@ class TensorGrid:
 
     box: np.ndarray          # (N, 2)
     panels: int
-    order: int = 8
 
     @property
     def dim(self):
         return self.box.shape[0]
 
-    def axes(self):
-        return [composite_gauss(lo, hi, self.panels, self.order) for lo, hi in self.box]
-
     def points_weights(self):
-        axes = self.axes()
-        nodes = [a[0] for a in axes]
-        weights = [a[1] for a in axes]
+        nodes, weights = zip(*(composite_gauss(lo, hi, self.panels) for lo, hi in self.box))
         mesh = np.meshgrid(*nodes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=-1)
         w = weights[0]
@@ -104,14 +101,18 @@ class TensorGrid:
         return pts, w.ravel()
 
     def refined(self):
-        return TensorGrid(self.box, self.panels * 2, self.order)
+        return TensorGrid(self.box, self.panels * 2)
+
+    def coarsened(self):
+        """Half the panels, at least 2 where that is still coarser, else 1."""
+        return TensorGrid(self.box, max(2 if self.panels > 2 else 1, self.panels // 2))
 
 
-def centered_box_grid(half_width, dim, nodes_per_axis, order=8):
+def centered_box_grid(half_width, dim, nodes_per_axis):
     """TensorGrid on [-half_width, half_width]^dim with roughly nodes_per_axis nodes."""
-    panels = max(2, int(math.ceil(nodes_per_axis / order)))
+    panels = max(2, int(math.ceil(nodes_per_axis / _GAUSS_ORDER)))
     box = np.array([[-half_width, half_width]] * dim, dtype=float)
-    return TensorGrid(box, panels, order)
+    return TensorGrid(box, panels)
 
 
 # ---------------------------------------------------------------------------
@@ -153,24 +154,31 @@ class SphereRule:
         return SphereRule(self.dim, self.nodes[: m // 2], 2.0 * self.weights[: m // 2])
 
 
-def _polar_half_nodes(order):
-    # Gauss nodes for the polar cosine on [0, 1]; mirrored for [-1, 0].
-    # Splitting at the equator keeps |e.w|^p spectrally accurate.
-    n = max(2, order // 2)
-    x, w = gauss_nodes_1d(n)
-    c = 0.5 * (x + 1.0)
-    wc = 0.5 * w
-    return np.concatenate([-c[::-1], c]), np.concatenate([wc[::-1], wc])
+def _lift(c, wc, sub):
+    """Rule on S^N from polar cosines c in [0, 1] with weights wc, mirrored to
+    [-1, 0] (c < 0 rows first), times the rule `sub` on S^{N-1} scaled by
+    sqrt(1 - c^2)."""
+    c = np.concatenate([-c[::-1], c])
+    wc = np.concatenate([wc[::-1], wc])
+    s = np.sqrt(np.clip(1.0 - c ** 2, 0.0, None))
+    nodes = np.concatenate(
+        [
+            (s[:, None, None] * sub.nodes[None, :, :]).reshape(-1, sub.dim),
+            np.repeat(c, sub.nodes.shape[0])[:, None],
+        ],
+        axis=-1,
+    )
+    return SphereRule(sub.dim + 1, nodes, np.outer(wc, sub.weights).ravel())
 
 
 @lru_cache(maxsize=64)
 def sphere_rule(n_dim, order):
     """Quadrature rule on S^{N-1} for N in {1, 2, 3, 4}.
 
-    N = 1 is the two-point set, N = 2 uses equispaced midpoint angles,
-    N >= 3 products of Gauss nodes in the polar cosine with equispaced
-    azimuths.  Rules are immutable and cached.  Every rule of even size M
-    (all but the 2-D rules of odd order) lists one node of each antipodal
+    N = 1 is the two-point set, N = 2 uses equispaced midpoint angles, and
+    N = 3, 4 lift the rule one dimension down over Gauss nodes in the polar
+    cosine (`_lift`).  Rules are immutable and cached.  Every rule of even
+    size M (all but the 2-D rules of odd order) lists one node of each antipodal
     pair among its first M/2 nodes and the other, with equal weight, among
     the last M/2: node i + M/2 in 2-D, the mirrored polar cosine (c < 0
     first) with an even azimuth count in 3-D and 4-D; `SphereRule.half`
@@ -184,43 +192,18 @@ def sphere_rule(n_dim, order):
         th = 2.0 * math.pi * (np.arange(order) + 0.5) / order
         nodes = np.stack([np.cos(th), np.sin(th)], axis=-1)
         return SphereRule(2, nodes, np.full(order, 2.0 * math.pi / order))
+    if n_dim not in (3, 4):
+        raise InvalidParameterError(f"unsupported sphere dimension N={n_dim}")
+    # Gauss nodes in the polar cosine on [0, 1], mirrored by `_lift`: splitting
+    # at the equator keeps |e.w|^p spectrally accurate
+    x, w = gauss_nodes_1d(max(2, order // 2))
     if n_dim == 3:
-        c, wc = _polar_half_nodes(order)
-        n_az = 2 * order
-        th = 2.0 * math.pi * (np.arange(n_az) + 0.5) / n_az
-        s = np.sqrt(np.clip(1.0 - c ** 2, 0.0, None))
-        nodes = np.stack(
-            [
-                np.outer(s, np.cos(th)).ravel(),
-                np.outer(s, np.sin(th)).ravel(),
-                np.repeat(c, n_az),
-            ],
-            axis=-1,
-        )
-        w = np.outer(wc, np.full(n_az, 2.0 * math.pi / n_az)).ravel()
-        return SphereRule(3, nodes, w)
-    if n_dim == 4:
-        # polar weight of S^3 is (1 - c^2)^(1/2); substituting c = sin(phi)
-        # per half keeps |e.w|^p spectrally accurate despite the kink at 0
-        n = max(2, order // 2)
-        x, w = gauss_nodes_1d(n)
-        phi = 0.25 * math.pi * (x + 1.0)
-        ch = np.sin(phi)
-        wch = 0.25 * math.pi * w * np.cos(phi) ** 2
-        c = np.concatenate([-ch[::-1], ch])
-        wc = np.concatenate([wch[::-1], wch])
-        sub = sphere_rule(3, max(8, order // 4))
-        s = np.sqrt(np.clip(1.0 - c ** 2, 0.0, None))
-        nodes = np.concatenate(
-            [
-                (s[:, None, None] * sub.nodes[None, :, :]).reshape(-1, 3),
-                np.repeat(c, sub.nodes.shape[0])[:, None],
-            ],
-            axis=-1,
-        )
-        w = np.outer(wc, sub.weights).ravel()
-        return SphereRule(4, nodes, w)
-    raise InvalidParameterError(f"unsupported sphere dimension N={n_dim}")
+        return _lift(0.5 * (x + 1.0), 0.5 * w, sphere_rule(2, 2 * order))
+    # the polar weight of S^3 is (1 - c^2)^(1/2); substituting c = sin(phi)
+    # keeps the rule spectrally accurate despite it
+    phi = 0.25 * math.pi * (x + 1.0)
+    wc = 0.25 * math.pi * w * np.cos(phi) ** 2
+    return _lift(np.sin(phi), wc, sphere_rule(3, max(8, order // 4)))
 
 
 @dataclass(frozen=True)
@@ -362,13 +345,15 @@ BUDGETS = {
 }
 
 
-def _budget_value(key, value):
+def _budget_value(key, value, even=False):
     """`value` as an int: every budget is a count of at least 1, except
-    `refine`, where 0 skips the refinement."""
-    least = 0 if key == "refine" else 1
+    `refine`, where 0 skips the refinement, and `sphere_order`, at least 4
+    (`sphere_rule`'s least order) and even where `even` says so."""
+    least = {"refine": 0, "sphere_order": 4}.get(key, 1)
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1 != 0 \
-            or value < least:
-        raise InvalidParameterError(f"budgets.{key} must be an integer >= {least}, got {value!r}")
+            or value < least or (even and value % 2):
+        raise InvalidParameterError(
+            f"budgets.{key} must be an {'even ' if even else ''}integer >= {least}, got {value!r}")
     return int(value)
 
 
@@ -376,13 +361,17 @@ def split_budgets(dim, budgets, *estimators):
     """One dict per named `BUDGETS` entry: its defaults at dimension `dim`,
     overridden by the keys of `budgets` it is the first listed to take.  A
     key none takes, or a value that is not a whole number of at least 1 (0
-    for `refine`), is an error naming it.  Kept out of __all__, like
-    `ordered_parallel_map`, so the perfbench tracer adds no span for it."""
+    for `refine`, 4 for `sphere_order`), is an error naming it; so is an odd
+    2-D polar `sphere_order`, whose rule has no antipodal pairs to fold.
+    Kept out of __all__, like `ordered_parallel_map`, so the perfbench
+    tracer adds no span for it."""
     rest = dict(budgets or {})
     out = [{k: v[dim > 1] if isinstance(v, tuple) else v for k, v in BUDGETS[e].items()}
            for e in estimators]
-    for b in out:
-        b |= {k: _budget_value(k, rest.pop(k)) for k in b if k in rest}
+    for e, b in zip(estimators, out):
+        even = e == "polar" and dim == 2     # only the 2-D polar rule can be odd-sized
+        b |= {k: _budget_value(k, rest.pop(k), even and k == "sphere_order")
+              for k in b if k in rest}
     if rest:
         takes = "; ".join(f"{e} takes {', '.join(BUDGETS[e])}" for e in estimators)
         raise InvalidParameterError(

@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 _NEAR_SPLIT = 1e-6
-_V_ORDER = 8               # Gauss order of the log-radius panels
 _PANELS_PER_DECADE = 3     # log-radius panels per decade in the coarse pass; doubled in the fine
 
 
@@ -108,7 +107,7 @@ def _gagliardo_pass(f, s, p, delta_in, x_nodes, sphere_order, panels_per_decade)
     hi_v = np.log(np.maximum(t_exit, 1e-300))
     span = float(np.max(np.maximum(hi_v - lo_v, 0.0)))
     n_panels = max(2, int(math.ceil(panels_per_decade * span / math.log(10.0))))
-    vg, vw = composite_gauss(0.0, 1.0, n_panels, _V_ORDER)   # reference panelization
+    vg, vw = composite_gauss(0.0, 1.0, n_panels)   # reference panelization
 
     mid = np.zeros_like(t_exit)
     active = hi_v > lo_v

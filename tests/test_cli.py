@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from weaklp.cli import main
+from weaklp.errors import InvalidParameterError
 from weaklp.experiments import _STATEMENTS, EXPERIMENTS, REQUIRED, read_experiment, run_experiment
 from weaklp.quadrature import BUDGETS
 
@@ -296,10 +297,11 @@ def test_timings_sidecar_outside_determinism(tmp_path):
     cfg = write_cfg(tmp_path, BASE_LIMIT)
     out = tmp_path / "ot"
     main(["run", "--config", str(cfg), "--out", str(out)])
-    timings = json.loads((out / "timings.json").read_text())
-    assert "total_s" in timings
-    report = (out / "report.json").read_text()
-    assert "total_s" not in report
+    main(["constants", "--out", str(tmp_path / "oc")])
+    for run in (out, tmp_path / "oc"):
+        # `constants` once wrote a total_s of 0.0
+        assert json.loads((run / "timings.json").read_text())["total_s"] > 0
+        assert "total_s" not in (run / "report.json").read_text()
 
 
 def test_inconclusive_exit_code(tmp_path):
@@ -458,13 +460,43 @@ def test_params_must_be_an_object(tmp_path, capsys, cfg, path):
 
 
 def test_odd_2d_sphere_order_is_a_config_error(tmp_path, capsys):
-    # a 2-D rule of odd order has no antipodal pairs for the polar estimator to fold
-    cfg = write_cfg(tmp_path, {"experiment": "limit", "seed": 1,
-                               "field": {"kind": "catalogue", "name": "bump2"},
-                               "params": {"p": 1.0, "lambda_points": 8},
-                               "budgets": {"sphere_order": 13}})
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-    assert "sphere_order" in capsys.readouterr().err
+    # a 2-D rule of odd order has no antipodal pairs for the polar estimator
+    # to fold, and no rule has order below 4; both once failed only after the
+    # output directory was made
+    for order, need in ((13, "an even integer >= 4"), (1, "an integer >= 4")):
+        cfg = write_cfg(tmp_path, {"experiment": "limit", "seed": 1,
+                                   "field": {"kind": "catalogue", "name": "bump2"},
+                                   "params": {"p": 1.0, "lambda_points": 8},
+                                   "budgets": {"sphere_order": order}})
+        out = tmp_path / f"o{order}"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"budgets.sphere_order must be {need}, got {order}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _cat(name):
+    return {"kind": "catalogue", "name": name}
+
+
+@pytest.mark.parametrize("cfg, odd_ok", [
+    ({"experiment": "limit", "field": _cat("bump3"), "params": {"p": 1.0}}, True),
+    ({"experiment": "gagliardo", "field": _cat("bump2"), "params": {"s": 0.5, "p": 2.0}}, True),
+    ({"experiment": "corollary", "params": {"statement": "weak-sup", "fields": ["bump1", "bump2"]}},
+     False),
+    ({"experiment": "corollary", "params": {"statement": "weak-sup", "dim": 2}}, False),
+    ({"experiment": "failure", "params": {"p": 2.0}}, True),
+])
+def test_sphere_order_is_checked_at_each_dimension_the_run_uses(cfg, odd_ok):
+    # only the 2-D polar estimator needs an even order, and every estimator
+    # at least 4: a corollary's fields and its ladder are checked at their
+    # own dimensions, `failure`'s 1-D ladder at 1
+    for order, ok in ((16, True), (13, odd_ok), (3, False)):
+        conf = dict(cfg, seed=1, budgets={"sphere_order": order})
+        if ok:
+            assert read_experiment(conf)
+        else:
+            with pytest.raises(InvalidParameterError, match="budgets.sphere_order must be an"):
+                read_experiment(conf)
 
 
 # -- the params table -------------------------------------------------------

@@ -343,8 +343,9 @@ def _product_rays(X, W):
 
 
 def _grid_rays(n, half):
-    """The rays of a small polar grid: each (x_i, w_i) pair repeats."""
-    X, _ = Q.centered_box_grid(half, n, 24 // n, order=4).points_weights()
+    """The rays of a small polar grid: each (x_i, w_i) pair repeats.  The x
+    grid has 4 - n panels per axis: 24, 1024 and 8192 rays in 1-D to 3-D."""
+    X, _ = Q.TensorGrid(np.array([[-half, half]] * n), 4 - n).points_weights()
     return _product_rays(X, Q.sphere_rule(n, 8 if n < 3 else 4).half().nodes)
 
 

@@ -455,9 +455,8 @@ def _full_sphere_polar(q, grid, sphere, scan):
         return float(np.sum(w * (m.reshape(pts.shape[0], -1) * sphere.weights).sum(axis=1)))
 
     value = run(grid, scan)
-    coarse_panels = max(2 if grid.panels > 2 else 1, grid.panels // 2)
     coarse_scan = min(scan, max(64 if scan > 64 else 8, scan // 2))
-    coarse = run(Q.TensorGrid(grid.box, coarse_panels, grid.order), coarse_scan)
+    coarse = run(grid.coarsened(), coarse_scan)
     return value, abs(value - coarse)
 
 

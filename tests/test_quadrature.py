@@ -97,6 +97,54 @@ def test_sphere_rule_half_needs_an_even_rule():
         q.sphere_rule(2, 13).half()
 
 
+# sha256 of nodes.tobytes() + weights.tobytes() for every rule the code and
+# tests build, recorded before the 3-D and 4-D rules became lifts of the
+# rule one dimension down; every 1-D rule is the same two points
+_TWO_POINTS = "76a449f8269ad0c33e311404ad718e74aacda5ab0cf3030ca43bee47ad8f194e"
+SPHERE_RULE_DIGESTS = {(1, order): _TWO_POINTS for order in (4, 6, 8, 12, 16, 24, 48, 192, 4096)} | {
+    (2, 4): "4ce478f970209514abcd6823c57a8566c57b2e564fe7fa8e297aa5d3ce5d8c26",
+    (2, 6): "9994a5f6fda2f36c743c6a80cf44df76447453d192e45f710c1731319c186df1",
+    (2, 8): "cc20eeb6b5941e8b94cd28e39989a23261264d51daa31a36f0abb560d108e849",
+    (2, 12): "d26ff93dfb6b3812fe54c016caa8d2c4d74361db41e1bde0638db09ca510b723",
+    (2, 16): "6d4272e10c6b02e763699e34f652d97ccb0df2150f7c452d5762f48fe773ed6a",
+    (2, 24): "95c0f503920b3f03ca30923eae7f33db5844a71f92f4387034d1c3faf8b58511",
+    (2, 48): "97cab7a0be1e6f4df12cf5fc5c4ad35ef318644f167def96fff11d6c2f4852fc",
+    (2, 192): "a9a47871920e16f68baf657a694929dda2e18074ea6737e5ad5816f3ca2e9ae5",
+    (2, 4096): "1a992bf6e0beadd5f66faac85aece59438a5a27713afffc39ebb67d38a7d19a8",
+    (3, 4): "5b4b2a89bcec0386a1bc93132c741becebdf4f72c023f2983db5f8b024309bc4",
+    (3, 6): "c67befe3987e149e27039eb2af26c1d9d8a09f708e89b0761f22ac9ff6e9f6c9",
+    (3, 8): "998be4778a467a060a677857d002e6b932ab038ffa862ce4732b1f169ab92580",
+    (3, 12): "7f403caa0ea095a542f58d9a264feb418bea4d04d6df01808658376b7b90416c",
+    (3, 16): "31bcc15fc5a19fae4e256295ab9ef3d6c85fadef0a01ab7cd99618d04a2a50d5",
+    (3, 24): "f5156bf68b8fcf24d621ad5934379c93c78ee72c749320b5d34487ebad3a7871",
+    (3, 48): "0f5230f7ae9d1422ad712c3c16f809c727ed41e39058e652028c245279bff789",
+    (3, 192): "1e0c97a7c688e7176269d71e1f8327e83db643effc00a7a043b220f605a293a7",
+    (4, 4): "d2c123d73a3d85b839520436a958fa022da7239d0e5c97f97439c90db2d97554",
+    (4, 6): "7300149288976279c1584480729f6289677bc8f818fb6982b4bc53d627743550",
+    (4, 8): "a16fe2423bf87c7d6ff4f58f600539ecdeb7215069eb5578c17b04ca196f54c6",
+    (4, 12): "89e30db902681209107e9cadf9540e81c72bfd456fff04ae8fb854dafab79fc0",
+    (4, 16): "a3dd043d63396f2736e7720553382c22194b5e2f3252ebddc3a58a00728e1f5f",
+    (4, 24): "5ef6e018db1849275f9b57d540846443ea6033aa29851c9412ec62a578182c9d",
+    (4, 48): "697f4a94318ccf2808f9530dfb1aeb7967489558b9fef664aeef65d5db61f89f",
+    (4, 192): "e57e0591b4b497126ab281a75dc1e6ad3023a00d004e5d0d31e82ae8e7b03100",
+}
+
+
+@pytest.mark.parametrize("n_dim, order", sorted(SPHERE_RULE_DIGESTS))
+def test_sphere_rules_are_bit_identical(n_dim, order):
+    rule = q.sphere_rule(n_dim, order)
+    digest = hashlib.sha256(rule.nodes.tobytes() + rule.weights.tobytes()).hexdigest()
+    assert digest == SPHERE_RULE_DIGESTS[n_dim, order]
+
+
+@pytest.mark.parametrize("panels, coarse", [(2, 1), (3, 2), (4, 2), (5, 2), (6, 3), (9, 4)])
+def test_coarsened_grid_halves_panels_with_floors(panels, coarse):
+    # half the panels, at least 2 where that is still coarser, else 1
+    grid = q.TensorGrid(np.array([[-1.0, 1.0], [0.0, 2.0]]), panels)
+    assert grid.coarsened().panels == coarse
+    assert np.array_equal(grid.coarsened().box, grid.box)
+
+
 def test_unsupported_sphere_dimension():
     with pytest.raises(InvalidParameterError):
         q.sphere_rule(5, 16)

@@ -1,4 +1,5 @@
-"""The benchmark tracer must still find every function its counters name.
+"""The benchmark tracer must still find every function its counters and
+layer metrics name.
 
 `perfbench/tracing.py` installs one span per public function it finds by
 name.  A function that is renamed, deleted or dropped from its module's
@@ -26,3 +27,20 @@ def test_every_counter_names_a_traced_target():
     names = {name for _, _, name in T.Tracer()._targets()}
     assert set(T.COUNTERS) <= names, sorted(set(T.COUNTERS) - names)
 
+
+
+def _metric_spans(T):
+    """The span names the layer metrics read: the dotted string constants of
+    each metric function, and the two spans `span_stats` reads by name."""
+    spans = {"quadrature.monte_carlo", "levelset.weak_quasinorm"}
+    for _, _, fn in T.LAYER_METRICS:
+        spans |= {c for c in fn.__code__.co_consts if isinstance(c, str) and "." in c}
+    return spans
+
+
+def test_every_layer_metric_reads_a_traced_span():
+    T = _load_tracing()
+    names = {name for _, _, name in T.Tracer()._targets()}
+    spans = _metric_spans(T)
+    assert "quadrature.TensorGrid.points_weights" in spans
+    assert spans <= names, sorted(spans - names)
