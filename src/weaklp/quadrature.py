@@ -1,8 +1,10 @@
 """Deterministic quadrature rules, sphere constants, and reproducible Monte Carlo.
 
 Everything here is immutable after construction and safe to share across
-workers.  Monte Carlo sampling is counter-based: the value drawn for sample
-index i depends only on (seed, stream_id, i), never on chunking or scheduling.
+workers.  Monte Carlo uniforms are addressed, not streamed: slot j of sample i
+is output j * 2^64 + i of the PCG64DXSM sequence of (seed, stream_id), so what
+sample i draws never depends on chunking or scheduling, and each slot's lane
+comes out as one contiguous column.
 """
 from __future__ import annotations
 
@@ -254,36 +256,32 @@ def lower_bound_constant(n_dim):
 
 
 # ---------------------------------------------------------------------------
-# counter-based random streams
+# random streams: one PCG64DXSM lane per uniform slot
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class RandomStream:
-    """Reproducible stream of uniforms keyed by (seed, stream_id).
-
-    Sample index i owns a fixed block of uniform slots, so any partition of
-    the index range across workers reproduces identical values.  Slots per
-    sample are padded to a multiple of 4 because the underlying Philox
-    counter advances in blocks of four 64-bit outputs.
-    """
+    """Reproducible stream of uniforms keyed by (seed, stream_id): slot j of
+    sample i is output j * 2^64 + i of the PCG64DXSM sequence seeded by both.
+    Each slot's lane is 2^64 outputs long, so lanes never overlap, every output
+    generated is used, and any partition of the index range across workers
+    reproduces identical values."""
 
     seed: int
     stream_id: int = 0
 
-    def _bit_generator(self, counter_offset):
-        key = np.array([self.seed % 2 ** 64, self.stream_id % 2 ** 64], dtype=np.uint64)
-        return np.random.Philox(key=key).advance(int(counter_offset))
-
     def uniform_matrix(self, start, count, k):
-        """Uniforms for samples [start, start+count), k per sample; shape (count, k)."""
+        """Uniforms for samples [start, start+count), k per sample: the (count, k)
+        transpose of the k lanes' runs, so each column is contiguous."""
         if count < 0 or k < 1:
             raise InvalidParameterError("count must be >= 0 and k >= 1")
-        k_pad = 4 * ((k + 3) // 4)
-        if count == 0:
-            return np.empty((0, k))
-        gen = np.random.Generator(self._bit_generator(start * (k_pad // 4)))
-        u = gen.random(count * k_pad).reshape(count, k_pad)
-        return u[:, :k]
+        bits = np.random.PCG64DXSM(np.random.SeedSequence([self.seed, self.stream_id]))
+        lanes = np.empty((k, count))
+        bits.advance(start)
+        for lane in lanes:      # lane j starts at output j * 2^64 + start
+            np.random.Generator(bits).random(out=lane)
+            bits.advance(2 ** 64 - count)
+        return lanes.T
 
     def derived(self, tag):
         """An independent stream tied to this one, for sub-tasks."""
@@ -293,19 +291,20 @@ class RandomStream:
 def _unit_vectors(u, n_dim):
     # uniform on S^{N-1} from N - 1 uniforms a row (1-D: a sign); t = tan(pi (u - 1/2))
     # gives (cos, sin)(2 pi u) = (t^2 - 1, -2t) / (1 + t^2), no cos or sin call; 3-D
-    # (Archimedes): z = 2 u - 1 is uniform, times sqrt((1 - z)(1 + z)) (0 at u = 0)
+    # (Archimedes): z = 2 u - 1 is uniform, times sqrt((1 - z)(1 + z)) (0 at u = 0);
+    # rows of an (N, count) array, returned as its (count, N) view
     if n_dim == 1:
         return np.where(u[:, 0] < 0.5, -1.0, 1.0)[:, None]
-    out = np.empty((u.shape[0], n_dim))
+    out = np.empty((n_dim, u.shape[0]))
     t = np.tan(np.pi * (u[:, 0] - 0.5))
     t2 = t * t
     scale = 1.0 / (1.0 + t2)
     if n_dim == 3:
-        out[:, 2] = z = 2.0 * u[:, 1] - 1.0
+        out[2] = z = 2.0 * u[:, 1] - 1.0
         scale *= np.sqrt((1.0 - z) * (1.0 + z))
-    np.multiply(t2 - 1.0, scale, out=out[:, 0])
-    np.multiply(t, -2.0 * scale, out=out[:, 1])
-    return out
+    np.multiply(t2 - 1.0, scale, out=out[0])
+    np.multiply(t, -2.0 * scale, out=out[1])
+    return out.T
 
 
 class PairSampler:
@@ -330,7 +329,8 @@ class PairSampler:
         m = max(n - 1, 1)
         u = stream.uniform_matrix(start, count, 2 * m + 2)
         root = (np.positive, np.sqrt, np.cbrt)[n - 1]
-        x = (self.half * root(u[:, m]))[:, None] * _unit_vectors(u[:, :m], n)
+        x = _unit_vectors(u[:, :m], n)
+        x *= (self.half * root(u[:, m]))[:, None]
         w = _unit_vectors(u[:, m + 1 : 2 * m + 1], n)
         r = self.r_cap * root(u[:, 2 * m + 1])
         return x, w, r

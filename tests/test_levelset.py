@@ -799,13 +799,12 @@ def test_error_pass_is_strictly_coarser_on_small_grids(cat):
 # 0.5, RandomStream(62, 3), scan=64) hands to the scan kernel, x then w per
 # ray, which pins the sampled x and w bit for bit; every violation count is
 # 0.  Recorded on the one-ray path (`radial_levelset`, one call per ray)
-# that the batched kernel call replaced; bump2 and bump3 re-recorded when the
-# sampler's 2-D and 3-D directions became the tangent formula of
-# `quadrature._unit_vectors` (still no violation).
+# that the batched kernel call replaced; re-recorded when the uniforms moved
+# to per-slot PCG64DXSM lanes (still no violation).
 SANDWICH_GOLDENS = {
-    ("bump1", 1.0): "0b75504ff9c0c74a",
-    ("bump2", 2.0): "d7c40a1738a695dc",
-    ("bump3", 2.0): "8ba4302a84f23ffa",
+    ("bump1", 1.0): "46d23c1760eaaf8a",
+    ("bump2", 2.0): "0584d7ed3002493b",
+    ("bump3", 2.0): "af5d942fba535923",
 }
 
 
@@ -824,23 +823,25 @@ def test_verify_sandwich_goldens(cat, monkeypatch, name, p):
 
 
 def test_pair_measure_mc_golden(bump2):
-    # re-recorded with the tangent-formula directions: 5.4263 +- 0.0999 before,
-    # 5.2921 +- 0.0987 now, 0.96 combined standard errors apart
+    # re-recorded with the per-slot uniform lanes: 5.2921 +- 0.0987 before,
+    # 5.2980 +- 0.0988 now, 0.04 combined standard errors apart
     q = LS.LevelSetQuery(bump2, 1.0, 3.0, 0.5 * bump2.lip_bound)
     res = LS.pair_measure_mc(q, 40_000, Q.RandomStream(5, 7))
     assert (res.value.hex(), res.error_estimate.hex(), res.nodes_used) == \
-        ("0x1.52b1783271510p+2", "0x1.945e9fe9761acp-4", 40_000)
+        ("0x1.53127ddea9661p+2", "0x1.94945cf6d7466p-4", 40_000)
 
 
-@pytest.mark.parametrize("name", ["bump2", "bump3"])
+@pytest.mark.parametrize("name", ["bump1", "bump2", "bump3"])
 def test_pair_measure_mc_bitwise_across_workers(cat, name):
-    # 150k samples make five Monte Carlo chunks, split across 1, 2 and 5 workers
+    # 98,307 and 150k samples make four and five Monte Carlo chunks, the last
+    # one partial (3 and 18,928 samples), split across 1, 2 and 5 workers
     f = cat[name]
     q = LS.LevelSetQuery(f, 2.0, 2.0, 0.5 * f.lip_bound)
-    got = {(r.value.hex(), r.error_estimate.hex())
-           for r in (LS.pair_measure_mc(q, 150_000, Q.RandomStream(8, 2), workers=w)
-                     for w in (1, 2, 5))}
-    assert len(got) == 1
+    for n in (98_307, 150_000):
+        got = {(r.value.hex(), r.error_estimate.hex())
+               for r in (LS.pair_measure_mc(q, n, Q.RandomStream(8, 2), workers=w)
+                         for w in (1, 2, 5))}
+        assert len(got) == 1
 
 
 def test_polar_budgets_fill_defaults_and_keep_overrides():

@@ -189,12 +189,53 @@ def test_lower_bound_constants():
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2 ** 32), st.integers(0, 2 ** 16), st.integers(1, 199))
-def test_stream_split_invariance(seed, stream_id, cut):
+@given(st.integers(0, 2 ** 32), st.integers(0, 2 ** 16), st.integers(1, 6),
+       st.integers(0, 2 ** 40).map(lambda s: 2 * s + 1), st.integers(1, 199))
+def test_stream_split_invariance(seed, stream_id, k, start, cut):
     st_ = q.RandomStream(seed, stream_id)
-    whole = st_.uniform_matrix(0, 200, 5)
-    parts = np.vstack([st_.uniform_matrix(0, cut, 5), st_.uniform_matrix(cut, 200 - cut, 5)])
+    whole = st_.uniform_matrix(start, 200, k)
+    parts = np.vstack([st_.uniform_matrix(start, cut, k),
+                       st_.uniform_matrix(start + cut, 200 - cut, k)])
+    assert whole.shape == (200, k)
     assert np.array_equal(whole, parts)
+
+
+def test_stream_prefix_invariance_across_slot_counts():
+    # slot j's lane does not depend on how many slots a sample takes
+    st_ = q.RandomStream(4, 9)
+    for start in (0, 1, 12_345):
+        wide = st_.uniform_matrix(start, 100, 6)
+        for j in range(1, 6):
+            assert np.array_equal(wide[:, :j], st_.uniform_matrix(start, 100, j))
+
+
+def test_stream_columns_are_contiguous():
+    for k in (1, 2, 4, 6):
+        u = q.RandomStream(2, 5).uniform_matrix(7, 50, k)
+        assert all(u[:, j].flags.c_contiguous for j in range(k))
+
+
+def test_stream_lanes_are_uniform_and_uncorrelated():
+    # a 16-bin chi-square per lane; the cross-lane correlations are within 4
+    # standard errors (1 / sqrt(n)) of 0; no value repeats, as it would where
+    # two lanes overlap (a repeat among 240k fresh doubles has odds ~3e-6)
+    n = 40_000
+    u = q.RandomStream(11, 1).uniform_matrix(2 ** 40 + 3, n, 6)
+    assert np.unique(u).size == u.size
+    for j in range(6):
+        assert _chi2_uniform_bins(u[:, j], 0.0, 1.0, bins=16) > 1e-3
+    rho = np.corrcoef(u.T)[np.triu_indices(6, 1)]
+    assert np.max(np.abs(rho)) <= 4.0 / math.sqrt(n)
+
+
+def test_stream_is_pinned():
+    # slot j of sample i is output j * 2^64 + i of PCG64DXSM(SeedSequence([0, 0]))
+    u = q.RandomStream(0).uniform_matrix(0, 64, 6)
+    lanes = [np.random.PCG64DXSM(np.random.SeedSequence([0, 0])).advance(j * 2 ** 64)
+             for j in range(6)]
+    assert np.array_equal(u, np.stack([np.random.Generator(b).random(64) for b in lanes], axis=1))
+    assert hashlib.sha256(u.tobytes()).hexdigest() == \
+        "ad6bdf3503b53d7ed3509cce863cdd711b89351ad87b52f699f5251ed5e51c5f"
 
 
 def test_streams_differ():
@@ -242,11 +283,34 @@ def test_pair_sampler_draw_splits_bitwise(dim):
 
 
 def test_pair_sampler_1d_draw_is_pinned():
-    # sha256 of x, w and r bytes for 300 1-D samples, recorded before the 2-D and
-    # 3-D directions moved to the tangent formula: the 1-D path must not move a bit
+    # sha256 of x, w and r bytes for 300 1-D samples; re-recorded when the
+    # uniforms moved to per-slot PCG64DXSM lanes, which moved every draw
     x, w, r = q.PairSampler(1, 1.3, 0.6).draw(q.RandomStream(17, 1), 0, 300)
     digest = hashlib.sha256(x.tobytes() + w.tobytes() + r.tobytes()).hexdigest()
-    assert digest == "0f73b6b55216c4e88a3ee68ce3da87a4e06544cd66bf188cd2fe0561b1605602"
+    assert digest == "f86b0c560bf8e2ab88b9bcf2e016a0aaf34df0c7eb7fba8a092906511c851cf2"
+
+
+# sha256 of the x, w and r bytes of 300 samples drawn from the fixed uniforms of
+# `_weyl_uniforms`: recorded before the uniforms moved to per-slot lanes, so the
+# geometry made from given uniforms has not moved a bit
+GEOMETRY_DIGESTS = {
+    1: "7143959a9aca50c87148d610254b7a47605b20a05dbb0b529e45eb74e3892829",
+    2: "e8d562587248a515aa8cf8ee1185fa4bae44ddbd4e1f8d3401151099fec151e3",
+    3: "eaa78c79df6b65024dacf9118fed87009cf6ce8de7a37f8482cd151a9c01ff13",
+}
+
+
+def _weyl_uniforms(self, start, count, k):
+    i = np.arange(start * k, (start + count) * k, dtype=float) + 1.0
+    return (i * 0.6180339887498949 % 1.0).reshape(count, k)
+
+
+@pytest.mark.parametrize("dim", sorted(GEOMETRY_DIGESTS))
+def test_pair_sampler_geometry_is_pinned(monkeypatch, dim):
+    monkeypatch.setattr(q.RandomStream, "uniform_matrix", _weyl_uniforms)
+    x, w, r = q.PairSampler(dim, 1.3, 0.6).draw(q.RandomStream(0), 0, 300)
+    digest = hashlib.sha256(x.tobytes() + w.tobytes() + r.tobytes()).hexdigest()
+    assert digest == GEOMETRY_DIGESTS[dim]
 
 
 @pytest.mark.parametrize("dim, k", [(1, 4), (2, 4), (3, 6)])
