@@ -41,15 +41,20 @@ def _load_config(path):
 
 
 def _resolve_workers(args):
+    """--workers, else WEAKLP_WORKERS, else 1; a count below 1 is a config error."""
     if args.workers is not None:
-        return max(1, args.workers)
-    env = os.environ.get("WEAKLP_WORKERS")
-    if env:
+        name, workers = "--workers", args.workers
+    else:
+        env = os.environ.get("WEAKLP_WORKERS")
+        if not env:
+            return 1
         try:
-            return max(1, int(env))
+            name, workers = "WEAKLP_WORKERS", int(env)
         except ValueError:
             raise ConfigError(f"WEAKLP_WORKERS must be an integer, got {env!r}")
-    return 1
+    if workers < 1:
+        raise ConfigError(f"{name} must be >= 1, got {workers}")
+    return workers
 
 
 def _finish(report: Report, out: Path, timings, verbose):
@@ -97,9 +102,9 @@ def _cmd_sweep(args):
                                       f"to sweep 'sweep.{key}', got {node!r}")
             node[parts[-1]] = val
         runs.append(read_experiment(job_cfg, base_seed ^ idx))
+    workers = _resolve_workers(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    workers = _resolve_workers(args)
 
     def run_job(item):
         idx, run = item

@@ -31,7 +31,6 @@ __all__ = [
     "VitaliCover",
     "admissible_intervals",
     "holder_containment_check",
-    "one_sided_radial_energy",
     "pair_energy_bound_factor",
     "rotation_measure",
     "verify_5j_cover",
@@ -231,29 +230,6 @@ def weighted_energy(f: PiecewiseConstantField, gamma, cover: VitaliCover):
         "holds_selected": bool(energy <= mid + slack),
         "holds_mass": bool(mid <= outer + slack),
     }
-
-
-def one_sided_radial_energy(f: PiecewiseConstantField, gamma, scan=4096):
-    """int_s int_{r in E(f,s)} r^(gamma-1) dr ds where E(f,s) is the set of
-    radii r with int_s^{s+r} f >= r^(gamma+1).
-
-    Uses the continuous prefix interpolant (exact for piecewise-constant f)
-    with a fine radial scan; equals half the two-sided energy in the limit.
-    """
-    nodes = np.linspace(f.lo, f.hi, f.cells + 1)
-
-    def prefix_at(t):
-        return np.interp(t, nodes, f.prefix)
-
-    total = 0.0
-    r_max = f.hi - f.lo
-    r = np.linspace(r_max / scan, r_max, scan)
-    dr_pow = np.diff(np.concatenate([[0.0], r]) ** gamma) / gamma
-    for i in range(f.cells):
-        s = f.node(i) + 0.5 * f.h
-        member = prefix_at(s + r) - prefix_at(s) >= r ** (gamma + 1.0)
-        total += float(np.sum(dr_pow[member])) * f.h
-    return total
 
 
 # ---------------------------------------------------------------------------

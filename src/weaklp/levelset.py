@@ -70,6 +70,7 @@ _SCAN_POINTS = 2 ** 22     # nominal ray points per pair_measure_polar kernel ca
 _PRUNE_MARGIN = 1e-9       # pruning slack relative to r_cap + support_radius: covers
                            # the rounding of x + r w, so pruned rays read u = 0 exactly
 _BISECT_TOL = 1e-10        # crossing radius tolerance of the polar estimator
+_SANDWICH_SCAN = 1024      # scan points per ray of verify_sandwich
 
 
 @dataclass(frozen=True)
@@ -220,7 +221,7 @@ def sandwich_bounds(f, p, lam, x, omega, delta):
     return SandwichBounds(lower, upper, delta)
 
 
-def verify_sandwich(f, p, lam, samples, delta, stream, scan=1024):
+def verify_sandwich(f, p, lam, samples, delta, stream):
     """Check (0, lower] <= membership runs <= (0, upper] on sampled rays.
 
     Returns a dict of violation counts (target zero on the catalogue).  All
@@ -230,15 +231,13 @@ def verify_sandwich(f, p, lam, samples, delta, stream, scan=1024):
     """
     if lam <= f.lip_bound:
         raise PreconditionError("verify_sandwich needs lambda > lip_bound")
-    if scan < 16:
-        raise InvalidParameterError("scan must be >= 16")
     n = f.dim
     q = LevelSetQuery(f, p, n / p + 1.0, lam)
     r_cap = truncation_radius(f, lam, q.alpha)
     xs, ws, _ = PairSampler(n, f.support_radius + 1.0, r_cap).draw(stream, 0, samples)
     ux = f.evaluate(xs)
     tol = 1e-9      # bisection tolerance, relative and absolute radius slack
-    _, crossings, outer = _scan_rays(f, lam, q.alpha, xs.T, ws.T, ux, r_cap, scan, tol)
+    _, crossings, outer = _scan_rays(f, lam, q.alpha, xs.T, ws.T, ux, r_cap, _SANDWICH_SCAN, tol)
     sb = sandwich_bounds(f, p, lam, xs, ws, delta)
     need = sb.lower * (1.0 - tol) - tol
     # the inner radius can sit below the scan's first grid point, so check

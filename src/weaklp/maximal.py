@@ -113,17 +113,27 @@ def _disk_kernel(rho):
     return np.diff(np.diff(area, axis=0), axis=1)
 
 
+def _fast_len(n):
+    """Least 5-smooth integer >= n, a length the real FFT is fast at."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:     # p35 times the least power of two reaching n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _disk_mass(vals, rho):
     """Mass of the unit-cell values `vals`, zero outside the grid, in the disk
     of radius rho about each cell centre: the "same" crop of the linear
     convolution with the point-symmetric `_disk_kernel`."""
-    # imported here, so that only the 2-D maximal function pays for it
-    from scipy.fft import irfft2, next_fast_len, rfft2
-
     k = _disk_kernel(rho)
     reach = k.shape[0] // 2
-    shape = [next_fast_len(n + 2 * reach, real=True) for n in vals.shape]
-    full = irfft2(rfft2(vals, shape) * rfft2(k, shape), shape)
+    shape = [_fast_len(n + 2 * reach) for n in vals.shape]
+    full = np.fft.irfft2(np.fft.rfft2(vals, shape) * np.fft.rfft2(k, shape), shape)
     return full[reach:reach + vals.shape[0], reach:reach + vals.shape[1]]
 
 

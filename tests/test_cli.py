@@ -279,6 +279,19 @@ def test_workers_env_fallback(tmp_path, monkeypatch):
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "constants"])
+def test_worker_count_below_one_is_a_config_error(tmp_path, monkeypatch, capsys, command):
+    cfg = write_cfg(tmp_path, {**BASE_LIMIT, "sweep": {"params.p": [1.0]}})
+    args = [command, "--out", str(tmp_path / "o")] + (["--config", str(cfg)]
+                                                       if command != "constants" else [])
+    assert main(args + ["--workers", "-3"]) == 1
+    assert "--workers must be >= 1, got -3" in capsys.readouterr().err
+    monkeypatch.setenv("WEAKLP_WORKERS", "0")
+    assert main(args) == 1
+    assert "WEAKLP_WORKERS must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfg = write_cfg(tmp_path, BASE_LIMIT)
     out = tmp_path / "oseed"

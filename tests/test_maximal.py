@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import fft, integrate
 
 import weaklp
 from weaklp import fields as F
@@ -14,29 +14,23 @@ from weaklp import quadrature as Q
 from weaklp.errors import InvalidParameterError, PreconditionError
 
 
-def test_importing_the_package_leaves_scipy_signal_unloaded():
-    # scipy.signal costs about a second and 50 MB to import, and nothing in
-    # the package needs it
+def test_runtime_loads_no_scipy():
+    # the package needs numpy only: Gamma comes from math, the disk
+    # convolution from numpy.fft
     src = str(Path(weaklp.__file__).resolve().parents[1])
     env = os.environ | {"PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, weaklp, weaklp.experiments, weaklp.cli; print('scipy.signal' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.strip() == "False"
-
-
-def test_2d_maximal_leaves_scipy_signal_unloaded():
-    # the 2-D maximal function convolves through scipy.fft, imported when it
-    # runs; the package import loads neither
-    src = str(Path(weaklp.__file__).resolve().parents[1])
-    env = os.environ | {"PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = ("import sys, numpy as np, weaklp, weaklp.cli; from weaklp import maximal as M; "
-            "print(sorted({'scipy.fft', 'scipy.signal'} & set(sys.modules))); "
+    code = ("import sys, numpy as np, weaklp, weaklp.cli, weaklp.experiments; "
+            "from weaklp import maximal as M; "
             "M.hl_maximal(M.GriddedFunction(np.array([[0.0, 1.0], [0.0, 1.0]]), np.ones((8, 8)))); "
-            "print('scipy.signal' in sys.modules)")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.split("\n")[:2] == ["[]", "False"]
+    assert out.stdout.strip() == "[]"
+
+
+def test_fast_len_matches_scipy():
+    n = range(1, 5001)
+    assert [M._fast_len(k) for k in n] == [fft.next_fast_len(k, real=True) for k in n]
 
 
 @pytest.mark.parametrize("rho", [0.3, 0.7, 1.3, 5.0, 40.2])
