@@ -14,18 +14,29 @@ from weaklp import quadrature as Q
 from weaklp.errors import InvalidParameterError, PreconditionError
 
 
-def test_runtime_loads_no_scipy():
-    # the package needs numpy only: Gamma comes from math, the disk
-    # convolution from numpy.fft
+def _scipy_modules_after(code):
+    # the scipy modules a fresh interpreter holds after running code
     src = str(Path(weaklp.__file__).resolve().parents[1])
     env = os.environ | {"PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = ("import sys, numpy as np, weaklp, weaklp.cli, weaklp.experiments; "
-            "from weaklp import maximal as M; "
-            "M.hl_maximal(M.GriddedFunction(np.array([[0.0, 1.0], [0.0, 1.0]]), np.ones((8, 8)))); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code += "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_importing_the_package_leaves_scipy_signal_unloaded():
+    # the package needs numpy only, so no scipy module (scipy.signal
+    # included) is loaded by importing it
+    assert _scipy_modules_after("import sys, weaklp, weaklp.cli, weaklp.experiments") == "[]"
+
+
+def test_2d_maximal_leaves_scipy_signal_unloaded():
+    # the 2-D maximal function convolves through numpy.fft, so running it
+    # loads neither scipy.fft nor scipy.signal
+    code = ("import sys, numpy as np, weaklp, weaklp.cli, weaklp.experiments; "
+            "from weaklp import maximal as M; "
+            "M.hl_maximal(M.GriddedFunction(np.array([[0.0, 1.0], [0.0, 1.0]]), np.ones((8, 8))))")
+    assert _scipy_modules_after(code) == "[]"
 
 
 def test_fast_len_matches_scipy():
