@@ -92,9 +92,9 @@ class ScalarField:
 
     def along(self, xs, ws):
         """u along the (N, k) axis-major rays xs + r ws: u(r, b) on the ray subset
-        b at radii r, a shared (m,) row or per-ray (len(b), 1), as a new (len(b),
-        m) array.  The base class builds the (N, len(b), m) points, so each
-        coordinate `evaluate` reads is contiguous."""
+        b at radii r, a shared (m,) row or per-ray (len(b), 1) or (len(b), m)
+        radii, as a new (len(b), m) array.  The base class builds the (N,
+        len(b), m) points, so each coordinate `evaluate` reads is contiguous."""
         return lambda r, b=slice(None): self.evaluate(np.moveaxis(xs[:, b, None] + ws[:, b, None] * r, 0, -1))
 
     def gradient(self, pts):
@@ -178,7 +178,8 @@ def _step_jet(t, order=0):
     f = exp(-1/t), g = exp(-1/(1-t)): 0 for t <= 0, 1 for t >= 1."""
     t = np.asarray(t, dtype=float)
     jet = [(t >= 1.0).astype(float)] + [np.zeros_like(t) for _ in range(order)]
-    m = (t > 0.0) & (t < 1.0)
+    # the jet is exactly 0.0 for t <= 1e-3 (exp(-1000) is 0.0); a subnormal t would overflow 1/t
+    m = (t > 1e-3) & (t < 1.0)
     tm = t[m]
     f = np.exp(-1.0 / tm)
     g = np.exp(-1.0 / (1.0 - tm))

@@ -361,14 +361,15 @@ def split_budgets(dim, budgets, *estimators):
     overridden by the keys of `budgets` it is the first listed to take.  A
     key none takes, or a value that is not a whole number of at least 1 (0
     for `refine`, 4 for `sphere_order`), is an error naming it; so is an odd
-    2-D polar `sphere_order`, whose rule has no antipodal pairs to fold.
+    2-D polar or gagliardo `sphere_order`, whose rule has no antipodal pairs
+    to fold.
     Kept out of __all__, like `ordered_parallel_map`, so the perfbench
     tracer adds no span for it."""
     rest = dict(budgets or {})
     out = [{k: v[dim > 1] if isinstance(v, tuple) else v for k, v in BUDGETS[e].items()}
            for e in estimators]
     for e, b in zip(estimators, out):
-        even = e == "polar" and dim == 2     # only the 2-D polar rule can be odd-sized
+        even = e in ("polar", "gagliardo") and dim == 2     # only a 2-D rule can be odd-sized
         b |= {k: _budget_value(k, rest.pop(k), even and k == "sphere_order")
               for k in b if k in rest}
     if rest:

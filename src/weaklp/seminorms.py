@@ -3,15 +3,22 @@
 The double integral over R^N x R^N is rewritten in polar pair coordinates
 anchored at x inside the support ball B:
 
-    iint = int_{x in B} int_w [ int_0^{t_exit} |u(x+rw)-u(x)|^p r^{-1-sp} dr
-                                + 2 |u(x)|^p t_exit^{-sp} / (sp) ] dw dx
+    iint = int_{x in B} int_w [ int_{r_lo}^{t_exit} |u(x+rw)-u(x)|^p r^{-1-sp} dr
+                                + 2 |u(x)|^p max(t_exit, r_lo)^{-sp} / (sp) ] dw dx
 
-where t_exit is the exit radius of the ray from the ball.  The closed-form
-tail accounts exactly for both orderings of pairs with one endpoint outside
-B (u vanishes there), so truncation introduces no bias.  Below a splitting
-radius the radial integrand is replaced by its certified linearization
-|grad u(x).w|^p r^{p-1-sp}, whose error is bounded through the Hessian bound
-and reported.
+where t_exit is the exit radius of the ray from the ball and r_lo is the
+inner cutoff (delta_in at s = 1, else 0).  The closed-form tail accounts
+exactly for both orderings of pairs with one endpoint outside B and length
+at least r_lo (u vanishes outside B), so truncation introduces no bias.
+For s < 1, below a splitting radius of 1e-6 the radial integrand is replaced
+by its certified linearization |grad u(x).w|^p r^{p-1-sp}, whose error is
+bounded through the Hessian bound and reported; at s = 1 it splits at r_lo.
+
+The mid part, from the splitting radius to t_exit, reads u(y) through
+`ScalarField.along` on one direction of each antipodal pair, counted twice
+(`SphereRule.half`): the swap (x, w, r) -> (x + r w, -w, r) preserves
+measure and the symmetric integrand, and maps {x in B, r_split <= r <=
+t_exit(x, w)} onto itself, as x + r w lies in B exactly when r <= t_exit.
 """
 from __future__ import annotations
 
@@ -39,6 +46,7 @@ __all__ = [
 ]
 
 _NEAR_SPLIT = 1e-6
+_CHUNK_POINTS = 2 ** 16    # mid-part ray points per chunk; 2e6 (16 MB temporaries) took 2x as long
 _PANELS_PER_DECADE = 3     # log-radius panels per decade in the coarse pass; doubled in the fine
 
 
@@ -75,66 +83,54 @@ def _gagliardo_pass(f, s, p, delta_in, x_nodes, sphere_order, panels_per_decade)
     grid = centered_box_grid(R, f.dim, x_nodes)
     pts, wx = grid.points_weights()
     inside = np.sum(pts ** 2, axis=1) < R ** 2 * (1.0 - 1e-14)
-    X = pts[inside]
-    wx = wx[inside]
+    X, wx = pts[inside], wx[inside]
     rule = sphere_rule(f.dim, sphere_order)
     W = rule.nodes
     t_exit = R * _exit_radius(X / R, W)                     # (nx, nw)
     ux = f.evaluate(X)
-    gvec = f.gradient(X)
-    gdir = np.abs(gvec @ W.T)                               # (nx, nw)
+    gdir = np.abs(f.gradient(X) @ W.T)                      # (nx, nw)
 
     sp = s * p
     expo = p * (1.0 - s)
     r_lo = delta_in if s == 1.0 else 0.0
-    r_split = np.minimum(max(_NEAR_SPLIT, r_lo), t_exit)
+    r_split = np.minimum(r_lo if s == 1.0 else _NEAR_SPLIT, t_exit)
 
-    near = np.zeros_like(t_exit)
-    near_err = np.zeros_like(t_exit)
+    near = near_err = np.zeros_like(t_exit)
     if s < 1.0:
         # certified linearization on (0, r_split]
         near = gdir ** p * r_split ** expo / expo
-        near_err = (
-            p
-            * f.hess_bound
-            * (gdir + f.hess_bound * r_split) ** (p - 1.0)
-            * r_split ** (expo + 1.0)
-            / (expo + 1.0)
-        )
+        near_err = (p * f.hess_bound * (gdir + f.hess_bound * r_split) ** (p - 1.0)
+                    * r_split ** (expo + 1.0) / (expo + 1.0))
 
-    # mid part on [r_split, t_exit] in log coordinates
+    # mid part on [r_split, t_exit] in log coordinates, on the half rule: the
+    # first M/2 columns of the full rule's arrays
+    half = rule.half()
+    mh = half.weights.shape[0]
     lo_v = np.log(np.maximum(r_split, 1e-300))
     hi_v = np.log(np.maximum(t_exit, 1e-300))
     span = float(np.max(np.maximum(hi_v - lo_v, 0.0)))
     n_panels = max(2, int(math.ceil(panels_per_decade * span / math.log(10.0))))
     vg, vw = composite_gauss(0.0, 1.0, n_panels)   # reference panelization
 
-    mid = np.zeros_like(t_exit)
-    active = hi_v > lo_v
-    if np.any(active):
-        # map reference nodes onto each (x, w) log-range; chunk over x to
-        # bound memory
-        idx = np.nonzero(active)
-        chunk = max(1, int(2e6 // max(vg.size, 1)))
-        for c0 in range(0, idx[0].size, chunk):
-            ii = idx[0][c0 : c0 + chunk]
-            jj = idx[1][c0 : c0 + chunk]
-            a = lo_v[ii, jj][:, None]
-            b = hi_v[ii, jj][:, None]
-            v = a + (b - a) * vg[None, :]
-            r = np.exp(v)
-            pts_c = X[ii][:, None, :] + r[..., None] * W[jj][:, None, :]
-            dv = np.abs(f.evaluate(pts_c) - ux[ii][:, None])
-            integ = dv ** p * np.exp(-sp * v)
-            mid[ii, jj] = np.sum(integ * vw[None, :], axis=1) * (b - a)[:, 0]
+    # map reference nodes onto each active (x, w) log-range, chunk by chunk
+    mid = np.zeros((X.shape[0], mh))
+    idx = np.nonzero(hi_v[:, :mh] > lo_v[:, :mh])
+    chunk = max(1, _CHUNK_POINTS // vg.size)
+    for c0 in range(0, idx[0].size, chunk):
+        ii, jj = idx[0][c0 : c0 + chunk], idx[1][c0 : c0 + chunk]
+        a, b = lo_v[ii, jj][:, None], hi_v[ii, jj][:, None]
+        v = a + (b - a) * vg[None, :]
+        dv = np.abs(f.along(X[ii].T, half.nodes[jj].T)(np.exp(v)) - ux[ii][:, None])
+        mid[ii, jj] = np.sum(dv ** p * np.exp(-sp * v) * vw[None, :], axis=1) * (b - a)[:, 0]
 
-    far = 2.0 * np.abs(ux[:, None]) ** p * np.maximum(t_exit, 1e-300) ** (-sp) / sp
+    # pairs leaving B, both orderings, no shorter than the inner cutoff
+    far = 2.0 * np.abs(ux[:, None]) ** p * np.maximum(t_exit, max(r_lo, 1e-300)) ** (-sp) / sp
     far = np.where(np.abs(ux[:, None]) > 0.0, far, 0.0)
 
-    per_x = ((near + mid + far) * rule.weights[None, :]).sum(axis=1)
+    per_x = ((near + far) * rule.weights).sum(axis=1) + (mid * half.weights).sum(axis=1)
     err_lin = float(np.sum(wx * (near_err * rule.weights[None, :]).sum(axis=1)))
     value = float(np.sum(wx * per_x))
-    nodes = X.shape[0] * W.shape[0] * vg.size
+    nodes = X.shape[0] * mh * vg.size
     return value, err_lin, nodes
 
 

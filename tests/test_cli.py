@@ -487,22 +487,35 @@ def test_odd_2d_sphere_order_is_a_config_error(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_odd_2d_gagliardo_sphere_order_is_a_config_error(tmp_path, capsys):
+    # the seminorm's mid part folds antipodal directions too, so a 2-D
+    # gagliardo run with an odd order fails before any output
+    cfg = write_cfg(tmp_path, {"experiment": "gagliardo", "seed": 1,
+                               "field": {"kind": "catalogue", "name": "bump2"},
+                               "params": {"s": 0.5, "p": 2.0},
+                               "budgets": {"sphere_order": 13}})
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "budgets.sphere_order must be an even integer >= 4, got 13" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _cat(name):
     return {"kind": "catalogue", "name": name}
 
 
 @pytest.mark.parametrize("cfg, odd_ok", [
     ({"experiment": "limit", "field": _cat("bump3"), "params": {"p": 1.0}}, True),
-    ({"experiment": "gagliardo", "field": _cat("bump2"), "params": {"s": 0.5, "p": 2.0}}, True),
+    ({"experiment": "gagliardo", "field": _cat("bump2"), "params": {"s": 0.5, "p": 2.0}}, False),
     ({"experiment": "corollary", "params": {"statement": "weak-sup", "fields": ["bump1", "bump2"]}},
      False),
     ({"experiment": "corollary", "params": {"statement": "weak-sup", "dim": 2}}, False),
     ({"experiment": "failure", "params": {"p": 2.0}}, True),
 ])
 def test_sphere_order_is_checked_at_each_dimension_the_run_uses(cfg, odd_ok):
-    # only the 2-D polar estimator needs an even order, and every estimator
-    # at least 4: a corollary's fields and its ladder are checked at their
-    # own dimensions, `failure`'s 1-D ladder at 1
+    # only the 2-D polar and gagliardo estimators need an even order, and
+    # every estimator at least 4: a corollary's fields and its ladder are
+    # checked at their own dimensions, `failure`'s 1-D ladder at 1
     for order, ok in ((16, True), (13, odd_ok), (3, False)):
         conf = dict(cfg, seed=1, budgets={"sphere_order": order})
         if ok:

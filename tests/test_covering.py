@@ -184,12 +184,12 @@ def test_rotation_measure_agrees_with_pair_mc(bump2):
 
 @pytest.mark.parametrize("name", ["bump1", "bump2", "bump3"])
 def test_rotation_measure_reports_its_node_budget(cat, name):
-    # offsets x line cells x sphere nodes, summed over both passes; the
-    # offsets are composite Gauss panels of order 8 on each of N - 1 axes
+    # offsets x line cells x half-rule directions, summed over both passes;
+    # the offsets are composite Gauss panels of order 8 on each of N - 1 axes
     f = cat[name]
     n = f.dim
     line_cells, offset_cells, sphere_order = 32, 16, 8
-    nw = Q.sphere_rule(n, sphere_order).nodes.shape[0]
+    nw = Q.sphere_rule(n, sphere_order).nodes.shape[0] // 2
 
     def nodes(m_line, m_off):
         return (max(2, m_off // 8) * 8) ** (n - 1) * m_line * nw
@@ -228,21 +228,23 @@ ROTATION_GOLDENS = {
               "0x1.031bed0da8033p+1", "0x1.597975b272bbap+0", "0x1.afd935c16d5aap+0",
               "0x1.00041b2665e78p-2"),
     # re-recorded when surface_area(3) became exactly 4 pi (math.gamma in place
-    # of exp(gammaln)): mass, c_emp, c_emp_coarse and c_emp_fine moved 1 ulp each
-    "bump3": ("0x1.85486b78ff802p+0", "0x1.9b2a06f78bbdap-2", "0x1.c3acf30df0bddp-2",
-              "0x1.b9463a5a4f200p+1", "0x1.a06914c1fc999p+0", "0x1.44c13c569b38bp+1",
-              "0x1.1e9bc6968da60p-1"),
+    # of exp(gammaln)), and again, with bump2, plateau2 and product2, when the
+    # foliation folded onto one direction of each antipodal pair and read the
+    # lines through `along` (every entry moved 1.9e-15 relative at most)
+    "bump3": ("0x1.85486b78ff7fcp+0", "0x1.9b2a06f78bbcep-2", "0x1.c3acf30df0bddp-2",
+              "0x1.b9463a5a4f1f9p+1", "0x1.a06914c1fc998p+0", "0x1.44c13c569b389p+1",
+              "0x1.1e9bc6968da5ep-1"),
     # re-recorded when product2's sup_norm became the exact e^-2 (measure
     # 0.45280054 -> 0.45280056, against an error estimate of 0.10)
-    "product2": ("0x1.cfaaf367d6a42p-2", "0x1.a2d2116e02ff2p-4", "0x1.42fa88293ef01p-3",
-                 "0x1.6f8368a11a7f9p+1", "0x1.9311492622bd1p+0", "0x1.1c858e8a9b676p+1",
-                 "0x1.a5aa242d785b0p-2"),
-    "bump2": ("0x1.5ed3ceebbdb31p+0", "0x1.8987a357f2ec0p-3", "0x1.ddb567fee95d1p-2",
-              "0x1.7802c61bd88c2p+1", "0x1.0e9127225122ap+1", "0x1.4349dbbfdce8ep+1",
-              "0x1.8f1078f936f08p-3"),
-    "plateau2": ("0x1.57fd8114440acp+1", "0x1.066588e13dbc0p-2", "0x1.ffffa49f71732p-1",
-                 "0x1.57fdbe78bcbefp+1", "0x1.165b3693c5e52p+1", "0x1.3731078202fe8p+1",
-                 "0x1.e32b314ad9940p-4"),
+    "product2": ("0x1.cfaaf367d6a41p-2", "0x1.a2d2116e02ff0p-4", "0x1.42fa88293ef02p-3",
+                 "0x1.6f8368a11a7f7p+1", "0x1.9311492622bd0p+0", "0x1.1c858e8a9b674p+1",
+                 "0x1.a5aa242d785acp-2"),
+    "bump2": ("0x1.5ed3ceebbdb30p+0", "0x1.8987a357f2eb8p-3", "0x1.ddb567fee95d1p-2",
+              "0x1.7802c61bd88c0p+1", "0x1.0e9127225122bp+1", "0x1.4349dbbfdce8ep+1",
+              "0x1.8f1078f936f00p-3"),
+    "plateau2": ("0x1.57fd8114440acp+1", "0x1.066588e13dbc0p-2", "0x1.ffffa49f71731p-1",
+                 "0x1.57fdbe78bcbf0p+1", "0x1.165b3693c5e53p+1", "0x1.3731078202fe8p+1",
+                 "0x1.e32b314ad9930p-4"),
 }
 
 # (trial, gamma) -> family size, sha256 prefix of the family's (starts, ends)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weaklp import fields as F
@@ -370,10 +370,11 @@ def test_ray_values_match_evaluate(cat, name):
     row, row2 = np.linspace(0.0, 2.0, 65), np.linspace(0.0, 2.0, 33)
     for xs, ws in (_random_rays(rng, n, half), _grid_rays(n, half), _signed_zero_rays(n)):
         k = xs.shape[1]
-        per_ray = rng.uniform(0.0, 2.0, (k, 1))
+        # per-ray radii: one each (the bisection), or a row each (the seminorm)
+        per_ray, per_ray_rows = rng.uniform(0.0, 2.0, (k, 1)), rng.uniform(0.0, 2.0, (k, 7))
         u = f.along(xs, ws)      # one binding, read on ray subsets as the scan does
         for b in (slice(None), slice(0, 1), slice(5, k // 2), slice(k // 3, None)):
-            for r in (row, per_ray[b], row2):
+            for r in (row, per_ray[b], row2, per_ray_rows[b]):
                 got = u(r, b)
                 want = f.evaluate(np.moveaxis(xs[:, b, None] + ws[:, b, None] * r, 0, -1))
                 assert got.shape == want.shape == np.broadcast_shapes((len(range(k)[b]), 1), r.shape)
@@ -423,6 +424,7 @@ _windows = st.tuples(st.floats(-3.0, 3.0), st.floats(1e-3, 4.0), st.floats(1e-3,
 
 @settings(max_examples=200, deadline=None)
 @given(_windows, st.lists(st.floats(-8.0, 8.0), max_size=16))
+@example((1e-6, 1e-3, 1e-3), [])     # lo - eps is 0: a subnormal t once overflowed 1/t
 def test_window_value_is_the_two_step_product(window, extra):
     lo, side, frac = window
     w = F._Window1D(lo, lo + side, frac * side)

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import truncated_seminorm_1d
 from weaklp import fields as F
+from weaklp import quadrature as Q
 from weaklp import seminorms as S
 from weaklp.errors import InvalidParameterError, PreconditionError
 
@@ -58,6 +60,68 @@ def test_gagliardo_names_unknown_budget_keys(bump1):
 def test_truncated_values_increase_as_cutoff_shrinks(bump1):
     vals = [S.gagliardo(S.SeminormQuery(bump1, 1.0, 1.0, d)).value for d in (1e-2, 1e-3, 1e-4)]
     assert vals[0] < vals[1] < vals[2]
+
+
+@pytest.mark.parametrize("name", ["bump1", "plateau1"])
+@pytest.mark.parametrize("delta", [1e-8, 0.2, 1.5])
+def test_s1_counts_exactly_the_pairs_beyond_the_cutoff(cat, name, delta):
+    # the far term once integrated from t_exit even where t_exit < delta_in,
+    # counting short pairs that leave the ball (bump1 read 4.01446 and
+    # plateau1 11.4496 at delta_in = 0.2, against 3.99881 and 10.4291), and
+    # the mid part started at max(1e-6, delta_in), so every cutoff below 1e-6
+    # read V(1e-6) (bump1: 21.958, against 28.734 at 1e-8)
+    f = cat[name]
+    res = S.gagliardo(S.SeminormQuery(f, 1.0, 1.0, delta), x_nodes=1536)
+    ref = truncated_seminorm_1d(f, delta)
+    assert abs(res.value - ref) <= res.error_estimate + 1e-14 * ref
+
+
+class _Unfolded(Q.SphereRule):
+    """A sphere rule whose `half` is the whole rule, undoubled."""
+
+    def half(self):
+        return self
+
+
+def _fold_and_full(monkeypatch, f, s, p, delta, budgets):
+    """gagliardo's value, and the same passes with the mid part summed over
+    every node of the sphere rule."""
+    q = S.SeminormQuery(f, s, p, delta)
+    fold = S.gagliardo(q, **budgets)
+    rule = S.sphere_rule
+
+    def unfolded(n, order):
+        r = rule(n, order)
+        return _Unfolded(r.dim, r.nodes, r.weights)
+
+    monkeypatch.setattr(S, "sphere_rule", unfolded)
+    return fold, S.gagliardo(q, **budgets)
+
+
+# budgets at each dimension, and (s, p, delta_in)
+FOLD_BUDGETS = {1: {}, 2: {"x_nodes": 16, "sphere_order": 8}, 3: {"x_nodes": 16, "sphere_order": 4}}
+FOLD_QUERIES = [(0.5, 2.0, 0.0), (1.0, 1.0, 0.1)]
+
+
+@pytest.mark.parametrize("name, s, p, delta", [(n, *q) for n in ("bump1", "plateau1", "bump2", "plateau2")
+                                               for q in FOLD_QUERIES] + [("bump3", 1.0, 1.0, 0.5)])
+def test_gagliardo_fold_equals_full_sphere_on_centrally_symmetric_fields(cat, monkeypatch, name, s, p, delta):
+    # u(-x) = u(x) on an x grid symmetric about 0: the mid part of w at x and
+    # of -w at -x agree, so the hemisphere sum equals the full one up to rounding
+    f = cat[name]
+    fold, full = _fold_and_full(monkeypatch, f, s, p, delta, FOLD_BUDGETS[f.dim])
+    assert fold.value == pytest.approx(full.value, rel=1e-14, abs=0.0)
+    assert 2 * fold.nodes_used == full.nodes_used
+
+
+@pytest.mark.parametrize("s, p, delta", FOLD_QUERIES)
+@pytest.mark.parametrize("name", ["bump1_wide", "bumps1_pair", "bumps2_pair", "bump2_off", "product2"])
+def test_gagliardo_fold_agrees_with_full_sphere_within_its_error(cat, monkeypatch, name, s, p, delta):
+    # the swap (x, w, r) -> (x + r w, -w, r) makes the fold exact at every
+    # budget up to quadrature error, which the coarse/fine difference bounds
+    f = cat[name]
+    fold, full = _fold_and_full(monkeypatch, f, s, p, delta, FOLD_BUDGETS[f.dim])
+    assert abs(fold.value - full.value) <= fold.error_estimate
 
 
 def test_divergence_probe_slope_1d(bump1):
