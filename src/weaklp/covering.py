@@ -16,6 +16,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .fields import pair_members, pair_region
 from .quadrature import (
+    GriddedFunction,
     PairSampler,
     QuadratureResult,
     centered_box_grid,
@@ -27,7 +28,6 @@ from .quadrature import (
 
 __all__ = [
     "IntervalFamily",
-    "PiecewiseConstantField",
     "VitaliCover",
     "admissible_intervals",
     "holder_containment_check",
@@ -41,49 +41,12 @@ __all__ = [
 HOLDER_TOL = 1e-6      # relative slack of holder_containment_check's segment condition
 
 
-@dataclass(frozen=True)
-class PiecewiseConstantField:
-    """Non-negative piecewise-constant function on a uniform grid with exact
-    prefix sums."""
-
-    lo: float
-    hi: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise InvalidParameterError("values must be a nonempty 1-D array")
-        if np.any(v < 0):
-            raise InvalidParameterError("cell values must be non-negative")
-        if not self.hi > self.lo:
-            raise InvalidParameterError("domain must have positive length")
-        object.__setattr__(self, "values", v)
-        prefix = np.concatenate([[0.0], np.cumsum(v)]) * self.h
-        object.__setattr__(self, "prefix", prefix)
-
-    @property
-    def h(self):
-        return (self.hi - self.lo) / self.values.size
-
-    @property
-    def cells(self):
-        return self.values.size
-
-    @property
-    def total_mass(self):
-        return float(self.prefix[-1])
-
-    def node(self, i):
-        return self.lo + i * self.h
-
-
 @dataclass
 class IntervalFamily:
     """Grid-aligned intervals satisfying mass(I) >= |I|^(gamma+1), sorted by
     length descending then left endpoint."""
 
-    f: PiecewiseConstantField
+    f: GriddedFunction
     gamma: float
     starts: np.ndarray       # integer node indices
     ends: np.ndarray
@@ -109,6 +72,13 @@ def _member_scan(prefix, h, gamma):
         yield ell, prefix[..., ell:] - prefix[..., :-ell] >= thresh
 
 
+def _line_prefix(f: GriddedFunction):
+    """The prefix masses of a 1-D grid function; covering works on a line."""
+    if f.dim != 1:
+        raise InvalidParameterError("covering needs a 1-D grid function")
+    return f.prefix
+
+
 def _member_energy(prefix, h, gamma):
     """Per row, the sum of `_block_kernel` over member node pairs."""
     energy = np.zeros(prefix.shape[:-1])
@@ -117,11 +87,12 @@ def _member_energy(prefix, h, gamma):
     return energy
 
 
-def admissible_intervals(f: PiecewiseConstantField, gamma):
+def admissible_intervals(f: GriddedFunction, gamma):
     """All grid-aligned intervals with int_I f >= |I|^(gamma+1)."""
     if gamma <= 0:
         raise InvalidParameterError("gamma must be positive")
-    hits = [(ell, np.flatnonzero(member)) for ell, member in _member_scan(f.prefix, f.h, gamma)]
+    scan = _member_scan(_line_prefix(f), f.h, gamma)
+    hits = [(ell, np.flatnonzero(member)) for ell, member in scan]
     hits.reverse()     # longest first, then leftmost
     none = [np.empty(0, dtype=np.int64)]
     return IntervalFamily(
@@ -161,32 +132,40 @@ def vitali_select(family: IntervalFamily):
     """
     starts, ends = family.starts, family.ends
     # closed intervals on integer nodes intersect exactly when they share a
-    # node, so one occupancy flag per node decides disjointness
-    taken = np.zeros(family.f.cells + 1, dtype=bool)
+    # node, so one occupancy bit per node (bit i of `taken` for node i)
+    # decides disjointness
+    taken = 0
     picked = []
-    for idx in np.lexsort((starts, -(ends - starts))):
-        a, b = starts[idx], ends[idx]
-        if not taken[a : b + 1].any():
-            taken[a : b + 1] = True
+    s, e = starts.tolist(), ends.tolist()
+    for idx in np.lexsort((starts, -(ends - starts))).tolist():
+        span = ((2 << (e[idx] - s[idx])) - 1) << s[idx]
+        if not taken & span:
+            taken |= span
             picked.append(idx)
     picked = np.array(picked, dtype=np.int64)
     return VitaliCover(family, starts[picked].astype(np.int64), ends[picked].astype(np.int64))
 
 
-def verify_5j_cover(f: PiecewiseConstantField, gamma, cover: VitaliCover):
+def verify_5j_cover(f: GriddedFunction, gamma, cover: VitaliCover):
     """Count member node pairs not inside any selected 5J x 5J (target 0).
 
     The members are enumerated here, not taken from the cover's family, so
-    the check does not rest on the selection's input."""
+    the check does not rest on the selection's input.
+
+    The pair (i, i + ell) lies in some selected 5J exactly when the largest
+    doubled right bound among the 5J with doubled left bound <= 2i reaches
+    2(i + ell); `reach[k]` is that largest bound over the k 5J with the
+    least left bounds, and -1 (nothing covered) for k = 0."""
     lo2, hi2 = cover.dilated_index_bounds()
+    order = np.argsort(lo2)
+    lo2 = lo2[order]
+    reach = np.concatenate([[-1], np.maximum.accumulate(hi2[order])])
     violations = 0
     pairs = 0
-    for ell, member in _member_scan(f.prefix, f.h, gamma):
+    for ell, member in _member_scan(_line_prefix(f), f.h, gamma):
         hit = np.flatnonzero(member)
         pairs += hit.size
-        covered = np.zeros(hit.size, dtype=bool)
-        for a2, b2 in zip(lo2, hi2):
-            covered |= (2 * hit >= a2) & (2 * (hit + ell) <= b2)
+        covered = reach[np.searchsorted(lo2, 2 * hit, side="right")] >= 2 * (hit + ell)
         violations += int(np.count_nonzero(~covered))
     return {"pairs": pairs, "violations": violations}
 
@@ -210,7 +189,7 @@ def pair_energy_bound_factor(gamma):
     return 10.0 * 5.0 ** gamma / (gamma * (gamma + 1.0))
 
 
-def weighted_energy(f: PiecewiseConstantField, gamma, cover: VitaliCover):
+def weighted_energy(f: GriddedFunction, gamma, cover: VitaliCover):
     """Energy sum over member pairs of |x-y|^(gamma-1), with the bound chain.
 
     energy <= factor * sum |J|^(gamma+1) <= factor * ||f||_1 must hold
@@ -218,10 +197,11 @@ def weighted_energy(f: PiecewiseConstantField, gamma, cover: VitaliCover):
     """
     if gamma <= 0:
         raise InvalidParameterError("gamma must be positive")
-    energy = _member_energy(f.prefix, f.h, gamma)
+    prefix = _line_prefix(f)
+    energy = _member_energy(prefix, f.h, gamma)
     factor = pair_energy_bound_factor(gamma)
     mid = factor * cover.selected_lengths_power_sum()
-    outer = factor * f.total_mass
+    outer = factor * float(prefix[-1])
     slack = 1e-9 * max(outer, 1.0)
     return {
         "energy": float(energy),

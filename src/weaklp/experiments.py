@@ -201,7 +201,7 @@ def run_covering(rep, prm, out, workers):
     for t in range(trials):
         m = int(rng.integers(16, 129))
         vals = rng.uniform(0.0, 3.0, m) * (rng.random(m) < 0.7)
-        f = covering.PiecewiseConstantField(-1.0, 1.5, vals)
+        f = quadrature.GriddedFunction([[-1.0, 1.5]], vals)
         for gamma in prm["gammas"]:
             fam = covering.admissible_intervals(f, gamma)
             cov = covering.vitali_select(fam)
@@ -222,8 +222,9 @@ def run_covering(rep, prm, out, workers):
                "energy", "bound_mass"], rows)
     if last_dump is not None:
         f, fam, cov = last_dump
+        lo, h = f.box[0, 0], f.h
         sel = {(a, b) for a, b in zip(cov.starts, cov.ends)}
-        dump = [(f.node(a), f.node(b), int((a, b) in sel))
+        dump = [(lo + a * h, lo + b * h, int((a, b) in sel))
                 for a, b in zip(fam.starts, fam.ends)]
         write_csv(out / "cover.csv", COVER_HEADER, dump)
     rep.results["trials"] = trials

@@ -2,20 +2,20 @@
 difference bound it yields.
 
 The sup over radii is approximated by a geometric radius ladder (ratio
-2^(1/4)) from half a cell width to the domain diameter.  Averages use exact
-cell overlaps in 1-D and exact disk-cell overlap areas in closed form in
-2-D, with the function extended by zero outside the grid.
+2^(1/4)) from half a cell width to the domain diameter.  At each radius the
+ball masses are one `numpy.fft` convolution of the cell values, extended by
+zero outside the grid, with the exact ball-cell overlaps in closed form:
+clipped cell intervals in 1-D, disk-cell areas in 2-D.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError, PreconditionError
 from .levelset import distribution_profile
-from .quadrature import unit_ball_volume
+from .quadrature import GriddedFunction, unit_ball_volume
 
 __all__ = [
     "GriddedFunction",
@@ -29,47 +29,6 @@ __all__ = [
 _LADDER_RATIO = 2.0 ** 0.25
 
 
-@dataclass(frozen=True)
-class GriddedFunction:
-    """Non-negative cell values on a uniform grid over a bounded box."""
-
-    box: np.ndarray       # (N, 2)
-    values: np.ndarray    # (m,) or (m1, m2)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        box = np.asarray(self.box, dtype=float).reshape(-1, 2)
-        if v.ndim != box.shape[0] or v.ndim not in (1, 2):
-            raise InvalidParameterError("values must be 1-D or 2-D matching the box")
-        if np.any(v < 0):
-            raise InvalidParameterError("cell values must be non-negative")
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "box", box)
-
-    @property
-    def dim(self):
-        return self.values.ndim
-
-    @property
-    def widths(self):
-        return (self.box[:, 1] - self.box[:, 0]) / np.array(self.values.shape)
-
-    @property
-    def cell_volume(self):
-        return float(np.prod(self.widths))
-
-    def centers(self, axis):
-        lo, hi = self.box[axis]
-        m = self.values.shape[axis]
-        return lo + (hi - lo) * (np.arange(m) + 0.5) / m
-
-    def diameter(self):
-        return float(np.linalg.norm(self.box[:, 1] - self.box[:, 0]))
-
-    def integral(self, power=1.0):
-        return float(np.sum(self.values ** power)) * self.cell_volume
-
-
 def radius_ladder(g: GriddedFunction):
     """Geometric radii from half a cell width to the domain diameter."""
     out = [0.5 * float(np.min(g.widths))]
@@ -79,22 +38,12 @@ def radius_ladder(g: GriddedFunction):
     return np.array(out)
 
 
-def _maximal_1d(g: GriddedFunction):
-    prefix = np.concatenate([[0.0], np.cumsum(g.values)]) * float(g.widths[0])
-    nodes = np.linspace(*g.box[0], g.values.size + 1)
-    c = g.centers(0)
-    best = np.array(g.values, dtype=float)   # r = h/2 recovers the cell value
-    for r in radius_ladder(g)[1:]:
-        lo, hi = np.interp([c - r, c + r], nodes, prefix, left=0.0, right=prefix[-1])
-        best = np.maximum(best, (hi - lo) / (2.0 * r))
-    return GriddedFunction(g.box, best)
+def _ball_kernel(rho, dim):
+    """Overlaps of the ball of radius rho (in cell units) centred on a cell
+    centre with the unit cells at integer offsets, in closed form.
 
-
-def _disk_kernel(rho):
-    """Overlap areas of the disk of radius rho (in cell units) centred on a
-    cell centre with the unit cells at integer offsets, in closed form.
-
-    For x, y >= 0 the disk meets [0, x] x [0, y] in area
+    In 1-D a cell's overlap is its edge interval clipped to [-rho, rho].  In
+    2-D, for x, y >= 0 the disk meets [0, x] x [0, y] in area
     F = y b + H(a) - H(b), a = min(x, rho), b = min(a, sqrt(rho^2 - y^2)^+),
     H(s) = (s sqrt(rho^2 - s^2) + rho^2 arcsin(s / rho)) / 2; F is odd in x
     and in y, and a cell's overlap is the second difference of F over its
@@ -102,6 +51,8 @@ def _disk_kernel(rho):
     """
     reach = int(math.ceil(rho))
     edges = np.arange(-reach - 0.5, reach + 1.0)
+    if dim == 1:
+        return np.diff(np.clip(edges, -rho, rho))
     t = np.abs(edges)
     a = np.minimum(t, rho)[:, None]
     b = np.minimum(a, np.sqrt(np.maximum(rho * rho - t * t, 0.0)))
@@ -126,35 +77,29 @@ def _fast_len(n):
     return best
 
 
-def _disk_mass(vals, rho):
-    """Mass of the unit-cell values `vals`, zero outside the grid, in the disk
+def _ball_mass(vals, rho):
+    """Mass of the unit-cell values `vals`, zero outside the grid, in the ball
     of radius rho about each cell centre: the "same" crop of the linear
-    convolution with the point-symmetric `_disk_kernel`."""
-    k = _disk_kernel(rho)
+    convolution with the point-symmetric `_ball_kernel`."""
+    k = _ball_kernel(rho, vals.ndim)
     reach = k.shape[0] // 2
+    axes = tuple(range(vals.ndim))
     shape = [_fast_len(n + 2 * reach) for n in vals.shape]
-    full = np.fft.irfft2(np.fft.rfft2(vals, shape) * np.fft.rfft2(k, shape), shape)
-    return full[reach:reach + vals.shape[0], reach:reach + vals.shape[1]]
-
-
-def _maximal_2d(g: GriddedFunction):
-    wx, wy = g.widths
-    if abs(wx - wy) > 1e-12 * max(wx, wy):
-        raise InvalidParameterError("2-D maximal function needs square cells")
-    h = float(wx)
-    best = np.array(g.values, dtype=float)
-    for r in radius_ladder(g)[1:]:
-        rho = r / h
-        mass = _disk_mass(g.values, rho)
-        best = np.maximum(best, np.maximum(mass, 0.0) / (math.pi * rho * rho))
-    return GriddedFunction(g.box, best)
+    full = np.fft.irfftn(np.fft.rfftn(vals, shape, axes) * np.fft.rfftn(k, shape, axes), shape, axes)
+    return full[tuple(slice(reach, reach + n) for n in vals.shape)]
 
 
 def hl_maximal(g: GriddedFunction):
     """Centered maximal function over the radius ladder; M g >= g cellwise."""
-    if g.dim == 1:
-        return _maximal_1d(g)
-    return _maximal_2d(g)
+    h = g.h
+    if np.ptp(g.widths) > 1e-12 * np.max(g.widths):
+        raise InvalidParameterError("the maximal function needs square cells")
+    best = np.array(g.values, dtype=float)   # r = h/2 recovers the cell value
+    for r in radius_ladder(g)[1:]:
+        rho = r / h
+        volume = 2.0 * rho if g.dim == 1 else math.pi * rho * rho
+        best = np.maximum(best, np.maximum(_ball_mass(g.values, rho), 0.0) / volume)
+    return GriddedFunction(g.box, best)
 
 
 def grid_rows(g: GriddedFunction):

@@ -1,4 +1,5 @@
-"""Deterministic quadrature rules, sphere constants, and reproducible Monte Carlo.
+"""Deterministic quadrature rules, grid functions, sphere constants, and
+reproducible Monte Carlo.
 
 Everything here is immutable after construction and safe to share across
 workers.  Monte Carlo uniforms are addressed, not streamed: slot j of sample i
@@ -19,6 +20,7 @@ import numpy as np
 from .errors import ConsistencyError, InvalidParameterError
 
 __all__ = [
+    "GriddedFunction",
     "QuadratureResult",
     "RandomStream",
     "SphereConstants",
@@ -107,6 +109,58 @@ class TensorGrid:
     def coarsened(self):
         """Half the panels, at least 2 where that is still coarser, else 1."""
         return TensorGrid(self.box, max(2 if self.panels > 2 else 1, self.panels // 2))
+
+
+@dataclass(frozen=True)
+class GriddedFunction:
+    """Non-negative cell values on a uniform grid over a bounded box.  A 1-D
+    grid also carries the exact prefix masses at its m + 1 cell edges
+    (`prefix`, None in 2-D)."""
+
+    box: np.ndarray       # (N, 2)
+    values: np.ndarray    # (m,) or (m1, m2)
+
+    def __post_init__(self):
+        v = np.asarray(self.values, dtype=float)
+        box = np.asarray(self.box, dtype=float).reshape(-1, 2)
+        if v.ndim != box.shape[0] or v.ndim not in (1, 2) or v.size == 0:
+            raise InvalidParameterError("values must be nonempty, 1-D or 2-D, matching the box")
+        if not np.all(v >= 0):
+            raise InvalidParameterError("cell values must be non-negative")
+        if not np.all(np.isfinite(box)) or not np.all(box[:, 1] > box[:, 0]):
+            raise InvalidParameterError("each box side must be finite with hi > lo")
+        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "box", box)
+        prefix = np.concatenate([[0.0], np.cumsum(v)]) * self.h if v.ndim == 1 else None
+        object.__setattr__(self, "prefix", prefix)
+
+    @property
+    def dim(self):
+        return self.values.ndim
+
+    @property
+    def widths(self):
+        return (self.box[:, 1] - self.box[:, 0]) / np.array(self.values.shape)
+
+    @property
+    def h(self):
+        """Cell width along the first axis."""
+        return float(self.widths[0])
+
+    @property
+    def cell_volume(self):
+        return float(np.prod(self.widths))
+
+    def centers(self, axis):
+        lo, hi = self.box[axis]
+        m = self.values.shape[axis]
+        return lo + (hi - lo) * (np.arange(m) + 0.5) / m
+
+    def diameter(self):
+        return float(np.linalg.norm(self.box[:, 1] - self.box[:, 0]))
+
+    def integral(self, power=1.0):
+        return float(np.sum(self.values ** power)) * self.cell_volume
 
 
 def centered_box_grid(half_width, dim, nodes_per_axis):

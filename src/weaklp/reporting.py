@@ -98,7 +98,7 @@ def write_csv(path, header, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
-PROFILE_HEADER = ["lambda", "mu_hat", "stderr", "lambda_pow_p_mu", "estimator"]
+PROFILE_HEADER = ["lambda", "mu_hat", "error_estimate", "lambda_pow_p_mu", "estimator"]
 CONSTANTS_HEADER = ["N", "p", "k_closed", "k_quad", "sigma"]
 COVER_HEADER = ["left", "right", "selected_flag"]
 LADDER_HEADER = ["delta_or_s", "value"]

@@ -128,7 +128,7 @@ def test_a04_interval_cover_suite():
     chain = True
     for _ in range(100):
         m = int(rng.integers(16, 129))
-        f = C.PiecewiseConstantField(-1.0, 1.5, rng.uniform(0, 3, m) * (rng.random(m) < 0.7))
+        f = Q.GriddedFunction([[-1.0, 1.5]], rng.uniform(0, 3, m) * (rng.random(m) < 0.7))
         for gamma in (0.5, 1.0, 2.0):
             cov = C.vitali_select(C.admissible_intervals(f, gamma))
             order = np.argsort(cov.starts)

@@ -32,7 +32,7 @@ def test_run_limit_passes(tmp_path):
     assert report["verdicts"]["thm1.2:limit"]["pass"] is True
     assert report["verdicts"]["thm1.2:limit"]["tolerance"] == 0.05
     header = (out / "profile.csv").read_text().splitlines()[0]
-    assert header == "lambda,mu_hat,stderr,lambda_pow_p_mu,estimator"
+    assert header == "lambda,mu_hat,error_estimate,lambda_pow_p_mu,estimator"
 
 
 def test_run_constants_csv(tmp_path):

@@ -13,7 +13,12 @@ from weaklp.errors import InvalidParameterError
 
 
 def pc(values, lo=-1.0, hi=1.5):
-    return C.PiecewiseConstantField(lo, hi, np.asarray(values, dtype=float))
+    return Q.GriddedFunction([[lo, hi]], np.asarray(values, dtype=float))
+
+
+def node(f, i):
+    """Grid node i of the 1-D grid function f."""
+    return f.box[0, 0] + i * f.h
 
 
 def energy(f, gamma):
@@ -26,6 +31,15 @@ def test_pc_field_rejects_negative_values():
         pc([1.0, -0.5])
 
 
+@pytest.mark.parametrize("entry", ["admissible_intervals", "verify_5j_cover", "weighted_energy"])
+def test_covering_entry_points_reject_a_2d_grid_function(entry):
+    g = Q.GriddedFunction([[0.0, 1.0], [0.0, 1.0]], np.ones((4, 4)))
+    cover = C.vitali_select(C.admissible_intervals(pc(np.ones(4)), 1.0))
+    args = (g, 1.0) if entry == "admissible_intervals" else (g, 1.0, cover)
+    with pytest.raises(InvalidParameterError):
+        getattr(C, entry)(*args)
+
+
 def test_admissible_empty_for_zero_field():
     fam = C.admissible_intervals(pc(np.zeros(16)), 1.0)
     assert len(fam) == 0
@@ -33,10 +47,10 @@ def test_admissible_empty_for_zero_field():
 
 def test_admissible_single_cell_condition():
     # one cell of width 1 and mass 1: the cell itself satisfies m >= |I|^2
-    f = C.PiecewiseConstantField(0.0, 1.0, np.array([1.0]))
+    f = pc([1.0], 0.0, 1.0)
     fam = C.admissible_intervals(f, 1.0)
     assert len(fam) == 1
-    assert (f.node(fam.starts[0]), f.node(fam.ends[0])) == (0.0, 1.0)
+    assert (node(f, fam.starts[0]), node(f, fam.ends[0])) == (0.0, 1.0)
 
 
 def test_admissible_lengths_bounded_by_mass_power():
@@ -44,21 +58,21 @@ def test_admissible_lengths_bounded_by_mass_power():
     f = pc(rng.uniform(0, 2, 64))
     for gamma in (0.5, 1.0, 2.0):
         fam = C.admissible_intervals(f, gamma)
-        bound = f.total_mass ** (1.0 / (gamma + 1.0))
+        bound = f.prefix[-1] ** (1.0 / (gamma + 1.0))
         assert np.all((fam.ends - fam.starts) * f.h <= bound + 1e-12)
 
 
 def test_vitali_greedy_hand_trace():
     # family {[0,1], [0.5,1.5], [3,4]} on the h = 0.5 grid over [0, 4]
-    f = C.PiecewiseConstantField(0.0, 4.0, np.ones(8))
+    f = pc(np.ones(8), 0.0, 4.0)
     fam = C.IntervalFamily(f, 1.0, np.array([0, 1, 6]), np.array([2, 3, 8]))
     cov = C.vitali_select(fam)
-    picks = [(f.node(a), f.node(b)) for a, b in zip(cov.starts, cov.ends)]
+    picks = [(node(f, a), node(f, b)) for a, b in zip(cov.starts, cov.ends)]
     assert picks == [(0.0, 1.0), (3.0, 4.0)]
 
 
 def test_vitali_empty_and_singleton():
-    f = C.PiecewiseConstantField(0.0, 1.0, np.ones(4))
+    f = pc(np.ones(4), 0.0, 1.0)
     empty = C.IntervalFamily(f, 1.0, np.array([], dtype=int), np.array([], dtype=int))
     assert len(C.vitali_select(empty)) == 0
     single = C.IntervalFamily(f, 1.0, np.array([1]), np.array([3]))
@@ -81,9 +95,78 @@ def test_vitali_disjoint_and_5j_cover_property(values, gamma):
     assert C.verify_5j_cover(f, gamma, cov)["violations"] == 0
 
 
+def vitali_select_reference(family):
+    """Greedy selection by one boolean occupancy flag per node, tested per
+    member by a slice: the loop `vitali_select` replaced."""
+    starts, ends = family.starts, family.ends
+    taken = np.zeros(family.f.values.size + 1, dtype=bool)
+    picked = []
+    for idx in np.lexsort((starts, -(ends - starts))):
+        a, b = starts[idx], ends[idx]
+        if not taken[a : b + 1].any():
+            taken[a : b + 1] = True
+            picked.append(idx)
+    return starts[picked], ends[picked]
+
+
+def verify_5j_cover_reference(f, gamma, cover):
+    """5J coverage by one pass over the selected intervals per length: the
+    loop `verify_5j_cover` replaced."""
+    lo2, hi2 = cover.dilated_index_bounds()
+    violations = pairs = 0
+    for ell, member in C._member_scan(f.prefix, f.h, gamma):
+        hit = np.flatnonzero(member)
+        pairs += hit.size
+        covered = np.zeros(hit.size, dtype=bool)
+        for a2, b2 in zip(lo2, hi2):
+            covered |= (2 * hit >= a2) & (2 * (hit + ell) <= b2)
+        violations += int(np.count_nonzero(~covered))
+    return {"pairs": pairs, "violations": violations}
+
+
+def random_fields(rng, count):
+    # run_covering's generator: 16..128 cells on [-1, 1.5], 30% empty cells
+    for _ in range(count):
+        m = int(rng.integers(16, 129))
+        yield pc(rng.uniform(0, 3, m) * (rng.random(m) < 0.7))
+
+
+def test_vitali_select_matches_the_occupancy_loop():
+    rng = np.random.default_rng(2024)
+    for f in random_fields(rng, 30):
+        m = f.values.size
+        # admissible families, and arbitrary ones with many ties and overlaps
+        a = rng.integers(0, m, 60)
+        b = np.minimum(a + rng.integers(1, m // 2, 60), m)
+        families = [C.admissible_intervals(f, g) for g in (0.5, 1.0, 2.0)]
+        families.append(C.IntervalFamily(f, 1.0, a.astype(np.int64), b.astype(np.int64)))
+        for fam in families:
+            cov = C.vitali_select(fam)
+            want = vitali_select_reference(fam)
+            assert np.array_equal(cov.starts, want[0]) and np.array_equal(cov.ends, want[1])
+
+
+def test_verify_5j_cover_matches_the_interval_loop():
+    rng = np.random.default_rng(2025)
+    for f in random_fields(rng, 30):
+        for gamma in (0.5, 1.0, 2.0):
+            fam = C.admissible_intervals(f, gamma)
+            sel = C.vitali_select(fam)
+            # the greedy cover, the empty cover and random subfamilies, which
+            # leave some members uncovered
+            covers = [sel, C.VitaliCover(fam, sel.starts[:0], sel.ends[:0])]
+            for k in (1, 2, 5):
+                pick = rng.permutation(len(fam))[:k]
+                covers.append(C.VitaliCover(fam, fam.starts[pick], fam.ends[pick]))
+            for cov in covers:
+                assert C.verify_5j_cover(f, gamma, cov) == verify_5j_cover_reference(f, gamma, cov)
+            empty = C.verify_5j_cover(f, gamma, covers[1])
+            assert empty["violations"] == empty["pairs"]
+
+
 def test_weighted_energy_unit_square_identities():
     # gamma = 1: kernel 1 over the unit square; gamma = 2: iint |x-y| = 1/3
-    full = C.PiecewiseConstantField(0.0, 1.0, np.full(64, 10.0))
+    full = pc(np.full(64, 10.0), 0.0, 1.0)
     assert energy(full, 1.0)["energy"] == pytest.approx(1.0, rel=1e-12)
     assert energy(full, 2.0)["energy"] == pytest.approx(1.0 / 3.0, rel=1e-12)
 
@@ -113,17 +196,18 @@ def one_sided_radial_energy(f, gamma, scan):
     Uses the continuous prefix interpolant (exact for piecewise-constant f)
     with a fine radial scan; equals half the two-sided energy in the limit.
     """
-    nodes = np.linspace(f.lo, f.hi, f.cells + 1)
+    (lo, hi), = f.box
+    nodes = np.linspace(lo, hi, f.values.size + 1)
 
     def prefix_at(t):
         return np.interp(t, nodes, f.prefix)
 
-    r_max = f.hi - f.lo
+    r_max = hi - lo
     r = np.linspace(r_max / scan, r_max, scan)
     dr_pow = np.diff(np.concatenate([[0.0], r]) ** gamma) / gamma
     total = 0.0
-    for i in range(f.cells):
-        s = f.node(i) + 0.5 * f.h
+    for i in range(f.values.size):
+        s = node(f, i) + 0.5 * f.h
         member = prefix_at(s + r) - prefix_at(s) >= r ** (gamma + 1.0)
         total += float(np.sum(dr_pow[member])) * f.h
     return total
@@ -133,7 +217,7 @@ def test_one_sided_matches_half_two_sided(bump1):
     # midpoint projection onto 2048 cells of [-2, 2]
     h = 4.0 / 2048
     mid = -2.0 + h * (np.arange(2048) + 0.5)
-    f = C.PiecewiseConstantField(-2.0, 2.0, np.maximum(bump1.evaluate(mid[:, None]), 0.0))
+    f = pc(np.maximum(bump1.evaluate(mid[:, None]), 0.0), -2.0, 2.0)
     two = energy(f, 1.0)["energy"]
     one = one_sided_radial_energy(f, 1.0, scan=8192)
     assert one == pytest.approx(two / 2.0, rel=0.01)

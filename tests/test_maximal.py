@@ -46,7 +46,7 @@ def test_fast_len_matches_scipy():
 
 @pytest.mark.parametrize("rho", [0.3, 0.7, 1.3, 5.0, 40.2])
 def test_disk_kernel_sums_to_the_disk_area(rho):
-    assert M._disk_kernel(rho).sum() == pytest.approx(np.pi * rho ** 2, rel=1e-12, abs=0)
+    assert M._ball_kernel(rho, 2).sum() == pytest.approx(np.pi * rho ** 2, rel=1e-12, abs=0)
 
 
 def _chord_overlap(rho, i, j):
@@ -72,7 +72,7 @@ def _chord_overlap(rho, i, j):
     (0.3, 0, 0),       # the whole disk
 ])
 def test_disk_kernel_cells_match_chord_quadrature(rho, i, j):
-    k = M._disk_kernel(rho)
+    k = M._ball_kernel(rho, 2)
     reach = k.shape[0] // 2
     assert k[reach + i, reach + j] == pytest.approx(_chord_overlap(rho, i, j), abs=1e-12)
 
@@ -82,14 +82,14 @@ def test_disk_mass_matches_a_direct_double_sum(rng, rho):
     # the second kernel reaches past the grid on every side and still cuts
     # cells inside it
     vals = rng.uniform(0, 1, (7, 9))
-    k = M._disk_kernel(rho)
+    k = M._ball_kernel(rho, 2)
     reach = k.shape[0] // 2
     direct = np.zeros_like(vals)
     for i, j in np.ndindex(vals.shape):
         for l, m in np.ndindex(vals.shape):
             if abs(l - i) <= reach and abs(m - j) <= reach:
                 direct[i, j] += vals[l, m] * k[reach + l - i, reach + m - j]
-    assert np.abs(M._disk_mass(vals, rho) - direct).max() <= 1e-12 * direct.max()
+    assert np.abs(M._ball_mass(vals, rho) - direct).max() <= 1e-12 * direct.max()
 
 
 def box1(lo, hi):
@@ -99,6 +99,50 @@ def box1(lo, hi):
 def test_gridded_function_rejects_negative():
     with pytest.raises(InvalidParameterError):
         M.GriddedFunction(box1(0, 1), np.array([1.0, -0.1]))
+
+
+@pytest.mark.parametrize("box, values", [
+    ([[1.0, 0.0]], np.ones(4)),                   # gave a negative first radius
+    ([[0.5, 0.5]], np.ones(4)),
+    ([[0.0, 1.0], [1.0, 1.0]], np.ones((3, 3))),  # one side of zero length
+    (box1(0, 1), np.ones(0)),
+    ([[0.0, 1.0], [0.0, 1.0]], np.ones((0, 3))),
+])
+def test_maximal_rejects_empty_grids_and_inverted_boxes(box, values):
+    # an inverted box used to start the radius ladder below zero, and the
+    # ladder then never reached the diameter
+    with pytest.raises(InvalidParameterError):
+        M.hl_maximal(M.GriddedFunction(box, values))
+
+
+def _maximal_1d_reference(g):
+    """The 1-D maximal function by interpolating the exact prefix masses at
+    c - r and c + r: the path the FFT convolution replaced."""
+    nodes = np.linspace(*g.box[0], g.values.size + 1)
+    c = g.centers(0)
+    best = np.array(g.values, dtype=float)
+    for r in M.radius_ladder(g)[1:]:
+        lo, hi = np.interp([c - r, c + r], nodes, g.prefix, left=0.0, right=g.prefix[-1])
+        best = np.maximum(best, (hi - lo) / (2.0 * r))
+    return best
+
+
+@pytest.mark.parametrize("cells", [96, 192])
+@pytest.mark.parametrize("name", ["bump1", "bump1_wide", "bumps1_pair", "plateau1"])
+def test_maximal_1d_matches_prefix_interpolation_on_the_catalogue(cat, name, cells):
+    g = M.gridded_gradient_norm(cat[name], cells)
+    ref = _maximal_1d_reference(g)
+    assert np.abs(M.hl_maximal(g).values - ref).max() <= 1e-13 * ref.max()
+
+
+def test_maximal_1d_matches_prefix_interpolation_on_random_grids(rng):
+    for _ in range(20):
+        m = int(rng.integers(1, 300))
+        lo = rng.uniform(-3, 1)
+        g = M.GriddedFunction(box1(lo, lo + rng.uniform(0.1, 5)),
+                              rng.uniform(0, 4, m) * (rng.random(m) < 0.6))
+        ref = _maximal_1d_reference(g)
+        assert np.abs(M.hl_maximal(g).values - ref).max() <= 1e-13 * max(ref.max(), 1e-300)
 
 
 def test_maximal_constant_1d():
