@@ -5,7 +5,8 @@ Interval endpoints live on a uniform grid and all set operations are carried
 out in integer grid indices, so admissibility, disjointness, and 5J coverage
 are exact.  Smooth inputs are projected onto the grid first.  One scan,
 `_member_scan`, finds the member node pairs (mass >= length^(gamma+1)) for the
-interval family, the 5J check, the energies and the rotation bound.
+interval family, the 5J check and the rotation bound; the weighted energy
+reads them from the family.
 """
 from __future__ import annotations
 
@@ -44,12 +45,19 @@ HOLDER_TOL = 1e-6      # relative slack of holder_containment_check's segment co
 @dataclass
 class IntervalFamily:
     """Grid-aligned intervals satisfying mass(I) >= |I|^(gamma+1), sorted by
-    length descending then left endpoint."""
+    length descending then left endpoint; every covering check reads f and
+    gamma from here."""
 
     f: GriddedFunction
     gamma: float
     starts: np.ndarray       # integer node indices
     ends: np.ndarray
+
+    def __post_init__(self):
+        if self.f.dim != 1:
+            raise InvalidParameterError("covering needs a 1-D grid function")
+        if not self.gamma > 0:
+            raise InvalidParameterError("gamma must be positive")
 
     def __len__(self):
         return self.starts.size
@@ -72,35 +80,16 @@ def _member_scan(prefix, h, gamma):
         yield ell, prefix[..., ell:] - prefix[..., :-ell] >= thresh
 
 
-def _line_prefix(f: GriddedFunction):
-    """The prefix masses of a 1-D grid function; covering works on a line."""
-    if f.dim != 1:
-        raise InvalidParameterError("covering needs a 1-D grid function")
-    return f.prefix
-
-
-def _member_energy(prefix, h, gamma):
-    """Per row, the sum of `_block_kernel` over member node pairs."""
-    energy = np.zeros(prefix.shape[:-1])
-    for ell, member in _member_scan(prefix, h, gamma):
-        energy += np.count_nonzero(member, axis=-1) * _block_kernel(ell, h, gamma)
-    return energy
-
-
 def admissible_intervals(f: GriddedFunction, gamma):
     """All grid-aligned intervals with int_I f >= |I|^(gamma+1)."""
-    if gamma <= 0:
-        raise InvalidParameterError("gamma must be positive")
-    scan = _member_scan(_line_prefix(f), f.h, gamma)
+    none = np.empty(0, dtype=np.int64)
+    family = IntervalFamily(f, float(gamma), none, none)     # checks f and gamma first
+    scan = _member_scan(f.prefix, f.h, family.gamma)
     hits = [(ell, np.flatnonzero(member)) for ell, member in scan]
     hits.reverse()     # longest first, then leftmost
-    none = [np.empty(0, dtype=np.int64)]
-    return IntervalFamily(
-        f,
-        float(gamma),
-        np.concatenate(none + [hit for _, hit in hits]).astype(np.int64),
-        np.concatenate(none + [hit + ell for ell, hit in hits]).astype(np.int64),
-    )
+    family.starts = np.concatenate([none] + [hit for _, hit in hits]).astype(np.int64)
+    family.ends = np.concatenate([none] + [hit + ell for ell, hit in hits]).astype(np.int64)
+    return family
 
 
 @dataclass
@@ -118,10 +107,6 @@ class VitaliCover:
         """5J bounds in doubled integer node coordinates (exact arithmetic)."""
         a, b = self.starts, self.ends
         return (a + b) - 5 * (b - a), (a + b) + 5 * (b - a)
-
-    def selected_lengths_power_sum(self):
-        g = self.family.gamma
-        return float(np.sum(((self.ends - self.starts) * self.family.f.h) ** (g + 1.0)))
 
 
 def vitali_select(family: IntervalFamily):
@@ -146,10 +131,11 @@ def vitali_select(family: IntervalFamily):
     return VitaliCover(family, starts[picked].astype(np.int64), ends[picked].astype(np.int64))
 
 
-def verify_5j_cover(f: GriddedFunction, gamma, cover: VitaliCover):
-    """Count member node pairs not inside any selected 5J x 5J (target 0).
+def verify_5j_cover(cover: VitaliCover):
+    """Count member node pairs of the family's (f, gamma) not inside any
+    selected 5J x 5J (target 0).
 
-    The members are enumerated here, not taken from the cover's family, so
+    The members are enumerated here, not read from the family's list, so
     the check does not rest on the selection's input.
 
     The pair (i, i + ell) lies in some selected 5J exactly when the largest
@@ -162,7 +148,8 @@ def verify_5j_cover(f: GriddedFunction, gamma, cover: VitaliCover):
     reach = np.concatenate([[-1], np.maximum.accumulate(hi2[order])])
     violations = 0
     pairs = 0
-    for ell, member in _member_scan(_line_prefix(f), f.h, gamma):
+    f = cover.family.f
+    for ell, member in _member_scan(f.prefix, f.h, cover.family.gamma):
         hit = np.flatnonzero(member)
         pairs += hit.size
         covered = reach[np.searchsorted(lo2, 2 * hit, side="right")] >= 2 * (hit + ell)
@@ -189,22 +176,25 @@ def pair_energy_bound_factor(gamma):
     return 10.0 * 5.0 ** gamma / (gamma * (gamma + 1.0))
 
 
-def weighted_energy(f: GriddedFunction, gamma, cover: VitaliCover):
-    """Energy sum over member pairs of |x-y|^(gamma-1), with the bound chain.
+def weighted_energy(cover: VitaliCover):
+    """Energy sum over the family's pairs (every member node pair of its
+    (f, gamma)) of |x-y|^(gamma-1), with the bound chain.
 
     energy <= factor * sum |J|^(gamma+1) <= factor * ||f||_1 must hold
-    exactly at grid resolution whenever `cover` came from the same (f, gamma).
+    exactly at grid resolution.
     """
-    if gamma <= 0:
-        raise InvalidParameterError("gamma must be positive")
-    prefix = _line_prefix(f)
-    energy = _member_energy(prefix, f.h, gamma)
+    fam = cover.family
+    f, gamma = fam.f, fam.gamma
+    energy = 0.0
+    for ell, count in enumerate(np.bincount(fam.ends - fam.starts).tolist()):
+        if count:
+            energy += count * _block_kernel(ell, f.h, gamma)
     factor = pair_energy_bound_factor(gamma)
-    mid = factor * cover.selected_lengths_power_sum()
-    outer = factor * float(prefix[-1])
+    mid = factor * float(np.sum(((cover.ends - cover.starts) * f.h) ** (gamma + 1.0)))
+    outer = factor * float(f.prefix[-1])
     slack = 1e-9 * max(outer, 1.0)
     return {
-        "energy": float(energy),
+        "energy": energy,
         "bound_selected": float(mid),
         "bound_mass": float(outer),
         "holds_selected": bool(energy <= mid + slack),
@@ -280,7 +270,9 @@ def rotation_measure(F, line_cells=160, offset_cells=64, sphere_order=24):
             base = (offsets @ _perp_basis(wvec) if n > 1 else offsets).T
             vals = np.maximum(F.along(base, np.broadcast_to(wvec[:, None], base.shape))(tm), 0.0)
             prefix = np.concatenate([np.zeros((offsets.shape[0], 1)), np.cumsum(vals, axis=1)], axis=1) * ht
-            line_energy = _member_energy(prefix, ht, float(n))
+            line_energy = np.zeros(prefix.shape[0])
+            for ell, member in _member_scan(prefix, ht, float(n)):
+                line_energy += np.count_nonzero(member, axis=-1) * _block_kernel(ell, ht, float(n))
             # the two-sided pair energy halves onto the one-sided radial integral
             total += 0.5 * wgt * float(np.sum(w_off * line_energy))
             mass_f += wgt * float(np.sum(w_off * prefix[:, -1]))

@@ -209,9 +209,9 @@ def run_covering(rep, prm, out, workers):
             s_, e_ = cov.starts[order], cov.ends[order]
             if np.any(s_[1:] <= e_[:-1]):
                 disjoint_ok = False
-            ver = covering.verify_5j_cover(f, gamma, cov)
+            ver = covering.verify_5j_cover(cov)
             cover_bad += ver["violations"]
-            en = covering.weighted_energy(f, gamma, cov)
+            en = covering.weighted_energy(cov)
             if not (en["holds_selected"] and en["holds_mass"]):
                 energy_ok = False
             rows.append((t, gamma, len(fam), len(cov), ver["pairs"], ver["violations"],
@@ -316,6 +316,15 @@ _STATEMENTS = {
 }
 
 
+def _median_bounded(ratios, factor):
+    """The ratios' median, and whether every ratio is finite and within
+    `factor` of it; a zero median passes only when every ratio is 0."""
+    med = float(np.median(ratios))
+    if med == 0.0:
+        return med, all(r == 0.0 for r in ratios)
+    return med, all(math.isfinite(r) and med / factor <= r <= med * factor for r in ratios)
+
+
 def run_corollary(rep, prm, out, workers):
     tag, _, _, check = _STATEMENTS[prm["statement"]]
     budgets = prm["budgets"]
@@ -330,11 +339,8 @@ def run_corollary(rep, prm, out, workers):
 
     reports = ordered_parallel_map(one, flds, workers)
     ratios = [r.ratio for r in reports]
-    med = float(np.median(ratios))
     spread_tol = prm["spread_factor"]
-    bounded = all(math.isfinite(r) for r in ratios) and (
-        med == 0.0 or all(med / spread_tol <= r <= med * spread_tol for r in ratios)
-    )
+    med, bounded = _median_bounded(ratios, spread_tol)
 
     homo_tol = 1e-2
     r1 = reports[0]
@@ -374,8 +380,7 @@ def run_failure(rep, prm, out, workers):
         detail="positive increments, near-constant across the last rungs",
     )
     weak = probe["weak_ratios"]
-    med = float(np.median(weak))
-    ok = med == 0.0 or all(med / 3.0 <= w <= med * 3.0 for w in weak)
+    med, ok = _median_bounded(weak, 3.0)
     rep.add_verdict("cor1.4:bounded", ok, 3.0, observed=max(weak), target=med,
                     detail="weak counterpart ratios on the same ladder")
 

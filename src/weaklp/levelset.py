@@ -400,7 +400,7 @@ def distribution_profile(f, p, alpha, lam_grid, estimator="polar", budgets=None,
 
 def weak_quasinorm(profile: DistributionProfile, refine, with_flag=False):
     """sup over lambda of lambda^p * mu, refined near the argmax by `refine`
-    golden-section evaluations (at least 2; 0 skips the refinement).
+    golden-section evaluations (0 skips the refinement).
 
     Ties at the sup resolve to the smallest lambda; the quasinorm itself is
     its power 1/p.  With `with_flag=True` also returns whether the estimate
@@ -425,9 +425,10 @@ def weak_quasinorm(profile: DistributionProfile, refine, with_flag=False):
                 lam = math.exp(t)
                 return lam ** profile.p * profile._estimator(lam).value
 
-            fc, fd = val_at(c), val_at(d)
+            fc = val_at(c)
+            fd = val_at(d) if refine > 1 else -math.inf     # refine 1: c alone
             best = max(best, fc, fd)
-            for _ in range(max(refine - 2, 0)):
+            for _ in range(refine - 2):
                 if fc >= fd:
                     b, d, fd = d, c, fc
                     c = b - phi * (b - a)

@@ -134,8 +134,8 @@ def test_a04_interval_cover_suite():
             order = np.argsort(cov.starts)
             s, e = cov.starts[order], cov.ends[order]
             disjoint &= bool(np.all(s[1:] > e[:-1]))
-            violations += C.verify_5j_cover(f, gamma, cov)["violations"]
-            en = C.weighted_energy(f, gamma, cov)
+            violations += C.verify_5j_cover(cov)["violations"]
+            en = C.weighted_energy(cov)
             chain &= en["holds_selected"] and en["holds_mass"]
     elapsed = time.perf_counter() - t0
     ok = disjoint and violations == 0 and chain and elapsed < 120

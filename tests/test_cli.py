@@ -1,11 +1,12 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from weaklp.cli import main
 from weaklp.errors import InvalidParameterError
-from weaklp.experiments import _STATEMENTS, EXPERIMENTS, REQUIRED, read_experiment, run_experiment
+from weaklp.experiments import _STATEMENTS, EXPERIMENTS, _median_bounded, REQUIRED, read_experiment, run_experiment
 from weaklp.quadrature import BUDGETS
 
 
@@ -681,3 +682,16 @@ def test_readme_lists_the_budget_table():
     # regenerate the block with
     # PYTHONPATH=src:tests python -c "import test_cli; print(test_cli.budgets_markdown())"
     assert _readme_block("budget table") == budgets_markdown()
+
+
+@pytest.mark.parametrize("ratios, ok", [
+    ([0.0, 0.0, math.inf], False),     # the median is 0, but one ratio is not finite
+    ([0.0, 0.0, 5.0], False),          # a zero median passes only all-zero ratios
+    ([0.0, 0.0, 0.0], True),
+    ([1.0, 2.0, math.inf], False),
+    ([1.0, 2.0, 6.0], True),
+    ([0.5, 2.0, 6.5], False),
+])
+def test_median_bounded_verdict(ratios, ok):
+    med, bounded = _median_bounded(ratios, 3.0)
+    assert med == float(sorted(ratios)[1]) and bounded is ok

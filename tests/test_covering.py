@@ -23,7 +23,7 @@ def node(f, i):
 
 def energy(f, gamma):
     """weighted_energy with the greedy cover of f's own admissible family."""
-    return C.weighted_energy(f, gamma, C.vitali_select(C.admissible_intervals(f, gamma)))
+    return C.weighted_energy(C.vitali_select(C.admissible_intervals(f, gamma)))
 
 
 def test_pc_field_rejects_negative_values():
@@ -31,13 +31,20 @@ def test_pc_field_rejects_negative_values():
         pc([1.0, -0.5])
 
 
-@pytest.mark.parametrize("entry", ["admissible_intervals", "verify_5j_cover", "weighted_energy"])
-def test_covering_entry_points_reject_a_2d_grid_function(entry):
+def test_interval_family_rejects_a_2d_grid_function_and_nonpositive_gamma():
+    # every covering check reads (f, gamma) from a family, so the family's
+    # own check is the one every entry point passes through
+    none = np.empty(0, dtype=np.int64)
     g = Q.GriddedFunction([[0.0, 1.0], [0.0, 1.0]], np.ones((4, 4)))
-    cover = C.vitali_select(C.admissible_intervals(pc(np.ones(4)), 1.0))
-    args = (g, 1.0) if entry == "admissible_intervals" else (g, 1.0, cover)
-    with pytest.raises(InvalidParameterError):
-        getattr(C, entry)(*args)
+    with pytest.raises(InvalidParameterError, match="1-D"):
+        C.IntervalFamily(g, 1.0, none, none)
+    with pytest.raises(InvalidParameterError, match="1-D"):
+        C.admissible_intervals(g, 1.0)
+    for gamma in (0.0, -1.0, math.nan):
+        with pytest.raises(InvalidParameterError, match="gamma"):
+            C.IntervalFamily(pc(np.ones(4)), gamma, none, none)
+        with pytest.raises(InvalidParameterError, match="gamma"):
+            C.admissible_intervals(pc(np.ones(4)), gamma)
 
 
 def test_admissible_empty_for_zero_field():
@@ -92,7 +99,7 @@ def test_vitali_disjoint_and_5j_cover_property(values, gamma):
     order = np.argsort(cov.starts)
     s, e = cov.starts[order], cov.ends[order]
     assert np.all(s[1:] > e[:-1])          # exact disjointness, closed intervals
-    assert C.verify_5j_cover(f, gamma, cov)["violations"] == 0
+    assert C.verify_5j_cover(cov)["violations"] == 0
 
 
 def vitali_select_reference(family):
@@ -109,9 +116,10 @@ def vitali_select_reference(family):
     return starts[picked], ends[picked]
 
 
-def verify_5j_cover_reference(f, gamma, cover):
+def verify_5j_cover_reference(cover):
     """5J coverage by one pass over the selected intervals per length: the
     loop `verify_5j_cover` replaced."""
+    f, gamma = cover.family.f, cover.family.gamma
     lo2, hi2 = cover.dilated_index_bounds()
     violations = pairs = 0
     for ell, member in C._member_scan(f.prefix, f.h, gamma):
@@ -159,9 +167,41 @@ def test_verify_5j_cover_matches_the_interval_loop():
                 pick = rng.permutation(len(fam))[:k]
                 covers.append(C.VitaliCover(fam, fam.starts[pick], fam.ends[pick]))
             for cov in covers:
-                assert C.verify_5j_cover(f, gamma, cov) == verify_5j_cover_reference(f, gamma, cov)
-            empty = C.verify_5j_cover(f, gamma, covers[1])
+                assert C.verify_5j_cover(cov) == verify_5j_cover_reference(cov)
+            empty = C.verify_5j_cover(covers[1])
             assert empty["violations"] == empty["pairs"]
+
+
+def member_pairs_reference(f, gamma):
+    """Every node pair (i, j), i < j, whose prefix mass reaches
+    ((j - i) h)^(gamma+1), by comparing all O(m^2) pairs: no length scan and
+    no early stop."""
+    i, j = np.triu_indices(f.values.size + 1, 1)
+    member = f.prefix[j] - f.prefix[i] >= ((j - i) * f.h) ** (gamma + 1.0)
+    return set(zip(i[member].tolist(), j[member].tolist()))
+
+
+def member_energy_reference(prefix, h, gamma):
+    """Per row, the sum of `_block_kernel` over member node pairs, one
+    length at a time: the energy loop `weighted_energy` replaced."""
+    energy = np.zeros(prefix.shape[:-1])
+    for ell, member in C._member_scan(prefix, h, gamma):
+        energy += np.count_nonzero(member, axis=-1) * C._block_kernel(ell, h, gamma)
+    return energy
+
+
+def test_family_is_every_member_pair():
+    rng = np.random.default_rng(2026)
+    for f in random_fields(rng, 30):
+        for gamma in (0.5, 1.0, 2.0):
+            fam = C.admissible_intervals(f, gamma)
+            got = list(zip(fam.starts.tolist(), fam.ends.tolist()))
+            assert len(got) == len(set(got))
+            assert set(got) == member_pairs_reference(f, gamma)
+            cov = C.vitali_select(fam)
+            assert C.verify_5j_cover(cov)["pairs"] == len(fam)
+            want = member_energy_reference(f.prefix, f.h, gamma)
+            assert C.weighted_energy(cov)["energy"].hex() == float(want).hex()
 
 
 def test_weighted_energy_unit_square_identities():
@@ -183,8 +223,8 @@ def test_weighted_energy_chain_random_suite(rng):
         f = pc(rng.uniform(0, 3, m) * (rng.random(m) < 0.7))
         for gamma in (0.5, 1.0, 2.0):
             cov = C.vitali_select(C.admissible_intervals(f, gamma))
-            assert C.verify_5j_cover(f, gamma, cov)["violations"] == 0
-            rec = C.weighted_energy(f, gamma, cov)
+            assert C.verify_5j_cover(cov)["violations"] == 0
+            rec = C.weighted_energy(cov)
             assert rec["holds_selected"] and rec["holds_mass"]
 
 
@@ -392,8 +432,8 @@ def test_covering_goldens():
         for gamma in (0.5, 1.0, 2.0):
             fam = C.admissible_intervals(f, gamma)
             cov = C.vitali_select(fam)
-            ver = C.verify_5j_cover(f, gamma, cov)
-            en = C.weighted_energy(f, gamma, cov)
+            ver = C.verify_5j_cover(cov)
+            en = C.weighted_energy(cov)
             digest = hashlib.sha256(np.stack([fam.starts, fam.ends]).tobytes()).hexdigest()[:16]
             got = (len(fam), digest, len(cov), ver["pairs"], ver["violations"],
                    en["energy"].hex(), en["bound_selected"].hex(), en["bound_mass"].hex())

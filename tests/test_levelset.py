@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -293,6 +294,23 @@ def test_weak_quasinorm_ratio_brackets(bump1_profile):
     ratio = sup / TV_BUMP
     assert ratio >= 0.9 * 1.0          # lower-bound constant at N = 1 is 1
     assert ratio <= 10.0
+
+
+@pytest.mark.parametrize("refine", range(6))
+def test_weak_quasinorm_makes_refine_estimator_calls(bump1_profile, refine):
+    # each refinement step is one estimator call, and a smaller refine
+    # evaluates a prefix of a larger one's golden-section sequence
+    def counted(calls):
+        def estimator(lam):
+            calls.append(lam)
+            return bump1_profile._estimator(lam)
+        return dataclasses.replace(bump1_profile, _estimator=estimator)
+
+    calls, longest = [], []
+    LS.weak_quasinorm(counted(calls), refine=refine)
+    LS.weak_quasinorm(counted(longest), refine=5)
+    assert len(calls) == refine
+    assert calls == longest[:refine]
 
 
 def test_tail_limit_fixture(bump1_profile):
