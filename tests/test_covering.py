@@ -31,6 +31,19 @@ def test_pc_field_rejects_negative_values():
         pc([1.0, -0.5])
 
 
+@pytest.mark.parametrize("entry", ["admissible_intervals", "verify_5j_cover", "weighted_energy"])
+def test_covering_entry_points_reject_a_2d_grid_function(entry):
+    # verify_5j_cover and weighted_energy read (f, gamma) from the cover's
+    # family, so a 2-D grid function reaches them only through a family
+    none = np.empty(0, dtype=np.int64)
+    g = Q.GriddedFunction([[0.0, 1.0], [0.0, 1.0]], np.ones((4, 4)))
+    with pytest.raises(InvalidParameterError, match="1-D"):
+        if entry == "admissible_intervals":
+            C.admissible_intervals(g, 1.0)
+        else:
+            getattr(C, entry)(C.vitali_select(C.IntervalFamily(g, 1.0, none, none)))
+
+
 def test_interval_family_rejects_a_2d_grid_function_and_nonpositive_gamma():
     # every covering check reads (f, gamma) from a family, so the family's
     # own check is the one every entry point passes through
