@@ -1,24 +1,31 @@
 """Superlevel-set measures of the difference quotient |u(x)-u(y)| / |x-y|^alpha.
 
 The membership function along a ray from x in direction w is
-g(r) = |u(x + r w) - u(x)| - lambda r^alpha.  One kernel scans every ray
-list: uniform bracketing in r, one batched bisection of all sign changes,
-then exact integration of r^{N-1} over the membership runs; per ray it also
-reports the crossing count and the outer end of the last run.  The polar
-estimator scans one direction of each antipodal pair of its sphere rule
-(`SphereRule.half`): the set is symmetric under (x, y) -> (y, x), so the
-x-integrated measures of w and -w agree and mu is twice the hemisphere
-integral.  It hands the kernel only the rays that the field's conservative
-`segments_meet_support` reports as meeting its support (u is exactly 0 on
-the others, at x too), so every estimate equals the unpruned scan's bit for
-bit; the ray sandwich check hands it all its sampled rays in one call, and a
-polar pass one call per run of x chunks.  The kernel reads u through
-`ScalarField.along`, bound once per call and read block by block on the shared
-scan row, and once per bisection; separable fields tabulate their profiles per
-distinct (x_i, w_i) pair on that row, bit for bit, and radial bumps take u as
-a quadratic in r, which can flip a crossing decision where g is within
-rounding of 0.  It tests |u(y) - u(x)| >= lambda r^alpha, which decides as
-g >= 0 does: with gradual underflow a - b >= 0 iff a >= b.
+g(r) = |u(x + r w) - u(x)| - lambda r^alpha.  One kernel handles every ray
+list in three steps: a scan brackets the sign changes on a uniform grid in
+r; one batched solve refines every bracket by a fixed number of halvings
+(_HALVINGS for the polar estimator, so to a fixed fraction of the scan step)
+and one regula-falsi step clipped to the final bracket; then r^{N-1} is
+integrated exactly over the membership runs, and per ray the crossing count
+and the outer end of the last run are reported.  The polar estimator scans
+one direction of each antipodal pair of its sphere rule (`SphereRule.half`):
+the set is symmetric under (x, y) -> (y, x), so the x-integrated measures of
+w and -w agree and mu is twice the hemisphere integral.  It scans only the
+rays that the field's conservative `segments_meet_support` reports as
+meeting its support (u is exactly 0 on the others, at x too), so every
+estimate equals the unpruned scan's bit for bit.  A polar call scans its
+fine and coarse pass, one scan per run of x chunks, and then solves all
+their brackets in one call; the ray sandwich check scans and solves all its
+sampled rays in one call each, with enough halvings for its absolute slack.
+The kernel reads u through `ScalarField.along`, bound once per scan and read
+block by block on the shared scan row, and once per solve at per-ray radii;
+both read u by the same formula, so the solve takes each bracket's
+membership at its lower end from the scan.  Separable fields tabulate their
+profiles per distinct (x_i, w_i) pair on the scan row, bit for bit, and
+radial bumps take u as a quadratic in r, which can flip a crossing decision
+where g is within rounding of 0.  The scan tests |u(y) - u(x)| >= lambda
+r^alpha and the solve g >= 0, which decide alike: with gradual underflow
+a - b >= 0 iff a >= b.
 
 Truncation: members satisfy lambda r^{alpha-1} <= lip_bound, so the scan stops
 at r_cap = (lip_bound/lambda)^{1/(alpha-1)} clipped to the support-dilate
@@ -31,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,10 +74,12 @@ _BLOCK_POINTS = 2 ** 14    # ray points per scan block, one slice of the call's 
                            # binding: its 128 KiB temporaries stay in L2; 2^15 took
                            # 9x the page faults of a polar-2d pass (glibc malloc)
 _X_CHUNK = 512             # x nodes per partial sum of pair_measure_polar's reduction
-_SCAN_POINTS = 2 ** 22     # nominal ray points per pair_measure_polar kernel call
+_SCAN_POINTS = 2 ** 22     # nominal ray points per pair_measure_polar scan
 _PRUNE_MARGIN = 1e-9       # pruning slack relative to r_cap + support_radius: covers
                            # the rounding of x + r w, so pruned rays read u = 0 exactly
-_BISECT_TOL = 1e-10        # crossing radius tolerance of the polar estimator
+_HALVINGS = 10             # halvings of each polar scan bracket before its regula-falsi step
+_SOLVE_BRACKETS = 2 ** 16  # brackets per batched solve of pair_measure_polar: one solve
+                           # per call at the 2-D budgets, bounded memory at larger ones
 _SANDWICH_SCAN = 1024      # scan points per ray of verify_sandwich
 
 
@@ -98,35 +108,50 @@ class LevelSetQuery:
 # shared scan kernel
 # ---------------------------------------------------------------------------
 
-def _bisect_crossings(f, xs, ws, uxs, lam, alpha, lo, hi, iters):
-    """Refine the sign-change brackets (lo, hi] of the (N, k) axis-major rays
-    xs + r ws, bound once through `along` for every step."""
-    u = f.along(xs, ws)
+class _Brackets(NamedTuple):
+    """The sign changes of one scanned ray list.  Bracket j is (lo[j], hi[j]]
+    on ray `ray[j]`, whose x, w and u(x) are column j of xs, ws and uxs, and
+    `inside[j]` says whether lo[j] is a member; `last` says which rays are
+    members at r_cap."""
 
-    def member(r):
-        return np.abs(u(r[:, None])[:, 0] - uxs) >= lam * r ** alpha
+    xs: np.ndarray
+    ws: np.ndarray
+    uxs: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    inside: np.ndarray
+    ray: np.ndarray
+    last: np.ndarray
+    r_cap: float
 
-    up = member(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        same = member(mid) == up
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
-    return 0.5 * (lo + hi)
+    def runs(self, r_cross):
+        """Per ray the measure int 1_E r^{N-1} dr, the crossing count and the
+        outer end of the last membership run (0 without members), given the
+        crossing radius of every bracket.  The run pairing trick: sum over runs
+        of (b^N - a^N) equals sum over down-crossings of b^N minus sum over
+        up-crossings of a^N, so no explicit pairing is needed."""
+        n_dim, k = self.xs.shape[0], self.last.size
+        up, down = ~self.inside, self.inside
+        acc = np.zeros(k)
+        np.subtract.at(acc, self.ray[up], r_cross[up] ** n_dim)
+        np.add.at(acc, self.ray[down], r_cross[down] ** n_dim)
+        # runs starting at 0+ contribute nothing to subtract; runs still open at
+        # r_cap close there
+        acc[self.last] += self.r_cap ** n_dim
+        outer = np.zeros(k)
+        np.maximum.at(outer, self.ray[down], r_cross[down])
+        outer[self.last] = self.r_cap
+        return acc / n_dim, np.bincount(self.ray, minlength=k), outer
 
 
-def _scan_rays(f, lam, alpha, xs, ws, uxs, r_cap, scan, tol):
-    """Membership runs of the rays xs + r ws, 0 < r <= r_cap, with u(x) = uxs.
+def _ray_brackets(f, lam, alpha, xs, ws, uxs, r_cap, scan):
+    """Scan the rays xs + r ws, 0 < r <= r_cap, with u(x) = uxs on `scan`
+    uniform points for the sign changes of membership, as `_Brackets`.
 
-    The (N, k) rays are axis-major.  Returns per ray the measure
-    int 1_E r^{N-1} dr, the crossing count and the outer end of the last
-    membership run (0 without members), with every endpoint refined by
-    batched bisection.  The run pairing trick: sum over runs of (b^N - a^N)
-    equals sum over down-crossings of b^N minus sum over up-crossings of a^N,
-    so no explicit pairing is needed.  The scan runs in blocks of about
-    _BLOCK_POINTS ray points.
+    The (N, k) rays are axis-major, bound once through `along` and read in
+    blocks of about _BLOCK_POINTS ray points on the shared scan row.
     """
-    n_dim, k = xs.shape
+    k = xs.shape[1]
     r = np.linspace(r_cap / scan, r_cap, scan)
     lam_r = lam * r ** alpha
     member = np.empty((k, scan), dtype=bool)
@@ -134,32 +159,68 @@ def _scan_rays(f, lam, alpha, xs, ws, uxs, r_cap, scan, tol):
     u = f.along(xs, ws)
     for b0 in range(0, k, block):
         b = slice(b0, b0 + block)
-        g = u(r, b) - uxs[b, None]
+        g = u(r, b)         # a new array: `along` returns no view
+        g -= uxs[b, None]
         np.abs(g, out=g)
         np.greater_equal(g, lam_r, out=member[b])
 
     ray, i = np.divmod(np.flatnonzero(member[:, 1:] != member[:, :-1]), scan - 1)
-    up = member[ray, i + 1]
-    iters = max(8, min(60, int(math.ceil(math.log2(max((r_cap / scan) / max(tol, 1e-300), 2.0))))))
-    r_cross = np.empty(0)
-    if ray.size:
-        r_cross = _bisect_crossings(
-            f, xs[:, ray], ws[:, ray], uxs[ray], lam, alpha, r[i], r[i + 1], iters
-        )
-    acc = np.zeros(k)
-    np.subtract.at(acc, ray[up], r_cross[up] ** n_dim)
-    np.add.at(acc, ray[~up], r_cross[~up] ** n_dim)
-    # runs starting at 0+ contribute nothing to subtract; runs still open at
-    # r_cap close there
-    acc[member[:, -1]] += r_cap ** n_dim
-    outer = np.zeros(k)
-    np.maximum.at(outer, ray[~up], r_cross[~up])
-    outer[member[:, -1]] = r_cap
-    return acc / n_dim, np.bincount(ray, minlength=k), outer
+    return _Brackets(xs[:, ray], ws[:, ray], uxs[ray], r[i], r[i + 1], member[ray, i], ray,
+                     member[:, -1].copy(), r_cap)
 
 
-def _grid_measures(f, lam, alpha, X, W, r_cap, scan):
-    """Measure of every (x, w) cell, (nx*nw,).
+def _bisect_crossings(f, lam, alpha, xs, ws, uxs, lo, hi, inside, halvings):
+    """The crossing radius in every sign-change bracket (lo, hi] of the (N, m)
+    axis-major rays xs + r ws, where `inside` says whether lo is a member.
+
+    Each bracket is halved `halvings` times; then one regula-falsi step on
+    g(r) = |u(x + r w) - u(x)| - lam r^alpha in the final bracket, clipped to
+    it, so a crossing is off by at most that bracket's width.  The rays are
+    bound once through `along`; g at an end that no halving moved is read
+    once more, on those rays only.  Every bracket is solved on its own, so
+    batching brackets moves no bit.
+    """
+    if not lo.size:
+        return lo.copy()
+    lo, hi = lo.copy(), hi.copy()
+    g_lo, g_hi = np.full(lo.size, np.nan), np.full(lo.size, np.nan)
+    u = f.along(xs, ws)
+
+    def g(r, b=slice(None)):
+        # g >= 0 decides as the scan's |u(y) - u(x)| >= lam r^alpha does
+        v = u(r, b)
+        v -= uxs[b, None]
+        np.abs(v, out=v)
+        v -= lam * r ** alpha
+        return v
+
+    for _ in range(halvings):
+        mid = 0.5 * (lo + hi)
+        g_mid = g(mid[:, None])[:, 0]
+        to_lo = (g_mid >= 0.0) == inside
+        np.copyto(lo, mid, where=to_lo)
+        np.copyto(g_lo, g_mid, where=to_lo)
+        np.logical_not(to_lo, out=to_lo)
+        np.copyto(hi, mid, where=to_lo)
+        np.copyto(g_hi, g_mid, where=to_lo)
+    stale = np.flatnonzero(np.isnan(g_lo) | np.isnan(g_hi))
+    if stale.size:
+        g_lo[stale], g_hi[stale] = g(np.stack([lo[stale], hi[stale]], axis=1), stale).T
+    r = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
+    np.fmax(r, lo, out=r)       # a NaN step (g = 0 at both ends) stays at lo
+    return np.fmin(r, hi, out=r)
+
+
+def _scan_rays(f, lam, alpha, xs, ws, uxs, r_cap, scan, halvings):
+    """Membership runs of the rays xs + r ws, 0 < r <= r_cap, with u(x) = uxs:
+    one scan and one solve.  Returns `_Brackets.runs` per ray."""
+    br = _ray_brackets(f, lam, alpha, xs, ws, uxs, r_cap, scan)
+    return br.runs(_bisect_crossings(f, lam, alpha, *br[:6], halvings))
+
+
+def _grid_brackets(f, lam, alpha, X, W, r_cap, scan):
+    """The scanned cells of the (x, w) grid, as indices into its nx*nw cells,
+    and their `_Brackets`.
 
     Only the rays x + r w, 0 < r <= r_cap, that `segments_meet_support`
     reports are scanned: on every other ray u is exactly 0, at x too, so its
@@ -167,17 +228,26 @@ def _grid_measures(f, lam, alpha, X, W, r_cap, scan):
     """
     nx, nw = X.shape[0], W.shape[0]
     margin = _PRUNE_MARGIN * (r_cap + f.support_radius)
-    rays = np.flatnonzero(f.segments_meet_support(X, W, r_cap, margin))
+    meets = f.segments_meet_support(X, W, r_cap, margin)
+    rays = np.flatnonzero(meets)
     ray_x, ray_w = np.divmod(rays, nw)
     ux = np.zeros(nx)
-    live = np.unique(ray_x)
+    live = np.flatnonzero(meets.any(axis=1))
     if live.size:
         ux[live] = f.evaluate(X[live])
-    measures = np.zeros(nx * nw)
-    measures[rays] = _scan_rays(
-        f, lam, alpha, X.T[:, ray_x], W.T[:, ray_w], ux[ray_x], r_cap, scan, _BISECT_TOL
-    )[0]
-    return measures
+    return rays, _ray_brackets(f, lam, alpha, X.T[:, ray_x], W.T[:, ray_w], ux[ray_x], r_cap, scan)
+
+
+def _solve_into(f, lam, alpha, pending):
+    """Solve the brackets of every pending (cells, rays, brackets) in one
+    batched call, write each ray's measure into its cell, and empty `pending`."""
+    parts = [br for _, _, br in pending]
+    cols = (np.concatenate(col, axis=-1) for col in zip(*(br[:6] for br in parts)))
+    r = _bisect_crossings(f, lam, alpha, *cols, _HALVINGS)
+    ends = np.cumsum([br.lo.size for br in parts])[:-1]
+    for (cells, rays, br), r_br in zip(pending, np.split(r, ends)):
+        cells[rays] = br.runs(r_br)[0]
+    pending.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +306,9 @@ def verify_sandwich(f, p, lam, samples, delta, stream):
     r_cap = truncation_radius(f, lam, q.alpha)
     xs, ws, _ = PairSampler(n, f.support_radius + 1.0, r_cap).draw(stream, 0, samples)
     ux = f.evaluate(xs)
-    tol = 1e-9      # bisection tolerance, relative and absolute radius slack
-    _, crossings, outer = _scan_rays(f, lam, q.alpha, xs.T, ws.T, ux, r_cap, _SANDWICH_SCAN, tol)
+    tol = 1e-9      # radius slack, relative and absolute: no final bracket is wider
+    halvings = math.ceil(math.log2(max(r_cap / _SANDWICH_SCAN / tol, 1.0)))
+    _, crossings, outer = _scan_rays(f, lam, q.alpha, xs.T, ws.T, ux, r_cap, _SANDWICH_SCAN, halvings)
     sb = sandwich_bounds(f, p, lam, xs, ws, delta)
     need = sb.lower * (1.0 - tol) - tol
     # the inner radius can sit below the scan's first grid point, so check
@@ -266,50 +337,62 @@ def pair_measure_polar(q: LevelSetQuery, x_nodes, sphere_order, scan):
     The x integral runs over `centered_box_grid` of about `x_nodes` nodes
     per axis on the box of `pair_region`, the directions over
     `sphere_rule(N, sphere_order).half()` and the ray radius over `scan`
-    bracketing points, every crossing bisected to 1e-10.  The inner radial
-    integral is exact on each membership run.  The hemisphere with doubled
-    weights gives the full-sphere integral from half the rays: the pair
-    swap (x, w, r) -> (x + r w, -w, r) preserves the set and the measure, so
-    the x-integrated ray measure in direction w equals that in -w (the
-    sphere rule needs an even size).  That holds exactly while the x box
-    holds both ends of every member pair, i.e. r_cap <= 1; beyond, the box
-    drops pairs either way and the two truncations differ for fields that
-    are not centrally symmetric.  Error estimate comes from one combined
-    coarsening step (half the panels and scan); a fine pass with at most 8
-    scan nodes cannot be coarsened and reports converged=False.
+    bracketing points; each crossing is refined by _HALVINGS halvings of its
+    scan bracket and one regula-falsi step, so to a fixed fraction of the
+    scan step.  The inner radial integral is exact on each membership run.
+    The hemisphere with doubled weights gives the full-sphere integral from
+    half the rays: the pair swap (x, w, r) -> (x + r w, -w, r) preserves the
+    set and the measure, so the x-integrated ray measure in direction w
+    equals that in -w (the sphere rule needs an even size).  That holds
+    exactly while the x box holds both ends of every member pair, i.e.
+    r_cap <= 1; beyond, the box drops pairs either way and the two
+    truncations differ for fields that are not centrally symmetric.  Error
+    estimate comes from one combined coarsening step (half the panels and
+    scan); a fine pass with at most 8 scan nodes cannot be coarsened and
+    reports converged=False.  Both passes are scanned first and their
+    brackets solved together, in one batched call for up to _SOLVE_BRACKETS
+    brackets.
     """
+    if scan < 2:
+        raise InvalidParameterError(f"scan must be >= 2 to bracket a crossing, got {scan!r}")
     f = q.field
     half, r_cap = pair_region(f, q.lam, q.alpha)
     x_grid = centered_box_grid(half, f.dim, x_nodes)
     sphere = sphere_rule(f.dim, sphere_order).half()
-
-    def run(grid, scan_n):
-        if r_cap <= 0.0:
-            return 0.0, 0
-        pts, w = grid.points_weights()
-        nx, nw = pts.shape[0], sphere.nodes.shape[0]
-        # one kernel call per run of whole x chunks holding at most
-        # _SCAN_POINTS nominal ray points; the sum still goes chunk by chunk
-        run_x = _X_CHUNK * max(1, _SCAN_POINTS // (_X_CHUNK * nw * scan_n))
-        m = np.concatenate([
-            _grid_measures(f, q.lam, q.alpha, pts[r0 : r0 + run_x], sphere.nodes, r_cap, scan_n)
-            for r0 in range(0, nx, run_x)
-        ]).reshape(nx, nw) * sphere.weights
-        total = 0.0
-        for c0 in range(0, nx, _X_CHUNK):
-            total += float(np.sum(w[c0 : c0 + _X_CHUNK] * m[c0 : c0 + _X_CHUNK].sum(axis=1)))
-        return total, nx * nw * scan_n
-
-    value, nodes = run(x_grid, scan)
+    nw = sphere.nodes.shape[0]
     # the coarse pass halves panels and scan, the scan at least to 64 nodes
     # where that is still coarser, else down to a floor of 8; the grid has at
     # least 2 panels, so only the scan can sit at its floor
     coarse_scan = min(scan, max(64 if scan > 64 else 8, scan // 2))
-    coarse, n2 = run(x_grid.coarsened(), coarse_scan)
+    passes = [(x_grid, scan), (x_grid.coarsened(), coarse_scan)]
+    totals, nodes = [0.0, 0.0], 0
+    if r_cap > 0.0:
+        grids, pending = [], []
+        for grid, scan_n in passes:
+            pts, w = grid.points_weights()
+            nx = pts.shape[0]
+            cells = np.zeros(nx * nw)
+            grids.append((w, cells))
+            nodes += nx * nw * scan_n
+            # one scan per run of whole x chunks holding at most _SCAN_POINTS
+            # nominal ray points; the sum still goes chunk by chunk
+            run_x = _X_CHUNK * max(1, _SCAN_POINTS // (_X_CHUNK * nw * scan_n))
+            for r0 in range(0, nx, run_x):
+                pending.append((cells[r0 * nw : (r0 + run_x) * nw], *_grid_brackets(
+                    f, q.lam, q.alpha, pts[r0 : r0 + run_x], sphere.nodes, r_cap, scan_n)))
+                if sum(br.lo.size for *_, br in pending) >= _SOLVE_BRACKETS:
+                    _solve_into(f, q.lam, q.alpha, pending)
+        if pending:
+            _solve_into(f, q.lam, q.alpha, pending)
+        for j, (w, cells) in enumerate(grids):
+            m = cells.reshape(-1, nw) * sphere.weights
+            for c0 in range(0, m.shape[0], _X_CHUNK):
+                totals[j] += float(np.sum(w[c0 : c0 + _X_CHUNK] * m[c0 : c0 + _X_CHUNK].sum(axis=1)))
+    value, coarse = totals
     err = abs(value - coarse)
     # a fine pass already at the scan floor has no coarser pass to compare with
     converged = coarse_scan < scan and err <= 0.05 * max(abs(value), 1e-300)
-    return QuadratureResult(value, err, nodes + n2, converged)
+    return QuadratureResult(value, err, nodes, converged)
 
 
 def pair_measure_mc(q: LevelSetQuery, n, stream, workers=1):

@@ -400,9 +400,10 @@ BUDGETS = {
 
 def _budget_value(key, value, even=False):
     """`value` as an int: every budget is a count of at least 1, except
-    `refine`, where 0 skips the refinement, and `sphere_order`, at least 4
-    (`sphere_rule`'s least order) and even where `even` says so."""
-    least = {"refine": 0, "sphere_order": 4}.get(key, 1)
+    `refine`, where 0 skips the refinement, `scan`, at least 2 (one point
+    brackets no crossing), and `sphere_order`, at least 4 (`sphere_rule`'s
+    least order) and even where `even` says so."""
+    least = {"refine": 0, "scan": 2, "sphere_order": 4}.get(key, 1)
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1 != 0 \
             or value < least or (even and value % 2):
         raise InvalidParameterError(
@@ -414,9 +415,9 @@ def split_budgets(dim, budgets, *estimators):
     """One dict per named `BUDGETS` entry: its defaults at dimension `dim`,
     overridden by the keys of `budgets` it is the first listed to take.  A
     key none takes, or a value that is not a whole number of at least 1 (0
-    for `refine`, 4 for `sphere_order`), is an error naming it; so is an odd
-    2-D polar or gagliardo `sphere_order`, whose rule has no antipodal pairs
-    to fold.
+    for `refine`, 2 for `scan`, 4 for `sphere_order`), is an error naming
+    it; so is an odd 2-D polar or gagliardo `sphere_order`, whose rule has
+    no antipodal pairs to fold.
     Kept out of __all__, like `ordered_parallel_map`, so the perfbench
     tracer adds no span for it."""
     rest = dict(budgets or {})

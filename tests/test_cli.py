@@ -388,7 +388,18 @@ def test_zero_budget_counts_are_config_errors_except_refine(tmp_path, capsys, ke
     out = tmp_path / "o"
     cfg = write_cfg(tmp_path, dict(BASE_LIMIT, budgets={key: 0}))
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
-    assert f"budgets.{key} must be an integer >= 1, got 0" in capsys.readouterr().err
+    least = {"x_nodes": 1, "scan": 2}[key]
+    assert f"budgets.{key} must be an integer >= {least}, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_one_point_scan_is_a_config_error(tmp_path, capsys):
+    # one scan point brackets no crossing, so every polar estimate read a
+    # quiet 0 +- 0
+    out = tmp_path / "o"
+    cfg = write_cfg(tmp_path, dict(BASE_LIMIT, budgets={"scan": 1}))
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "budgets.scan must be an integer >= 2, got 1" in capsys.readouterr().err
     assert not out.exists()
 
 

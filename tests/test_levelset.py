@@ -42,12 +42,12 @@ def zero_field():
     return F.make_bump([0.0], 1.0, 0.0)
 
 
-def _scan_one_ray(f, lam, alpha, x, w, scan=1024, tol=1e-10):
+def _scan_one_ray(f, lam, alpha, x, w, scan=1024):
     """(measure, crossings, outer, r_cap) of the one ray x + r w, 0 < r <= r_cap."""
     xs = np.array([x], dtype=float).T
     ws = np.array([w], dtype=float).T
     r_cap = LS.truncation_radius(f, lam, alpha)
-    m, c, outer = LS._scan_rays(f, lam, alpha, xs, ws, f.evaluate(xs.T), r_cap, scan, tol)
+    m, c, outer = LS._scan_rays(f, lam, alpha, xs, ws, f.evaluate(xs.T), r_cap, scan, LS._HALVINGS)
     return m[0], c[0], outer[0], r_cap
 
 
@@ -55,7 +55,7 @@ def test_scan_rays_zero_field_empty():
     z = zero_field()
     xs = np.array([[-0.5, 0.0, 0.7]])
     ws = np.array([[1.0, -1.0, 1.0]])
-    m, c, outer = LS._scan_rays(z, 1.0, 2.0, xs, ws, z.evaluate(xs.T), 1.0, 64, 1e-10)
+    m, c, outer = LS._scan_rays(z, 1.0, 2.0, xs, ws, z.evaluate(xs.T), 1.0, 64, LS._HALVINGS)
     assert not np.any(m) and not np.any(c) and not np.any(outer)
 
 
@@ -64,7 +64,8 @@ def test_scan_rays_linear_stretch():
     # the one run is (0, 0.5]: it reaches r_cap = lip_bound / lam = 0.5 ...
     m, c, outer, r_cap = _scan_one_ray(RampStub(), 2.0, 2.0, [0.0], [1.0])
     assert r_cap == 0.5 and outer == r_cap and c == 0 and m == r_cap
-    # ... or ends at a bisected down-crossing inside a longer scan
+    # ... or ends at a solved down-crossing inside a longer scan: r = 0.5 is a
+    # scan point where g = 0, which the regula-falsi step returns exactly
     ramp = RampStub()
     ramp.lip_bound = 4.0
     m, c, outer, r_cap = _scan_one_ray(ramp, 2.0, 2.0, [0.0], [1.0])
@@ -75,7 +76,8 @@ def test_scan_rays_linear_stretch():
 
 def test_scan_rays_takes_an_empty_ray_list():
     empty = np.empty((1, 0))
-    m, c, outer = LS._scan_rays(RampStub(), 1.0, 2.0, empty, empty, np.empty(0), 1.0, 64, 1e-10)
+    m, c, outer = LS._scan_rays(RampStub(), 1.0, 2.0, empty, empty, np.empty(0), 1.0, 64,
+                                LS._HALVINGS)
     assert m.shape == c.shape == outer.shape == (0,)
 
 
@@ -83,10 +85,9 @@ def test_scan_rays_crossings_in_the_first_and_last_cell():
     # u(r w) - u(0) = min(r w, 1) >= r^2 exactly when r <= w (here w <= 1): on
     # r_k = k/64, k = 1..64, a run ending in the first cell (1/64, 2/64], none,
     # and one ending in the last cell (63/64, 1]; each crossing must pair with
-    # its own ray
+    # its own ray (30 halvings: final brackets of 2^-36)
     w = np.array([[1.5 / 64, 0.0, 63.5 / 64]])
-    m, c, outer = LS._scan_rays(RampStub(), 1.0, 2.0, np.zeros((1, 3)), w, np.zeros(3), 1.0, 64,
-                                1e-12)
+    m, c, outer = LS._scan_rays(RampStub(), 1.0, 2.0, np.zeros((1, 3)), w, np.zeros(3), 1.0, 64, 30)
     assert c.tolist() == [1, 0, 1]
     assert outer == pytest.approx(w[0], abs=1e-11) and m == pytest.approx(w[0], abs=1e-11)
 
@@ -205,6 +206,18 @@ def test_polar_defaults_meet_the_radial_oracle(bump2, lam_factor):
     # the 2-D polar defaults: 48 x nodes per axis, sphere order 16, scan 224
     prof = LS.distribution_profile(bump2, 1.0, 3.0, [lam_factor * bump2.lip_bound])
     assert abs(prof.mu[0] - BUMP2_MU[lam_factor]) <= prof.err[0]
+
+
+def test_a_one_point_scan_is_rejected(bump2):
+    # one scan point brackets no crossing: this profile read mu 0 with error
+    # 0 (the true value is 0.77), and weak_quasinorm did not flag it
+    with pytest.raises(InvalidParameterError, match="budgets.scan must be an integer >= 2"):
+        LS.distribution_profile(bump2, 1.0, 3.0, [4.0 * bump2.lip_bound],
+                                budgets={"scan": 1, "x_nodes": 36, "sphere_order": 12})
+    q = LS.LevelSetQuery(bump2, 1.0, 3.0, 4.0 * bump2.lip_bound)
+    with pytest.raises(InvalidParameterError, match="scan must be >= 2"):
+        LS.pair_measure_polar(q, 36, 12, scan=1)
+    assert LS.pair_measure_polar(q, 16, 4, scan=2).value > 0.0
 
 
 def test_pair_measure_mc_zero_field():
@@ -384,19 +397,24 @@ def test_pair_measures_capped_at_three_dimensions():
 # estimate; nodes_used halved.  bump3 re-pinned when the estimator began to
 # build its own grid, always of Gauss order 8: it was recorded on an order-4
 # grid (12 nodes per axis), and the old and new entry points agree on this
-# order-8 grid (16 nodes per axis) bit for bit.
+# order-8 grid (16 nodes per axis) bit for bit.  Re-pinned when the crossing
+# solve became 10 halvings of each scan bracket and a regula-falsi step:
+# every value moved by at most 8.7e-10 relative and lies within 8.6e-10 of a
+# 40-halving bisection (the bisection to 1e-10 before lay within 6.4e-11),
+# the error estimates by at most 2.7e-7; a test below checks the reference
+# bound and that every crossing lies in its final bracket.
 # lam = 4 lip_bound gives r_cap < 1, so x nodes in the grid corners lie
 # farther than r_cap from the support; lam = lip_bound / 2 sits below it.
 POLAR_GOLDENS = {
-    ("bump2", 4.0): ("0x1.86dbb5fc19606p-1", "0x1.316ee59eeac80p-7", 286720),
-    ("bump2", 0.5): ("0x1.54b1999e7c2b8p+2", "0x1.344abbe112800p-5", 286720),
-    ("plateau2", 4.0): ("0x1.1a4ef64814802p-3", "0x1.dc00a49c76f40p-8", 286720),
-    ("plateau2", 0.5): ("0x1.bff544b92c8bcp-1", "0x1.a557bca0690f8p-4", 286720),
-    ("bumps2_pair", 4.0): ("0x1.4fcf8390aa2a4p-2", "0x1.1e290b5cc4a00p-10", 286720),
-    ("bumps2_pair", 0.5): ("0x1.1ca9b6346633ep+1", "0x1.a0bec2c1dee40p-4", 286720),
-    ("product2", 4.0): ("0x1.f39df2ee1504ap-2", "0x1.25b589de7c9e0p-5", 286720),
-    ("product2", 0.5): ("0x1.ba4876fd8479ap+1", "0x1.7c15ad7f9abc0p-5", 286720),
-    ("bump3", 4.0): ("0x1.0d3430cb2f6d2p+0", "0x1.7f665d319d800p-7", 3342336),
+    ("bump2", 4.0): ("0x1.86dbb5fb20e6bp-1", "0x1.316ee53b6b200p-7", 286720),
+    ("bump2", 0.5): ("0x1.54b1999d6115bp+2", "0x1.344abaa627d80p-5", 286720),
+    ("plateau2", 4.0): ("0x1.1a4ef646d3e36p-3", "0x1.dc00a456bfda0p-8", 286720),
+    ("plateau2", 0.5): ("0x1.bff544b7f72ccp-1", "0x1.a557bca8029f8p-4", 286720),
+    ("bumps2_pair", 4.0): ("0x1.4fcf838ef7d2dp-2", "0x1.1e290d1b49e00p-10", 286720),
+    ("bumps2_pair", 0.5): ("0x1.1ca9b632d41ebp+1", "0x1.a0bec2eaf76c0p-4", 286720),
+    ("product2", 4.0): ("0x1.f39df2ec18f8bp-2", "0x1.25b589f0ffea8p-5", 286720),
+    ("product2", 0.5): ("0x1.ba4876fb57cdap+1", "0x1.7c15ac8234880p-5", 286720),
+    ("bump3", 4.0): ("0x1.0d3430c73deabp+0", "0x1.7f6663d510380p-7", 3342336),
 }
 # (x nodes per axis, sphere order, scan) per dimension; the 2-D grid has 576
 # x nodes and the 3-D one 4096, so both span several x chunks
@@ -463,7 +481,7 @@ def _full_sphere_polar(q, grid, sphere, scan):
 
     def run(g, scan_n):
         pts, w = g.points_weights()
-        m = LS._grid_measures(f, q.lam, q.alpha, pts, sphere.nodes, r_cap, scan_n)
+        m = _grid_measures(f, q.lam, q.alpha, pts, sphere.nodes, r_cap, scan_n)
         return float(np.sum(w * (m.reshape(pts.shape[0], -1) * sphere.weights).sum(axis=1)))
 
     value = run(grid, scan)
@@ -506,46 +524,80 @@ def test_fold_agrees_with_full_sphere_within_its_error(cat, name):
     assert abs(fold.value - full) <= err
 
 
+def _grid_measures(f, lam, alpha, X, W, r_cap, scan):
+    """Measure of every (x, w) cell, (nx*nw,): one pruned grid scan and its
+    own solve, as pair_measure_polar makes them."""
+    cells = np.zeros(len(X) * len(W))
+    LS._solve_into(f, lam, alpha, [(cells, *LS._grid_brackets(f, lam, alpha, X, W, r_cap, scan))])
+    return cells
+
+
 def _record_scans(monkeypatch):
-    """Wrap `_scan_rays`; each call appends its (k, N) ray x and w rows and outputs."""
+    """Wrap `_ray_brackets`; each scan appends its (k, N) ray x and w rows and
+    its `_Brackets`."""
     calls = []
-    scan_rays = LS._scan_rays
+    ray_brackets = LS._ray_brackets
 
     def recording(f, lam, alpha, xs, ws, *rest):
-        out = scan_rays(f, lam, alpha, xs, ws, *rest)
+        out = ray_brackets(f, lam, alpha, xs, ws, *rest)
         calls.append((xs.T.copy(), ws.T.copy(), out))
         return out
 
-    monkeypatch.setattr(LS, "_scan_rays", recording)
+    monkeypatch.setattr(LS, "_ray_brackets", recording)
+    return calls
+
+
+def _record_solves(monkeypatch):
+    """Wrap `_bisect_crossings`; each solve appends its bracket count."""
+    calls = []
+    solve = LS._bisect_crossings
+
+    def recording(f, lam, alpha, xs, ws, uxs, lo, *rest):
+        calls.append(lo.size)
+        return solve(f, lam, alpha, xs, ws, uxs, lo, *rest)
+
+    monkeypatch.setattr(LS, "_bisect_crossings", recording)
     return calls
 
 
 @pytest.mark.parametrize("name, lam_factor", sorted(POLAR_GOLDENS))
 def test_one_x_chunk_per_kernel_call_keeps_goldens(cat, monkeypatch, name, lam_factor):
-    # the golden grids span 2 (2-D) and 4 (3-D) x chunks, which one kernel call
-    # per pass takes at the default _SCAN_POINTS; one chunk per call must
-    # give the same bits
+    # the golden grids span 2 (2-D) and 4 (3-D) x chunks, which one scan per
+    # pass takes at the default _SCAN_POINTS; one chunk per scan must give the
+    # same bits, and both ways the call solves all its brackets at once
     f = cat[name]
-    calls = _record_scans(monkeypatch)
+    calls, solves = _record_scans(monkeypatch), _record_solves(monkeypatch)
     _golden_polar(f, lam_factor)
-    assert len(calls) == 2
+    assert len(calls) == 2 and len(solves) == 1
+    assert solves[0] == sum(br.lo.size for *_, br in calls)
     monkeypatch.setattr(LS, "_SCAN_POINTS", 1)
     calls.clear()
+    solves.clear()
     res = _golden_polar(f, lam_factor)
     assert (res.value.hex(), res.error_estimate.hex(), res.nodes_used) == \
         POLAR_GOLDENS[name, lam_factor]
     x_nodes = GOLDEN_BUDGETS[f.dim][0]
     assert len(calls) == math.ceil(x_nodes ** f.dim / LS._X_CHUNK) + 1    # coarse pass: one chunk
+    assert len(solves) == 1
+    # a solve of at most one bracket at a time moves no bit either
+    monkeypatch.setattr(LS, "_SOLVE_BRACKETS", 1)
+    solves.clear()
+    res = _golden_polar(f, lam_factor)
+    assert (res.value.hex(), res.error_estimate.hex(), res.nodes_used) == \
+        POLAR_GOLDENS[name, lam_factor]
+    assert len(solves) > 1
 
 
 def test_polar_2d_makes_one_kernel_call_per_pass(cat, monkeypatch):
     # the acceptance and benchmark 2-D budget: the fine and the coarse pass
-    # each scan their rays in one call
-    calls = _record_scans(monkeypatch)
+    # each scan their rays in one call, and each estimate solves the brackets
+    # of both passes in one call
+    calls, solves = _record_scans(monkeypatch), _record_solves(monkeypatch)
     budgets = {"x_nodes": 36, "sphere_order": 12, "scan": 128}
     f = cat["plateau2"]
     LS.distribution_profile(f, 1.0, 3.0, LS.default_lambda_grid(f, 3), budgets=budgets)
-    assert len(calls) == 2 * 3
+    assert len(calls) == 2 * 3 and len(solves) == 3
+    assert solves == [sum(br.lo.size for *_, br in calls[j : j + 2]) for j in (0, 2, 4)]
 
 
 def test_scan_far_from_support_is_zero_without_evaluation(bump2, monkeypatch):
@@ -559,13 +611,13 @@ def test_scan_far_from_support_is_zero_without_evaluation(bump2, monkeypatch):
     away = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [math.sqrt(0.5)] * 2])
     toward = np.array([[-1.0, 0.0]])
     f = CountingField(bump2)
-    measures = LS._grid_measures(f, lam, 3.0, x, away, r_cap, 64)
+    measures = _grid_measures(f, lam, 3.0, x, away, r_cap, 64)
     assert f.points == 0 and calls[-1][1].shape == (0, 2)
     assert not np.any(measures)
     # a ray toward the support that stops two margins short also evaluates nothing
     f = CountingField(bump2)
     short = x + [[2.0 * margin, 0.0]]
-    measures = LS._grid_measures(f, lam, 3.0, short, toward, r_cap, 64)
+    measures = _grid_measures(f, lam, 3.0, short, toward, r_cap, 64)
     assert f.points == 0 and calls[-1][1].shape == (0, 2)
     assert not np.any(measures)
     # the ray that reaches the support boundary exactly at r_cap, where u
@@ -573,16 +625,18 @@ def test_scan_far_from_support_is_zero_without_evaluation(bump2, monkeypatch):
     # that stops half a margin short; their measures are still zero
     for start in (x, x + [[0.5 * margin, 0.0]]):
         f = CountingField(bump2)
-        measures = LS._grid_measures(f, lam, 3.0, start, np.vstack([away, toward]), r_cap, 64)
-        ray_x, ray_w, (_, crossings, outer) = calls[-1]
+        measures = _grid_measures(f, lam, 3.0, start, np.vstack([away, toward]), r_cap, 64)
+        ray_x, ray_w, brackets = calls[-1]
         assert ray_x.tolist() == start.tolist() and ray_w.tolist() == toward.tolist()
         assert f.points == 1 + 64
-        assert not np.any(measures) and not np.any(crossings)
-        assert not np.any(outer)      # no member on the scanned ray
+        assert not np.any(measures) and brackets.lo.size == 0
+        assert not np.any(brackets.last)      # no member on the scanned ray
 
 
-def _parent_bisect_crossings(f, xs, ws, uxs, lam, alpha, lo, hi, iters):
-    """The bisection of the x-pruned kernel below, kept verbatim as a reference."""
+def _parent_bisection(f, xs, ws, uxs, lam, alpha, lo, hi, iters):
+    """The plain bisection the crossing solve replaced, kept as a reference:
+    the final bracket (lo, hi] after `iters` halvings, read through
+    `evaluate`.  Its midpoint was the crossing, at 17-30 halvings."""
 
     def member(r):
         return np.abs(f.evaluate((xs + r * ws).T) - uxs) - lam * r ** alpha >= 0.0
@@ -593,12 +647,22 @@ def _parent_bisect_crossings(f, xs, ws, uxs, lam, alpha, lo, hi, iters):
         same = member(mid) == up
         lo = np.where(same, mid, lo)
         hi = np.where(same, hi, mid)
-    return 0.5 * (lo + hi)
+    return lo, hi
 
 
-def _parent_scan_measures(f, lam, alpha, X, W, r_cap, scan, tol, n_dim):
+def _reference_crossings(f, lam, alpha, xs, ws, uxs, lo, hi, inside, halvings):
+    """`_bisect_crossings`'s signature on the reference: the midpoint of the
+    final bracket after _REFERENCE_HALVINGS plain halvings."""
+    return 0.5 * np.add(*_parent_bisection(f, xs, ws, uxs, lam, alpha, lo, hi, _REFERENCE_HALVINGS))
+
+
+_REFERENCE_HALVINGS = 40
+
+
+def _parent_scan_measures(f, lam, alpha, X, W, r_cap, scan, n_dim):
     """The scan kernel before ray-level pruning: it skips only x nodes farther
-    than r_cap from the centered support ball and scans every ray of the rest."""
+    than r_cap from the centered support ball and scans every ray of the rest,
+    through `evaluate`; it hands its brackets to the kernel's solve."""
     nx, nw = X.shape[0], W.shape[0]
     r = np.linspace(r_cap / scan, r_cap, scan)
     lam_r = lam * r ** alpha
@@ -621,13 +685,10 @@ def _parent_scan_measures(f, lam, alpha, X, W, r_cap, scan, tol, n_dim):
 
     cell, i = np.nonzero(member[:, 1:] != member[:, :-1])
     up = member[cell, i + 1]
-    iters = max(8, min(60, int(math.ceil(math.log2(max((r_cap / scan) / max(tol, 1e-300), 2.0))))))
-    r_cross = np.empty(0)
-    if cell.size:
-        xi = cell // nw
-        r_cross = _parent_bisect_crossings(
-            f, X.T[:, xi], W.T[:, cell % nw], ux[xi], lam, alpha, r[i], r[i + 1], iters
-        )
+    xi = cell // nw
+    r_cross = LS._bisect_crossings(
+        f, lam, alpha, X.T[:, xi], W.T[:, cell % nw], ux[xi], r[i], r[i + 1], ~up, LS._HALVINGS
+    )
     acc = np.zeros(nx * nw)
     np.subtract.at(acc, cell[up], r_cross[up] ** n_dim)
     np.add.at(acc, cell[~up], r_cross[~up] ** n_dim)
@@ -637,14 +698,15 @@ def _parent_scan_measures(f, lam, alpha, X, W, r_cap, scan, tol, n_dim):
 
 def _assert_kernel_matches_reference(f, lam, alpha, X, W):
     half, r_cap = F.pair_region(f, lam, alpha)
-    got = LS._grid_measures(f, lam, alpha, X, W, r_cap, 40)
-    want, crossings = _parent_scan_measures(f, lam, alpha, X, W, r_cap, 40, 1e-10, f.dim)
+    got = _grid_measures(f, lam, alpha, X, W, r_cap, 40)
+    want, crossings = _parent_scan_measures(f, lam, alpha, X, W, r_cap, 40, f.dim)
     assert got.tobytes() == want.tobytes()
     assert np.any(want) and np.any(crossings)
     # crossing counts of every ray, pruned or not, from the unpruned kernel
     xs, ws = np.repeat(X, len(W), axis=0).T.copy(), np.tile(W, (len(X), 1)).T.copy()
     ux = np.repeat(f.evaluate(X), len(W))
-    assert np.array_equal(LS._scan_rays(f, lam, alpha, xs, ws, ux, r_cap, 40, 1e-10)[1], crossings)
+    assert np.array_equal(LS._scan_rays(f, lam, alpha, xs, ws, ux, r_cap, 40, LS._HALVINGS)[1],
+                          crossings)
 
 
 @pytest.mark.parametrize("name", F.catalogue_names())
@@ -691,9 +753,9 @@ def test_scan_block_size_keeps_every_bit(cat, monkeypatch, name):
     lam, alpha = 0.5 * f.lip_bound, 3.0
     X, W = _polar_rays(f, lam, alpha)
     r_cap = F.pair_region(f, lam, alpha)[1]
-    want = LS._grid_measures(f, lam, alpha, X, W, r_cap, 40)
+    want = _grid_measures(f, lam, alpha, X, W, r_cap, 40)
     monkeypatch.setattr(LS, "_BLOCK_POINTS", 2 ** 7)
-    got = LS._grid_measures(f, lam, alpha, X, W, r_cap, 40)
+    got = _grid_measures(f, lam, alpha, X, W, r_cap, 40)
     assert got.tobytes() == want.tobytes()
     assert np.any(want)
 
@@ -726,7 +788,7 @@ def test_separable_scan_evaluates_each_axis_pair_once(cat, monkeypatch):
         ux = f.evaluate(xs.T)
         for c in calls.values():
             c.clear()
-        LS._scan_rays(f, lam, alpha, xs, ws, ux, r_cap, scan, 1e-10)
+        LS._scan_rays(f, lam, alpha, xs, ws, ux, r_cap, scan, LS._HALVINGS)
         return [calls[id(p)] for p in f.profiles]
 
     # polar-grid rays: per axis at most (distinct (x_i, w_i) pairs) x scan points
@@ -750,19 +812,23 @@ def test_separable_scan_evaluates_each_axis_pair_once(cat, monkeypatch):
 # a sha256 prefix over "outer.hex():crossings;" of every ray, and the rays
 # with two membership runs with their (outer.hex(), crossings).  Recorded with
 # the one-ray path the ray-list kernel replaced (`radial_levelset`: the
-# largest interval end, 0 without runs, at scan 256 and tol 1e-10).
+# largest interval end, 0 without runs, at scan 256 and tol 1e-10), and
+# re-pinned at scan 256 when the crossing solve became 10 halvings and a
+# regula-falsi step: no crossing count changed, every outer end lies within
+# 1.6e-10 r_cap of a 40-halving bisection and each two-run outer end within
+# 3.0e-10 relative (`test_solve_matches_a_tight_bisection_on_the_golden_rays`).
 RAY_GOLDENS = {
-    ("bump1", 0.5): ("00a312c602654492", {30: ("0x1.df96054240000p-1", 3),
-                                          42: ("0x1.d85fa58640000p-1", 3),
-                                          123: ("0x1.c7fedee6c0000p-1", 3)}),
-    ("bumps1_pair", 0.5): ("0d0a28b7395c4e75", {73: ("0x1.b1709eb696ccbp-2", 3),
-                                                156: ("0x1.1af3dfcc839f0p-1", 3)}),
-    ("bumps2_pair", 0.5): ("42f393d26b7d8780", {54: ("0x1.58a8e9a8b72e8p-1", 3),
-                                                181: ("0x1.386ea3487ae34p-1", 3)}),
-    ("plateau2", 0.5): ("36f947a211a3c1c1", {182: ("0x1.e1ef563291afdp-2", 3)}),
-    ("product2", 0.5): ("8f478b9061439800", {46: ("0x1.373f0fd9bdcdep-1", 3),
-                                             182: ("0x1.58d29e5f3f2a0p-1", 3)}),
-    ("bump3", 8.0): ("e53f3d5969638a05", {80: ("0x1.4f86c62d00000p-3", 3)}),
+    ("bump1", 0.5): ("f01dbe65c7517f31", {30: ("0x1.df96054236309p-1", 3),
+                                          42: ("0x1.d85fa584f91f4p-1", 3),
+                                          123: ("0x1.c7fedee533a5ap-1", 3)}),
+    ("bumps1_pair", 0.5): ("317516aa22679d55", {73: ("0x1.b1709eb44826ep-2", 3),
+                                                156: ("0x1.1af3dfcbbfe8ep-1", 3)}),
+    ("bumps2_pair", 0.5): ("1938dcedc019a2fb", {54: ("0x1.58a8e9a86df92p-1", 3),
+                                                181: ("0x1.386ea348a14cep-1", 3)}),
+    ("plateau2", 0.5): ("d360021fa2226014", {182: ("0x1.e1ef5631e7617p-2", 3)}),
+    ("product2", 0.5): ("7e15b7f66ba821c7", {46: ("0x1.373f0fd9dc08ep-1", 3),
+                                             182: ("0x1.58d29e5ecd596p-1", 3)}),
+    ("bump3", 8.0): ("cd60deab33a17d19", {80: ("0x1.4f86c62d5353cp-3", 3)}),
 }
 
 
@@ -783,11 +849,118 @@ def test_scan_rays_outer_and_crossings_goldens(cat, name, lam_factor):
     xs, ws = _golden_rays(f, lam)
     r_cap = LS.truncation_radius(f, lam, alpha)
     _, crossings, outer = LS._scan_rays(f, lam, alpha, xs.T, ws.T, f.evaluate(xs), r_cap,
-                                        256, 1e-10)
+                                        256, LS._HALVINGS)
     digest = hashlib.sha256("".join(f"{o.hex()}:{c};" for o, c in zip(outer, crossings)).encode())
     want, two_runs = RAY_GOLDENS[name, lam_factor]
     assert digest.hexdigest()[:16] == want
     assert {i: (outer[i].hex(), int(crossings[i])) for i in two_runs} == two_runs
+
+
+def _checked_solve(monkeypatch, inside_final):
+    """Wrap `_bisect_crossings`: every crossing it returns, and the reference
+    crossing of its bracket, must lie in the final bracket of _HALVINGS plain
+    halvings; `inside_final` collects the bracket counts checked."""
+    solve = LS._bisect_crossings
+
+    def checked(f, lam, alpha, xs, ws, uxs, lo, hi, inside, halvings):
+        got = solve(f, lam, alpha, xs, ws, uxs, lo, hi, inside, halvings)
+        a, b = _parent_bisection(f, xs, ws, uxs, lam, alpha, lo, hi, halvings)
+        ref = _reference_crossings(f, lam, alpha, xs, ws, uxs, lo, hi, inside, halvings)
+        assert np.all((a <= got) & (got <= b)) and np.all((a <= ref) & (ref <= b))
+        inside_final.append(lo.size)
+        return got
+
+    monkeypatch.setattr(LS, "_bisect_crossings", checked)
+
+
+@pytest.mark.parametrize("name, lam_factor", sorted(RAY_GOLDENS))
+def test_solve_matches_a_tight_bisection_on_the_golden_rays(cat, monkeypatch, name, lam_factor):
+    # each crossing lies in its final bracket, (r_cap / 256) 2^-10 wide, and
+    # within 1e-9 r_cap of a 40-halving bisection; relative to r itself the
+    # crossings nearest 0 (r ~ 0.01 r_cap) move by up to 3e-8.  The two-run
+    # outer ends of RAY_GOLDENS and the rays' summed measure are within 1e-9
+    # relative of the reference.
+    f = cat[name]
+    lam, alpha = lam_factor * f.lip_bound, f.dim + 1.0
+    xs, ws = _golden_rays(f, lam)
+    r_cap = LS.truncation_radius(f, lam, alpha)
+    br = LS._ray_brackets(f, lam, alpha, xs.T, ws.T, f.evaluate(xs), r_cap, 256)
+    checked = []
+    _checked_solve(monkeypatch, checked)
+    got = LS._bisect_crossings(f, lam, alpha, *br[:6], LS._HALVINGS)
+    ref = _reference_crossings(f, lam, alpha, *br[:6], LS._HALVINGS)
+    assert checked == [br.lo.size] and br.lo.size > 20
+    assert np.max(np.abs(got - ref)) <= 1e-9 * r_cap
+    (m_got, _, outer_got), (m_ref, _, outer_ref) = br.runs(got), br.runs(ref)
+    two_runs = sorted(RAY_GOLDENS[name, lam_factor][1])
+    assert outer_got[two_runs] == pytest.approx(outer_ref[two_runs], rel=1e-9, abs=0.0)
+    assert m_got.sum() == pytest.approx(m_ref.sum(), rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("name, lam_factor", sorted(POLAR_GOLDENS))
+def test_solve_matches_a_tight_bisection_on_the_polar_goldens(cat, monkeypatch, name, lam_factor):
+    # the estimate with every crossing from a 40-halving bisection (the
+    # parent's solve, which sat within 6.4e-11 of it) against the solve's
+    # own; each of its crossings lies in its final bracket
+    f = cat[name]
+    with monkeypatch.context() as m:
+        m.setattr(LS, "_bisect_crossings", _reference_crossings)
+        ref = _golden_polar(f, lam_factor)
+    checked = []
+    _checked_solve(monkeypatch, checked)
+    got = _golden_polar(f, lam_factor)
+    assert len(checked) == 1 and checked[0] > 0
+    assert got.value == pytest.approx(ref.value, rel=1e-9, abs=0.0)
+    assert got.value.hex() == POLAR_GOLDENS[name, lam_factor][0]
+
+
+# (x nodes per axis, sphere order, scan) of the dilation check, per dimension
+DILATION_BUDGETS = {1: (64, 4, 64), 2: (16, 8, 32), 3: (8, 4, 16)}
+
+
+def test_polar_estimate_is_dilation_covariant():
+    # u_t(x) = u_1(x / t) gives E_lam(u_t) = t E_{lam t^alpha}(u_1), so
+    # mu_t(lam) = t^{2N} mu_1(lam t^alpha).  The x box, the sphere rule, the
+    # scan row and the solve's halvings all scale with t; pair_region's
+    # min(1, r_cap) does not, so only rows with both r_cap below min(1, t)
+    # are kept.  The bisection to an absolute 1e-10 missed this by 1.6e-7.
+    rows = 0
+    for n in (1, 2, 3):
+        one = F.make_bump([0.0] * n, 1.0)
+        for t in (0.5, 0.7, 1.3, 2.0):
+            f = F.make_bump([0.0] * n, t)
+            for p in (1.0, 2.0):
+                alpha = n / p + 1.0
+                for lam in (2.0 * f.lip_bound, 10.0 * f.lip_bound, 100.0 * f.lip_bound):
+                    lam_1 = lam * t ** alpha
+                    if max(LS.truncation_radius(f, lam, alpha),
+                           LS.truncation_radius(one, lam_1, alpha)) >= min(1.0, t):
+                        continue
+                    mu_t = LS.pair_measure_polar(LS.LevelSetQuery(f, p, alpha, lam),
+                                                 *DILATION_BUDGETS[n]).value
+                    mu_1 = LS.pair_measure_polar(LS.LevelSetQuery(one, p, alpha, lam_1),
+                                                 *DILATION_BUDGETS[n]).value
+                    assert mu_t == pytest.approx(t ** (2 * n) * mu_1, rel=1e-11, abs=0.0)
+                    rows += 1
+    assert rows == 60
+
+
+def test_no_membership_run_ends_beyond_r_cap(cat):
+    # r_cap is a proven bound on the length of a member pair: scanning random
+    # rays of the pair_region box twice as far, no run may end past it
+    for name in F.catalogue_names():
+        f = cat[name]
+        rng = np.random.default_rng(len(name))
+        for lam_factor in (1.05, 1.5, 4.0, 100.0):
+            for p in (1.0, 2.0):
+                lam, alpha = lam_factor * f.lip_bound, f.dim / p + 1.0
+                half, r_cap = F.pair_region(f, lam, alpha)
+                xs = rng.uniform(-half, half, (1000, f.dim))
+                ws = rng.normal(size=(1000, f.dim))
+                ws /= np.linalg.norm(ws, axis=1, keepdims=True)
+                _, _, outer = LS._scan_rays(f, lam, alpha, xs.T, ws.T, f.evaluate(xs), 2.0 * r_cap,
+                                            256, LS._HALVINGS)
+                assert np.any(outer) and np.max(outer) <= r_cap, (name, lam_factor, p)
 
 
 def test_error_pass_is_strictly_coarser_on_small_grids(cat):

@@ -371,11 +371,12 @@ def test_pair_sampler_direction_and_ball_laws(dim):
 
 
 def test_budget_values_must_be_numbers():
-    # every budget is a count: an integer >= 1, or >= 0 for refine
+    # every budget is a count: an integer >= 1, or >= 0 for refine, >= 2 for scan
     (b,) = q.split_budgets(1, {"x_nodes": 64.0}, "polar")
     assert b["x_nodes"] == 64 and isinstance(b["x_nodes"], int)
-    for value in ("many", True, None, 64.5, math.inf, math.nan, 0, -3):
-        with pytest.raises(InvalidParameterError, match="budgets.scan must be an integer >= 1"):
+    # a scan of 1 point brackets no crossing, so scan takes at least 2
+    for value in ("many", True, None, 64.5, math.inf, math.nan, 0, 1, -3):
+        with pytest.raises(InvalidParameterError, match="budgets.scan must be an integer >= 2"):
             q.split_budgets(2, {"scan": value}, "polar")
     assert q.split_budgets(1, {"refine": 0}, "weak") == [{"lambda_points": 32, "refine": 0}]
     with pytest.raises(InvalidParameterError, match="budgets.refine must be an integer >= 0"):
