@@ -1,7 +1,8 @@
 """Reproducible experiment runner.
 
 Exit codes: 0 all verdicts pass, 1 config or execution error, 2 verdict
-failure, 3 inconclusive (unconverged estimates).  For a fixed config and
+failure, 3 inconclusive: an unconverged estimate, or an error interval that
+straddles a tolerance (see `Report.add_verdict`).  For a fixed config and
 seed the CSV and JSON outputs are byte-identical whatever --workers is;
 wall-clock timings go to a sidecar timings.json outside that contract.
 """
@@ -18,7 +19,7 @@ from pathlib import Path
 from .errors import ConsistencyError, InvalidParameterError, PreconditionError
 from .experiments import ConfigError, config_seed, read_experiment, run_experiment
 from .quadrature import ordered_parallel_map
-from .reporting import Report, write_csv
+from .reporting import Report, verdict_state, write_csv
 
 EXIT_PASS = 0
 EXIT_ERROR = 1
@@ -63,8 +64,7 @@ def _finish(report: Report, out: Path, timings, verbose):
     code = report.worst_exit_code()
     if verbose:
         for key, v in sorted(report.verdicts.items()):
-            state = v["pass"] if isinstance(v["pass"], str) else ("pass" if v["pass"] else "FAIL")
-            print(f"{key}: {state} (tolerance {v['tolerance']})")
+            print(f"{key}: {verdict_state(v)} (tolerance {v['tolerance']})")
         print(f"report: {out / 'report.json'}")
     return code
 
@@ -121,17 +121,14 @@ def _cmd_sweep(args):
     for idx, (combo, rep) in enumerate(zip(jobs, reports)):
         worst = max(worst, rep.worst_exit_code())
         for key, v in sorted(rep.verdicts.items()):
-            state = v["pass"] if isinstance(v["pass"], str) else ("pass" if v["pass"] else "fail")
             rows.append((idx, ";".join(f"{k}={c}" for k, c in zip(keys, combo)),
-                         key, state, "" if v["observed"] is None else v["observed"],
-                         v["tolerance"]))
+                         key, verdict_state(v), v["observed"], v["tolerance"]))
     write_csv(out / "sweep.csv",
               ["job", "parameters", "verdict", "state", "observed", "tolerance"], rows)
     agg = Report("sweep", cfg, base_seed)
     agg.results["jobs"] = len(jobs)
     agg.results["exit_codes"] = [r.worst_exit_code() for r in reports]
-    agg.add_verdict("sweep:all", worst == EXIT_PASS, 0, observed=worst,
-                    detail="worst exit code across jobs")
+    agg.add_verdict("sweep:all", worst, EXIT_PASS, "<=", detail="worst exit code across jobs")
     agg.write(out / "report.json")
     (out / "timings.json").write_text(
         json.dumps({"total_s": time.perf_counter() - t0}, sort_keys=True, indent=2) + "\n"

@@ -237,7 +237,7 @@ def _rotation_cap(F):
     return (max(F.sup_norm, 0.0) * 2.0 * F.support_radius) ** (1.0 / (F.dim + 1.0))
 
 
-def rotation_measure(F, line_cells=160, offset_cells=64, sphere_order=24):
+def rotation_measure(F, line_cells, offset_cells, sphere_order=24):
     """Pair measure of the segment-mass superlevel set by line foliation.
 
     For each direction the space splits into parallel lines; on every line

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import corollaries, covering, fields, levelset, maximal, quadrature, seminorms
-from .errors import ConsistencyError, InvalidParameterError
+from .errors import InvalidParameterError
 from .quadrature import RandomStream, ordered_parallel_map
 from .reporting import (
     CONSTANTS_HEADER,
@@ -64,6 +64,19 @@ def _lambda_grid(f, prm):
         f, prm["lambda_points"], prm["lambda_lo_factor"], prm["lambda_hi_factor"])
 
 
+def _sup_error(prof):
+    """lambda^p times the error of the profile's largest lambda^p mu."""
+    i = int(np.argmax(prof.lam_pow_p_mu))
+    return float(prof.lambdas[i] ** prof.p * prof.err[i])
+
+
+def _excess(value, error, bound):
+    """value / bound - 1 and its error; at a zero bound, 0 or (value > 0) inf."""
+    if bound > 0:
+        return value / bound - 1.0, error / bound
+    return math.inf if value > 0 else 0.0, 0.0
+
+
 # ---------------------------------------------------------------------------
 # experiment kinds: runner(rep, prm, out, workers) fills the Report `rep`;
 # `prm` holds every param of the kind's table, filled, and the `budgets`
@@ -73,26 +86,18 @@ def run_constants(rep, prm, out, workers):
     n_values, tol = prm["N_values"], prm["tolerance"]
     rows = []
     worst = 0.0
-    ok = True
     for n in n_values:
         for p in prm["p_values"]:
-            try:
-                sc = quadrature.sphere_abs_moment(p, n, rtol=tol)
-            except ConsistencyError:
-                ok = False
-                sc = quadrature.sphere_abs_moment(p, n, rtol=math.inf)
-            rel = abs(sc.moment_quad - sc.moment) / sc.moment
-            worst = max(worst, rel)
+            sc = quadrature.sphere_abs_moment(p, n, rtol=math.inf)
+            worst = max(worst, abs(sc.moment_quad - sc.moment) / sc.moment)
             rows.append((n, p, sc.moment, sc.moment_quad, sc.sigma))
     write_csv(out / "constants.csv", CONSTANTS_HEADER, rows)
     rep.results["worst_relative_error"] = worst
     rep.constants["lower_bound_c"] = {
         str(n): quadrature.lower_bound_constant(n) for n in n_values
     }
-    rep.add_verdict(
-        "constants:closed_vs_quad", ok and worst <= tol, tol, observed=worst,
-        detail="closed form vs sphere quadrature, relative",
-    )
+    rep.add_verdict("constants:closed_vs_quad", worst, tol, "<=",
+                    detail="closed form vs sphere quadrature, relative")
 
 
 def run_limit(rep, prm, out, workers):
@@ -100,7 +105,7 @@ def run_limit(rep, prm, out, workers):
     alpha = f.dim / p + 1.0
     grid = _lambda_grid(f, prm)
     prof = levelset.distribution_profile(f, p, alpha, grid, budgets=prm["budgets"], workers=workers)
-    lim = levelset.tail_limit(prof, prm["window"], tol=prm["flatness_tol"])
+    lim = levelset.tail_limit(prof, prm["window"], prm["flatness_tol"])
     moment = quadrature.sphere_abs_moment(p, f.dim).moment
     grad = fields.gradient_lp_norm(f, p).value
     target = moment / f.dim * grad
@@ -109,12 +114,10 @@ def run_limit(rep, prm, out, workers):
     rep.results["flatness"] = lim.flatness
     rep.results["target"] = target
     rep.results["monotonicity_flags"] = prof.monotonicity_flags
-    rel = abs(lim.plateau - target) / target if target > 0 else 0.0
-    passed = rel <= tol if lim.converged else "inconclusive"
-    rep.add_verdict(
-        "thm1.2:limit", passed, tol, observed=lim.plateau, target=target,
-        detail=f"relative deviation {rel:.4g}, plateau flatness {lim.flatness:.4g}",
-    )
+    window = prof.lambdas[-lim.window:] ** p * prof.err[-lim.window:]     # the plateau's terms' errors
+    rep.add_verdict("thm1.2:limit", lim.plateau, tol, "band", target=target,
+                    error=float(np.mean(window)) if lim.converged else math.inf,
+                    detail=f"plateau flatness {lim.flatness:.4g}")
 
 
 def run_quasinorm(rep, prm, out, workers):
@@ -128,32 +131,25 @@ def run_quasinorm(rep, prm, out, workers):
     moment = quadrature.sphere_abs_moment(p, f.dim).moment
     write_csv(out / "profile.csv", PROFILE_HEADER, prof.rows())
 
-    lower_tol = prm["lower_tolerance"]
-    lower_target = (1.0 - lower_tol) * moment / f.dim * grad
+    target = moment / f.dim * grad
     c_emp = sup_val / grad if grad > 0 else 0.0
     rep.results["sup_lambda_p_mu"] = sup_val
     rep.results["sup_flagged"] = flagged
     rep.results["gradient_lp"] = grad
     rep.results["c_emp"] = c_emp
     rep.constants["c_emp"] = {"N": f.dim, "p": p, "value": c_emp}
-    rep.add_verdict(
-        "thm1.1:lower",
-        "inconclusive" if flagged else sup_val >= lower_target, lower_tol,
-        observed=sup_val, target=moment / f.dim * grad,
-        detail="sup lambda^p mu >= (1-tol) * moment/N * grad_lp",
-    )
+    excess, excess_err = _excess(sup_val, math.inf if flagged else _sup_error(prof), target)
+    rep.add_verdict("thm1.1:lower", -excess, prm["lower_tolerance"], "<=", target=target,
+                    error=excess_err, detail="1 - sup lambda^p mu / target, target = moment/N * grad_lp")
 
-    stability_tol = prm["stability_tolerance"]
     ref_budgets = budgets | {"x_nodes": 2 * budgets["x_nodes"], "scan": 2 * budgets["scan"]}
     prof2 = levelset.distribution_profile(f, p, alpha, grid, budgets=ref_budgets, workers=workers)
     sup2 = levelset.weak_quasinorm(prof2, refine=refine)
     c2 = sup2 / grad if grad > 0 else 0.0
     drift = abs(c2 / c_emp - 1.0) if c_emp > 0 else 0.0
     rep.results["c_emp_refined"] = c2
-    rep.add_verdict(
-        "thm1.1:upper_stable", drift <= stability_tol, stability_tol, observed=drift,
-        detail="empirical upper ratio drift under one full refinement",
-    )
+    rep.add_verdict("thm1.1:upper_stable", drift, prm["stability_tolerance"], "<=",
+                    detail="empirical upper ratio drift under one full refinement")
 
     if prm["sandwich"]:
         stream = RandomStream(rep.seed, 1)
@@ -164,17 +160,16 @@ def run_quasinorm(rep, prm, out, workers):
         ]
         total_bad = sum(r["violations_upper"] + r["violations_lower"] for r in recs)
         rep.results["sandwich"] = recs
-        rep.add_verdict("sec3:sandwich", total_bad == 0, 0, observed=total_bad,
-                        detail="ray containment violations")
+        rep.add_verdict("sec3:sandwich", total_bad, 0, "<=", detail="ray containment violations")
     if prm["holder"]:
         stream = RandomStream(rep.seed, 2)
         rec = covering.holder_containment_check(
             f, p, prm["holder.lambda_factor"] * f.lip_bound, prm["holder.samples"], stream,
         )
         rep.results["holder"] = rec
-        rep.add_verdict("sec2:holder", rec["violations"] == 0, covering.HOLDER_TOL,
-                        observed=rec["violations"],
-                        detail=f"members {rec['members']}, segment-mass tolerance relative")
+        shortfall = 1.0 - rec["worst_margin"] if rec["members"] else -math.inf
+        rep.add_verdict("sec2:holder", shortfall, covering.HOLDER_TOL, "<=",
+                        detail=f"largest relative shortfall of the segment mass, {rec['members']} members")
 
 
 def run_gagliardo(rep, prm, out, workers):
@@ -183,19 +178,15 @@ def run_gagliardo(rep, prm, out, workers):
     rep.results["value"] = res.value
     rep.results["error_estimate"] = res.error_estimate
     rep.results["nodes_used"] = res.nodes_used
-    rep.add_verdict(
-        "gagliardo:stable", bool(res.converged), 1e-3,
-        observed=res.error_estimate / max(abs(res.value), 1e-300),
-        detail="refinement delta relative to value",
-    )
+    rep.add_verdict("gagliardo:stable", res.error_estimate / max(abs(res.value), 1e-300), 1e-3, "<=",
+                    detail="refinement delta relative to value")
 
 
 def run_covering(rep, prm, out, workers):
     trials = prm["trials"]
     rng = np.random.default_rng(rep.seed)
-    disjoint_ok = True
-    cover_bad = 0
-    energy_ok = True
+    overlaps = cover_bad = 0
+    excess = -math.inf
     rows = []
     last_dump = None
     for t in range(trials):
@@ -207,13 +198,12 @@ def run_covering(rep, prm, out, workers):
             cov = covering.vitali_select(fam)
             order = np.argsort(cov.starts)
             s_, e_ = cov.starts[order], cov.ends[order]
-            if np.any(s_[1:] <= e_[:-1]):
-                disjoint_ok = False
+            overlaps += int(np.count_nonzero(s_[1:] <= e_[:-1]))
             ver = covering.verify_5j_cover(cov)
             cover_bad += ver["violations"]
             en = covering.weighted_energy(cov)
-            if not (en["holds_selected"] and en["holds_mass"]):
-                energy_ok = False
+            mid, outer = en["bound_selected"], en["bound_mass"]
+            excess = max(excess, max(en["energy"] - mid, mid - outer) / max(outer, 1.0))
             rows.append((t, gamma, len(fam), len(cov), ver["pairs"], ver["violations"],
                          en["energy"], en["bound_mass"]))
             last_dump = (f, fam, cov)
@@ -228,21 +218,19 @@ def run_covering(rep, prm, out, workers):
                 for a, b in zip(fam.starts, fam.ends)]
         write_csv(out / "cover.csv", COVER_HEADER, dump)
     rep.results["trials"] = trials
-    rep.add_verdict("prop2.1:disjoint", disjoint_ok, 0, observed=int(not disjoint_ok),
-                    detail="exact pairwise disjointness of the greedy selection")
-    rep.add_verdict("prop2.1:cover5J", cover_bad == 0, 0, observed=cover_bad,
+    rep.add_verdict("prop2.1:disjoint", overlaps, 0, "<=",
+                    detail="overlapping neighbours in the greedy selections")
+    rep.add_verdict("prop2.1:cover5J", cover_bad, 0, "<=",
                     detail="member pairs outside every selected 5J x 5J")
-    rep.add_verdict("prop2.1:energy", energy_ok, 1e-9, observed=int(not energy_ok),
-                    detail="energy <= factor * sum |J|^(gamma+1) <= factor * mass")
+    rep.add_verdict("prop2.1:energy", excess, 1e-9, "<=", detail="largest excess in energy <= "
+                    "factor * sum |J|^(gamma+1) <= factor * mass, over max(factor * mass, 1)")
 
 
 def run_rotation(rep, prm, out, workers):
     n_mc, cells, drift_tol = prm["mc_samples"], prm["line_cells"], prm["stability_tolerance"]
     names, flds = zip(*prm["fields"])
     rows = []
-    agree_ok = True
-    bound_ok = True
-    drift_ok = True
+    excess = []         # (measure / certified multiple of ||F||_1 - 1, its error) per field
 
     def one(item):
         idx, f = item
@@ -252,21 +240,21 @@ def run_rotation(rep, prm, out, workers):
     for name, (rec, mc) in zip(names, ordered_parallel_map(one, list(enumerate(flds)), workers)):
         sig = math.hypot(rec["measure"].error_estimate, mc.error_estimate)
         z = abs(rec["measure"].value - mc.value) / max(sig, 1e-300)
-        agree_ok &= z <= 3.0
-        bound_ok &= rec["holds"]
-        drift_ok &= rec["c_emp_drift"] <= drift_tol
+        excess.append(_excess(rec["measure"].value, rec["measure"].error_estimate,
+                              rec["bound_factor"] * rec["mass"]))
         rows.append((name, rec["measure"].value, rec["measure"].error_estimate,
                      mc.value, mc.error_estimate, z, rec["c_emp"], rec["c_emp_drift"]))
     write_csv(out / "rotation.csv",
               ["field", "foliation", "foliation_err", "mc", "mc_err", "z", "c_emp",
                "c_emp_drift"], rows)
     rep.results["rows"] = [list(r) for r in rows]
-    rep.add_verdict("prop2.2:agreement", agree_ok, 3.0,
-                    observed=max(r[5] for r in rows), detail="combined standard errors")
-    rep.add_verdict("prop2.2:mass_bound", bound_ok, 1e-9,
-                    detail="measure <= certified multiple of ||F||_1")
-    rep.add_verdict("prop2.2:cemp_stable", drift_ok, drift_tol,
-                    observed=max(r[7] for r in rows), detail="c_emp refinement drift")
+    rep.add_verdict("prop2.2:agreement", max(r[5] for r in rows), 3.0, "<=",
+                    detail="combined standard errors")
+    worst, worst_err = max(excess)
+    rep.add_verdict("prop2.2:mass_bound", worst, 1e-9, "<=", error=worst_err,
+                    detail="largest relative excess of the measure over its certified multiple of ||F||_1")
+    rep.add_verdict("prop2.2:cemp_stable", max(r[7] for r in rows), drift_tol, "<=",
+                    detail="c_emp refinement drift")
 
 
 def run_maximal(rep, prm, out, workers):
@@ -285,14 +273,13 @@ def run_maximal(rep, prm, out, workers):
     write_csv(out / "route_profile.csv", PROFILE_HEADER, rec["profile"].rows())
     header = ["x", "value"] if f.dim == 1 else ["x", "y", "value"]
     write_csv(out / "maximal_grid.csv", header, maximal.grid_rows(rec["maximal"]))
-    rep.add_verdict("rmk2.3:domination", rec["dominates"], 1e-9,
-                    observed=rec["direct_max"], target=rec["bound"],
-                    detail="constant maximal-route bound vs direct lambda^p mu")
-    ratio = ref["c_emp"] / rec["c_emp"] if rec["c_emp"] > 0 else 1.0
-    rep.add_verdict("rmk2.3:cemp_stable", 0.5 <= ratio <= 2.0, 2.0, observed=ratio,
-                    detail="c_emp across one grid refinement")
+    excess, excess_err = _excess(rec["direct_max"], _sup_error(rec["profile"]), rec["bound"])
+    rep.add_verdict("rmk2.3:domination", excess, 1e-9, "<=", target=rec["bound"], error=excess_err,
+                    detail="direct max lambda^p mu / target - 1, target the maximal-route bound")
+    rep.add_verdict("rmk2.3:cemp_stable", _factor(ref["c_emp"], rec["c_emp"]), 2.0, "<=",
+                    detail="factor between c_emp across one grid refinement")
     scale_dev = abs(scaled["c_emp"] / ref["c_emp"] - 1.0) if ref["c_emp"] > 0 else 0.0
-    rep.add_verdict("rmk2.3:cemp_scaling", scale_dev <= 1e-2, 1e-2, observed=scale_dev,
+    rep.add_verdict("rmk2.3:cemp_scaling", scale_dev, 1e-2, "<=",
                     detail="amplitude invariance of c_emp")
 
 
@@ -316,13 +303,18 @@ _STATEMENTS = {
 }
 
 
-def _median_bounded(ratios, factor):
-    """The ratios' median, and whether every ratio is finite and within
-    `factor` of it; a zero median passes only when every ratio is 0."""
+def _factor(a, b):
+    """max(a/b, b/a) for finite a and b of one sign; 1 when both are 0, else inf."""
+    if a == b == 0.0:
+        return 1.0
+    same_sign = math.isfinite(a) and math.isfinite(b) and (min(a, b) > 0 or max(a, b) < 0)
+    return max(a / b, b / a) if same_sign else math.inf
+
+
+def _median_spread(ratios):
+    """The ratios' median, and the largest factor between a ratio and it."""
     med = float(np.median(ratios))
-    if med == 0.0:
-        return med, all(r == 0.0 for r in ratios)
-    return med, all(math.isfinite(r) and med / factor <= r <= med * factor for r in ratios)
+    return med, max(_factor(r, med) for r in ratios)
 
 
 def run_corollary(rep, prm, out, workers):
@@ -339,10 +331,8 @@ def run_corollary(rep, prm, out, workers):
 
     reports = ordered_parallel_map(one, flds, workers)
     ratios = [r.ratio for r in reports]
-    spread_tol = prm["spread_factor"]
-    med, bounded = _median_bounded(ratios, spread_tol)
+    med, spread = _median_spread(ratios)
 
-    homo_tol = 1e-2
     r1 = reports[0]
     r3 = check(fields.scale_field(flds[0], 3.0), prm, budgets)
     homo_dev = max(
@@ -350,18 +340,18 @@ def run_corollary(rep, prm, out, workers):
         abs(r3.rhs / (3.0 * r1.rhs) - 1.0) if r1.rhs > 0 else 0.0,
     )
 
+    rep.results["ratios"] = ratios
+    rep.results["median_ratio"] = med
+    rep.add_verdict(f"{tag}:bounded", spread, prm["spread_factor"], "<=", target=med,
+                    detail="largest factor between a ratio and their median")
+    word = "bounded" if rep.verdicts[f"{tag}:bounded"]["pass"] is True else "spread"
     rows = [
-        (r.field_label.replace(",", ";"), str(r.params).replace(",", ";"), r.lhs, r.rhs, r.ratio,
-         "bounded" if bounded else "spread")
+        (r.field_label.replace(",", ";"), str(r.params).replace(",", ";"), r.lhs, r.rhs, r.ratio, word)
         for r in reports
     ]
     write_csv(out / "corollary.csv", COROLLARY_HEADER, rows)
-    rep.results["ratios"] = ratios
-    rep.results["median_ratio"] = med
-    rep.add_verdict(f"{tag}:bounded", bounded, spread_tol, observed=max(ratios),
-                    target=med, detail="ratios within a fixed factor of their median")
-    rep.add_verdict(f"{tag}:homogeneity", homo_dev <= homo_tol, homo_tol,
-                    observed=homo_dev, detail="both sides 1-homogeneous at c in {1, 3}")
+    rep.add_verdict(f"{tag}:homogeneity", homo_dev, 1e-2, "<=",
+                    detail="both sides 1-homogeneous at c in {1, 3}")
 
 
 def run_failure(rep, prm, out, workers):
@@ -372,38 +362,33 @@ def run_failure(rep, prm, out, workers):
     write_csv(out / "failure_ladder.csv", LADDER_HEADER,
               list(zip(probe["eps"], probe["values"])))
     rep.results.update(probe)
-    drift_tol = prm["increment_tolerance"]
-    rep.add_verdict(
-        "eq4.3:divergence",
-        probe["increments_positive"] and probe["increment_drift"] <= drift_tol,
-        drift_tol, observed=probe["increment_drift"],
-        detail="positive increments, near-constant across the last rungs",
-    )
-    weak = probe["weak_ratios"]
-    med, ok = _median_bounded(weak, 3.0)
-    rep.add_verdict("cor1.4:bounded", ok, 3.0, observed=max(weak), target=med,
-                    detail="weak counterpart ratios on the same ladder")
+    drift = probe["increment_drift"] if probe["increments_positive"] else math.inf
+    rep.add_verdict("eq4.3:divergence", drift, prm["increment_tolerance"], "<=",
+                    detail="drift of the last increment, inf unless every increment is positive")
+    med, spread = _median_spread(probe["weak_ratios"])
+    rep.add_verdict("cor1.4:bounded", spread, 3.0, "<=", target=med,
+                    detail="largest factor between a weak counterpart ratio and their median")
 
 
 def run_crosscheck(rep, prm, out, workers):
     f, p, tol, budgets = prm["field"], prm["p"], prm["tolerance"], prm["budgets"]
-    fac = seminorms.seminorm_limit_factor(f, p, prm["s_ladder"], tol=tol, **budgets)
-    probe = seminorms.diagonal_divergence_probe(f, p, prm["delta_ladder"], tol=tol, **budgets)
+    fac = seminorms.seminorm_limit_factor(f, p, prm["s_ladder"], **budgets)
+    probe = seminorms.diagonal_divergence_probe(f, p, prm["delta_ladder"], **budgets)
     write_csv(out / "limit_factor_ladder.csv", LADDER_HEADER,
               list(zip(fac["s_values"], fac["factors"])))
     write_csv(out / "divergence_ladder.csv", LADDER_HEADER,
               list(zip(probe["deltas"], probe["values"])))
     rep.results["limit_factor"] = fac
     rep.results["divergence"] = probe
-    rep.add_verdict("limit_factor:multiple", fac["passed"], tol,
-                    observed=fac["plateau"], target=fac["conjectured"],
-                    detail="(1-s) seminorm plateau vs conjectured multiple")
-    rep.add_verdict("s1:divergence_slope", probe["passed"], tol,
-                    observed=probe["slope"], target=probe["target"],
+    rep.add_verdict("limit_factor:multiple", fac["plateau"], tol, "band", target=fac["conjectured"],
+                    error=fac["plateau_error"], detail="(1-s) seminorm plateau vs conjectured multiple")
+    rep.add_verdict("s1:divergence_slope", probe["slope"], tol, "band", target=probe["target"],
+                    error=probe["slope_error"],
                     detail="truncated-integral slope vs moment * gradient mass")
     consistency = probe["slope"] / (p * fac["plateau"]) if fac["plateau"] > 0 else math.inf
-    rep.add_verdict("limit_factor:probe_consistency", abs(consistency - 1.0) <= tol, tol,
-                    observed=consistency,
+    rel_err = probe["slope_error"] / max(abs(probe["slope"]), 1e-300) + fac["plateau_error"] / fac["plateau"]
+    rep.add_verdict("limit_factor:probe_consistency", consistency, tol, "band", target=1.0,
+                    error=abs(consistency) * rel_err if fac["plateau"] > 0 else 0.0,
                     detail="slope vs p * plateau, mutually independent estimates")
 
 

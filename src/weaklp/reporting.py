@@ -7,6 +7,7 @@ timings go to a separate sidecar file excluded from the determinism contract.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +16,7 @@ from . import __version__
 from .errors import InvalidParameterError
 
 SCHEMA_VERSION = 1
+COMPARES = ("<=", ">=", "band")
 
 
 def _plain(obj):
@@ -45,26 +47,37 @@ class Report:
     constants: dict = field(default_factory=dict)
     verdicts: dict = field(default_factory=dict)
 
-    def add_verdict(self, key, passed, tolerance, observed=None, target=None, detail=""):
-        """Every verdict cites its tolerance; `passed` may be 'inconclusive'."""
-        if tolerance is None:
-            raise InvalidParameterError(f"verdict {key} needs a tolerance")
+    def add_verdict(self, key, observed, tolerance, compare, target=None, error=0.0, detail=""):
+        """Decide and record the verdict `key` on the interval observed +- error.
+
+        `compare` is "<=" (observed <= tolerance), ">=" (observed >= tolerance)
+        or "band" (|observed - target| <= tolerance * |target|).  The verdict
+        passes when all of the interval meets it, fails when none of it does
+        or observed is NaN, and is inconclusive otherwise, as for an
+        unconverged estimate, whose error is inf.
+        """
+        if tolerance is None or compare not in COMPARES or (compare == "band" and target is None):
+            raise InvalidParameterError(f"verdict {key} needs a tolerance, a compare in {COMPARES} and, "
+                                        f"for a band, a target; got {tolerance!r}, {compare!r}, {target!r}")
+        tol, ref = float(tolerance), float(target) if compare == "band" else 0.0
+        a, b = {"<=": (-math.inf, tol), ">=": (tol, math.inf),
+                "band": (ref - tol * abs(ref), ref + tol * abs(ref))}[compare]
+        x, e = float(observed), float(error)
+        state = (True if a <= x - e and x + e <= b else
+                 False if math.isnan(x) or x + e < a or x - e > b else "inconclusive")
         self.verdicts[key] = {
-            "pass": passed if isinstance(passed, str) else bool(passed),
+            "pass": state,
             "tolerance": tolerance,
             "observed": observed,
+            "error": error,
             "target": target,
             "detail": detail,
         }
 
     def worst_exit_code(self):
         """A definite failure outranks an inconclusive verdict."""
-        states = [v["pass"] for v in self.verdicts.values()]
-        if any(s is False for s in states):
-            return 2
-        if any(s == "inconclusive" for s in states):
-            return 3
-        return 0
+        states = {verdict_state(v) for v in self.verdicts.values()}
+        return 2 if "fail" in states else 3 if "inconclusive" in states else 0
 
     def to_json(self):
         doc = {
@@ -81,6 +94,11 @@ class Report:
 
     def write(self, path):
         path.write_text(self.to_json())
+
+
+def verdict_state(verdict):
+    """'pass', 'fail' or 'inconclusive': the word for a verdict's `pass` value."""
+    return {True: "pass", False: "fail"}.get(verdict["pass"], "inconclusive")
 
 
 def format_cell(v):

@@ -196,7 +196,7 @@ def test_a07_divergence_probes():
     f = F.catalogue()["bump1"]
     slope_devs = []
     for p in (1.0, 2.0):
-        rec = S.diagonal_divergence_probe(f, p, [1e-2, 1e-3, 1e-4, 1e-5], tol=0.10)
+        rec = S.diagonal_divergence_probe(f, p, [1e-2, 1e-3, 1e-4, 1e-5])
         slope_devs.append(abs(rec["target_ratio"] - 1.0))
     probe = Co.strong_norm_divergence_probe(2.0, [0.2, 0.1, 0.05, 0.025], weak_p=1.5)
     weak = probe["weak_ratios"]
@@ -217,7 +217,7 @@ def test_a08_limit_factor_crosscheck():
     devs = []
     cons = []
     for p in (1.0, 2.0):
-        fac = S.seminorm_limit_factor(f, p, [0.5, 0.75, 0.875, 0.9375, 0.96875], tol=0.10)
+        fac = S.seminorm_limit_factor(f, p, [0.5, 0.75, 0.875, 0.9375, 0.96875])
         devs.append(abs(fac["plateau_ratio"] - 1.0))
         probe = S.diagonal_divergence_probe(f, p, [1e-2, 1e-3, 1e-4, 1e-5])
         cons.append(abs(probe["slope"] / (p * fac["plateau"]) - 1.0))

@@ -6,8 +6,9 @@ import pytest
 
 from weaklp.cli import main
 from weaklp.errors import InvalidParameterError
-from weaklp.experiments import _STATEMENTS, EXPERIMENTS, _median_bounded, REQUIRED, read_experiment, run_experiment
+from weaklp.experiments import _STATEMENTS, EXPERIMENTS, _median_spread, REQUIRED, read_experiment, run_experiment
 from weaklp.quadrature import BUDGETS
+from weaklp.reporting import Report
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -329,6 +330,23 @@ def test_inconclusive_exit_code(tmp_path):
     assert report["verdicts"]["thm1.2:limit"]["pass"] == "inconclusive"
 
 
+@pytest.mark.parametrize("cfg, key, param, values, words", [
+    (BASE_LIMIT, "thm1.2:limit", "flatness_tol", [0.03, 1e-12], ["pass", "inconclusive"]),
+    ({"experiment": "constants", "seed": 1}, "constants:closed_vs_quad", "tolerance", [1e-6, 1e-12],
+     ["pass", "fail"]),
+])
+def test_sweep_csv_and_verbose_name_the_states_alike(tmp_path, capsys, cfg, key, param, values, words):
+    # --verbose printed FAIL where sweep.csv wrote fail
+    out = tmp_path / "s"
+    main(["sweep", "--config", str(write_cfg(tmp_path, dict(cfg, sweep={f"params.{param}": values}))),
+          "--out", str(out)])
+    assert [line.split(",")[3] for line in (out / "sweep.csv").read_text().splitlines()[1:]] == words
+    for value, word in zip(values, words):
+        path = write_cfg(tmp_path, dict(cfg, params=dict(cfg.get("params", {}), **{param: value})))
+        main(["run", "--config", str(path), "--out", str(tmp_path / "o"), "--verbose"])
+        assert f"{key}: {word} (tolerance " in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("cfg", [
     {"experiment": "gagliardo",
      "field": {"kind": "bump", "center": [0.0], "radius": 1.0},
@@ -361,6 +379,7 @@ def test_remaining_experiment_kinds_pass(tmp_path, cfg):
     assert report["verdicts"]
     for v in report["verdicts"].values():
         assert v["tolerance"] is not None
+        assert v["observed"] is not None and "error" in v
 
 
 @pytest.mark.parametrize("cfg, key", [
@@ -704,5 +723,7 @@ def test_readme_lists_the_budget_table():
     ([0.5, 2.0, 6.5], False),
 ])
 def test_median_bounded_verdict(ratios, ok):
-    med, bounded = _median_bounded(ratios, 3.0)
-    assert med == float(sorted(ratios)[1]) and bounded is ok
+    med, spread = _median_spread(ratios)
+    rep = Report("corollary", {}, 1)
+    rep.add_verdict("cor1.4:bounded", spread, 3.0, "<=", target=med)
+    assert med == float(sorted(ratios)[1]) and rep.verdicts["cor1.4:bounded"]["pass"] is ok
