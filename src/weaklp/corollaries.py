@@ -113,13 +113,15 @@ def check_weak_sup_interpolation(field, p, budgets=None):
     return CorollaryReport(lhs, rhs, field.label, {"p": p, "alpha": (n + 1.0) / p})
 
 
-def check_weak_seminorm_interpolation(field, params: GNParams, budgets=None):
-    """Weak quasinorm at exponent N/p + s against seminorm^theta ||grad u||_1^(1-theta).
+def check_weak_seminorm_interpolation(field, theta, p1, s1, budgets=None):
+    """Weak quasinorm at exponent N/p + s against seminorm^theta ||grad u||_1^(1-theta),
+    at the (s, p) that `GNParams(theta, p1, s1)` derives.
 
     Only the s1 p1 >= 1 regime belongs here; below it the strong inequality
     holds and `check_strong_interpolation` applies.
     """
-    if params.s1 * params.p1 < 1.0:
+    params = GNParams(theta, p1, s1)
+    if s1 * p1 < 1.0:
         raise InvalidParameterError(
             "s1 p1 < 1 is the strong regime; use check_strong_interpolation"
         )
@@ -130,12 +132,9 @@ def check_weak_seminorm_interpolation(field, params: GNParams, budgets=None):
             "quotient exponent N/p + s must exceed 1 for the radial truncation"
         )
     lhs = _weak_lhs(field, p, n / p + s, budgets)
-    semi = gagliardo(SeminormQuery(field, params.s1, params.p1)).value ** (1.0 / params.p1)
-    rhs = semi ** params.theta * gradient_lp_norm(field, 1.0).value ** (1.0 - params.theta)
-    return CorollaryReport(
-        lhs, rhs, field.label,
-        {"theta": params.theta, "p1": params.p1, "s1": params.s1, "s": s, "p": p},
-    )
+    semi = gagliardo(SeminormQuery(field, s1, p1)).value ** (1.0 / p1)
+    rhs = semi ** theta * gradient_lp_norm(field, 1.0).value ** (1.0 - theta)
+    return CorollaryReport(lhs, rhs, field.label, {"theta": theta, "p1": p1, "s1": s1, "s": s, "p": p})
 
 
 def check_strong_interpolation(field, theta, p1, budgets=None):

@@ -93,9 +93,7 @@ def run_constants(rep, prm, out, workers):
             rows.append((n, p, sc.moment, sc.moment_quad, sc.sigma))
     write_csv(out / "constants.csv", CONSTANTS_HEADER, rows)
     rep.results["worst_relative_error"] = worst
-    rep.constants["lower_bound_c"] = {
-        str(n): quadrature.lower_bound_constant(n) for n in n_values
-    }
+    rep.results["lower_bound_c"] = {str(n): quadrature.lower_bound_constant(n) for n in n_values}
     rep.add_verdict("constants:closed_vs_quad", worst, tol, "<=",
                     detail="closed form vs sphere quadrature, relative")
 
@@ -120,6 +118,9 @@ def run_limit(rep, prm, out, workers):
                     detail=f"plateau flatness {lim.flatness:.4g}")
 
 
+HOLDER_TOL = 1e-6      # relative slack of sec2:holder's segment condition
+
+
 def run_quasinorm(rep, prm, out, workers):
     f, p, refine = prm["field"], prm["p"], prm["refine"]
     (budgets,) = quadrature.split_budgets(f.dim, prm["budgets"], "polar")
@@ -137,7 +138,6 @@ def run_quasinorm(rep, prm, out, workers):
     rep.results["sup_flagged"] = flagged
     rep.results["gradient_lp"] = grad
     rep.results["c_emp"] = c_emp
-    rep.constants["c_emp"] = {"N": f.dim, "p": p, "value": c_emp}
     excess, excess_err = _excess(sup_val, math.inf if flagged else _sup_error(prof), target)
     rep.add_verdict("thm1.1:lower", -excess, prm["lower_tolerance"], "<=", target=target,
                     error=excess_err, detail="1 - sup lambda^p mu / target, target = moment/N * grad_lp")
@@ -168,7 +168,7 @@ def run_quasinorm(rep, prm, out, workers):
         )
         rep.results["holder"] = rec
         shortfall = 1.0 - rec["worst_margin"] if rec["members"] else -math.inf
-        rep.add_verdict("sec2:holder", shortfall, covering.HOLDER_TOL, "<=",
+        rep.add_verdict("sec2:holder", shortfall, HOLDER_TOL, "<=",
                         detail=f"largest relative shortfall of the segment mass, {rec['members']} members")
 
 
@@ -269,7 +269,6 @@ def run_maximal(rep, prm, out, workers):
     rep.results["direct_max"] = rec["direct_max"]
     rep.results["c_emp"] = rec["c_emp"]
     rep.results["c_emp_refined"] = ref["c_emp"]
-    rep.constants["lusin_c_emp"] = {"N": f.dim, "value": rec["c_emp"]}
     write_csv(out / "route_profile.csv", PROFILE_HEADER, rec["profile"].rows())
     header = ["x", "value"] if f.dim == 1 else ["x", "y", "value"]
     write_csv(out / "maximal_grid.csv", header, maximal.grid_rows(rec["maximal"]))
@@ -284,22 +283,17 @@ def run_maximal(rep, prm, out, workers):
 
 
 # statement -> (verdict tag, the quadrature.BUDGETS entries its check runs, the
-# statement's own params, check(field, prm, budgets)); weak-seminorm's
-# seminorm runs at the gagliardo defaults
+# statement's own params, check(field, **own params, budgets=...));
+# weak-seminorm's seminorm runs at the gagliardo defaults
 _WEAK, _STRONG = ("weak", "polar"), ("gagliardo",)
 _STATEMENTS = {
-    "weak-1d": ("cor1.4", _WEAK, {"p": (NUM, 1.5)},
-                lambda f, prm, b: corollaries.check_weak_gradient_1d(f, prm["p"], budgets=b)),
-    "weak-sup": ("cor1.5", _WEAK, {"p": (NUM, 1.5)},
-                 lambda f, prm, b: corollaries.check_weak_sup_interpolation(f, prm["p"], budgets=b)),
+    "weak-1d": ("cor1.4", _WEAK, {"p": (NUM, 1.5)}, corollaries.check_weak_gradient_1d),
+    "weak-sup": ("cor1.5", _WEAK, {"p": (NUM, 1.5)}, corollaries.check_weak_sup_interpolation),
     "weak-seminorm": ("cor1.6", _WEAK, {"theta": (NUM, 0.5), "p1": (NUM, 2.0), "s1": (NUM, 0.5)},
-                      lambda f, prm, b: corollaries.check_weak_seminorm_interpolation(
-                          f, corollaries.GNParams(prm["theta"], prm["p1"], prm["s1"]), budgets=b)),
+                      corollaries.check_weak_seminorm_interpolation),
     "strong-interp": ("gn", _STRONG, {"theta": (NUM, 0.5), "p1": (NUM, 2.0)},
-                      lambda f, prm, b: corollaries.check_strong_interpolation(
-                          f, prm["theta"], prm["p1"], budgets=b)),
-    "embedding": ("sobolev", _STRONG, {"s": (NUM, 0.5)},
-                  lambda f, prm, b: corollaries.check_strong_embedding(f, prm["s"], budgets=b)),
+                      corollaries.check_strong_interpolation),
+    "embedding": ("sobolev", _STRONG, {"s": (NUM, 0.5)}, corollaries.check_strong_embedding),
 }
 
 
@@ -318,23 +312,20 @@ def _median_spread(ratios):
 
 
 def run_corollary(rep, prm, out, workers):
-    tag, _, _, check = _STATEMENTS[prm["statement"]]
-    budgets = prm["budgets"]
+    tag, _, own, check = _STATEMENTS[prm["statement"]]
+    kwargs = {key: prm[key] for key in own} | {"budgets": prm["budgets"]}
     if prm["fields"] is None:
         box = [[0.0, 1.0]] * prm["dim"]
         flds = [fields.make_mollified_indicator(box, e) for e in prm["eps_ladder"]]
     else:
         flds = [f for _, f in prm["fields"]]
 
-    def one(f):
-        return check(f, prm, budgets)
-
-    reports = ordered_parallel_map(one, flds, workers)
+    reports = ordered_parallel_map(lambda f: check(f, **kwargs), flds, workers)
     ratios = [r.ratio for r in reports]
     med, spread = _median_spread(ratios)
 
     r1 = reports[0]
-    r3 = check(fields.scale_field(flds[0], 3.0), prm, budgets)
+    r3 = check(fields.scale_field(flds[0], 3.0), **kwargs)
     homo_dev = max(
         abs(r3.lhs / (3.0 * r1.lhs) - 1.0) if r1.lhs > 0 else 0.0,
         abs(r3.rhs / (3.0 * r1.rhs) - 1.0) if r1.rhs > 0 else 0.0,

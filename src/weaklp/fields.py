@@ -59,12 +59,11 @@ def _sum_squares(pts, center=None):
 
 @dataclass(frozen=True)
 class FieldBounds:
-    """Upper bounds for |grad u|, the Hessian norm, and |u|, with provenance."""
+    """Certified upper bounds for |grad u|, the Hessian norm, and |u|."""
 
     lip_bound: float
     hess_bound: float
     sup_norm: float
-    provenance: str          # "closed-form" or "certified"
 
 
 class ScalarField:
@@ -277,7 +276,7 @@ class _RadialBump(ScalarField):
         lip = _CERT_SAFETY * float(np.max(d1))
         hess = _CERT_SAFETY * float(max(np.max(d2), np.max(rad)))
         sup = abs(self.amplitude) * math.exp(-1.0)
-        return FieldBounds(lip, hess, sup, "certified")
+        return FieldBounds(lip, hess, sup)
 
     def evaluate(self, pts):
         r = np.sqrt(_sum_squares(pts, self.center))
@@ -360,7 +359,7 @@ class _SeparableField(ScalarField):
             if i != j
         )
         hess = a * math.sqrt(diag + off)   # Frobenius norm dominates the operator norm
-        return FieldBounds(_CERT_SAFETY * lip, _CERT_SAFETY * hess, sup, "certified")
+        return FieldBounds(_CERT_SAFETY * lip, _CERT_SAFETY * hess, sup)
 
     def evaluate(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -432,7 +431,7 @@ class _SumField(ScalarField):
         lip = sum(f.lip_bound for f in fields)
         hess = sum(f.hess_bound for f in fields)
         sup = sum(f.sup_norm for f in fields)
-        self.bounds = FieldBounds(lip, hess, sup, "certified")
+        self.bounds = FieldBounds(lip, hess, sup)
         self.spec = {"kind": "sum", "terms": [f.spec for f in fields]}
 
     def evaluate(self, pts):
@@ -466,9 +465,7 @@ class _ScaledField(ScalarField):
         self.support_radius = base.support_radius
         self.label = f"{factor}*{base.label}"
         a = abs(self.factor)
-        self.bounds = FieldBounds(
-            a * base.lip_bound, a * base.hess_bound, a * base.sup_norm, base.bounds.provenance
-        )
+        self.bounds = FieldBounds(a * base.lip_bound, a * base.hess_bound, a * base.sup_norm)
         self.spec = {"kind": "scaled", "factor": self.factor, "base": base.spec}
 
     def evaluate(self, pts):

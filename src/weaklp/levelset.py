@@ -260,7 +260,6 @@ class SandwichBounds:
 
     lower: np.ndarray
     upper: np.ndarray
-    delta: float
 
 
 def sandwich_bounds(f, p, lam, x, omega, delta):
@@ -288,7 +287,7 @@ def sandwich_bounds(f, p, lam, x, omega, delta):
     upper = np.where(
         f.support_distance(x) > 1.0, 0.0, (((g + A * (L / lam) ** (p / n)) / lam) ** p) ** (1.0 / n)
     )
-    return SandwichBounds(lower, upper, delta)
+    return SandwichBounds(lower, upper)
 
 
 def verify_sandwich(f, p, lam, samples, delta, stream):

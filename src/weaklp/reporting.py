@@ -3,6 +3,8 @@
 Reports are reproducible byte for byte for a fixed (config, seed): floats are
 written with repr (shortest round-trip), keys are sorted, and wall-clock
 timings go to a separate sidecar file excluded from the determinism contract.
+report.json is strict JSON: a non-finite float is written as the string
+"inf", "-inf" or "nan".
 """
 from __future__ import annotations
 
@@ -15,20 +17,22 @@ import numpy as np
 from . import __version__
 from .errors import InvalidParameterError
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 COMPARES = ("<=", ">=", "band")
 
 
 def _plain(obj):
-    """Recursively convert numpy scalars/arrays so json emits repr floats."""
+    """Recursively convert numpy scalars/arrays so json emits repr floats, and
+    non-finite floats to their repr strings."""
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        return x if math.isfinite(x) else repr(x)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
@@ -38,13 +42,12 @@ def _plain(obj):
 
 @dataclass
 class Report:
-    """Per-run record: config echo, results, constants, keyed verdicts."""
+    """Per-run record: config echo, results, keyed verdicts."""
 
     experiment: str
     config: dict
     seed: int
     results: dict = field(default_factory=dict)
-    constants: dict = field(default_factory=dict)
     verdicts: dict = field(default_factory=dict)
 
     def add_verdict(self, key, observed, tolerance, compare, target=None, error=0.0, detail=""):
@@ -87,10 +90,9 @@ class Report:
             "config": _plain(self.config),
             "seed": self.seed,
             "results": _plain(self.results),
-            "constants": _plain(self.constants),
             "verdicts": _plain(self.verdicts),
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     def write(self, path):
         path.write_text(self.to_json())

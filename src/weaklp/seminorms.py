@@ -47,7 +47,8 @@ __all__ = [
 
 _NEAR_SPLIT = 1e-6
 _CHUNK_POINTS = 2 ** 16    # mid-part ray points per chunk; 2e6 (16 MB temporaries) took 2x as long
-_PANELS_PER_DECADE = 3     # log-radius panels per decade in the coarse pass; doubled in the fine
+_PANELS_PER_DECADE = 3     # log-radius panels per decade in the coarse pass; the fine takes twice its panels
+_ROUNDING = 8 * np.finfo(float).eps     # error floor relative to |value|, a few ulps
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,9 @@ def _exit_radius(X, W):
     return -xw + np.sqrt(np.maximum(xw ** 2 + (1.0 - x2)[:, None], 0.0))
 
 
-def _gagliardo_pass(f, s, p, delta_in, x_nodes, sphere_order, panels_per_decade):
+def _gagliardo_pass(f, s, p, delta_in, x_nodes, sphere_order, n_panels=None):
+    """(value, linearization error, nodes, log-radius panels) of one pass; without
+    `n_panels`, _PANELS_PER_DECADE per decade of the pass's longest log-radius range."""
     R = f.support_radius
     grid = centered_box_grid(R, f.dim, x_nodes)
     pts, wx = grid.points_weights()
@@ -108,8 +111,9 @@ def _gagliardo_pass(f, s, p, delta_in, x_nodes, sphere_order, panels_per_decade)
     mh = half.weights.shape[0]
     lo_v = np.log(np.maximum(r_split, 1e-300))
     hi_v = np.log(np.maximum(t_exit, 1e-300))
-    span = float(np.max(np.maximum(hi_v - lo_v, 0.0)))
-    n_panels = max(2, int(math.ceil(panels_per_decade * span / math.log(10.0))))
+    if n_panels is None:
+        span = float(np.max(np.maximum(hi_v - lo_v, 0.0)))
+        n_panels = max(2, int(math.ceil(_PANELS_PER_DECADE * span / math.log(10.0))))
     vg, vw = composite_gauss(0.0, 1.0, n_panels)   # reference panelization
 
     # map reference nodes onto each active (x, w) log-range, chunk by chunk
@@ -131,22 +135,23 @@ def _gagliardo_pass(f, s, p, delta_in, x_nodes, sphere_order, panels_per_decade)
     err_lin = float(np.sum(wx * (near_err * rule.weights[None, :]).sum(axis=1)))
     value = float(np.sum(wx * per_x))
     nodes = X.shape[0] * mh * vg.size
-    return value, err_lin, nodes
+    return value, err_lin, nodes, n_panels
 
 
 def gagliardo(q: SeminormQuery, **budgets):
     """iint |u(x)-u(y)|^p / |x-y|^{N+sp} dx dy with one refinement step.
 
     For s = 1 only pairs with |x-y| >= delta_in are counted.  The fine pass
-    doubles the `x_nodes` budget and the log-radius panels per decade.
+    takes twice the coarse pass's `x_nodes` and exactly twice its log-radius
+    panels.  The error estimate is the passes' difference plus the
+    linearization bound, and never below a few ulps of the value.
     """
     f = q.field
     (b,) = split_budgets(f.dim, budgets, "gagliardo")
     x_nodes, order = b["x_nodes"], b["sphere_order"]
-    coarse, _, n1 = _gagliardo_pass(f, q.s, q.p, q.delta_in, x_nodes, order, _PANELS_PER_DECADE)
-    fine, err_lin, n2 = _gagliardo_pass(
-        f, q.s, q.p, q.delta_in, 2 * x_nodes, order, 2 * _PANELS_PER_DECADE)
-    err = abs(fine - coarse) + err_lin
+    coarse, _, n1, panels = _gagliardo_pass(f, q.s, q.p, q.delta_in, x_nodes, order)
+    fine, err_lin, n2, _ = _gagliardo_pass(f, q.s, q.p, q.delta_in, 2 * x_nodes, order, 2 * panels)
+    err = max(abs(fine - coarse) + err_lin, _ROUNDING * abs(fine))
     converged = err <= 1e-3 * max(abs(fine), 1e-300)
     return QuadratureResult(fine, err, n1 + n2, converged)
 
@@ -187,19 +192,19 @@ def diagonal_divergence_probe(f, p, deltas, **budgets):
 
 
 def seminorm_limit_factor(f, p, s_ladder, **budgets):
-    """(1-s) * seminorm^p along s -> 1, against the conjectured multiple.
+    """(1-s) * seminorm^p along s -> 1, against the conjectured limit
+    moment(p, N)/p * int |grad u|^p.
 
-    The limiting multiple moment(p, N)/p is *measured*, not assumed: the
-    record carries both the conjectured value and the observed multiple so a
-    disagreement is visible.
+    The limit is *measured*, not assumed: the record carries the plateau,
+    the last rung's factor, next to the conjectured value, and their ratio,
+    so a disagreement is visible.
     """
     s_ladder = np.asarray(s_ladder, dtype=float)
     if np.any((s_ladder <= 0) | (s_ladder >= 1)) or np.any(np.diff(s_ladder) <= 0):
         raise InvalidParameterError("s ladder must be increasing inside (0, 1)")
     runs = [gagliardo(SeminormQuery(f, s, p), **budgets) for s in s_ladder]
     factors = (1.0 - s_ladder) * np.array([r.value for r in runs])
-    grad_p = gradient_lp_norm(f, p).value
-    conjectured = sphere_abs_moment(p, f.dim).moment / p * grad_p
+    conjectured = sphere_abs_moment(p, f.dim).moment / p * gradient_lp_norm(f, p).value
     plateau = float(factors[-1])
     # one linear extrapolation step in (1 - s)
     if s_ladder.size >= 2:
@@ -207,7 +212,6 @@ def seminorm_limit_factor(f, p, s_ladder, **budgets):
         extrapolated = float(factors[-1] + (factors[-1] - factors[-2]) * e1 / (e0 - e1))
     else:
         extrapolated = plateau
-    measured_multiple = plateau * p / grad_p if grad_p > 0 else 0.0
     return {
         "s_values": s_ladder.tolist(),
         "factors": factors.tolist(),
@@ -215,6 +219,5 @@ def seminorm_limit_factor(f, p, s_ladder, **budgets):
         "plateau_error": float((1.0 - s_ladder[-1]) * runs[-1].error_estimate),
         "extrapolated": extrapolated,
         "conjectured": float(conjectured),
-        "measured_multiple": float(measured_multiple),
         "plateau_ratio": float(plateau / conjectured) if conjectured > 0 else 0.0,
     }

@@ -18,6 +18,7 @@ from weaklp import maximal as M
 from weaklp import quadrature as Q
 from weaklp import seminorms as S
 from weaklp.cli import main as cli_main
+from weaklp.experiments import HOLDER_TOL
 
 LIMIT_1D_P1 = 1.4715177646857693        # moment(1,1) * (2/e), frozen oracle
 GRAD2_BUMP = 0.4095870607527702         # int |u'|^2, frozen oracle
@@ -136,7 +137,9 @@ def test_a04_interval_cover_suite():
             disjoint &= bool(np.all(s[1:] > e[:-1]))
             violations += C.verify_5j_cover(cov)["violations"]
             en = C.weighted_energy(cov)
-            chain &= en["holds_selected"] and en["holds_mass"]
+            slack = 1e-9 * max(en["bound_mass"], 1.0)
+            chain &= (en["energy"] <= en["bound_selected"] + slack
+                      and en["bound_selected"] <= en["bound_mass"] + slack)
     elapsed = time.perf_counter() - t0
     ok = disjoint and violations == 0 and chain and elapsed < 120
     report("A4 interval covers", ok,
@@ -157,7 +160,7 @@ def test_a05_rotation_vs_mc():
         sig = math.hypot(rec["measure"].error_estimate, mc.error_estimate)
         worst_z = max(worst_z, abs(rec["measure"].value - mc.value) / max(sig, 1e-300))
         worst_drift = max(worst_drift, rec["c_emp_drift"])
-        bound_ok &= rec["holds"]
+        bound_ok &= rec["measure"].value <= rec["bound_factor"] * rec["mass"] * (1.0 + 1e-9)
     elapsed = time.perf_counter() - t0
     ok = worst_z <= 3.0 and worst_drift < 0.10 and bound_ok and elapsed < 300
     report("A5 rotation measure", ok,
@@ -167,7 +170,7 @@ def test_a05_rotation_vs_mc():
 
 def test_a06_containment_and_sandwich():
     t0 = time.perf_counter()
-    holder_bad = 0
+    holder_shortfall = -math.inf
     holder_members = 0
     sandwich_bad = 0
     for i, name in enumerate(F.catalogue_names()):
@@ -175,7 +178,8 @@ def test_a06_containment_and_sandwich():
         for p in (1.0, 2.0):
             rec = C.holder_containment_check(f, p, max(f.lip_bound, 1e-6), 10_000,
                                              Q.RandomStream(61, 10 * i + int(p)))
-            holder_bad += rec["violations"]
+            if rec["members"]:
+                holder_shortfall = max(holder_shortfall, 1.0 - rec["worst_margin"])
             holder_members += rec["members"]
             if f.dim > 2:
                 continue
@@ -185,9 +189,10 @@ def test_a06_containment_and_sandwich():
                                             delta, Q.RandomStream(62, 10 * i + int(p)))
                     sandwich_bad += sr["violations_upper"] + sr["violations_lower"]
     elapsed = time.perf_counter() - t0
-    ok = holder_bad == 0 and sandwich_bad == 0 and holder_members > 0 and elapsed < 180
+    ok = holder_shortfall <= HOLDER_TOL and sandwich_bad == 0 and holder_members > 0 and elapsed < 180
     report("A6 containment and sandwich", ok,
-           f"segment-condition violations {holder_bad} over {holder_members} members, "
+           f"worst segment-condition shortfall {holder_shortfall:.2e} (<= {HOLDER_TOL:g}) "
+           f"over {holder_members} members, "
            f"sandwich violations {sandwich_bad}; {elapsed:.0f}s (budget 180s)")
 
 
@@ -238,7 +243,7 @@ def test_a09_maximal_route():
         budgets = BUDGET_1D if f.dim == 1 else BUDGET_2D
         rec = M.maximal_route_bound(f, 2.0, grid, cells=cells, profile_budgets=budgets,
                                     stream=Q.RandomStream(71, cells))
-        dominated &= rec["dominates"]
+        dominated &= rec["direct_max"] <= rec["bound"] * (1.0 + 1e-9)
         ref = M.lusin_lipschitz_check(f, 20_000, Q.RandomStream(71, cells), cells=2 * cells)
         ratio = ref["c_emp"] / rec["c_emp"]
         stable &= 0.5 <= ratio <= 2.0
@@ -270,7 +275,7 @@ def test_a10_interpolation_checks():
     homo.append(homo_dev(lambda f: Co.check_weak_sup_interpolation(
         f, 2.0, budgets=dict(fast, **BUDGET_2D)), cat["bump2"]))
     homo.append(homo_dev(lambda f: Co.check_weak_seminorm_interpolation(
-        f, Co.GNParams(0.5, 2.0, 0.5), budgets=fast), cat["bump1"]))
+        f, 0.5, 2.0, 0.5, budgets=fast), cat["bump1"]))
     homo.append(homo_dev(lambda f: Co.check_strong_interpolation(f, 0.5, 2.0), cat["bump1"]))
 
     emb = Co.check_strong_embedding(cat["bump2"], 0.5, budgets={"x_nodes": 32})

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ from weaklp.cli import main
 from weaklp.errors import InvalidParameterError
 from weaklp.experiments import _STATEMENTS, EXPERIMENTS, _median_spread, REQUIRED, read_experiment, run_experiment
 from weaklp.quadrature import BUDGETS
-from weaklp.reporting import Report
+from weaklp.reporting import SCHEMA_VERSION, Report
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -30,7 +31,7 @@ def test_run_limit_passes(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     assert report["verdicts"]["thm1.2:limit"]["pass"] is True
     assert report["verdicts"]["thm1.2:limit"]["tolerance"] == 0.05
     header = (out / "profile.csv").read_text().splitlines()[0]
@@ -330,6 +331,25 @@ def test_inconclusive_exit_code(tmp_path):
     assert report["verdicts"]["thm1.2:limit"]["pass"] == "inconclusive"
 
 
+@pytest.mark.parametrize("cfg, read", [
+    # the unconverged plateau's error is inf
+    (dict(BASE_LIMIT, params=dict(BASE_LIMIT["params"], flatness_tol=1e-12, lambda_points=16)),
+     lambda report: report["verdicts"]["thm1.2:limit"]["error"]),
+    # two rungs have no increment drift
+    ({"experiment": "failure", "params": {"p": 2.0, "eps_ladder": [0.2, 0.1], "weak_p": 1.5},
+      "budgets": {"lambda_points": 8}, "seed": 3},
+     lambda report: report["results"]["increment_drift"]),
+], ids=["limit", "failure"])
+def test_report_is_strict_json(tmp_path, cfg, read):
+    # both reports once held Infinity, which strict JSON parsers reject
+    def strict(name):
+        raise ValueError(f"report.json holds the non-JSON constant {name}")
+
+    out = tmp_path / "o"
+    main(["run", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)])
+    assert read(json.loads((out / "report.json").read_text(), parse_constant=strict)) == "inf"
+
+
 @pytest.mark.parametrize("cfg, key, param, values, words", [
     (BASE_LIMIT, "thm1.2:limit", "flatness_tol", [0.03, 1e-12], ["pass", "inconclusive"]),
     ({"experiment": "constants", "seed": 1}, "constants:closed_vs_quad", "tolerance", [1e-6, 1e-12],
@@ -487,7 +507,7 @@ def test_integral_n_values_read_as_integers(tmp_path):
     out = tmp_path / "o"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
-    assert sorted(report["constants"]["lower_bound_c"]) == ["1", "2"]
+    assert sorted(report["results"]["lower_bound_c"]) == ["1", "2"]
 
 
 @pytest.mark.parametrize("cfg, path", [
@@ -712,6 +732,11 @@ def test_readme_lists_the_budget_table():
     # regenerate the block with
     # PYTHONPATH=src:tests python -c "import test_cli; print(test_cli.budgets_markdown())"
     assert _readme_block("budget table") == budgets_markdown()
+
+
+def test_readme_names_the_report_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert re.findall(r'"schema": (\d+)', readme) == [str(SCHEMA_VERSION)]
 
 
 @pytest.mark.parametrize("ratios, ok", [

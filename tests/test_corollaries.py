@@ -71,22 +71,16 @@ def test_weak_sup_interpolation_refuses_bad_p(bump1):
 
 def test_weak_seminorm_interpolation_regime_redirect(bump1):
     with pytest.raises(InvalidParameterError, match="strong"):
-        Co.check_weak_seminorm_interpolation(
-            bump1, Co.GNParams(0.5, 1.5, 0.3), budgets=FAST
-        )
+        Co.check_weak_seminorm_interpolation(bump1, 0.5, 1.5, 0.3, budgets=FAST)
 
 
 def test_weak_seminorm_interpolation_finite_ratio(bump1):
-    rep = Co.check_weak_seminorm_interpolation(
-        bump1, Co.GNParams(0.5, 2.0, 0.5), budgets=FAST
-    )
+    rep = Co.check_weak_seminorm_interpolation(bump1, 0.5, 2.0, 0.5, budgets=FAST)
     assert math.isfinite(rep.ratio) and rep.ratio > 0
 
 
 def test_weak_seminorm_interpolation_theta_near_one(bump1):
-    rep = Co.check_weak_seminorm_interpolation(
-        bump1, Co.GNParams(0.85, 2.0, 0.6), budgets=FAST
-    )
+    rep = Co.check_weak_seminorm_interpolation(bump1, 0.85, 2.0, 0.6, budgets=FAST)
     assert math.isfinite(rep.ratio) and rep.ratio > 0
 
 

@@ -10,6 +10,7 @@ from weaklp import covering as C
 from weaklp import fields as F
 from weaklp import quadrature as Q
 from weaklp.errors import InvalidParameterError
+from weaklp.experiments import HOLDER_TOL
 
 
 def pc(values, lo=-1.0, hi=1.5):
@@ -24,6 +25,20 @@ def node(f, i):
 def energy(f, gamma):
     """weighted_energy with the greedy cover of f's own admissible family."""
     return C.weighted_energy(C.vitali_select(C.admissible_intervals(f, gamma)))
+
+
+def assert_energy_chain(rec):
+    """energy <= bound_selected <= bound_mass, at prop2.1:energy's slack of
+    1e-9 max(bound_mass, 1)."""
+    slack = 1e-9 * max(rec["bound_mass"], 1.0)
+    assert rec["energy"] <= rec["bound_selected"] + slack
+    assert rec["bound_selected"] <= rec["bound_mass"] + slack
+
+
+def assert_mass_bound(rec):
+    """The rotation measure within bound_factor * mass, at prop2.2:mass_bound's
+    relative slack of 1e-9."""
+    assert rec["measure"].value <= rec["bound_factor"] * rec["mass"] * (1.0 + 1e-9)
 
 
 def test_pc_field_rejects_negative_values():
@@ -227,7 +242,7 @@ def test_weighted_energy_unit_square_identities():
 def test_weighted_energy_zero_field_chain():
     rec = energy(pc(np.zeros(32)), 1.0)
     assert rec["energy"] == 0.0
-    assert rec["holds_selected"] and rec["holds_mass"]
+    assert_energy_chain(rec)
 
 
 def test_weighted_energy_chain_random_suite(rng):
@@ -237,8 +252,7 @@ def test_weighted_energy_chain_random_suite(rng):
         for gamma in (0.5, 1.0, 2.0):
             cov = C.vitali_select(C.admissible_intervals(f, gamma))
             assert C.verify_5j_cover(cov)["violations"] == 0
-            rec = C.weighted_energy(cov)
-            assert rec["holds_selected"] and rec["holds_mass"]
+            assert_energy_chain(C.weighted_energy(cov))
 
 
 def one_sided_radial_energy(f, gamma, scan):
@@ -301,7 +315,7 @@ def test_rotation_measure_zero_field():
     z = F.make_bump([0.0, 0.0], 1.0, 0.0)
     rec = C.rotation_measure(z, line_cells=64, offset_cells=32, sphere_order=8)
     assert rec["measure"].value == 0.0
-    assert rec["holds"]
+    assert_mass_bound(rec)
 
 
 def test_rotation_measure_monotone_in_amplitude(bump2):
@@ -316,7 +330,7 @@ def test_rotation_measure_agrees_with_pair_mc(bump2):
     mc = C.rotation_measure_mc(bump2, 150_000, Q.RandomStream(11, 3))
     sig = math.hypot(rec["measure"].error_estimate, mc.error_estimate)
     assert abs(rec["measure"].value - mc.value) <= 3 * sig
-    assert rec["holds"]
+    assert_mass_bound(rec)
 
 
 @pytest.mark.parametrize("name", ["bump1", "bump2", "bump3"])
@@ -338,7 +352,7 @@ def test_rotation_measure_reports_its_node_budget(cat, name):
 def test_holder_containment_zero_field_vacuous():
     z = F.make_bump([0.0], 1.0, 0.0)
     rec = C.holder_containment_check(z, 1.0, 1.0, 500, Q.RandomStream(2, 2))
-    assert rec["members"] == 0 and rec["violations"] == 0
+    assert rec["members"] == 0 and rec["worst_margin"] is None
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
@@ -347,7 +361,7 @@ def test_holder_containment_no_violations(cat, name, p):
     f = cat[name]
     rec = C.holder_containment_check(f, p, f.lip_bound, 10_000, Q.RandomStream(21, int(p)))
     assert rec["members"] > 0
-    assert rec["violations"] == 0
+    assert 1.0 - rec["worst_margin"] <= HOLDER_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -355,33 +369,28 @@ def test_holder_containment_no_violations(cat, name, p):
 # scan and the pair sampler were shared
 # ---------------------------------------------------------------------------
 
-# float.hex of rotation_measure's measure, error, mass, c_emp, c_emp_coarse,
-# c_emp_fine and c_emp_drift at line_cells=48, offset_cells=24, sphere_order=8
+# float.hex of rotation_measure's measure, error, mass, c_emp and c_emp_drift
+# at line_cells=48, offset_cells=24, sphere_order=8
 # (bump3: 24, 16, 4); bump1, bump3 and product2 recorded before the offset
 # grid became one TensorGrid per pass
 ROTATION_BUDGETS = {"bump3": (24, 16, 4)}
 ROTATION_GOLDENS = {
     "bump1": ("0x1.cc2beaf064dbfp-1", "0x1.32c7f1f59892cp-3", "0x1.c6a65f463ead9p-2",
-              "0x1.031bed0da8033p+1", "0x1.597975b272bbap+0", "0x1.afd935c16d5aap+0",
-              "0x1.00041b2665e78p-2"),
+              "0x1.031bed0da8033p+1", "0x1.00041b2665e78p-2"),
     # re-recorded when surface_area(3) became exactly 4 pi (math.gamma in place
     # of exp(gammaln)), and again, with bump2, plateau2 and product2, when the
     # foliation folded onto one direction of each antipodal pair and read the
     # lines through `along` (every entry moved 1.9e-15 relative at most)
     "bump3": ("0x1.85486b78ff7fcp+0", "0x1.9b2a06f78bbcep-2", "0x1.c3acf30df0bddp-2",
-              "0x1.b9463a5a4f1f9p+1", "0x1.a06914c1fc998p+0", "0x1.44c13c569b389p+1",
-              "0x1.1e9bc6968da5ep-1"),
+              "0x1.b9463a5a4f1f9p+1", "0x1.1e9bc6968da5ep-1"),
     # re-recorded when product2's sup_norm became the exact e^-2 (measure
     # 0.45280054 -> 0.45280056, against an error estimate of 0.10)
     "product2": ("0x1.cfaaf367d6a41p-2", "0x1.a2d2116e02ff0p-4", "0x1.42fa88293ef02p-3",
-                 "0x1.6f8368a11a7f7p+1", "0x1.9311492622bd0p+0", "0x1.1c858e8a9b674p+1",
-                 "0x1.a5aa242d785acp-2"),
+                 "0x1.6f8368a11a7f7p+1", "0x1.a5aa242d785acp-2"),
     "bump2": ("0x1.5ed3ceebbdb30p+0", "0x1.8987a357f2eb8p-3", "0x1.ddb567fee95d1p-2",
-              "0x1.7802c61bd88c0p+1", "0x1.0e9127225122bp+1", "0x1.4349dbbfdce8ep+1",
-              "0x1.8f1078f936f00p-3"),
+              "0x1.7802c61bd88c0p+1", "0x1.8f1078f936f00p-3"),
     "plateau2": ("0x1.57fd8114440acp+1", "0x1.066588e13dbc0p-2", "0x1.ffffa49f71731p-1",
-                 "0x1.57fdbe78bcbf0p+1", "0x1.165b3693c5e53p+1", "0x1.3731078202fe8p+1",
-                 "0x1.e32b314ad9930p-4"),
+                 "0x1.57fdbe78bcbf0p+1", "0x1.e32b314ad9930p-4"),
 }
 
 # (trial, gamma) -> family size, sha256 prefix of the family's (starts, ends)
@@ -415,11 +424,11 @@ COVER_GOLDENS = {
 }
 
 # holder_containment_check(f, p, lip_bound, 4000, RandomStream(21, 2)):
-# members, violations, float.hex of worst_margin; re-recorded when the uniforms
-# moved to per-slot PCG64DXSM lanes (717 and 110 members before, 0 violations)
+# members and float.hex of worst_margin; re-recorded when the uniforms moved
+# to per-slot PCG64DXSM lanes (717 and 110 members before)
 HOLDER_GOLDENS = {
-    ("bump1", 1.0): (777, 0, "0x1.00064f8ec1af7p+0"),
-    ("bump2", 2.0): (145, 0, "0x1.26a54b22969d2p+0"),
+    ("bump1", 1.0): (777, "0x1.00064f8ec1af7p+0"),
+    ("bump2", 2.0): (145, "0x1.26a54b22969d2p+0"),
 }
 
 # rotation_measure_mc(f, 40_000, RandomStream(11, 3)): member count; re-recorded
@@ -433,7 +442,7 @@ def test_rotation_measure_goldens(cat, name):
     line_cells, offset_cells, sphere_order = ROTATION_BUDGETS.get(name, (48, 24, 8))
     rec = C.rotation_measure(cat[name], line_cells, offset_cells, sphere_order)
     got = (rec["measure"].value, rec["measure"].error_estimate, rec["mass"], rec["c_emp"],
-           rec["c_emp_coarse"], rec["c_emp_fine"], rec["c_emp_drift"])
+           rec["c_emp_drift"])
     assert tuple(v.hex() for v in got) == ROTATION_GOLDENS[name]
 
 
@@ -457,8 +466,7 @@ def test_covering_goldens():
 def test_holder_containment_goldens(cat, name, p):
     f = cat[name]
     rec = C.holder_containment_check(f, p, f.lip_bound, 4000, Q.RandomStream(21, 2))
-    assert (rec["members"], rec["violations"], rec["worst_margin"].hex()) == \
-        HOLDER_GOLDENS[name, p]
+    assert (rec["members"], rec["worst_margin"].hex()) == HOLDER_GOLDENS[name, p]
 
 
 @pytest.mark.parametrize("name", sorted(ROTATION_MC_MEMBERS))

@@ -105,11 +105,25 @@ def test_json_round_trips_numpy_scalars():
     rep.results["flag"] = np.bool_(True)
     rep.add_verdict("k", np.int64(3), np.float64(5.0), "<=", error=np.float64(0.5))
     doc = json.loads(rep.to_json())
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
     assert doc["results"]["arr"] == [1.0, 2.0]
     assert doc["verdicts"]["k"] == {"pass": True, "tolerance": 5.0, "observed": 3, "error": 0.5,
                                     "target": None, "detail": ""}
     assert doc["tool"]["name"] == "weaklp"
+
+
+def test_json_writes_non_finite_floats_as_strings():
+    rep = Report("failure", {"eps": [math.inf]}, 1)
+    rep.results["x"] = [math.inf, -math.inf, math.nan, np.float64(-np.inf), np.float32(np.nan)]
+    rep.add_verdict("k", math.inf, 0.25, "<=", error=np.float64(np.inf))
+
+    def strict(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    doc = json.loads(rep.to_json(), parse_constant=strict)
+    assert doc["config"] == {"eps": ["inf"]}
+    assert doc["results"]["x"] == ["inf", "-inf", "nan", "-inf", "nan"]
+    assert (doc["verdicts"]["k"]["observed"], doc["verdicts"]["k"]["error"]) == ("inf", "inf")
 
 
 def test_csv_float_format_round_trip(tmp_path):

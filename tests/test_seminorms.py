@@ -76,6 +76,36 @@ def test_s1_counts_exactly_the_pairs_beyond_the_cutoff(cat, name, delta):
     assert abs(res.value - ref) <= res.error_estimate + 1e-14 * ref
 
 
+@pytest.mark.parametrize("x_nodes", [256, 1536])
+@pytest.mark.parametrize("delta", [0.05, 0.2, 0.5, 1.0, 1.5])
+@pytest.mark.parametrize("name", ["bump1", "plateau1"])
+def test_converged_s1_error_estimate_covers_the_true_error(cat, name, delta, x_nodes):
+    # the fine pass once took its log-radius panels from its own span, 1.5x
+    # the coarse pass's at some cutoffs, and an exact pass difference read an
+    # error of 0: three of these rows converged with an estimate below the
+    # true error (plateau1 at delta_in 0.5: true 2.03e-5 over an estimate of
+    # 1.18e-5 at 1536 nodes; at 1.5: true 4.4e-16 over an estimate of 0)
+    f = cat[name]
+    res = S.gagliardo(S.SeminormQuery(f, 1.0, 1.0, delta), x_nodes=x_nodes)
+    assert res.converged
+    assert abs(res.value - truncated_seminorm_1d(f, delta)) <= res.error_estimate
+
+
+def test_gagliardo_fine_pass_takes_twice_the_coarse_panels(monkeypatch, cat):
+    # plateau1 at delta_in 1.5: the passes' own spans once gave 2 and 3 panels
+    calls = []
+    real = S._gagliardo_pass
+
+    def spy(*args):
+        out = real(*args)
+        calls.append(out[3])
+        return out
+
+    monkeypatch.setattr(S, "_gagliardo_pass", spy)
+    S.gagliardo(S.SeminormQuery(cat["plateau1"], 1.0, 1.0, 1.5), x_nodes=1536)
+    assert calls[1] == 2 * calls[0]
+
+
 class _Unfolded(Q.SphereRule):
     """A sphere rule whose `half` is the whole rule, undoubled."""
 
