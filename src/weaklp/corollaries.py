@@ -185,6 +185,8 @@ def strong_norm_divergence_probe(p, eps_ladder, delta_in=None, weak_p=None, budg
     counterpart runs at `weak_p` (any exponent in (1, 2)).
     """
     eps_ladder = np.asarray(eps_ladder, dtype=float)
+    if eps_ladder.size < 3:
+        raise InvalidParameterError("need at least three rungs")
     if np.any(eps_ladder <= 0) or np.any(np.diff(eps_ladder) >= 0):
         raise InvalidParameterError("epsilon ladder must be positive and decreasing")
     s = 1.0 / p          # makes the kernel exponent N + s p = 2 in 1-D
@@ -206,7 +208,7 @@ def strong_norm_divergence_probe(p, eps_ladder, delta_in=None, weak_p=None, budg
         weak.append(check_weak_gradient_1d(u, weak_p, budgets=weak_grid | polar).ratio)
     values = np.array(values)
     increments = np.diff(values)
-    if increments.size >= 2 and increments[-2] > 0:
+    if increments[-2] > 0:
         increment_drift = float(abs(increments[-1] / increments[-2] - 1.0))
     else:
         increment_drift = math.inf

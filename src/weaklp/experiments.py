@@ -38,8 +38,8 @@ class ConfigError(ValueError):
 POS, NUM, OPT_NUM, INT, INT0, INT2 = (
     "positive number", "number", "optional number", "positive integer", "non-negative integer",
     "integer >= 2")
-NUMS, INTS, FIELDS, SECTION, FIELD, STATEMENT = (
-    "number list", "integer list", "field list", "section", "field", "statement")
+NUMS, LADDER, INTS, FIELDS, SECTION, FIELD, STATEMENT = (
+    "number list", "number list of 3+", "integer list", "field list", "section", "field", "statement")
 REQUIRED = object()
 
 
@@ -119,6 +119,7 @@ def run_limit(rep, prm, out, workers):
 
 
 HOLDER_TOL = 1e-6      # relative slack of sec2:holder's segment condition
+SANDWICH_TOL = 1e-9    # slack of sec3:sandwich: verify_sandwich solves each outer end to 1e-9
 
 
 def run_quasinorm(rep, prm, out, workers):
@@ -158,9 +159,11 @@ def run_quasinorm(rep, prm, out, workers):
             for lam_f in prm["sandwich.lambda_factors"]
             for delta in prm["sandwich.deltas"]
         ]
-        total_bad = sum(r["violations_upper"] + r["violations_lower"] for r in recs)
+        worst = max(max(r["worst_upper_excess"], r["worst_lower_shortfall"]) for r in recs)
         rep.results["sandwich"] = recs
-        rep.add_verdict("sec3:sandwich", total_bad, 0, "<=", detail="ray containment violations")
+        rep.add_verdict("sec3:sandwich", worst, SANDWICH_TOL, "<=",
+                        detail="largest relative excess of a run's outer end over the outer radius, "
+                               "or shortfall of the quotient inside the inner radius")
     if prm["holder"]:
         stream = RandomStream(rep.seed, 2)
         rec = covering.holder_containment_check(
@@ -384,7 +387,7 @@ def run_crosscheck(rep, prm, out, workers):
 
 
 _FIELD = {"field": (FIELD, REQUIRED)}
-_LADDER = {"eps_ladder": (NUMS, [0.2, 0.1, 0.05, 0.025])}
+_EPS_LADDER = [0.2, 0.1, 0.05, 0.025]
 
 
 def _lambdas(n, lo, hi):
@@ -419,14 +422,14 @@ EXPERIMENTS = {
                 _FIELD | {"p": (POS, 2.0), "cells": (INT, (96, 64))} | _lambdas(12, 0.5, 100.0)),
     "corollary": (run_corollary, _WEAK + _STRONG, {
         "statement": (STATEMENT, REQUIRED), "fields": (FIELDS, None), "dim": (INT, 1),
-        "spread_factor": (POS, 3.0)} | _LADDER),
+        "spread_factor": (POS, 3.0), "eps_ladder": (NUMS, _EPS_LADDER)}),
     "failure": (run_failure, ("gagliardo", "weak", "polar"), {
         "p": (POS, 2.0), "delta_in": (OPT_NUM, None), "weak_p": (OPT_NUM, None),
-        "increment_tolerance": (POS, 0.25)} | _LADDER),
+        "increment_tolerance": (POS, 0.25), "eps_ladder": (LADDER, _EPS_LADDER)}),
     "crosscheck": (run_crosscheck, ("gagliardo",), _FIELD | {
         "p": (POS, REQUIRED), "tolerance": (POS, 0.10),
         "s_ladder": (NUMS, [0.5, 0.75, 0.875, 0.9375, 0.96875]),
-        "delta_ladder": (NUMS, [1e-2, 1e-3, 1e-4, 1e-5])}),
+        "delta_ladder": (LADDER, [1e-2, 1e-3, 1e-4, 1e-5])}),
 }
 
 
@@ -449,6 +452,15 @@ def _many(test, what, convert=None):
                 raise ConfigError(f"config field '{path}' entries must each be {what}, got {x!r}")
         return v if convert is None else [convert(path, x) for x in v]
     return read
+
+
+def _ladder(path, v):
+    """A number list of at least three rungs: the divergence probes compare
+    two successive increments or fit a slope."""
+    v = KINDS[NUMS](path, v)
+    if len(v) < 3:
+        raise ConfigError(f"config field '{path}' must hold at least three rungs, got {v!r}")
+    return v
 
 
 def _field(path, spec):
@@ -478,6 +490,7 @@ KINDS = {
     INT0: _one(lambda x: _whole(x) and x >= 0, "a non-negative integer", lambda path, x: int(x)),
     INT2: _one(lambda x: _whole(x) and x >= 2, "an integer at least 2", lambda path, x: int(x)),
     NUMS: _many(_real, "a number"),
+    LADDER: _ladder,
     INTS: _many(_whole, "an integer", lambda path, x: int(x)),
     FIELDS: _many(lambda x: isinstance(x, (str, dict)), "a catalogue name or a field spec object",
                   _labelled_field),

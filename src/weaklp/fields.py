@@ -12,6 +12,9 @@ exponentials; only the radial bump's gradient keeps a formula of its own.  A
 window's value is its nearer edge's step.  `along(xs, ws)` binds a ray list once
 and returns u(r, b) on its ray subsets b: a quadratic in r for radial bumps, and
 on a shared row r tables per distinct (x_i, w_i) pair for separable fields.
+`scan_dtype` names the dtype the ray scan reads `along` in: float32 for radial
+bumps and for sums and multiples of them, whose `along` computes in r's dtype,
+and float64 for every other field.
 """
 from __future__ import annotations
 
@@ -73,6 +76,7 @@ class ScalarField:
     support_radius: float
     label: str
     bounds: FieldBounds
+    scan_dtype = np.dtype(np.float64)   # dtype of r that `along` computes in, for the ray scan
 
     @property
     def lip_bound(self):
@@ -252,6 +256,8 @@ def _profile_maxima(profile):
 # ---------------------------------------------------------------------------
 
 class _RadialBump(ScalarField):
+    scan_dtype = np.dtype(np.float32)
+
     def __init__(self, center, radius, amplitude):
         self.center = np.atleast_1d(np.asarray(center, dtype=float))
         self.radius = float(radius)
@@ -283,23 +289,32 @@ class _RadialBump(ScalarField):
         return _bump_jet(r, self.radius, self.amplitude)[0]
 
     def along(self, xs, ws):
-        # |x + r w - c|^2 as a quadratic in r: no (k, m, N) points, no sqrt
+        # |x + r w - c|^2 as a quadratic in r: no (k, m, N) points, no sqrt;
+        # computed in r's dtype, float32 or float64, from coefficients rounded
+        # once per binding
         dd = dw = ww = 0.0
         for i in range(self.dim):
             d = xs[i] - self.center[i]
             dd, dw, ww = dd + d * d, dw + d * ws[i], ww + ws[i] * ws[i]
-        dd, dw2, ww, r2 = dd[:, None], 2.0 * dw[:, None], ww[:, None], self.radius ** 2
+        coef = {False: (dd, 2.0 * dw, ww)}
+        r2 = self.radius ** 2
 
         def u(r, b=slice(None)):
-            q = r * ww[b]             # q = (dd + r (2 dw + r ww)) / R^2, in place
-            q += dw2[b]
+            single = getattr(r, "dtype", None) == np.float32
+            if single not in coef:
+                coef[True] = tuple(c.astype(np.float32) for c in coef[False])
+            # 1-D rows of the ray subset, then a column: a ray-index b gathers faster
+            dd, dw2, ww = (c[b][:, None] for c in coef[single])
+            q = r * ww                # q = (dd + r (2 dw + r ww)) / R^2, in place
+            q += dw2
             q *= r
-            q += dd[b]
+            q += dd
             q /= r2
-            # a exp(-1 / (1 - q)) without a mask: inside the ball 1 - q >= 2^-53,
-            # outside the floor 2^-53 sends exp to exactly 0 (-0.0 when a < 0)
+            # a exp(-1 / (1 - q)) without a mask: inside the ball 1 - q is at
+            # least one ulp of 1 from below (2^-53, in float32 2^-24), and
+            # outside that floor sends exp to exactly 0 (-0.0 when a < 0)
             np.subtract(1.0, q, out=q)
-            np.maximum(q, 2.0 ** -53, out=q)
+            np.maximum(q, np.finfo(q.dtype).epsneg, out=q)
             np.divide(-1.0, q, out=q)
             np.exp(q, out=q)
             q *= self.amplitude
@@ -434,6 +449,11 @@ class _SumField(ScalarField):
         self.bounds = FieldBounds(lip, hess, sup)
         self.spec = {"kind": "sum", "terms": [f.spec for f in fields]}
 
+    @property
+    def scan_dtype(self):
+        # float32 only when every term's `along` computes in it
+        return np.result_type(*(f.scan_dtype for f in self.fields))
+
     def evaluate(self, pts):
         out = self.fields[0].evaluate(pts)
         for f in self.fields[1:]:
@@ -467,6 +487,10 @@ class _ScaledField(ScalarField):
         a = abs(self.factor)
         self.bounds = FieldBounds(a * base.lip_bound, a * base.hess_bound, a * base.sup_norm)
         self.spec = {"kind": "scaled", "factor": self.factor, "base": base.spec}
+
+    @property
+    def scan_dtype(self):
+        return self.base.scan_dtype
 
     def evaluate(self, pts):
         return self.factor * self.base.evaluate(pts)

@@ -27,6 +27,14 @@ where g is within rounding of 0.  The scan tests |u(y) - u(x)| >= lambda
 r^alpha and the solve g >= 0, which decide alike: with gradual underflow
 a - b >= 0 iff a >= b.
 
+The scan reads u in the field's `scan_dtype`: float32 for radial bumps and
+their sums and multiples, float64 otherwise; the solve always reads it in
+float64.  A float32 scan is checked in float64 at both ends of every
+bracket and of every ray, and each ray that disagrees at one of them is
+scanned again in float64, so the brackets equal a float64 scan's bit for
+bit, unless a float64 run lies strictly inside a float32 run, where no
+checked point meets it.
+
 Truncation: members satisfy lambda r^{alpha-1} <= lip_bound, so the scan stops
 at r_cap = (lip_bound/lambda)^{1/(alpha-1)} clipped to the support-dilate
 diameter; below lambda <= lip_bound an additional |u(x)-u(y)| <= 2 sup_norm
@@ -81,6 +89,7 @@ _HALVINGS = 10             # halvings of each polar scan bracket before its regu
 _SOLVE_BRACKETS = 2 ** 16  # brackets per batched solve of pair_measure_polar: one solve
                            # per call at the 2-D budgets, bounded memory at larger ones
 _SANDWICH_SCAN = 1024      # scan points per ray of verify_sandwich
+_SANDWICH_WIDTH = 1e-9     # widest final bracket of verify_sandwich's solve
 
 
 @dataclass(frozen=True)
@@ -149,7 +158,13 @@ def _ray_brackets(f, lam, alpha, xs, ws, uxs, r_cap, scan):
     uniform points for the sign changes of membership, as `_Brackets`.
 
     The (N, k) rays are axis-major, bound once through `along` and read in
-    blocks of about _BLOCK_POINTS ray points on the shared scan row.
+    blocks of about _BLOCK_POINTS ray points on the shared scan row, in the
+    field's `scan_dtype`.  A float32 scan is checked in float64 through the
+    same binding at both ends of every bracket and of every ray; a ray that
+    disagrees anywhere there is scanned again, whole, in float64.  The
+    membership then equals a float64 scan's bit for bit, except where the
+    float64 scan has a run (of members or of non-members) strictly inside a
+    float32 run, which no checked point meets.
     """
     k = xs.shape[1]
     r = np.linspace(r_cap / scan, r_cap, scan)
@@ -157,14 +172,33 @@ def _ray_brackets(f, lam, alpha, xs, ws, uxs, r_cap, scan):
     member = np.empty((k, scan), dtype=bool)
     block = max(1, _BLOCK_POINTS // scan)
     u = f.along(xs, ws)
+
+    def rows_member(rows, r, lam_r, uxs, out=None):
+        g = u(r, rows)      # a new array: `along` returns no view
+        g -= uxs[rows][:, None]
+        np.abs(g, out=g)
+        return np.greater_equal(g, lam_r, out=out)
+
+    dt = f.scan_dtype
+    r_s, lam_s, uxs_s = (a.astype(dt, copy=False) for a in (r, lam_r, uxs))
     for b0 in range(0, k, block):
         b = slice(b0, b0 + block)
-        g = u(r, b)         # a new array: `along` returns no view
-        g -= uxs[b, None]
-        np.abs(g, out=g)
-        np.greater_equal(g, lam_r, out=member[b])
-
+        rows_member(b, r_s, lam_s, uxs_s, out=member[b])
     ray, i = np.divmod(np.flatnonzero(member[:, 1:] != member[:, :-1]), scan - 1)
+    if dt != np.float64:
+        # float64 at both ends of every bracket and of every ray
+        rows = np.concatenate([ray, ray, np.arange(k), np.arange(k)])
+        js = np.concatenate([i, i + 1, np.zeros(k, dtype=int), np.full(k, scan - 1)])
+        agree = rows_member(rows, r[js][:, None], lam_r[js][:, None], uxs)[:, 0] \
+            == member.ravel()[rows * scan + js]
+        redo = np.zeros(k, dtype=bool)
+        redo[rows[~agree]] = True
+        redo = np.flatnonzero(redo)
+        for b0 in range(0, redo.size, block):
+            b = redo[b0 : b0 + block]
+            member[b] = rows_member(b, r, lam_r, uxs)
+        if redo.size:
+            ray, i = np.divmod(np.flatnonzero(member[:, 1:] != member[:, :-1]), scan - 1)
     return _Brackets(xs[:, ray], ws[:, ray], uxs[ray], r[i], r[i + 1], member[ray, i], ray,
                      member[:, -1].copy(), r_cap)
 
@@ -291,12 +325,17 @@ def sandwich_bounds(f, p, lam, x, omega, delta):
 
 
 def verify_sandwich(f, p, lam, samples, delta, stream):
-    """Check (0, lower] <= membership runs <= (0, upper] on sampled rays.
+    """Measure (0, lower] <= membership runs <= (0, upper] on sampled rays.
 
-    Returns a dict of violation counts (target zero on the catalogue).  All
-    rays go through one kernel call, unpruned: a ray that misses the support
-    reads u = 0 and has no members, and r_cap = 0 (a zero field) scans only
-    r = 0, where every outer end is 0.
+    Returns a dict with the worst upper excess, max (outer - upper) / (1 +
+    upper) over the rays, where outer is the outer end of the ray's last run,
+    and the worst lower shortfall, max (lam r^alpha - |u(x + r w) - u(x)|)
+    over 64 radii geometric in (0, lower] of each ray with lower > 0 (-inf
+    without one); both are at most 0 on the catalogue, and the caller
+    decides on them.  All rays go through one kernel call, unpruned, solved
+    to final brackets at most _SANDWICH_WIDTH wide: a ray that misses the
+    support reads u = 0 and has no members, and r_cap = 0 (a zero field)
+    scans only r = 0, where every outer end is 0.
     """
     if lam <= f.lip_bound:
         raise PreconditionError("verify_sandwich needs lambda > lip_bound")
@@ -305,21 +344,19 @@ def verify_sandwich(f, p, lam, samples, delta, stream):
     r_cap = truncation_radius(f, lam, q.alpha)
     xs, ws, _ = PairSampler(n, f.support_radius + 1.0, r_cap).draw(stream, 0, samples)
     ux = f.evaluate(xs)
-    tol = 1e-9      # radius slack, relative and absolute: no final bracket is wider
-    halvings = math.ceil(math.log2(max(r_cap / _SANDWICH_SCAN / tol, 1.0)))
+    halvings = math.ceil(math.log2(max(r_cap / _SANDWICH_SCAN / _SANDWICH_WIDTH, 1.0)))
     _, crossings, outer = _scan_rays(f, lam, q.alpha, xs.T, ws.T, ux, r_cap, _SANDWICH_SCAN, halvings)
     sb = sandwich_bounds(f, p, lam, xs, ws, delta)
-    need = sb.lower * (1.0 - tol) - tol
-    # the inner radius can sit below the scan's first grid point, so check
-    # membership directly on a dense sample of (0, need] where need > 0
-    inner = need > 0
-    rr = need[inner, None] * np.geomspace(1e-3, 1.0, 64)
-    gv = np.abs(f.evaluate(xs[inner, None] + rr[..., None] * ws[inner, None]) - ux[inner, None])
-    gv -= lam * rr ** q.alpha
+    # the inner radius can sit below the scan's first grid point, so read
+    # membership directly on a dense sample of (0, lower]
+    inner = sb.lower > 0
+    rr = sb.lower[inner, None] * np.geomspace(1e-3, 1.0, 64)
+    short = lam * rr ** q.alpha - np.abs(f.evaluate(xs[inner, None] + rr[..., None] * ws[inner, None])
+                                         - ux[inner, None])
     return {
         "samples": samples,
-        "violations_upper": int(np.count_nonzero(outer > sb.upper * (1.0 + tol) + tol)),
-        "violations_lower": int(np.count_nonzero(np.any(gv < -tol, axis=1))),
+        "worst_upper_excess": float(np.max((outer - sb.upper) / (1.0 + sb.upper))),
+        "worst_lower_shortfall": float(np.max(short, initial=-math.inf)),
         "flagged_profiles": int(np.count_nonzero(crossings > CROSSING_CAP)),
         "lam": lam,
         "delta": delta,
@@ -336,9 +373,12 @@ def pair_measure_polar(q: LevelSetQuery, x_nodes, sphere_order, scan):
     The x integral runs over `centered_box_grid` of about `x_nodes` nodes
     per axis on the box of `pair_region`, the directions over
     `sphere_rule(N, sphere_order).half()` and the ray radius over `scan`
-    bracketing points; each crossing is refined by _HALVINGS halvings of its
-    scan bracket and one regula-falsi step, so to a fixed fraction of the
-    scan step.  The inner radial integral is exact on each membership run.
+    bracketing points (in float32 for radial fields, every bracket and ray
+    end checked in float64 and each disagreeing ray scanned again, see
+    `_ray_brackets`); each crossing is refined in float64 by _HALVINGS
+    halvings of its scan bracket and one regula-falsi step, so to a fixed
+    fraction of the scan step.  The inner radial integral is exact on each
+    membership run.
     The hemisphere with doubled weights gives the full-sphere integral from
     half the rays: the pair swap (x, w, r) -> (x + r w, -w, r) preserves the
     set and the measure, so the x-integrated ray measure in direction w

@@ -18,7 +18,7 @@ from weaklp import maximal as M
 from weaklp import quadrature as Q
 from weaklp import seminorms as S
 from weaklp.cli import main as cli_main
-from weaklp.experiments import HOLDER_TOL
+from weaklp.experiments import HOLDER_TOL, SANDWICH_TOL
 
 LIMIT_1D_P1 = 1.4715177646857693        # moment(1,1) * (2/e), frozen oracle
 GRAD2_BUMP = 0.4095870607527702         # int |u'|^2, frozen oracle
@@ -172,7 +172,7 @@ def test_a06_containment_and_sandwich():
     t0 = time.perf_counter()
     holder_shortfall = -math.inf
     holder_members = 0
-    sandwich_bad = 0
+    sandwich_worst = -math.inf
     for i, name in enumerate(F.catalogue_names()):
         f = F.catalogue()[name]
         for p in (1.0, 2.0):
@@ -187,13 +187,15 @@ def test_a06_containment_and_sandwich():
                 for delta in (0.25, 0.5):
                     sr = LS.verify_sandwich(f, p, lam_f * max(f.lip_bound, 1e-6), 250,
                                             delta, Q.RandomStream(62, 10 * i + int(p)))
-                    sandwich_bad += sr["violations_upper"] + sr["violations_lower"]
+                    sandwich_worst = max(sandwich_worst, sr["worst_upper_excess"], sr["worst_lower_shortfall"])
     elapsed = time.perf_counter() - t0
-    ok = holder_shortfall <= HOLDER_TOL and sandwich_bad == 0 and holder_members > 0 and elapsed < 180
+    ok = holder_shortfall <= HOLDER_TOL and sandwich_worst <= SANDWICH_TOL and holder_members > 0 \
+        and elapsed < 180
     report("A6 containment and sandwich", ok,
            f"worst segment-condition shortfall {holder_shortfall:.2e} (<= {HOLDER_TOL:g}) "
            f"over {holder_members} members, "
-           f"sandwich violations {sandwich_bad}; {elapsed:.0f}s (budget 180s)")
+           f"worst sandwich excess or shortfall {sandwich_worst:.2e} (<= {SANDWICH_TOL:g}); "
+           f"{elapsed:.0f}s (budget 180s)")
 
 
 def test_a07_divergence_probes():

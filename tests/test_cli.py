@@ -335,13 +335,9 @@ def test_inconclusive_exit_code(tmp_path):
     # the unconverged plateau's error is inf
     (dict(BASE_LIMIT, params=dict(BASE_LIMIT["params"], flatness_tol=1e-12, lambda_points=16)),
      lambda report: report["verdicts"]["thm1.2:limit"]["error"]),
-    # two rungs have no increment drift
-    ({"experiment": "failure", "params": {"p": 2.0, "eps_ladder": [0.2, 0.1], "weak_p": 1.5},
-      "budgets": {"lambda_points": 8}, "seed": 3},
-     lambda report: report["results"]["increment_drift"]),
-], ids=["limit", "failure"])
+], ids=["limit"])
 def test_report_is_strict_json(tmp_path, cfg, read):
-    # both reports once held Infinity, which strict JSON parsers reject
+    # the report once held Infinity, which strict JSON parsers reject
     def strict(name):
         raise ValueError(f"report.json holds the non-JSON constant {name}")
 
@@ -472,6 +468,22 @@ def test_list_params_must_be_lists(tmp_path, capsys, cfg, path):
     assert f"'{path}' must be a non-empty list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cfg, path", [
+    ({"experiment": "failure", "params": {"p": 2.0, "eps_ladder": [0.2, 0.1], "weak_p": 1.5}},
+     "params.eps_ladder"),
+    ({"experiment": "crosscheck", "field": BUMP1, "params": {"p": 1.0, "delta_ladder": [1e-2, 1e-3]}},
+     "params.delta_ladder"),
+])
+def test_two_rung_ladders_are_config_errors(tmp_path, capsys, cfg, path):
+    # a two-rung failure ladder ran every seminorm and weak check and then
+    # exited 2 with eq4.3:divergence failed at an infinite drift; a two-rung
+    # delta ladder died in the probe after the limit-factor ladder had run
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(write_cfg(tmp_path, dict(cfg, seed=1))), "--out", str(out)]) == 1
+    assert f"config field '{path}' must hold at least three rungs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cfg, path, entry", [
     ({"experiment": "constants", "params": {"N_values": [1, 2.5]}}, "params.N_values", "2.5"),
     ({"experiment": "constants", "params": {"N_values": ["2"]}}, "params.N_values", "'2'"),
@@ -580,7 +592,8 @@ def test_sphere_order_is_checked_at_each_dimension_the_run_uses(cfg, odd_ok):
 
 # a value of the wrong kind for each value kind
 WRONG = {"positive number": "x", "number": "x", "optional number": "x", "positive integer": 1.5,
-         "non-negative integer": "two", "integer >= 2": 1, "number list": ["x"], "integer list": [1.5],
+         "non-negative integer": "two", "integer >= 2": 1, "number list": ["x"],
+         "number list of 3+": [0.2, 0.1], "integer list": [1.5],
          "field list": [3], "section": True, "field": "bump1", "statement": "weak-2d"}
 DROP = object()
 

@@ -125,10 +125,16 @@ def test_divergence_probe_monotone_and_log_rate():
 
 
 def test_divergence_probe_requires_cutoff_at_p_one():
-    with pytest.raises(InvalidParameterError):
-        Co.strong_norm_divergence_probe(1.0, [0.2, 0.1])
-    rec = Co.strong_norm_divergence_probe(1.0, [0.2, 0.1], delta_in=1e-5)
-    assert len(rec["values"]) == 2
+    with pytest.raises(InvalidParameterError, match="delta_in"):
+        Co.strong_norm_divergence_probe(1.0, [0.2, 0.1, 0.05])
+    rec = Co.strong_norm_divergence_probe(1.0, [0.2, 0.1, 0.05], delta_in=1e-5)
+    assert len(rec["values"]) == 3
+
+
+def test_divergence_probe_rejects_fewer_than_three_rungs():
+    # two rungs have one increment and so no drift to measure
+    with pytest.raises(InvalidParameterError, match="three rungs"):
+        Co.strong_norm_divergence_probe(2.0, [0.2, 0.1])
 
 
 def test_divergence_probe_rejects_increasing_ladder():

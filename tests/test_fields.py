@@ -418,6 +418,55 @@ def test_radial_along_equals_the_masked_exponential(case):
     assert not np.any(got[-n:, -2:])
 
 
+class _EvaluateOnly(F.ScalarField):
+    """A field with `evaluate` alone, read through the base class's `along`."""
+
+    def __init__(self, base):
+        self.base, self.dim, self.support_radius = base, base.dim, base.support_radius
+
+    def evaluate(self, pts):
+        return self.base.evaluate(pts)
+
+
+def _dtype_fields(cat):
+    """name -> (field, its scan dtype): the catalogue, sums and multiples of
+    radial bumps, of separable fields and of both, and a generic field."""
+    separable = ("plateau1", "plateau2", "product2")
+    out = {name: (f, np.float64 if name in separable else np.float32) for name, f in cat.items()}
+    return out | {
+        "scaled_bump": (F.scale_field(cat["bump2_off"], -3.0), np.float32),
+        "scaled_sum": (F.scale_field(cat["bumps2_pair"], 0.5), np.float32),
+        "scaled_product": (F.scale_field(cat["product2"], 2.0), np.float64),
+        "radial_and_separable": (F.make_sum([cat["bump2"], cat["plateau2"]]), np.float64),
+        "generic": (_EvaluateOnly(cat["bump2"]), np.float64),
+    }
+
+
+@pytest.mark.parametrize("name", F.catalogue_names() + ["scaled_bump", "scaled_sum", "scaled_product",
+                                                        "radial_and_separable", "generic"])
+def test_along_reads_in_the_declared_scan_dtype(cat, name):
+    # a field that declares a float32 scan computes in float32 on float32
+    # radii, with no silent upcast; every field computes in float64 on
+    # float64 radii, the only ones the solve, the seminorm and covering pass
+    f, dtype = _dtype_fields(cat)[name]
+    assert f.scan_dtype == dtype
+    xs, ws = _grid_rays(f.dim, f.support_radius + 1.0)
+    k = xs.shape[1]
+    u = f.along(xs, ws)
+    row = np.linspace(0.0, 2.0, 65)
+    per_ray = np.random.default_rng(k).uniform(0.0, 2.0, (k, 1))
+    for b in (slice(None), slice(3, k // 2), np.arange(0, k, 3)):
+        for r in (row, per_ray[b]):
+            want = u(r, b)
+            assert want.dtype == np.float64
+            if dtype == np.float32:
+                got = u(r.astype(np.float32), b)
+                assert got.dtype == np.float32 and got.shape == want.shape
+                # float32 rounding of the quadratic: |q| stays below 25, and
+                # |d/dq a exp(-1/(1 - q))| below |a|
+                assert np.all(np.abs(got - want) <= 2e-5 * f.sup_norm / math.exp(-1.0))
+
+
 # windows: lo in [-3, 3], side, and eps as a fraction of the side up to 0.49
 _windows = st.tuples(st.floats(-3.0, 3.0), st.floats(1e-3, 4.0), st.floats(1e-3, 0.49))
 
