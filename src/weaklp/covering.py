@@ -6,16 +6,24 @@ out in integer grid indices, so admissibility, disjointness, and 5J coverage
 are exact.  Smooth inputs are projected onto the grid first.  One scan,
 `_member_scan`, finds the member node pairs (mass >= length^(gamma+1)) for the
 interval family, the 5J check and the rotation bound; the weighted energy
-reads them from the family.
+reads them from the family.  The scan compares only the rows whose total
+mass reaches the threshold and the node pairs that cover a cell at which the
+prefix grows; the rotation Monte Carlo reads F only on the segments that
+meet its support ball.  Every pair either leaves out is a non-member, so
+both are exact.
 """
 from __future__ import annotations
 
+import bisect
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .fields import pair_members, pair_region
+from .fields import _sum_squares, pair_members, pair_region
+from .levelset import _PRUNE_MARGIN
 from .quadrature import (
     GriddedFunction,
     PairSampler,
@@ -61,28 +69,53 @@ class IntervalFamily:
 
 
 def _member_scan(prefix, h, gamma):
-    """Yield (ell, member) for ell = 1, 2, ...: member[..., i] says whether the
-    node pair (i, i + ell) of each row of the (m+1,) or (rows, m+1) prefix
-    array carries mass >= (ell h)^(gamma+1).
+    """Yield (ell, rows, lo, member) for ell = 1, 2, ...: member[j, c] says
+    whether the node pair (lo + c, lo + c + ell) of row rows[j] of the
+    (rows, m+1) prefix array carries mass >= (ell h)^(gamma+1).  Every pair
+    left out is a non-member.
 
-    Stops once (ell h)^(gamma+1) exceeds the largest row total.  The stop is
-    exact: prefix sums of non-negative cells are monotone in floating point
-    too, so no segment mass exceeds its row total.
+    Rows: prefix sums of non-negative cells are monotone in floating point
+    too, so no segment outweighs its row's total.  The rows are sorted by
+    total once, descending; each length scans those whose total reaches the
+    threshold, and the scan stops when none does.  Columns: P[i + ell] -
+    P[i] is exactly 0 unless the pair covers a cell at which P grows, so
+    each length scans the pairs that reach the span of such cells of some
+    scanned row (all pairs if the threshold underflows to 0).
     """
-    top = prefix[..., -1].max()
-    for ell in range(1, prefix.shape[-1]):
+    m = prefix.shape[-1] - 1
+    order = np.argsort(-prefix[:, -1], kind="stable")
+    P = prefix[order]
+    neg_tops = (-P[:, -1]).tolist()        # ascending
+    change = P[:, 1:] != P[:, :-1]         # cell c lies between nodes c and c + 1
+    first = np.minimum.accumulate(np.argmax(change, axis=1)).tolist()
+    last = np.maximum.accumulate(m - 1 - np.argmax(change[:, ::-1], axis=1)).tolist()
+    k_rows = 0
+    for ell in range(1, m + 1):
         thresh = (ell * h) ** (gamma + 1.0)
-        if thresh > top:
+        k = bisect.bisect_right(neg_tops, -thresh)      # rows with total >= thresh
+        if k == 0:
             return
-        yield ell, prefix[..., ell:] - prefix[..., :-ell] >= thresh
+        if k != k_rows:     # the span of growing cells, [c0, c1), of the k rows
+            k_rows, rows, Pk, c0, c1 = k, order[:k], P[:k], first[k - 1], last[k - 1] + 1
+        lo, hi = (max(c0 + 1 - ell, 0), min(c1, m + 1 - ell)) if thresh > 0.0 else (0, m + 1 - ell)
+        yield ell, rows, lo, Pk[:, lo + ell : hi + ell] - Pk[:, lo:hi] >= thresh
+
+
+def _line_energies(prefix, h, gamma):
+    """Per row of a (rows, m+1) prefix array, `_block_kernel` summed over its
+    member node pairs, one length at a time."""
+    energy = np.zeros(prefix.shape[0])
+    for ell, rows, _, member in _member_scan(prefix, h, gamma):
+        energy[rows] += np.count_nonzero(member, axis=-1) * _block_kernel(ell, h, gamma)
+    return energy
 
 
 def admissible_intervals(f: GriddedFunction, gamma):
     """All grid-aligned intervals with int_I f >= |I|^(gamma+1)."""
     none = np.empty(0, dtype=np.int64)
     family = IntervalFamily(f, float(gamma), none, none)     # checks f and gamma first
-    scan = _member_scan(f.prefix, f.h, family.gamma)
-    hits = [(ell, np.flatnonzero(member)) for ell, member in scan]
+    scan = _member_scan(f.prefix[None], f.h, family.gamma)
+    hits = [(ell, lo + member[0].nonzero()[0]) for ell, _, lo, member in scan]
     hits.reverse()     # longest first, then leftmost
     family.starts = np.concatenate([none] + [hit for _, hit in hits]).astype(np.int64)
     family.ends = np.concatenate([none] + [hit + ell for ell, hit in hits]).astype(np.int64)
@@ -146,8 +179,8 @@ def verify_5j_cover(cover: VitaliCover):
     violations = 0
     pairs = 0
     f = cover.family.f
-    for ell, member in _member_scan(f.prefix, f.h, cover.family.gamma):
-        hit = np.flatnonzero(member)
+    for ell, _, lo, member in _member_scan(f.prefix[None], f.h, cover.family.gamma):
+        hit = lo + member[0].nonzero()[0]
         pairs += hit.size
         covered = reach[np.searchsorted(lo2, 2 * hit, side="right")] >= 2 * (hit + ell)
         violations += int(np.count_nonzero(~covered))
@@ -236,11 +269,16 @@ def rotation_measure(F, line_cells, offset_cells, sphere_order=24):
     from below, so the value is one Richardson step across a 2x refinement
     of the line and offset grids.  Prop. 2.2 bounds the measure by
     `bound_factor` times `mass`, ||F||_1; `c_emp_drift` is the change of
-    measure / mass across the refinement.
+    measure / mass across the refinement.  A pass that finds no member pair
+    of a field with positive mass has lines too coarse to resolve one: the
+    error and the drift are then inf.
     """
     n = F.dim
     if n > 3:
         raise InvalidParameterError("rotation measure supports N <= 3")
+    for key, cells in (("line_cells", line_cells), ("offset_cells", offset_cells)):
+        if isinstance(cells, bool) or not isinstance(cells, numbers.Integral) or cells < 1:
+            raise InvalidParameterError(f"{key} must be an integer >= 1, got {cells!r}")
     R = F.support_radius
     half_t = R + _rotation_cap(F)
 
@@ -258,9 +296,7 @@ def rotation_measure(F, line_cells, offset_cells, sphere_order=24):
             base = (offsets @ _perp_basis(wvec) if n > 1 else offsets).T
             vals = np.maximum(F.along(base, np.broadcast_to(wvec[:, None], base.shape))(tm), 0.0)
             prefix = np.concatenate([np.zeros((offsets.shape[0], 1)), np.cumsum(vals, axis=1)], axis=1) * ht
-            line_energy = np.zeros(prefix.shape[0])
-            for ell, member in _member_scan(prefix, ht, float(n)):
-                line_energy += np.count_nonzero(member, axis=-1) * _block_kernel(ell, ht, float(n))
+            line_energy = _line_energies(prefix, ht, float(n))
             # the two-sided pair energy halves onto the one-sided radial integral
             total += 0.5 * wgt * float(np.sum(w_off * line_energy))
             mass_f += wgt * float(np.sum(w_off * prefix[:, -1]))
@@ -269,31 +305,49 @@ def rotation_measure(F, line_cells, offset_cells, sphere_order=24):
 
     v1, m1, n1 = run(line_cells, offset_cells, sphere_order)
     v2, mass, n2 = run(2 * line_cells, 2 * offset_cells, sphere_order)
-    err = abs(v2 - v1)
+    unresolved = v1 == 0.0 < m1 or v2 == 0.0 < mass
+    err = math.inf if unresolved else abs(v2 - v1)
     value = 2.0 * v2 - v1
     c_coarse = v1 / m1 if m1 > 0 else 0.0
     c_fine = v2 / mass if mass > 0 else 0.0
+    drift = math.inf if unresolved else abs(c_fine / c_coarse - 1.0) if c_coarse > 0 else 0.0
     return {
         "measure": QuadratureResult(value, err, n1 + n2, err <= 0.05 * max(value, 1e-300)),
         "mass": mass,
         "c_emp": value / mass if mass > 0 else 0.0,
-        "c_emp_drift": abs(c_fine / c_coarse - 1.0) if c_coarse > 0 else 0.0,
+        "c_emp_drift": drift,
         "bound_factor": 5.0 * 5.0 ** n * surface_area(n) / (n * (n + 1.0)),
     }
 
 
 def rotation_measure_mc(F, n_samples, stream):
-    """Direct pair Monte Carlo cross-check of `rotation_measure`."""
+    """Direct pair Monte Carlo cross-check of `rotation_measure`.
+
+    F is read only on the segments that come within a relative
+    `_PRUNE_MARGIN` of the support ball, which covers the rounding of their
+    Gauss points.  On every other segment F is exactly 0.0, so its mass is
+    0.0 and the pair is a member exactly when r^(N+1) is 0.0 too.
+    """
     n = F.dim
+    R = F.support_radius
     r_cap = _rotation_cap(F)
+    reach = R + _PRUNE_MARGIN * (R + r_cap)
     t, wt = gauss_nodes_1d(64)
     s = 0.5 * (t + 1.0)
 
     def member(x, w, r):
-        # int_0^r F(x + t w) dt = r int_0^1 F(x + s r w) ds, by Gauss on [0, 1]
-        return 0.5 * r * (F.along(x.T, (r[:, None] * w).T)(s) @ wt) >= r ** (n + 1.0)
+        thresh = r ** (n + 1.0)
+        out = thresh <= 0.0
+        # the point of each segment x + t w, 0 <= t <= r, nearest the origin (|w| = 1)
+        near = x + np.clip(-np.sum(x * w, axis=1), 0.0, r)[:, None] * w
+        live = np.flatnonzero(np.sqrt(_sum_squares(near)) <= reach)
+        if live.size:
+            xl, wl, rl = x[live], w[live], r[live]
+            # int_0^r F(x + t w) dt = r int_0^1 F(x + s r w) ds, by Gauss on [0, 1]
+            out[live] = 0.5 * rl * (F.along(xl.T, (rl[:, None] * wl).T)(s) @ wt) >= thresh[live]
+        return out
 
-    return monte_carlo(member, PairSampler(n, F.support_radius + r_cap, r_cap), n_samples, stream)
+    return monte_carlo(member, PairSampler(n, R + r_cap, r_cap), n_samples, stream)
 
 
 def holder_containment_check(field, p, lam, samples, stream):
@@ -311,7 +365,7 @@ def holder_containment_check(field, p, lam, samples, stream):
         return {"candidates": samples, "members": 0, "worst_margin": None}
 
     def grad_pow(ptsq):
-        return np.sum(field.gradient(ptsq) ** 2, axis=-1) ** (p / 2.0) / lam ** p
+        return _sum_squares(field.gradient(ptsq)) ** (p / 2.0) / lam ** p
 
     masses = _segment_masses(grad_pow, x[idx], x[idx] + r[idx, None] * w[idx], nodes=96)
     margins = masses / np.maximum(r[idx] ** (n + 1.0), 1e-300)

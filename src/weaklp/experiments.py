@@ -237,7 +237,7 @@ def run_rotation(rep, prm, out, workers):
 
     def one(item):
         idx, f = item
-        rec = covering.rotation_measure(f, line_cells=cells, offset_cells=cells // 2)
+        rec = covering.rotation_measure(f, line_cells=cells, offset_cells=max(1, cells // 2))
         return rec, covering.rotation_measure_mc(f, n_mc, RandomStream(rep.seed, 100 + idx))
 
     for name, (rec, mc) in zip(names, ordered_parallel_map(one, list(enumerate(flds)), workers)):
@@ -251,12 +251,14 @@ def run_rotation(rep, prm, out, workers):
               ["field", "foliation", "foliation_err", "mc", "mc_err", "z", "c_emp",
                "c_emp_drift"], rows)
     rep.results["rows"] = [list(r) for r in rows]
-    rep.add_verdict("prop2.2:agreement", max(r[5] for r in rows), 3.0, "<=",
+    # an unresolved foliation (error inf) leaves every verdict it enters open
+    unresolved_err = math.inf if any(math.isinf(r[2]) for r in rows) else 0.0
+    rep.add_verdict("prop2.2:agreement", max(r[5] for r in rows), 3.0, "<=", error=unresolved_err,
                     detail="combined standard errors")
     worst, worst_err = max(excess)
     rep.add_verdict("prop2.2:mass_bound", worst, 1e-9, "<=", error=worst_err,
                     detail="largest relative excess of the measure over its certified multiple of ||F||_1")
-    rep.add_verdict("prop2.2:cemp_stable", max(r[7] for r in rows), drift_tol, "<=",
+    rep.add_verdict("prop2.2:cemp_stable", max(r[7] for r in rows), drift_tol, "<=", error=unresolved_err,
                     detail="c_emp refinement drift")
 
 

@@ -672,7 +672,7 @@ def gradient_lp_norm(field, p, budget=4096):
     if p < 1:
         raise InvalidParameterError("p must be >= 1")
     return _box_integral(
-        field, lambda pts: np.sum(field.gradient(pts) ** 2, axis=-1) ** (p / 2.0), budget
+        field, lambda pts: _sum_squares(field.gradient(pts)) ** (p / 2.0), budget
     )
 
 

@@ -154,6 +154,23 @@ def test_rotation_rows_are_labelled_by_name_or_field_label(tmp_path):
     assert [r[0] for r in rows] == ["bump2", "sum(bump(N=2;R=0.7;a=1.0);bump(N=2;R=0.6;a=1.0))"]
 
 
+@pytest.mark.parametrize("cells", [1, 2, 3])
+def test_rotation_unresolved_foliation_is_inconclusive(tmp_path, cells):
+    # lines too coarse to hold a member pair: the foliation reads 0 +- inf, so
+    # the verdicts that read it stay open, and the run exits 3 rather than 0
+    cfg = write_cfg(tmp_path, {"experiment": "rotation", "seed": 1,
+                               "params": {"fields": ["bump2"], "mc_samples": 20000,
+                                          "line_cells": cells}})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    report = json.loads((out / "report.json").read_text())
+    (row,) = report["results"]["rows"]
+    assert row[2] == "inf" and row[7] == "inf"
+    assert {k: v["pass"] for k, v in report["verdicts"].items()} == {
+        "prop2.2:agreement": "inconclusive", "prop2.2:mass_bound": "inconclusive",
+        "prop2.2:cemp_stable": "inconclusive"}
+
+
 def test_corollary_outputs_identical_across_workers(tmp_path):
     # workers run the eps ladder's four fields in parallel threads
     cfg = write_cfg(tmp_path, {"experiment": "corollary", "seed": 3,

@@ -145,19 +145,15 @@ def vitali_select_reference(family):
 
 
 def verify_5j_cover_reference(cover):
-    """5J coverage by one pass over the selected intervals per length: the
-    loop `verify_5j_cover` replaced."""
+    """5J coverage of the all-pairs member list by one pass over the selected
+    intervals: the loop `verify_5j_cover` replaced."""
     f, gamma = cover.family.f, cover.family.gamma
     lo2, hi2 = cover.dilated_index_bounds()
-    violations = pairs = 0
-    for ell, member in C._member_scan(f.prefix, f.h, gamma):
-        hit = np.flatnonzero(member)
-        pairs += hit.size
-        covered = np.zeros(hit.size, dtype=bool)
-        for a2, b2 in zip(lo2, hi2):
-            covered |= (2 * hit >= a2) & (2 * (hit + ell) <= b2)
-        violations += int(np.count_nonzero(~covered))
-    return {"pairs": pairs, "violations": violations}
+    i, j = member_pairs_reference(f.prefix, f.h, gamma)
+    covered = np.zeros(i.size, dtype=bool)
+    for a2, b2 in zip(lo2, hi2):
+        covered |= (2 * i >= a2) & (2 * j <= b2)
+    return {"pairs": int(i.size), "violations": int(np.count_nonzero(~covered))}
 
 
 def random_fields(rng, count):
@@ -200,21 +196,26 @@ def test_verify_5j_cover_matches_the_interval_loop():
             assert empty["violations"] == empty["pairs"]
 
 
-def member_pairs_reference(f, gamma):
-    """Every node pair (i, j), i < j, whose prefix mass reaches
-    ((j - i) h)^(gamma+1), by comparing all O(m^2) pairs: no length scan and
-    no early stop."""
-    i, j = np.triu_indices(f.values.size + 1, 1)
-    member = f.prefix[j] - f.prefix[i] >= ((j - i) * f.h) ** (gamma + 1.0)
-    return set(zip(i[member].tolist(), j[member].tolist()))
+def member_pairs_reference(prefix, h, gamma):
+    """(i, j) of every node pair i < j of the 1-D prefix array whose mass
+    reaches ((j - i) h)^(gamma+1), by comparing all O(m^2) pairs: no length
+    scan, no pruning and no early stop.  The thresholds are the scan's own
+    scalar expression, so a mass equal to one compares alike."""
+    i, j = np.triu_indices(prefix.size, 1)
+    thresh = np.array([(ell * h) ** (gamma + 1.0) for ell in range(prefix.size)])
+    member = prefix[j] - prefix[i] >= thresh[j - i]
+    return i[member], j[member]
 
 
 def member_energy_reference(prefix, h, gamma):
-    """Per row, the sum of `_block_kernel` over member node pairs, one
-    length at a time: the energy loop `weighted_energy` replaced."""
-    energy = np.zeros(prefix.shape[:-1])
-    for ell, member in C._member_scan(prefix, h, gamma):
-        energy += np.count_nonzero(member, axis=-1) * C._block_kernel(ell, h, gamma)
+    """Per row of a (rows, m+1) prefix array, `_block_kernel` summed over the
+    all-pairs member list, one length at a time, shortest first."""
+    energy = np.zeros(prefix.shape[0])
+    for row, p in enumerate(prefix):
+        i, j = member_pairs_reference(p, h, gamma)
+        for ell, count in enumerate(np.bincount(j - i).tolist()):
+            if count:
+                energy[row] += count * C._block_kernel(ell, h, gamma)
     return energy
 
 
@@ -225,10 +226,11 @@ def test_family_is_every_member_pair():
             fam = C.admissible_intervals(f, gamma)
             got = list(zip(fam.starts.tolist(), fam.ends.tolist()))
             assert len(got) == len(set(got))
-            assert set(got) == member_pairs_reference(f, gamma)
+            i, j = member_pairs_reference(f.prefix, f.h, gamma)
+            assert set(got) == set(zip(i.tolist(), j.tolist()))
             cov = C.vitali_select(fam)
             assert C.verify_5j_cover(cov)["pairs"] == len(fam)
-            want = member_energy_reference(f.prefix, f.h, gamma)
+            want = member_energy_reference(f.prefix[None], f.h, gamma)[0]
             assert C.weighted_energy(cov)["energy"].hex() == float(want).hex()
 
 
@@ -288,6 +290,57 @@ def test_one_sided_matches_half_two_sided(bump1):
     two = energy(f, 1.0)["energy"]
     one = one_sided_radial_energy(f, 1.0, scan=8192)
     assert one == pytest.approx(two / 2.0, rel=0.01)
+
+
+def pruned_scan_rows(rng, rows, m, h, gamma, scale=1.0):
+    """(rows, m) non-negative cells: zero runs at both ends of every row and
+    some rows all zero; row 0's one nonzero cell, times `scale` (a power of
+    two), carries exactly the threshold (ell h)^(gamma+1) of some length."""
+    vals = rng.uniform(0, 3, (rows, m)) * (rng.random((rows, m)) < 0.7)
+    for row in vals:
+        a, b = np.sort(rng.integers(0, m + 1, 2))
+        row[:a] = 0.0
+        row[b:] = 0.0
+    vals[rng.random(rows) < 0.2] = 0.0
+    vals[0] = 0.0
+    vals[0, rng.integers(m)] = (int(rng.integers(1, m + 1)) * h) ** (gamma + 1.0) / scale
+    return vals
+
+
+def assert_total_is_a_threshold(prefix_row, h, gamma):
+    m = prefix_row.size - 1
+    assert prefix_row[-1] in [(ell * h) ** (gamma + 1.0) for ell in range(1, m + 1)]
+
+
+def test_line_energies_match_the_all_pairs_reference():
+    # the row prefix, the column window and the stop of the pruned scan leave
+    # every row's energy as the all-pairs one, bit for bit
+    rng = np.random.default_rng(2030)
+    for _ in range(40):
+        rows, m = int(rng.integers(1, 13)), int(rng.integers(4, 81))
+        h, gamma = float(rng.uniform(0.005, 0.1)), float(rng.choice([0.5, 1.0, 2.0, 3.0]))
+        vals = pruned_scan_rows(rng, rows, m, h, gamma)
+        prefix = np.concatenate([np.zeros((rows, 1)), np.cumsum(vals, axis=1)], axis=1)
+        assert_total_is_a_threshold(prefix[0], h, gamma)
+        got = C._line_energies(prefix, h, gamma)
+        want = member_energy_reference(prefix, h, gamma)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_family_with_zero_runs_at_both_ends_is_every_member_pair():
+    rng = np.random.default_rng(2031)
+    for _ in range(30):
+        # 2.5 / m is a power of two, so the prefix (cumsum times h) is exact
+        m = int(rng.choice([5, 10, 20, 40, 80]))
+        gamma = float(rng.choice([0.5, 1.0, 2.0]))
+        f = pc(pruned_scan_rows(rng, 1, m, 2.5 / m, gamma, scale=2.5 / m)[0])
+        assert_total_is_a_threshold(f.prefix, f.h, gamma)
+        fam = C.admissible_intervals(f, gamma)
+        i, j = member_pairs_reference(f.prefix, f.h, gamma)
+        assert len(fam) > 0
+        assert set(zip(fam.starts.tolist(), fam.ends.tolist())) == set(zip(i.tolist(), j.tolist()))
+        cov = C.vitali_select(fam)
+        assert C.verify_5j_cover(cov) == verify_5j_cover_reference(cov)
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +489,29 @@ HOLDER_GOLDENS = {
 # 1938, plateau2 1693)
 ROTATION_MC_MEMBERS = {"bump2": 1908, "plateau2": 1702}
 
+# rotation_measure_mc(f, 40_000, RandomStream(11, 3)) on the acceptance A5
+# fields, bump1, bump3 and a 1-D mollified indicator: float.hex of the value
+# and the standard error, recorded before the estimate read F only on the
+# segments that meet the support ball
+ROTATION_MC_GOLDENS = {
+    "bump1": ("0x1.c4a6fa0a8abf5p-1", "0x1.68f5c303b9181p-7"),
+    "bump3": ("0x1.bb10afbcb01f0p+0", "0x1.0a8f4a4ec0edep-4"),
+    "indicator1": ("0x1.d508beb3d92c4p+1", "0x1.01f07065f5965p-5"),
+    "bump2": ("0x1.639f500dd15f9p+0", "0x1.fc7a5a2dfcc45p-6"),
+    "bump2_off": ("0x1.9b2e13bad2cb3p+0", "0x1.8c12a9ade2f38p-5"),
+    "plateau2": ("0x1.5312bb20224e4p+1", "0x1.015a0b774fedfp-4"),
+    "bumps2_pair": ("0x1.0eb4c81a0da07p+0", "0x1.a9194e7e272fdp-5"),
+    "product2": ("0x1.e42cbba6d9d71p-2", "0x1.015d083c700b1p-6"),
+}
+
+# rotation_measure(bump2, 256, 128, 24), the rotation experiment's default
+# budget (the benchmark's), where the pruned member scan skips most pairs:
+# measure, error, mass, c_emp and c_emp_drift, recorded before the pruning
+ROTATION_GOLDEN_DEFAULT_BUDGET = (
+    "0x1.6a209c6b0a70fp+0", "0x1.77c4067deb500p-5", "0x1.ddb56cbf895e6p-2",
+    "0x1.841f37389c2dfp+1", "0x1.1c1065f60a720p-5",
+)
+
 
 @pytest.mark.parametrize("name", sorted(ROTATION_GOLDENS))
 def test_rotation_measure_goldens(cat, name):
@@ -444,6 +520,13 @@ def test_rotation_measure_goldens(cat, name):
     got = (rec["measure"].value, rec["measure"].error_estimate, rec["mass"], rec["c_emp"],
            rec["c_emp_drift"])
     assert tuple(v.hex() for v in got) == ROTATION_GOLDENS[name]
+
+
+def test_rotation_measure_golden_at_the_default_budget(bump2):
+    rec = C.rotation_measure(bump2, 256, 128, 24)
+    got = (rec["measure"].value, rec["measure"].error_estimate, rec["mass"], rec["c_emp"],
+           rec["c_emp_drift"])
+    assert tuple(v.hex() for v in got) == ROTATION_GOLDEN_DEFAULT_BUDGET
 
 
 def test_covering_goldens():
@@ -479,3 +562,52 @@ def test_rotation_measure_mc_member_count(cat, name):
     weight = Q.PairSampler(f.dim, R + r_cap, r_cap).weight
     assert round(mc.value * n / weight) == ROTATION_MC_MEMBERS[name]
     assert mc.nodes_used == n
+
+
+@pytest.mark.parametrize("name", sorted(ROTATION_MC_GOLDENS))
+def test_rotation_measure_mc_goldens(cat, name):
+    # the indicator is near 1 up to the edge of its support ball, so a support
+    # test that cut the ball short would move its estimate
+    f = F.make_mollified_indicator([[-1.0, 1.0]], 0.05) if name == "indicator1" else cat[name]
+    mc = C.rotation_measure_mc(f, 40_000, Q.RandomStream(11, 3))
+    assert (mc.value.hex(), mc.error_estimate.hex()) == ROTATION_MC_GOLDENS[name]
+
+
+def test_rotation_measure_mc_reads_only_segments_near_the_support(bump2, monkeypatch):
+    # F is read on no segment farther than the margin from the support ball,
+    # and on bump2 most sampled segments are farther
+    n = 20_000
+    want = C.rotation_measure_mc(bump2, n, Q.RandomStream(11, 3))
+    read = []
+    along = type(bump2).along
+
+    def spy(self, xs, ws):
+        read.append(np.concatenate([xs, ws]).T)
+        return along(self, xs, ws)
+
+    monkeypatch.setattr(type(bump2), "along", spy)
+    got = C.rotation_measure_mc(bump2, n, Q.RandomStream(11, 3))
+    assert (got.value, got.error_estimate) == (want.value, want.error_estimate)
+    x, rw = np.split(np.concatenate(read), 2, axis=1)     # segments x + s (r w), 0 <= s <= 1
+    s = np.clip(-np.sum(x * rw, axis=1) / np.sum(rw * rw, axis=1), 0.0, 1.0)
+    assert np.all(np.linalg.norm(x + s[:, None] * rw, axis=1) <= bump2.support_radius * (1 + 1e-6))
+    assert x.shape[0] < 0.6 * n
+
+
+@pytest.mark.parametrize("cells", [1, 2, 3])
+def test_rotation_measure_unresolved_foliation_is_not_converged(bump2, cells):
+    # lines too coarse to hold a member pair of a field with positive mass:
+    # a measure of 0 would read as a bound met and a drift of 0 as stable
+    rec = C.rotation_measure(bump2, line_cells=cells, offset_cells=max(1, cells // 2),
+                             sphere_order=8)
+    assert rec["mass"] > 0
+    assert rec["measure"].error_estimate == math.inf and not rec["measure"].converged
+    assert rec["c_emp_drift"] == math.inf
+
+
+@pytest.mark.parametrize("key", ["line_cells", "offset_cells"])
+@pytest.mark.parametrize("cells", [0, -4, 2.5, True, "8", None])
+def test_rotation_measure_rejects_cell_counts_below_one_or_not_integers(bump2, key, cells):
+    budget = {"line_cells": 16, "offset_cells": 8} | {key: cells}
+    with pytest.raises(InvalidParameterError, match=key):
+        C.rotation_measure(bump2, sphere_order=8, **budget)

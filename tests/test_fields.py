@@ -617,3 +617,25 @@ FIELD_GOLDENS = {
 def test_field_bounds_values_gradients_bit_identical(name):
     seed = sorted(FIELD_GOLDENS).index(name)
     assert _field_digest(_golden_fields()[name], seed) == FIELD_GOLDENS[name]
+
+
+# float.hex of gradient_lp_norm(f, p) at the default budget for p = 1 and 2,
+# recorded while |grad u|^2 was np.sum(grad ** 2, axis=-1)
+GRADIENT_LP_GOLDENS = {
+    "bump1": ("0x1.78b56362cef38p-1", "0x1.a36aca5b31102p-2"),
+    "bump1_wide": ("0x1.1a880a730b6acp-1", "0x1.26e716481e7f5p-3"),
+    "bump2": ("0x1.6514ba70f54bcp+0", "0x1.b35f52158ac9ap-1"),
+    "bump2_off": ("0x1.56cc4c616aa25p+0", "0x1.16a365fe4dd4bp-1"),
+    "bump3": ("0x1.ddb10a6f8edc2p+0", "0x1.2ea39bfa11312p+0"),
+    "bumps1_pair": ("0x1.2d5de80c41e39p+0", "0x1.f48124adace51p-1"),
+    "bumps2_pair": ("0x1.a558fd46e129fp+0", "0x1.6501d4a995bf6p+0"),
+    "plateau1": ("0x1.0000000000000p+1", "0x1.061f9021ae431p+4"),
+    "plateau2": ("0x1.ee812acc81e6ap+1", "0x1.a11e13de0d326p+4"),
+    "product2": ("0x1.0202d133dd902p-1", "0x1.c9b69c3bc3aa4p-4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRADIENT_LP_GOLDENS))
+def test_gradient_lp_norm_goldens(cat, name):
+    got = tuple(F.gradient_lp_norm(cat[name], p).value.hex() for p in (1.0, 2.0))
+    assert got == GRADIENT_LP_GOLDENS[name]
