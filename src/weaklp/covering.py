@@ -9,8 +9,8 @@ interval family, the 5J check and the rotation bound; the weighted energy
 reads them from the family.  The scan compares only the rows whose total
 mass reaches the threshold and the node pairs that cover a cell at which the
 prefix grows; the rotation Monte Carlo reads F only on the segments that
-meet its support ball.  Every pair either leaves out is a non-member, so
-both are exact.
+the field's `segments_meet_support` keeps.  Every pair either leaves out is
+a non-member, so both are exact.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .fields import _sum_squares, pair_members, pair_region
-from .levelset import _PRUNE_MARGIN
 from .quadrature import (
     GriddedFunction,
     PairSampler,
@@ -323,24 +322,21 @@ def rotation_measure(F, line_cells, offset_cells, sphere_order=24):
 def rotation_measure_mc(F, n_samples, stream):
     """Direct pair Monte Carlo cross-check of `rotation_measure`.
 
-    F is read only on the segments that come within a relative
-    `_PRUNE_MARGIN` of the support ball, which covers the rounding of their
-    Gauss points.  On every other segment F is exactly 0.0, so its mass is
-    0.0 and the pair is a member exactly when r^(N+1) is 0.0 too.
+    F is read only on the segments x + t w, 0 <= t <= r, that
+    `F.segments_meet_support` keeps.  On every other segment F is exactly
+    0.0, so its mass is 0.0 and the pair is a member exactly when r^(N+1)
+    is 0.0 too.
     """
     n = F.dim
     R = F.support_radius
     r_cap = _rotation_cap(F)
-    reach = R + _PRUNE_MARGIN * (R + r_cap)
     t, wt = gauss_nodes_1d(64)
     s = 0.5 * (t + 1.0)
 
     def member(x, w, r):
         thresh = r ** (n + 1.0)
         out = thresh <= 0.0
-        # the point of each segment x + t w, 0 <= t <= r, nearest the origin (|w| = 1)
-        near = x + np.clip(-np.sum(x * w, axis=1), 0.0, r)[:, None] * w
-        live = np.flatnonzero(np.sqrt(_sum_squares(near)) <= reach)
+        live = np.flatnonzero(F.segments_meet_support(x, w, r))
         if live.size:
             xl, wl, rl = x[live], w[live], r[live]
             # int_0^r F(x + t w) dt = r int_0^1 F(x + s r w) ds, by Gauss on [0, 1]

@@ -381,11 +381,14 @@ def run_crosscheck(rep, prm, out, workers):
     rep.add_verdict("s1:divergence_slope", probe["slope"], tol, "band", target=probe["target"],
                     error=probe["slope_error"],
                     detail="truncated-integral slope vs moment * gradient mass")
-    consistency = probe["slope"] / (p * fac["plateau"]) if fac["plateau"] > 0 else math.inf
-    rel_err = probe["slope_error"] / max(abs(probe["slope"]), 1e-300) + fac["plateau_error"] / fac["plateau"]
+    # over a zero plateau a zero slope agrees and any other does not, as in `target_ratio`
+    consistency, error = math.inf if probe["slope"] != 0 else 1.0, 0.0
+    if fac["plateau"] > 0:
+        consistency = probe["slope"] / (p * fac["plateau"])
+        error = abs(consistency) * (probe["slope_error"] / max(abs(probe["slope"]), 1e-300)
+                                    + fac["plateau_error"] / fac["plateau"])
     rep.add_verdict("limit_factor:probe_consistency", consistency, tol, "band", target=1.0,
-                    error=abs(consistency) * rel_err if fac["plateau"] > 0 else 0.0,
-                    detail="slope vs p * plateau, mutually independent estimates")
+                    error=error, detail="slope vs p * plateau, mutually independent estimates")
 
 
 _FIELD = {"field": (FIELD, REQUIRED)}

@@ -3,8 +3,13 @@
 Fields are immutable after construction; evaluation is vectorized over point
 arrays of shape (..., N) and is safe to call concurrently.  Every field
 vanishes *exactly* (returns 0.0, not something small) outside the centered
-ball of radius `support_radius`, and `segments_meet_support` says,
-conservatively, which segments can meet its support at all.
+ball of radius `support_radius`, and `segments_meet_support(X, W, length)`
+says, conservatively, which segments can meet its support at all: the field
+owns the whole test, its own tighter set and the slack `_PRUNE_MARGIN` that
+covers the rounding of x + r w, and X, W and `length` broadcast, so one call
+answers a grid of segments or a list of row-paired ones.  The certified
+bounds `lip_bound`, `hess_bound` and `sup_norm` are plain attributes, set
+when the field is built.
 
 Bumps and the axis profiles of separable fields rest on two jets, `_bump_jet`
 and `_step_jet`, each [value, d1, ..., d_order] from one mask and one set of
@@ -19,7 +24,6 @@ and float64 for every other field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +31,6 @@ from .errors import InvalidParameterError
 from .quadrature import QuadratureResult, centered_box_grid
 
 __all__ = [
-    "FieldBounds",
     "ScalarField",
     "catalogue",
     "catalogue_names",
@@ -43,6 +46,9 @@ __all__ = [
 
 _CERT_GRID = 2 ** 12          # per-axis certification sweep resolution
 _CERT_SAFETY = 1.05
+_PRUNE_MARGIN = 1e-9          # support-test slack relative to length + support_radius:
+                              # covers the rounding of x + r w, so a segment the test
+                              # drops reads u = 0 exactly
 
 
 def _sum_squares(pts, center=None):
@@ -60,35 +66,16 @@ def _sum_squares(pts, center=None):
     return q
 
 
-@dataclass(frozen=True)
-class FieldBounds:
-    """Certified upper bounds for |grad u|, the Hessian norm, and |u|."""
-
-    lip_bound: float
-    hess_bound: float
-    sup_norm: float
-
-
 class ScalarField:
     """Base class; subclasses implement `evaluate` and `gradient`."""
 
     dim: int
     support_radius: float
     label: str
-    bounds: FieldBounds
+    lip_bound: float      # certified upper bounds for |grad u|, the Hessian norm and |u|
+    hess_bound: float
+    sup_norm: float
     scan_dtype = np.dtype(np.float64)   # dtype of r that `along` computes in, for the ray scan
-
-    @property
-    def lip_bound(self):
-        return self.bounds.lip_bound
-
-    @property
-    def hess_bound(self):
-        return self.bounds.hess_bound
-
-    @property
-    def sup_norm(self):
-        return self.bounds.sup_norm
 
     def evaluate(self, pts):
         raise NotImplementedError
@@ -107,46 +94,56 @@ class ScalarField:
         """Distance to the support ball (a lower bound on the distance to supp u)."""
         return np.maximum(np.sqrt(_sum_squares(pts)) - self.support_radius, 0.0)
 
-    def segments_meet_support(self, X, W, length, margin):
-        """(nx, nw) bool: whether the segment x + r w, 0 <= r <= length, comes
-        within `margin` of supp u, for every x in X (nx, N) and w in W (nw, N).
+    def segments_meet_support(self, X, W, length):
+        """Whether the segment x + r w, 0 <= r <= length, can meet supp u, for
+        X (..., N), W (..., N) and `length` broadcast against each other:
+        X[:, None] and W[None] give the (nx, nw) grid, equal shapes the rows.
 
         Conservative: False only where every point of the segment, x itself
-        included, lies more than `margin` outside a set containing supp u, so
-        `evaluate` returns exactly 0.0 there.  The base class tests the
-        centered ball of `support_radius`; subclasses test tighter sets.
+        included, lies more than `_margin(length)` outside a set containing
+        supp u, so `evaluate` and `along` return exactly 0.0 there.  The base
+        class tests the centered ball of `support_radius`; subclasses test
+        tighter sets.
         """
-        return _segments_meet_ball(X, W, length, np.zeros(self.dim), self.support_radius + margin)
+        return _segments_meet_ball(X, W, length, np.zeros(self.dim), self.support_radius + self._margin(length))
+
+    def _margin(self, length):
+        # near the support |x| and r |w| are at most length + support_radius
+        # (unit w), and x + r w rounds by a few ulps of that
+        return _PRUNE_MARGIN * (np.asarray(length, dtype=float) + self.support_radius)
 
     def __repr__(self):
         return f"<ScalarField {self.label!r} N={self.dim}>"
 
 
 def _segments_meet_ball(X, W, length, center, radius):
-    """(nx, nw) bool: whether x + r w, 0 <= r <= length, meets the closed ball."""
-    d = np.asarray(X, dtype=float) - center
-    W = np.asarray(W, dtype=float)
+    """Whether x + r w, 0 <= r <= length, meets the closed ball, broadcast."""
+    X, W = np.asarray(X, dtype=float), np.asarray(W, dtype=float)
+    d = [X[..., i] - c for i, c in enumerate(center)]
+    w = [W[..., i] for i in range(W.shape[-1])]
     # the point of each segment nearest the centre, taken as a vector so the
-    # distance keeps its relative accuracy near the sphere
-    t = np.clip(-(d @ W.T) / np.maximum(_sum_squares(W), np.finfo(float).tiny), 0.0, length)
-    near = d[:, None, :] + t[..., None] * W[None, :, :]
-    return np.sqrt(_sum_squares(near)) <= radius
+    # distance keeps its relative accuracy near the sphere; axis by axis, so
+    # no array has a short trailing axis
+    dw, ww = sum(a * b for a, b in zip(d, w)), sum(b * b for b in w)
+    t = np.clip(-dw / np.maximum(ww, np.finfo(float).tiny), 0.0, length)
+    return np.sqrt(sum((a + t * b) ** 2 for a, b in zip(d, w))) <= radius
 
 
-def _segments_meet_box(X, W, length, lo, hi):
-    """(nx, nw) bool: whether x + r w, 0 <= r <= length, meets the box [lo, hi]
-    (slab test: the r-intervals inside each axis slab must overlap)."""
+def _segments_meet_box(X, W, length, lo, hi, margin):
+    """Whether x + r w, 0 <= r <= length, meets the box [lo - margin, hi +
+    margin], broadcast (slab test: the r-intervals inside each axis slab must
+    overlap)."""
     X = np.asarray(X, dtype=float)
     W = np.asarray(W, dtype=float)
-    enter = np.zeros((X.shape[0], W.shape[0]))
-    leave = np.full_like(enter, length)
-    for i in range(X.shape[1]):
-        x, w = X[:, i, None], W[None, :, i]
+    enter = np.zeros(np.broadcast_shapes(X.shape[:-1], W.shape[:-1], np.shape(length)))
+    leave = enter + length
+    for i in range(X.shape[-1]):
+        x, w = X[..., i], W[..., i]
         with np.errstate(divide="ignore", invalid="ignore"):
-            a = (lo[i] - x) / w
-            b = (hi[i] - x) / w
+            a = (lo[i] - margin - x) / w
+            b = (hi[i] + margin - x) / w
         # a direction parallel to the slab stays inside it or outside for all r
-        inside = np.where((lo[i] <= x) & (x <= hi[i]), np.inf, -np.inf)
+        inside = np.where((lo[i] - margin <= x) & (x <= hi[i] + margin), np.inf, -np.inf)
         flat = w == 0.0
         enter = np.maximum(enter, np.where(flat, -inside, np.minimum(a, b)))
         leave = np.minimum(leave, np.where(flat, inside, np.maximum(a, b)))
@@ -265,7 +262,7 @@ class _RadialBump(ScalarField):
         self.dim = self.center.shape[0]
         self.support_radius = float(np.linalg.norm(self.center) + self.radius)
         self.label = f"bump(N={self.dim},R={self.radius},a={self.amplitude})"
-        self.bounds = self._certify()
+        self.lip_bound, self.hess_bound, self.sup_norm = self._certify()
         self.spec = {
             "kind": "bump",
             "center": self.center.tolist(),
@@ -282,7 +279,7 @@ class _RadialBump(ScalarField):
         lip = _CERT_SAFETY * float(np.max(d1))
         hess = _CERT_SAFETY * float(max(np.max(d2), np.max(rad)))
         sup = abs(self.amplitude) * math.exp(-1.0)
-        return FieldBounds(lip, hess, sup)
+        return lip, hess, sup
 
     def evaluate(self, pts):
         r = np.sqrt(_sum_squares(pts, self.center))
@@ -322,8 +319,8 @@ class _RadialBump(ScalarField):
 
         return u
 
-    def segments_meet_support(self, X, W, length, margin):
-        return _segments_meet_ball(X, W, length, self.center, self.radius + margin)
+    def segments_meet_support(self, X, W, length):
+        return _segments_meet_ball(X, W, length, self.center, self.radius + self._margin(length))
 
     def gradient(self, pts):
         d = np.asarray(pts, dtype=float) - self.center
@@ -346,7 +343,7 @@ class _SeparableField(ScalarField):
         ext = np.array([p.sweep_extent() for p in profiles])
         self.support_radius = float(np.sqrt(np.sum(np.max(np.abs(ext), axis=1) ** 2)))
         self.label = label
-        self.bounds = self._certify()
+        self.lip_bound, self.hess_bound, self.sup_norm = self._certify()
         self.spec = spec
 
     def _certify(self):
@@ -374,7 +371,7 @@ class _SeparableField(ScalarField):
             if i != j
         )
         hess = a * math.sqrt(diag + off)   # Frobenius norm dominates the operator norm
-        return FieldBounds(_CERT_SAFETY * lip, _CERT_SAFETY * hess, sup)
+        return _CERT_SAFETY * lip, _CERT_SAFETY * hess, sup
 
     def evaluate(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -407,10 +404,10 @@ class _SeparableField(ScalarField):
 
         return u
 
-    def segments_meet_support(self, X, W, length, margin):
+    def segments_meet_support(self, X, W, length):
         # every profile vanishes outside its sweep extent, so u does outside the box
         ext = np.array([p.sweep_extent() for p in self.profiles])
-        return _segments_meet_box(X, W, length, ext[:, 0] - margin, ext[:, 1] + margin)
+        return _segments_meet_box(X, W, length, ext[:, 0], ext[:, 1], self._margin(length))
 
     def gradient(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -443,16 +440,12 @@ class _SumField(ScalarField):
         self.dim = dims.pop()
         self.support_radius = max(f.support_radius for f in fields)
         self.label = "sum(" + ",".join(f.label for f in fields) + ")"
-        lip = sum(f.lip_bound for f in fields)
-        hess = sum(f.hess_bound for f in fields)
-        sup = sum(f.sup_norm for f in fields)
-        self.bounds = FieldBounds(lip, hess, sup)
-        self.spec = {"kind": "sum", "terms": [f.spec for f in fields]}
-
-    @property
-    def scan_dtype(self):
+        self.lip_bound = sum(f.lip_bound for f in fields)
+        self.hess_bound = sum(f.hess_bound for f in fields)
+        self.sup_norm = sum(f.sup_norm for f in fields)
         # float32 only when every term's `along` computes in it
-        return np.result_type(*(f.scan_dtype for f in self.fields))
+        self.scan_dtype = np.result_type(*(f.scan_dtype for f in fields))
+        self.spec = {"kind": "sum", "terms": [f.spec for f in fields]}
 
     def evaluate(self, pts):
         out = self.fields[0].evaluate(pts)
@@ -464,10 +457,10 @@ class _SumField(ScalarField):
         first, *rest = (f.along(xs, ws) for f in self.fields)
         return lambda r, b=slice(None): sum((t(r, b) for t in rest), first(r, b))  # in term order
 
-    def segments_meet_support(self, X, W, length, margin):
-        out = self.fields[0].segments_meet_support(X, W, length, margin)
+    def segments_meet_support(self, X, W, length):
+        out = self.fields[0].segments_meet_support(X, W, length)
         for f in self.fields[1:]:
-            out |= f.segments_meet_support(X, W, length, margin)
+            out |= f.segments_meet_support(X, W, length)
         return out
 
     def gradient(self, pts):
@@ -485,12 +478,10 @@ class _ScaledField(ScalarField):
         self.support_radius = base.support_radius
         self.label = f"{factor}*{base.label}"
         a = abs(self.factor)
-        self.bounds = FieldBounds(a * base.lip_bound, a * base.hess_bound, a * base.sup_norm)
+        self.lip_bound, self.hess_bound, self.sup_norm = (a * base.lip_bound, a * base.hess_bound,
+                                                          a * base.sup_norm)
+        self.scan_dtype = base.scan_dtype
         self.spec = {"kind": "scaled", "factor": self.factor, "base": base.spec}
-
-    @property
-    def scan_dtype(self):
-        return self.base.scan_dtype
 
     def evaluate(self, pts):
         return self.factor * self.base.evaluate(pts)
@@ -499,8 +490,8 @@ class _ScaledField(ScalarField):
         base = self.base.along(xs, ws)
         return lambda r, b=slice(None): self.factor * base(r, b)
 
-    def segments_meet_support(self, X, W, length, margin):
-        return self.base.segments_meet_support(X, W, length, margin)
+    def segments_meet_support(self, X, W, length):
+        return self.base.segments_meet_support(X, W, length)
 
     def gradient(self, pts):
         return self.factor * self.base.gradient(pts)

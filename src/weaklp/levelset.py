@@ -11,9 +11,10 @@ and the outer end of the last run are reported.  The polar estimator scans
 one direction of each antipodal pair of its sphere rule (`SphereRule.half`):
 the set is symmetric under (x, y) -> (y, x), so the x-integrated measures of
 w and -w agree and mu is twice the hemisphere integral.  It scans only the
-rays that the field's conservative `segments_meet_support` reports as
-meeting its support (u is exactly 0 on the others, at x too), so every
-estimate equals the unpruned scan's bit for bit.  A polar call scans its
+rays that the field's conservative `segments_meet_support(X, W, r_cap)`
+reports as meeting its support; the field sets the slack that covers
+rounding, and u is exactly 0 on the other rays, at x too, so every estimate
+equals the unpruned scan's bit for bit.  A polar call scans its
 fine and coarse pass, one scan per run of x chunks, and then solves all
 their brackets in one call; the ray sandwich check scans and solves all its
 sampled rays in one call each, with enough halvings for its absolute slack.
@@ -83,8 +84,6 @@ _BLOCK_POINTS = 2 ** 14    # ray points per scan block, one slice of the call's 
                            # 9x the page faults of a polar-2d pass (glibc malloc)
 _X_CHUNK = 512             # x nodes per partial sum of pair_measure_polar's reduction
 _SCAN_POINTS = 2 ** 22     # nominal ray points per pair_measure_polar scan
-_PRUNE_MARGIN = 1e-9       # pruning slack relative to r_cap + support_radius: covers
-                           # the rounding of x + r w, so pruned rays read u = 0 exactly
 _HALVINGS = 10             # halvings of each polar scan bracket before its regula-falsi step
 _SOLVE_BRACKETS = 2 ** 16  # brackets per batched solve of pair_measure_polar: one solve
                            # per call at the 2-D budgets, bounded memory at larger ones
@@ -261,8 +260,7 @@ def _grid_brackets(f, lam, alpha, X, W, r_cap, scan):
     cell is exactly zero.
     """
     nx, nw = X.shape[0], W.shape[0]
-    margin = _PRUNE_MARGIN * (r_cap + f.support_radius)
-    meets = f.segments_meet_support(X, W, r_cap, margin)
+    meets = f.segments_meet_support(X[:, None], W[None], r_cap)
     rays = np.flatnonzero(meets)
     ray_x, ray_w = np.divmod(rays, nw)
     ux = np.zeros(nx)

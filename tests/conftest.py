@@ -19,6 +19,8 @@ def bump2(cat):
     return cat["bump2"]
 
 
-@pytest.fixture(scope="session")
-def rng():
-    return np.random.default_rng(20240229)
+@pytest.fixture
+def rng(request):
+    """A generator of the test's own, seeded from a constant and its node id:
+    a test draws the same data whatever ran before it."""
+    return np.random.default_rng([20240229, *request.node.nodeid.encode()])

@@ -782,3 +782,28 @@ def test_median_bounded_verdict(ratios, ok):
     rep = Report("corollary", {}, 1)
     rep.add_verdict("cor1.4:bounded", spread, 3.0, "<=", target=med)
     assert med == float(sorted(ratios)[1]) and rep.verdicts["cor1.4:bounded"]["pass"] is ok
+
+
+FIELD_KINDS = sorted(kind for kind, (_, _, params) in EXPERIMENTS.items() if "field" in params)
+TINY_BUDGETS = {"polar": {"x_nodes": 8, "sphere_order": 4, "scan": 16},
+                "gagliardo": {"x_nodes": 8, "sphere_order": 4}}
+TINY_PARAMS = {"limit": {"lambda_points": 8, "window": 4}, "quasinorm": {"lambda_points": 8, "refine": 2},
+               "maximal": {"lambda_points": 4, "cells": 16}, "gagliardo": {"s": 0.5},
+               "crosscheck": {"s_ladder": [0.5, 0.75], "delta_ladder": [1e-2, 1e-3, 1e-4]}}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", FIELD_KINDS)
+def test_every_field_kind_runs_on_the_zero_field(tmp_path, kind, dim):
+    # crosscheck divided its plateau error by a zero plateau and died with a
+    # ZeroDivisionError before writing its report
+    budgets = {}
+    for est in EXPERIMENTS[kind][1]:
+        budgets |= TINY_BUDGETS[est]
+    cfg = {"experiment": kind, "seed": 1, "budgets": budgets,
+           "field": {"kind": "bump", "center": [0.0] * dim, "radius": 1.0, "amplitude": 0.0},
+           "params": {"p": 2.0} | TINY_PARAMS[kind]}
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["verdicts"] and all(v["pass"] is True for v in report["verdicts"].values())

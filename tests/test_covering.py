@@ -573,25 +573,44 @@ def test_rotation_measure_mc_goldens(cat, name):
     assert (mc.value.hex(), mc.error_estimate.hex()) == ROTATION_MC_GOLDENS[name]
 
 
-def test_rotation_measure_mc_reads_only_segments_near_the_support(bump2, monkeypatch):
-    # F is read on no segment farther than the margin from the support ball,
-    # and on bump2 most sampled segments are farther
-    n = 20_000
-    want = C.rotation_measure_mc(bump2, n, Q.RandomStream(11, 3))
-    read = []
-    along = type(bump2).along
+def test_rotation_measure_mc_reads_only_segments_near_the_support(cat, monkeypatch):
+    # F is read on no segment farther than the margin from the bump's own
+    # ball, and on these bumps most sampled segments are farther; off the
+    # origin the bump's ball drops segments that the centred ball keeps,
+    # with the estimate's bits unchanged
+    for name in ("bump2", "bump2_off"):
+        with monkeypatch.context() as mp:
+            _assert_rotation_mc_reads_near_the_support(cat[name], mp)
 
-    def spy(self, xs, ws):
+
+def _assert_rotation_mc_reads_near_the_support(f, monkeypatch):
+    n = 20_000
+    want = C.rotation_measure_mc(f, n, Q.RandomStream(11, 3))
+    read, tested = [], []
+    along, meets = type(f).along, type(f).segments_meet_support
+
+    def spy_along(self, xs, ws):
         read.append(np.concatenate([xs, ws]).T)
         return along(self, xs, ws)
 
-    monkeypatch.setattr(type(bump2), "along", spy)
-    got = C.rotation_measure_mc(bump2, n, Q.RandomStream(11, 3))
+    def spy_meets(self, x, w, r):
+        tested.append((x, w, r))
+        return meets(self, x, w, r)
+
+    monkeypatch.setattr(type(f), "along", spy_along)
+    monkeypatch.setattr(type(f), "segments_meet_support", spy_meets)
+    got = C.rotation_measure_mc(f, n, Q.RandomStream(11, 3))
     assert (got.value, got.error_estimate) == (want.value, want.error_estimate)
     x, rw = np.split(np.concatenate(read), 2, axis=1)     # segments x + s (r w), 0 <= s <= 1
-    s = np.clip(-np.sum(x * rw, axis=1) / np.sum(rw * rw, axis=1), 0.0, 1.0)
-    assert np.all(np.linalg.norm(x + s[:, None] * rw, axis=1) <= bump2.support_radius * (1 + 1e-6))
+    s = np.clip(-np.sum((x - f.center) * rw, axis=1) / np.sum(rw * rw, axis=1), 0.0, 1.0)
+    assert np.all(np.linalg.norm(x + s[:, None] * rw - f.center, axis=1) <= f.radius * (1 + 1e-6))
     assert x.shape[0] < 0.6 * n
+    centred = sum(np.count_nonzero(F.ScalarField.segments_meet_support(f, *t)) for t in tested)
+    assert sum(t[0].shape[0] for t in tested) == n
+    if f.support_radius == f.radius:
+        assert x.shape[0] == centred
+    else:
+        assert x.shape[0] < 0.8 * centred
 
 
 @pytest.mark.parametrize("cells", [1, 2, 3])

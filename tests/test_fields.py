@@ -263,6 +263,32 @@ def _support_fields(draw, n):
     return F.make_mollified_indicator(box, 0.4 * min(radii))
 
 
+def _support_entry(f, x, w):
+    """The least r >= 0 at which x + r w, rows of (k, N), enters the closed
+    set the field's own support test stands for (inf where it never does):
+    a bump's ball, a separable field's box of sweep extents."""
+    if hasattr(f, "fields"):
+        return np.min([_support_entry(t, x, w) for t in f.fields], axis=0)
+    if hasattr(f, "base"):
+        return _support_entry(f.base, x, w)
+    if hasattr(f, "profiles"):
+        ext = np.array([p.sweep_extent() for p in f.profiles])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a, b = (ext[:, 0] - x) / w, (ext[:, 1] - x) / w
+        inside = (ext[:, 0] <= x) & (x <= ext[:, 1])
+        enter = np.max(np.where(w == 0.0, np.where(inside, 0.0, np.inf), np.minimum(a, b)), axis=1)
+        leave = np.min(np.where(w == 0.0, np.where(inside, np.inf, -np.inf), np.maximum(a, b)), axis=1)
+        enter = np.maximum(enter, 0.0)
+        return np.where(enter <= leave, enter, np.inf)
+    d = x - f.center
+    dw, ww = np.sum(d * w, axis=1), np.sum(w * w, axis=1)
+    disc = dw * dw - ww * (np.sum(d * d, axis=1) - f.radius ** 2)
+    with np.errstate(invalid="ignore"):
+        r = (-dw - np.sqrt(disc)) / ww
+    r = np.where(np.sum(d * d, axis=1) <= f.radius ** 2, 0.0, r)
+    return np.where((disc >= 0.0) & (r >= 0.0), r, np.inf)
+
+
 @st.composite
 def _segment_cases(draw):
     n = draw(st.sampled_from([1, 2, 3]))
@@ -278,32 +304,51 @@ def _segment_cases(draw):
     W = rng.normal(size=(6, n))
     W /= np.linalg.norm(W, axis=1, keepdims=True)
     W = np.vstack([W, np.eye(n), -np.eye(n)])     # zero components for the slab test
-    length = draw(st.floats(0.01, 2.0))
-    margin = draw(st.sampled_from([0.0, 1e-9]))
-    return f, X, W, length, margin
+    length = draw(st.sampled_from([0.0, 0.01, 0.5, 2.0]))
+    # the same segments as rows, each with a length of its own: 0, one that
+    # ends exactly where the segment enters the support, or a random one
+    xr, wr = np.repeat(X, len(W), axis=0), np.tile(W, (len(X), 1))
+    entry = _support_entry(f, xr, wr)
+    lengths = np.where(np.isfinite(entry), entry, rng.uniform(0.0, 2.0, xr.shape[0]))
+    pick = rng.integers(0, 3, xr.shape[0])
+    lengths = np.where(pick == 0, 0.0, np.where(pick == 1, rng.uniform(0.0, 2.0, xr.shape[0]), lengths))
+    return f, X, W, length, xr, wr, lengths, entry
+
+
+def _assert_dropped_segments_read_zero(f, x, w, length):
+    # dense points along every segment, both ends included
+    t = np.linspace(0.0, 1.0, 257) * length
+    pts = x[:, None, :] + t[..., None] * w[:, None, :]
+    assert np.all(f.evaluate(pts) == 0.0)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_segment_cases())
 def test_segments_meet_support_is_conservative(case):
-    f, X, W, length, margin = case
-    hit = f.segments_meet_support(X, W, length, margin)
+    f, X, W, length, xr, wr, lengths, entry = case
+    hit = f.segments_meet_support(X[:, None], W[None], length)
     assert hit.shape == (X.shape[0], W.shape[0]) and hit.dtype == bool
     xi, wi = np.nonzero(~hit)
-    # dense points along every segment reported as missing, both ends included
-    t = np.linspace(0.0, length, 257)
-    pts = X[xi][:, None, :] + t[None, :, None] * W[wi][:, None, :]
-    assert np.all(f.evaluate(pts) == 0.0)
+    _assert_dropped_segments_read_zero(f, X[xi], W[wi], np.full((xi.size, 1), length))
+    # the grid form is the row form, element by element
+    assert np.array_equal(hit.ravel(), f.segments_meet_support(xr, wr, np.full(xr.shape[0], length)))
+    assert np.array_equal(hit.ravel(), f.segments_meet_support(xr, wr, length))
+    rows = f.segments_meet_support(xr, wr, lengths)
+    assert rows.shape == lengths.shape and rows.dtype == bool
+    miss = ~rows
+    _assert_dropped_segments_read_zero(f, xr[miss], wr[miss], lengths[miss, None])
+    # a segment that reaches its entry point meets the support
+    assert np.all(rows[lengths >= entry])
 
 
 def test_segments_meet_support_is_tighter_than_the_centred_ball():
     # an off-centre bump and a box miss rays that the centred ball keeps
     for f in (F.make_bump([1.0, 0.0], 0.5), F.make_mollified_indicator([[0.5, 1.5], [0.0, 1.0]], 0.1)):
-        X = np.array([[-0.5, 0.0]])
-        W = np.array([[-1.0, 0.0], [0.0, 1.0]])
-        assert not f.segments_meet_support(X, W, 0.4, 1e-9).any()
-        assert F.ScalarField.segments_meet_support(f, X, W, 0.4, 1e-9).all()
-        assert f.segments_meet_support(X, np.array([[1.0, 0.0]]), 1.0, 1e-9).all()
+        X = np.array([[[-0.5, 0.0]]])
+        W = np.array([[[-1.0, 0.0], [0.0, 1.0]]])
+        assert not f.segments_meet_support(X, W, 0.4).any()
+        assert F.ScalarField.segments_meet_support(f, X, W, 0.4).all()
+        assert f.segments_meet_support(X, np.array([[[1.0, 0.0]]]), 1.0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -533,9 +578,8 @@ def _golden_points(f, seed):
 
 def _field_digest(f, seed):
     pts = _golden_points(f, seed)
-    b = f.bounds
     return (
-        b.lip_bound.hex(), b.hess_bound.hex(), b.sup_norm.hex(),
+        f.lip_bound.hex(), f.hess_bound.hex(), f.sup_norm.hex(),
         hashlib.sha256(np.ascontiguousarray(f.evaluate(pts)).tobytes()).hexdigest(),
         hashlib.sha256(np.ascontiguousarray(f.gradient(pts)).tobytes()).hexdigest(),
     )

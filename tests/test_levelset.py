@@ -37,8 +37,8 @@ class RampStub(F.ScalarField):
     def support_distance(self, pts):
         return np.zeros(np.asarray(pts).shape[:-1])
 
-    def segments_meet_support(self, X, W, length, margin):
-        return np.ones((len(X), len(W)), dtype=bool)
+    def segments_meet_support(self, X, W, length):
+        return np.ones(np.broadcast_shapes(np.shape(X)[:-1], np.shape(W)[:-1]), dtype=bool)
 
 
 def zero_field():
@@ -609,7 +609,7 @@ def test_scan_far_from_support_is_zero_without_evaluation(bump2, monkeypatch):
     lam = 4.0 * bump2.lip_bound
     r_cap = LS.truncation_radius(bump2, lam, 3.0)
     R = bump2.support_radius
-    margin = LS._PRUNE_MARGIN * (r_cap + R)
+    margin = F._PRUNE_MARGIN * (r_cap + R)
     x = np.array([[R + r_cap, 0.0]])
     # from x, rays away from or across the support miss it by at least r_cap
     away = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [math.sqrt(0.5)] * 2])
@@ -746,7 +746,7 @@ def test_scan_kernel_bitwise_equal_to_x_pruned_reference_on_a_tensor_grid(cat, n
     lam, alpha = lam_factor * f.lip_bound, 3.0
     X, W = _polar_rays(f, lam, alpha)
     r_cap = F.pair_region(f, lam, alpha)[1]
-    rays = np.count_nonzero(f.segments_meet_support(X, W, r_cap, 1e-9))
+    rays = np.count_nonzero(f.segments_meet_support(X[:, None], W[None], r_cap))
     assert rays > 2 * (LS._BLOCK_POINTS // 40)
     _assert_kernel_matches_reference(f, lam, alpha, X, W)
 

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -117,14 +118,62 @@ def test_maximal_rejects_empty_grids_and_inverted_boxes(box, values):
 
 def _maximal_1d_reference(g):
     """The 1-D maximal function by interpolating the exact prefix masses at
-    c - r and c + r: the path the FFT convolution replaced."""
-    nodes = np.linspace(*g.box[0], g.values.size + 1)
-    c = g.centers(0)
-    best = np.array(g.values, dtype=float)
+    c - r and c + r: the path the FFT convolution replaced.  It works in cell
+    units, centre i + 1/2 and radius rho = r / h as `hl_maximal` takes them,
+    on correctly rounded prefix sums, so its rounding grows neither with the
+    cell count nor with the box's distance from 0."""
+    v = np.asarray(g.values, dtype=float)
+    m = v.size
+    prefix = np.array([math.fsum(v[:j]) for j in range(m + 1)])
+    cells = np.arange(m)
+    best = v.copy()
     for r in M.radius_ladder(g)[1:]:
-        lo, hi = np.interp([c - r, c + r], nodes, g.prefix, left=0.0, right=g.prefix[-1])
-        best = np.maximum(best, (hi - lo) / (2.0 * r))
+        rho = r / g.h
+        ends = []
+        for off in (0.5 - rho, 0.5 + rho):
+            whole = math.floor(off)
+            j = cells + whole          # the cell holding the end, off - whole into it (exact)
+            inner = prefix[np.clip(j, 0, m)] + (off - whole) * v[np.clip(j, 0, m - 1)]
+            ends.append(np.where(j < 0, 0.0, np.where(j >= m, prefix[m], inner)))
+        best = np.maximum(best, (ends[1] - ends[0]) / (2.0 * rho))
     return best
+
+
+# Rounding bound of |hl_maximal - reference| on a 1-D grid: C_FFT eps S L,
+# S = sum |v| over the cells and L = log2 of the ladder's longest FFT.  Per
+# rung the ball has volume V = 2 rho >= 2^(1/4) (cell units) and the kernel
+# k has ||k||_1 = V, ||k||_inf <= 1.  A length-n FFT errs by at most L eta
+# of its 2-norm, eta = mu + gamma_4 (sqrt 2 + mu) <= 7 eps (Higham, Accuracy
+# and Stability of Numerical Algorithms, 2nd ed., Thm 24.2, taken for numpy's
+# mixed-radix FFT with twiddles accurate to mu <= eps).  Through Parseval and
+# Young, the forward transforms of v and k, the product and the inverse move
+# the masses by at most L eta (2 V + sqrt V) S + 2.3 eps V S in the 2-norm,
+# and so in the max norm; the ball means, after the division by V, by at
+# most (2.92 L eta + 2.8 eps) S.  The reference reads correctly rounded
+# prefixes at exactly split offsets and errs by at most 5 eps S.  With
+# L >= log2 3 the sum is below 25.3 eps S L; C_FFT = 32 covers the
+# second-order terms.
+C_FFT = 32.0
+
+
+def _fft_rounding_bound(g):
+    rho_top = M.radius_ladder(g)[-1] / g.h
+    n = M._fast_len(g.values.size + 2 * math.ceil(rho_top))
+    return C_FFT * np.finfo(float).eps * np.sum(np.abs(g.values)) * math.log2(n)
+
+
+def _random_grid_deviations(rng):
+    """(max |hl_maximal - reference|, `_fft_rounding_bound`, nonzero cells) on
+    20 random 1-D grids."""
+    out = []
+    for _ in range(20):
+        m = int(rng.integers(1, 300))
+        lo = rng.uniform(-3, 1)
+        g = M.GriddedFunction(box1(lo, lo + rng.uniform(0.1, 5)),
+                              rng.uniform(0, 4, m) * (rng.random(m) < 0.6))
+        dev = np.abs(M.hl_maximal(g).values - _maximal_1d_reference(g)).max()
+        out.append((dev, _fft_rounding_bound(g), np.count_nonzero(g.values)))
+    return out
 
 
 @pytest.mark.parametrize("cells", [96, 192])
@@ -136,13 +185,19 @@ def test_maximal_1d_matches_prefix_interpolation_on_the_catalogue(cat, name, cel
 
 
 def test_maximal_1d_matches_prefix_interpolation_on_random_grids(rng):
-    for _ in range(20):
-        m = int(rng.integers(1, 300))
-        lo = rng.uniform(-3, 1)
-        g = M.GriddedFunction(box1(lo, lo + rng.uniform(0.1, 5)),
-                              rng.uniform(0, 4, m) * (rng.random(m) < 0.6))
-        ref = _maximal_1d_reference(g)
-        assert np.abs(M.hl_maximal(g).values - ref).max() <= 1e-13 * max(ref.max(), 1e-300)
+    for dev, bound, _ in _random_grid_deviations(rng):
+        assert dev <= bound
+
+
+def test_the_random_grid_bound_catches_a_kernel_shifted_by_one_cell(rng, monkeypatch):
+    # a kernel one cell off centre moves every grid with four nonzero cells
+    # past the bound (on two or three cells each value can still be its own
+    # maximum, and the shift then moves nothing)
+    kernel = M._ball_kernel
+    monkeypatch.setattr(M, "_ball_kernel", lambda rho, dim: np.roll(kernel(rho, dim), 1))
+    devs = _random_grid_deviations(rng)
+    assert sum(nonzero >= 4 for *_, nonzero in devs) >= 10
+    assert all(dev > bound for dev, bound, nonzero in devs if nonzero >= 4)
 
 
 def test_maximal_constant_1d():
