@@ -46,13 +46,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidParameterError, PreconditionError
-from .fields import pair_members, pair_region, truncation_radius
+from .fields import pair_region, truncation_radius
 from .quadrature import (
     PairSampler,
     QuadratureResult,
@@ -99,14 +98,14 @@ class LevelSetQuery:
     field: object
     p: float
     alpha: float
-    lam: float
+    lam: float          # pair_measure_mc also takes an array of thresholds
 
     def __post_init__(self):
         if self.p < 1:
             raise InvalidParameterError("p must be >= 1")
         if self.alpha <= 1:
             raise InvalidParameterError("alpha must exceed 1 for the radial truncation")
-        if self.lam <= 0:
+        if np.any(np.asarray(self.lam) <= 0):
             raise InvalidParameterError("lambda must be positive")
         if self.field.dim > 3:
             raise InvalidParameterError("pair measures support N <= 3")
@@ -433,13 +432,35 @@ def pair_measure_polar(q: LevelSetQuery, x_nodes, sphere_order, scan):
 
 
 def pair_measure_mc(q: LevelSetQuery, n, stream, workers=1):
-    """Unbiased Monte Carlo estimate of the same truncated pair measure."""
+    """Unbiased Monte Carlo estimate of the same truncated pair measure at
+    `q.lam`, or at each of an array of thresholds (lists of values and errors,
+    as `monte_carlo` gives them, each bit for bit the one-threshold call's).
+
+    Each chunk of unit pairs (|x| <= 1, r <= 1) is drawn from `stream` once
+    for every threshold, whose `pair_region` half and r_cap scale x and r:
+    that maps the draw uniformly onto its region, so each estimate is
+    unbiased with a valid standard error, and estimates at different
+    thresholds are correlated.  u(x) is shared by thresholds of equal half.
+    """
     if n < 1000:
         raise InvalidParameterError("need at least 1e3 samples")
-    f = q.field
-    sampler = PairSampler(f.dim, *pair_region(f, q.lam, q.alpha))
-    member = partial(pair_members, f, q.lam, q.alpha)
-    return monte_carlo(member, sampler, n, stream, workers=workers)
+    f, alpha, lams = q.field, q.alpha, np.atleast_1d(q.lam)
+    halves, caps = np.array([pair_region(f, lam, alpha) for lam in lams]).T
+    sampler = PairSampler(f.dim, 1.0, 1.0)
+    sampler.weight = sampler.weight * (halves * caps) ** f.dim
+
+    def members(x, w, r):
+        out, half, r_alpha = np.empty((lams.size, r.size), dtype=bool), None, r ** alpha
+        for lam, h, cap, row in zip(lams, halves, caps, out):
+            if h != half:
+                half, xs = h, x.T * h       # axis-major, as drawn
+                ux = f.evaluate(xs.T)
+            rs = r * cap
+            dv = np.abs(f.evaluate((xs + rs * w.T).T) - ux)
+            np.logical_and(dv >= lam * cap ** alpha * r_alpha, rs > 0.0, out=row)
+        return out.T if np.ndim(q.lam) else out[0]
+
+    return monte_carlo(members, sampler, n, stream, workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +500,10 @@ class DistributionProfile:
 
 
 def distribution_profile(f, p, alpha, lam_grid, estimator="polar", budgets=None, stream=None, workers=1):
-    """Estimate mu(E_lambda) on an ascending threshold grid with shared budgets."""
+    """Estimate mu(E_lambda) on an ascending threshold grid with shared budgets.
+    Monte Carlo draws each chunk once for the whole grid (`pair_measure_mc`): the
+    positive correlation across thresholds makes the monotonicity flags, a rise
+    beyond the sum of two standard errors, conservative."""
     lam_grid = np.asarray(lam_grid, dtype=float)
     if lam_grid.size == 0:
         raise InvalidParameterError("empty lambda grid")
@@ -490,24 +514,22 @@ def distribution_profile(f, p, alpha, lam_grid, estimator="polar", budgets=None,
 
         def one(lam):
             return pair_measure_polar(LevelSetQuery(f, p, alpha, lam), **budgets)
+        results = [one(lam) for lam in lam_grid]
+        mu = np.array([r.value for r in results])
+        err = np.array([r.error_estimate for r in results])
     elif estimator == "mc":
         if stream is None:
             raise InvalidParameterError("mc estimator needs a RandomStream")
         n_mc = split_budgets(f.dim, budgets, "mc")[0]["mc_samples"]
 
         def one(lam):
-            # sub-stream keyed by the threshold's bit pattern: reproducible
-            # and independent of evaluation order
-            tag = int(np.float64(lam).view(np.uint64) % (2 ** 62))
-            return pair_measure_mc(
-                LevelSetQuery(f, p, alpha, lam), n_mc, stream.derived(tag), workers=workers
-            )
+            # the grid and every refined threshold read the same unit pairs
+            return pair_measure_mc(LevelSetQuery(f, p, alpha, lam), n_mc, stream, workers=workers)
+        res = one(lam_grid)
+        mu, err = np.array(res.value), np.array(res.error_estimate)
     else:
         raise InvalidParameterError(f"unknown estimator {estimator!r}")
 
-    results = [one(lam) for lam in lam_grid]
-    mu = np.array([r.value for r in results])
-    err = np.array([r.error_estimate for r in results])
     flags = [
         i
         for i in range(len(lam_grid) - 1)

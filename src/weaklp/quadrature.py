@@ -40,7 +40,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Value of an integral or measure estimate with an error estimate."""
+    """Value of an integral or measure estimate with an error estimate (lists
+    of them for a k-column `monte_carlo` estimate)."""
 
     value: float
     error_estimate: float
@@ -48,7 +49,7 @@ class QuadratureResult:
     converged: bool
 
     def __post_init__(self):
-        if self.error_estimate < 0:
+        if np.any(np.less(self.error_estimate, 0)):
             raise InvalidParameterError("error_estimate must be >= 0")
 
 
@@ -336,10 +337,6 @@ class RandomStream:
             bits.advance(2 ** 64 - count)
         return lanes.T
 
-    def derived(self, tag):
-        """An independent stream tied to this one, for sub-tasks."""
-        return RandomStream(self.seed, (self.stream_id * 1_000_003 + 1 + tag) % 2 ** 64)
-
 
 def _unit_vectors(u, n_dim):
     # uniform on S^{N-1} from N - 1 uniforms a row (1-D: a sign); t = tan(pi (u - 1/2))
@@ -452,6 +449,11 @@ def monte_carlo(integrand, sampler, n, stream, workers=1):
     """Mean of integrand(x, w, r) * sampler.weight over `n` pairs that
     `sampler.draw` takes from `stream`.
 
+    The integrand may return k columns, a (count, k) array, with a scalar
+    or (k,) weight: the result then holds lists of the k means and standard
+    errors, and `nodes_used` counts n samples per column.  Each column is
+    reduced alone, as a 1-D integrand is: no (count, k) float array.
+
     Bit-identical for fixed (seed, stream_id, n) whatever `workers` is:
     chunks own contiguous index ranges, a chunk's pairs do not depend on
     where it starts, and partial sums are reduced in chunk order.
@@ -461,18 +463,14 @@ def monte_carlo(integrand, sampler, n, stream, workers=1):
 
     def chunk_stats(lo, hi):
         x, w, r = sampler.draw(stream, lo, hi - lo)
-        fw = np.asarray(integrand(x, w, r), dtype=float) * sampler.weight
-        return float(np.sum(fw)), float(np.sum(fw * fw))
+        vals = np.asarray(integrand(x, w, r))
+        cols = np.atleast_2d(vals.T)
+        weights = np.broadcast_to(sampler.weight, len(cols))
+        fws = (np.asarray(c, dtype=float) * wt for c, wt in zip(cols, weights))
+        return np.array([(np.sum(fw), np.sum(fw * fw)) for fw in fws]).reshape(*vals.shape[1:], 2)
 
     bounds = [(lo, min(lo + _MC_CHUNK, n)) for lo in range(0, n, _MC_CHUNK)]
-    parts = ordered_parallel_map(lambda b: chunk_stats(*b), bounds, workers)
-
-    s1 = 0.0
-    s2 = 0.0
-    for a, b in parts:   # fixed reduction order
-        s1 += a
-        s2 += b
+    s1, s2 = sum(ordered_parallel_map(lambda b: chunk_stats(*b), bounds, workers)).T   # in chunk order
     mean = s1 / n
-    var = max(s2 / n - mean * mean, 0.0)
-    stderr = math.sqrt(var / max(n - 1, 1))
-    return QuadratureResult(mean, stderr, n, True)
+    stderr = np.sqrt(np.maximum(s2 / n - mean * mean, 0.0) / max(n - 1, 1))
+    return QuadratureResult(mean.tolist(), stderr.tolist(), n * mean.size, True)

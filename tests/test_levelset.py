@@ -13,7 +13,7 @@ from weaklp import seminorms as S
 from weaklp.errors import InvalidParameterError, PreconditionError
 from weaklp.experiments import SANDWICH_TOL
 
-from oracles import BUMP2_MU
+from oracles import BUMP2_MU, BUMP3_MU
 
 LIMIT_1D_P1 = 1.4715177646857693        # moment(1,1) * int |u'| = 2 * 2/e
 TV_BUMP = 2 / math.e
@@ -212,6 +212,17 @@ def test_polar_defaults_meet_the_radial_oracle(bump2, lam_factor):
     assert abs(prof.mu[0] - BUMP2_MU[lam_factor]) <= prof.err[0]
 
 
+@pytest.mark.parametrize("p", sorted(BUMP3_MU))
+def test_mc_profile_meets_the_bump3_radial_oracle(cat, p):
+    # the pinned thresholds of one 150k-sample profile, z within 4 of the
+    # exact values (at most 2.0 on this seed, A3's)
+    f = cat["bump3"]
+    factors = sorted(BUMP3_MU[p])
+    prof = _mc_profile(f, p, [k * f.lip_bound for k in factors], 150_000, seed=31)
+    z = (prof.mu - [BUMP3_MU[p][k] for k in factors]) / prof.err
+    assert np.all(np.abs(z) <= 4.0), z
+
+
 def test_a_one_point_scan_is_rejected(bump2):
     # one scan point brackets no crossing: this profile read mu 0 with error
     # 0 (the true value is 0.77), and weak_quasinorm did not flag it
@@ -249,6 +260,47 @@ def test_pair_measure_mc_stderr_scaling(bump1):
 def test_pair_measure_mc_rejects_tiny_sample(bump1):
     with pytest.raises(InvalidParameterError):
         LS.pair_measure_mc(LS.LevelSetQuery(bump1, 1.0, 2.0, 1.0), 10, Q.RandomStream(0, 0))
+
+
+def _mc_profile(f, p, grid, n, seed=5, workers=1):
+    return LS.distribution_profile(f, p, f.dim / p + 1.0, grid, estimator="mc",
+                                   budgets={"mc_samples": n}, stream=Q.RandomStream(seed),
+                                   workers=workers)
+
+
+@pytest.mark.parametrize("name", ["bump1", "bump2", "bump3"])
+def test_pair_measure_mc_equals_the_profile_at_each_threshold(cat, name):
+    # one driver: a one-threshold call, the profile's refinement estimator and
+    # the profile read the same unit pairs of the stream, so they agree bit for bit
+    f = cat[name]
+    grid = LS.default_lambda_grid(f, 12)
+    prof = _mc_profile(f, 1.5, grid, 40_000)
+    assert np.all(prof.mu > 0)
+    for lam, mu, err in zip(grid, prof.mu, prof.err):
+        q = LS.LevelSetQuery(f, 1.5, f.dim / 1.5 + 1.0, lam)
+        for res in (LS.pair_measure_mc(q, 40_000, Q.RandomStream(5)), prof._estimator(lam)):
+            assert (res.value.hex(), res.error_estimate.hex(), res.nodes_used) == \
+                (mu.hex(), err.hex(), 40_000)
+
+
+def test_weak_quasinorm_refines_an_mc_profile_alike_across_workers(cat):
+    # 40k samples make two chunks, which two workers split
+    f = cat["bump3"]
+    grid = LS.default_lambda_grid(f, 12)
+    profs = [_mc_profile(f, 2.0, grid, 40_000, workers=w) for w in (1, 2)]
+    sups = [LS.weak_quasinorm(pr, refine=2) for pr in profs]
+    assert sups[0].hex() == sups[1].hex()
+    assert sups[0] >= np.max(profs[0].lam_pow_p_mu)
+
+
+def test_mc_profile_of_the_zero_field_reads_zero_and_checks_its_inputs():
+    grid = np.geomspace(0.1, 100.0, 6)
+    prof = _mc_profile(zero_field(), 1.0, grid, 2000)
+    assert np.all(prof.mu == 0.0) and np.all(prof.err == 0.0)
+    with pytest.raises(InvalidParameterError, match="at least 1e3 samples"):
+        _mc_profile(zero_field(), 1.0, grid, 999)
+    with pytest.raises(InvalidParameterError, match="needs a RandomStream"):
+        LS.distribution_profile(zero_field(), 1.0, 2.0, grid, estimator="mc")
 
 
 # ---------------------------------------------------------------------------
@@ -1074,16 +1126,13 @@ def test_profile_rejects_budget_keys_its_estimator_does_not_take(bump1, estimato
                                 budgets=budgets, stream=Q.RandomStream(1))
 
 
-def test_mc_profile_identical_across_workers(bump2):
-    # 70k samples make three Monte Carlo chunks, which two workers split
-    grid = [0.5 * bump2.lip_bound, 2.0 * bump2.lip_bound]
-    profs = [
-        LS.distribution_profile(bump2, 2.0, 2.0, grid, estimator="mc",
-                                budgets={"mc_samples": 70_000}, stream=Q.RandomStream(5), workers=w)
-        for w in (1, 2)
-    ]
-    assert [v.hex() for v in profs[0].mu] == [v.hex() for v in profs[1].mu]
-    assert [v.hex() for v in profs[0].err] == [v.hex() for v in profs[1].err]
+def test_mc_profile_identical_across_workers(cat):
+    # 98,307 samples make four Monte Carlo chunks, the last one holding 3
+    # samples, each serving all 12 thresholds, split across 1, 2 and 5 workers
+    f = cat["bump3"]
+    grid = LS.default_lambda_grid(f, 12)
+    profs = [_mc_profile(f, 2.0, grid, 98_307, workers=w) for w in (1, 2, 5)]
+    assert len({(tuple(v.hex() for v in pr.mu), tuple(v.hex() for v in pr.err)) for pr in profs}) == 1
     assert np.all(profs[0].mu > 0)
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import truncated_seminorm_1d
 from weaklp import fields as F
@@ -44,6 +46,28 @@ def test_gagliardo_amplitude_homogeneity(bump1):
     base = S.gagliardo(S.SeminormQuery(bump1, 0.5, 2.0)).value
     scaled = S.gagliardo(S.SeminormQuery(F.scale_field(bump1, 2.0), 0.5, 2.0)).value
     assert scaled == pytest.approx(4.0 * base, rel=1e-10)
+
+
+def _dilation_gap(center, t, s, p):
+    """|[u_t] - t^(N - s p) [u_1]| and the summed error estimates, for the bump
+    u_t of radius t: u_t(x) = u_1(c + (x - c) / t) and dx dy / |x-y|^(N+sp)
+    scale by t^(2N) t^-(N+sp)."""
+    base, dilated = (S.gagliardo(S.SeminormQuery(F.make_bump(center, r), s, p)) for r in (1.0, t))
+    factor = t ** (len(center) - s * p)
+    return abs(dilated.value - factor * base.value), dilated.error_estimate + factor * base.error_estimate
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.floats(0.5, 3.2), st.floats(-0.5, 0.5), st.floats(0.1, 0.95), st.floats(1.0, 3.0))
+def test_gagliardo_scales_under_dilation_1d(t, c, s, p):
+    gap, err = _dilation_gap([c], t, s, p)
+    assert gap <= err
+
+
+@pytest.mark.parametrize("s, p, t", [(0.5, 2.0, 1.7), (0.9, 1.5, 0.6)])
+def test_gagliardo_scales_under_dilation_2d(s, p, t):
+    gap, err = _dilation_gap([0.2, -0.1], t, s, p)
+    assert gap <= err
 
 
 def test_gagliardo_stable_under_refinement(bump1):
