@@ -152,10 +152,11 @@ def run_quasinorm(rep, prm, out, workers):
     rep.add_verdict("thm1.1:upper_stable", drift, prm["stability_tolerance"], "<=",
                     detail="empirical upper ratio drift under one full refinement")
 
+    unit = levelset.lambda_scale(f)
     if prm["sandwich"]:
         stream = RandomStream(rep.seed, 1)
         recs = [
-            levelset.verify_sandwich(f, p, lam_f * f.lip_bound, prm["sandwich.samples"], delta, stream)
+            levelset.verify_sandwich(f, p, lam_f * unit, prm["sandwich.samples"], delta, stream)
             for lam_f in prm["sandwich.lambda_factors"]
             for delta in prm["sandwich.deltas"]
         ]
@@ -167,7 +168,7 @@ def run_quasinorm(rep, prm, out, workers):
     if prm["holder"]:
         stream = RandomStream(rep.seed, 2)
         rec = covering.holder_containment_check(
-            f, p, prm["holder.lambda_factor"] * f.lip_bound, prm["holder.samples"], stream,
+            f, p, prm["holder.lambda_factor"] * unit, prm["holder.samples"], stream,
         )
         rep.results["holder"] = rec
         shortfall = 1.0 - rec["worst_margin"] if rec["members"] else -math.inf

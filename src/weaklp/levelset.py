@@ -10,14 +10,15 @@ integrated exactly over the membership runs, and per ray the crossing count
 and the outer end of the last run are reported.  The polar estimator scans
 one direction of each antipodal pair of its sphere rule (`SphereRule.half`):
 the set is symmetric under (x, y) -> (y, x), so the x-integrated measures of
-w and -w agree and mu is twice the hemisphere integral.  It scans only the
-rays that the field's conservative `segments_meet_support(X, W, r_cap)`
-reports as meeting its support; the field sets the slack that covers
-rounding, and u is exactly 0 on the other rays, at x too, so every estimate
-equals the unpruned scan's bit for bit.  A polar call scans its
-fine and coarse pass, one scan per run of x chunks, and then solves all
-their brackets in one call; the ray sandwich check scans and solves all its
-sampled rays in one call each, with enough halvings for its absolute slack.
+w and -w agree and mu is twice the hemisphere integral.  The kernel reads
+u only on the rays of its list that the field's conservative
+`segments_meet_support(X, W, r_cap)` keeps, u(x) included; the field sets
+the slack that covers rounding, and u is exactly 0 on the other rays, at x
+too, so every estimate equals the unpruned scan's bit for bit.  A polar
+call hands the kernel its fine and coarse pass as plain ray lists, one per
+run of x chunks, and then solves all their brackets in one call; the ray
+sandwich check scans and solves all its sampled rays in one call each, with
+enough halvings for its absolute slack.
 The kernel reads u through `ScalarField.along`, bound once per scan and read
 block by block on the shared scan row, and once per solve at per-ray radii;
 both read u by the same formula, so the solve takes each bracket's
@@ -68,6 +69,7 @@ __all__ = [
     "SandwichBounds",
     "default_lambda_grid",
     "distribution_profile",
+    "lambda_scale",
     "pair_measure_mc",
     "pair_measure_polar",
     "sandwich_bounds",
@@ -151,20 +153,26 @@ class _Brackets(NamedTuple):
         return acc / n_dim, np.bincount(self.ray, minlength=k), outer
 
 
-def _ray_brackets(f, lam, alpha, xs, ws, uxs, r_cap, scan):
-    """Scan the rays xs + r ws, 0 < r <= r_cap, with u(x) = uxs on `scan`
-    uniform points for the sign changes of membership, as `_Brackets`.
+def _ray_brackets(f, lam, alpha, xs, ws, r_cap, scan):
+    """Scan the rays xs + r ws, 0 < r <= r_cap, on `scan` uniform points for
+    the sign changes of membership, as `_Brackets` over all k rays.
 
-    The (N, k) rays are axis-major, bound once through `along` and read in
-    blocks of about _BLOCK_POINTS ray points on the shared scan row, in the
-    field's `scan_dtype`.  A float32 scan is checked in float64 through the
-    same binding at both ends of every bracket and of every ray; a ray that
-    disagrees anywhere there is scanned again, whole, in float64.  The
-    membership then equals a float64 scan's bit for bit, except where the
-    float64 scan has a run (of members or of non-members) strictly inside a
-    float32 run, which no checked point meets.
+    Only the rays that `segments_meet_support` keeps are read, u(x) included:
+    u is exactly 0 on the others, which `runs` gives 0 measure, crossings and
+    outer end, as a scan would.  The kept (N, k) rays are axis-major, bound
+    once through `along` and read in blocks of about _BLOCK_POINTS ray points
+    on the shared scan row, in the field's `scan_dtype`.  A float32 scan is
+    checked in float64 through the same binding at both ends of every bracket
+    and of every ray; a ray that disagrees anywhere there is scanned again,
+    whole, in float64.  The membership then equals a float64 scan's bit for
+    bit, except where the float64 scan has a run (of members or of
+    non-members) strictly inside a float32 run, which no checked point meets.
     """
-    k = xs.shape[1]
+    last = np.zeros(xs.shape[1], dtype=bool)
+    kept = np.flatnonzero(f.segments_meet_support(xs.T, ws.T, r_cap))
+    xs, ws = xs[:, kept], ws[:, kept]
+    uxs = f.evaluate(xs.T)
+    k = kept.size
     r = np.linspace(r_cap / scan, r_cap, scan)
     lam_r = lam * r ** alpha
     member = np.empty((k, scan), dtype=bool)
@@ -197,8 +205,9 @@ def _ray_brackets(f, lam, alpha, xs, ws, uxs, r_cap, scan):
             member[b] = rows_member(b, r, lam_r, uxs)
         if redo.size:
             ray, i = np.divmod(np.flatnonzero(member[:, 1:] != member[:, :-1]), scan - 1)
-    return _Brackets(xs[:, ray], ws[:, ray], uxs[ray], r[i], r[i + 1], member[ray, i], ray,
-                     member[:, -1].copy(), r_cap)
+    last[kept] = member[:, -1]
+    return _Brackets(xs[:, ray], ws[:, ray], uxs[ray], r[i], r[i + 1], member[ray, i], kept[ray],
+                     last, r_cap)
 
 
 def _bisect_crossings(f, lam, alpha, xs, ws, uxs, lo, hi, inside, halvings):
@@ -243,41 +252,22 @@ def _bisect_crossings(f, lam, alpha, xs, ws, uxs, lo, hi, inside, halvings):
     return np.fmin(r, hi, out=r)
 
 
-def _scan_rays(f, lam, alpha, xs, ws, uxs, r_cap, scan, halvings):
-    """Membership runs of the rays xs + r ws, 0 < r <= r_cap, with u(x) = uxs:
-    one scan and one solve.  Returns `_Brackets.runs` per ray."""
-    br = _ray_brackets(f, lam, alpha, xs, ws, uxs, r_cap, scan)
+def _scan_rays(f, lam, alpha, xs, ws, r_cap, scan, halvings):
+    """Membership runs of the rays xs + r ws, 0 < r <= r_cap: one scan and
+    one solve.  Returns `_Brackets.runs` per ray."""
+    br = _ray_brackets(f, lam, alpha, xs, ws, r_cap, scan)
     return br.runs(_bisect_crossings(f, lam, alpha, *br[:6], halvings))
 
 
-def _grid_brackets(f, lam, alpha, X, W, r_cap, scan):
-    """The scanned cells of the (x, w) grid, as indices into its nx*nw cells,
-    and their `_Brackets`.
-
-    Only the rays x + r w, 0 < r <= r_cap, that `segments_meet_support`
-    reports are scanned: on every other ray u is exactly 0, at x too, so its
-    cell is exactly zero.
-    """
-    nx, nw = X.shape[0], W.shape[0]
-    meets = f.segments_meet_support(X[:, None], W[None], r_cap)
-    rays = np.flatnonzero(meets)
-    ray_x, ray_w = np.divmod(rays, nw)
-    ux = np.zeros(nx)
-    live = np.flatnonzero(meets.any(axis=1))
-    if live.size:
-        ux[live] = f.evaluate(X[live])
-    return rays, _ray_brackets(f, lam, alpha, X.T[:, ray_x], W.T[:, ray_w], ux[ray_x], r_cap, scan)
-
-
 def _solve_into(f, lam, alpha, pending):
-    """Solve the brackets of every pending (cells, rays, brackets) in one
-    batched call, write each ray's measure into its cell, and empty `pending`."""
-    parts = [br for _, _, br in pending]
+    """Solve the brackets of every pending (cells, brackets) in one batched
+    call, write each ray's measure into its cell, and empty `pending`."""
+    parts = [br for _, br in pending]
     cols = (np.concatenate(col, axis=-1) for col in zip(*(br[:6] for br in parts)))
     r = _bisect_crossings(f, lam, alpha, *cols, _HALVINGS)
     ends = np.cumsum([br.lo.size for br in parts])[:-1]
-    for (cells, rays, br), r_br in zip(pending, np.split(r, ends)):
-        cells[rays] = br.runs(r_br)[0]
+    for (cells, br), r_br in zip(pending, np.split(r, ends)):
+        cells[:] = br.runs(r_br)[0]
     pending.clear()
 
 
@@ -329,10 +319,11 @@ def verify_sandwich(f, p, lam, samples, delta, stream):
     and the worst lower shortfall, max (lam r^alpha - |u(x + r w) - u(x)|)
     over 64 radii geometric in (0, lower] of each ray with lower > 0 (-inf
     without one); both are at most 0 on the catalogue, and the caller
-    decides on them.  All rays go through one kernel call, unpruned, solved
-    to final brackets at most _SANDWICH_WIDTH wide: a ray that misses the
-    support reads u = 0 and has no members, and r_cap = 0 (a zero field)
-    scans only r = 0, where every outer end is 0.
+    decides on them.  All rays go through one kernel call, solved to final
+    brackets at most _SANDWICH_WIDTH wide; the kernel reads no point of a ray
+    that misses the support, whose outer end is 0, and r_cap = 0 (a zero
+    field) scans only r = 0, where every outer end is 0.  u(x) is read here
+    only on the rays with an inner radius, whose x lies in the support.
     """
     if lam <= f.lip_bound:
         raise PreconditionError("verify_sandwich needs lambda > lip_bound")
@@ -340,16 +331,15 @@ def verify_sandwich(f, p, lam, samples, delta, stream):
     q = LevelSetQuery(f, p, n / p + 1.0, lam)
     r_cap = truncation_radius(f, lam, q.alpha)
     xs, ws, _ = PairSampler(n, f.support_radius + 1.0, r_cap).draw(stream, 0, samples)
-    ux = f.evaluate(xs)
     halvings = math.ceil(math.log2(max(r_cap / _SANDWICH_SCAN / _SANDWICH_WIDTH, 1.0)))
-    _, crossings, outer = _scan_rays(f, lam, q.alpha, xs.T, ws.T, ux, r_cap, _SANDWICH_SCAN, halvings)
+    _, crossings, outer = _scan_rays(f, lam, q.alpha, xs.T, ws.T, r_cap, _SANDWICH_SCAN, halvings)
     sb = sandwich_bounds(f, p, lam, xs, ws, delta)
     # the inner radius can sit below the scan's first grid point, so read
     # membership directly on a dense sample of (0, lower]
     inner = sb.lower > 0
-    rr = sb.lower[inner, None] * np.geomspace(1e-3, 1.0, 64)
-    short = lam * rr ** q.alpha - np.abs(f.evaluate(xs[inner, None] + rr[..., None] * ws[inner, None])
-                                         - ux[inner, None])
+    x_in, w_in, rr = xs[inner], ws[inner], sb.lower[inner, None] * np.geomspace(1e-3, 1.0, 64)
+    short = lam * rr ** q.alpha - np.abs(f.evaluate(x_in[:, None] + rr[..., None] * w_in[:, None])
+                                         - f.evaluate(x_in)[:, None])
     return {
         "samples": samples,
         "worst_upper_excess": float(np.max((outer - sb.upper) / (1.0 + sb.upper))),
@@ -414,9 +404,11 @@ def pair_measure_polar(q: LevelSetQuery, x_nodes, sphere_order, scan):
             # nominal ray points; the sum still goes chunk by chunk
             run_x = _X_CHUNK * max(1, _SCAN_POINTS // (_X_CHUNK * nw * scan_n))
             for r0 in range(0, nx, run_x):
-                pending.append((cells[r0 * nw : (r0 + run_x) * nw], *_grid_brackets(
-                    f, q.lam, q.alpha, pts[r0 : r0 + run_x], sphere.nodes, r_cap, scan_n)))
-                if sum(br.lo.size for *_, br in pending) >= _SOLVE_BRACKETS:
+                run = pts[r0 : r0 + run_x]
+                pending.append((cells[r0 * nw : (r0 + run_x) * nw], _ray_brackets(
+                    f, q.lam, q.alpha, np.repeat(run.T, nw, axis=1), np.tile(sphere.nodes.T, len(run)),
+                    r_cap, scan_n)))
+                if sum(br.lo.size for _, br in pending) >= _SOLVE_BRACKETS:
                     _solve_into(f, q.lam, q.alpha, pending)
         if pending:
             _solve_into(f, q.lam, q.alpha, pending)
@@ -467,9 +459,14 @@ def pair_measure_mc(q: LevelSetQuery, n, stream, workers=1):
 # distribution profiles and the weak quasinorm
 # ---------------------------------------------------------------------------
 
+def lambda_scale(f):
+    """The unit of threshold factors: lip_bound, or 1 for the zero field."""
+    return f.lip_bound if f.lip_bound > 0 else 1.0
+
+
 def default_lambda_grid(f, n=64, lo_factor=0.1, hi_factor=1e3):
     """Log-spaced thresholds bracketing both the sup region and the tail."""
-    scale = f.lip_bound if f.lip_bound > 0 else 1.0    # zero field: any grid works
+    scale = lambda_scale(f)
     return np.geomspace(lo_factor * scale, hi_factor * scale, n)
 
 

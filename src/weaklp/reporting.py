@@ -18,7 +18,7 @@ from . import __version__
 from .errors import InvalidParameterError
 
 SCHEMA_VERSION = 2
-COMPARES = ("<=", ">=", "band")
+COMPARES = ("<=", "band")
 
 
 def _plain(obj):
@@ -53,18 +53,17 @@ class Report:
     def add_verdict(self, key, observed, tolerance, compare, target=None, error=0.0, detail=""):
         """Decide and record the verdict `key` on the interval observed +- error.
 
-        `compare` is "<=" (observed <= tolerance), ">=" (observed >= tolerance)
-        or "band" (|observed - target| <= tolerance * |target|).  The verdict
-        passes when all of the interval meets it, fails when none of it does
-        or observed is NaN, and is inconclusive otherwise, as for an
-        unconverged estimate, whose error is inf.
+        `compare` is "<=" (observed <= tolerance) or "band" (|observed -
+        target| <= tolerance * |target|).  The verdict passes when all of the
+        interval meets it, fails when none of it does or observed is NaN, and
+        is inconclusive otherwise, as for an unconverged estimate, whose error
+        is inf.
         """
         if tolerance is None or compare not in COMPARES or (compare == "band" and target is None):
             raise InvalidParameterError(f"verdict {key} needs a tolerance, a compare in {COMPARES} and, "
                                         f"for a band, a target; got {tolerance!r}, {compare!r}, {target!r}")
         tol, ref = float(tolerance), float(target) if compare == "band" else 0.0
-        a, b = {"<=": (-math.inf, tol), ">=": (tol, math.inf),
-                "band": (ref - tol * abs(ref), ref + tol * abs(ref))}[compare]
+        a, b = {"<=": (-math.inf, tol), "band": (ref - tol * abs(ref), ref + tol * abs(ref))}[compare]
         x, e = float(observed), float(error)
         state = (True if a <= x - e and x + e <= b else
                  False if math.isnan(x) or x + e < a or x - e > b else "inconclusive")

@@ -17,6 +17,17 @@ between 80 and 160 Gauss panels in s (7.3696631 and 7.3696622 at p = 1,
 reference of the Monte Carlo estimator, whose standard errors at 150k
 samples are above 6e-3 relative, far coarser than the pins.
 
+`JUMP_LAM_MU` is lambda mu(E_lambda) for an indicator 1_[a, b] in 1-D at
+p = 1, alpha = 2 and every lambda >= (b - a)^-2.  A pair differs by 1 when
+exactly one end lies in I = [a, b] and by 0 otherwise, so it is a member
+exactly when one end is in I and |x - y| <= d = lambda^-1/2 <= b - a.  For
+x in I the y outside I within d fill max(0, d - (x - a)) + max(0, d - (b -
+x)); over x in I each end gives d^2 / 2, so one order of the pair gives
+d^2, both give 2 d^2 = 2 / lambda, and lambda mu = 2 whatever a, b and
+lambda.  A smooth field instead tends to `JUMP_SMOOTH_LIMIT`, the W^{1,1}
+limit k(1, 1) int |u'| = 2 * 2 = 4 of a mollified indicator of total
+variation 2: the jump reads half of it.
+
 `truncated_seminorm_1d` is the s = 1, p = 1 seminorm of a 1-D field over
 pairs no shorter than a cutoff, by a layer-cake identity.
 """
@@ -26,6 +37,8 @@ from weaklp import quadrature as Q
 
 BUMP2_MU = {4.0: 0.769069, 100.0: 0.0330774}
 BUMP3_MU = {1.0: {0.5: 7.3696631, 4.0: 1.0507712, 100.0: 0.04557438}, 2.0: {4.0: 0.12613415}}
+JUMP_LAM_MU = 2.0
+JUMP_SMOOTH_LIMIT = 4.0
 
 
 def truncated_seminorm_1d(f, delta, panels=100):

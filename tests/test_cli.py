@@ -787,7 +787,9 @@ def test_median_bounded_verdict(ratios, ok):
 FIELD_KINDS = sorted(kind for kind, (_, _, params) in EXPERIMENTS.items() if "field" in params)
 TINY_BUDGETS = {"polar": {"x_nodes": 8, "sphere_order": 4, "scan": 16},
                 "gagliardo": {"x_nodes": 8, "sphere_order": 4}}
-TINY_PARAMS = {"limit": {"lambda_points": 8, "window": 4}, "quasinorm": {"lambda_points": 8, "refine": 2},
+TINY_PARAMS = {"limit": {"lambda_points": 8, "window": 4},
+               "quasinorm": {"lambda_points": 8, "refine": 2, "sandwich": {"samples": 50},
+                             "holder": {"samples": 2000}},
                "maximal": {"lambda_points": 4, "cells": 16}, "gagliardo": {"s": 0.5},
                "crosscheck": {"s_ladder": [0.5, 0.75], "delta_ladder": [1e-2, 1e-3, 1e-4]}}
 

@@ -13,7 +13,7 @@ from weaklp import seminorms as S
 from weaklp.errors import InvalidParameterError, PreconditionError
 from weaklp.experiments import SANDWICH_TOL
 
-from oracles import BUMP2_MU, BUMP3_MU
+from oracles import BUMP2_MU, BUMP3_MU, JUMP_LAM_MU, JUMP_SMOOTH_LIMIT
 
 LIMIT_1D_P1 = 1.4715177646857693        # moment(1,1) * int |u'| = 2 * 2/e
 TV_BUMP = 2 / math.e
@@ -50,7 +50,7 @@ def _scan_one_ray(f, lam, alpha, x, w, scan=1024):
     xs = np.array([x], dtype=float).T
     ws = np.array([w], dtype=float).T
     r_cap = LS.truncation_radius(f, lam, alpha)
-    m, c, outer = LS._scan_rays(f, lam, alpha, xs, ws, f.evaluate(xs.T), r_cap, scan, LS._HALVINGS)
+    m, c, outer = LS._scan_rays(f, lam, alpha, xs, ws, r_cap, scan, LS._HALVINGS)
     return m[0], c[0], outer[0], r_cap
 
 
@@ -58,7 +58,7 @@ def test_scan_rays_zero_field_empty():
     z = zero_field()
     xs = np.array([[-0.5, 0.0, 0.7]])
     ws = np.array([[1.0, -1.0, 1.0]])
-    m, c, outer = LS._scan_rays(z, 1.0, 2.0, xs, ws, z.evaluate(xs.T), 1.0, 64, LS._HALVINGS)
+    m, c, outer = LS._scan_rays(z, 1.0, 2.0, xs, ws, 1.0, 64, LS._HALVINGS)
     assert not np.any(m) and not np.any(c) and not np.any(outer)
 
 
@@ -79,8 +79,7 @@ def test_scan_rays_linear_stretch():
 
 def test_scan_rays_takes_an_empty_ray_list():
     empty = np.empty((1, 0))
-    m, c, outer = LS._scan_rays(RampStub(), 1.0, 2.0, empty, empty, np.empty(0), 1.0, 64,
-                                LS._HALVINGS)
+    m, c, outer = LS._scan_rays(RampStub(), 1.0, 2.0, empty, empty, 1.0, 64, LS._HALVINGS)
     assert m.shape == c.shape == outer.shape == (0,)
 
 
@@ -90,7 +89,7 @@ def test_scan_rays_crossings_in_the_first_and_last_cell():
     # and one ending in the last cell (63/64, 1]; each crossing must pair with
     # its own ray (30 halvings: final brackets of 2^-36)
     w = np.array([[1.5 / 64, 0.0, 63.5 / 64]])
-    m, c, outer = LS._scan_rays(RampStub(), 1.0, 2.0, np.zeros((1, 3)), w, np.zeros(3), 1.0, 64, 30)
+    m, c, outer = LS._scan_rays(RampStub(), 1.0, 2.0, np.zeros((1, 3)), w, 1.0, 64, 30)
     assert c.tolist() == [1, 0, 1]
     assert outer == pytest.approx(w[0], abs=1e-11) and m == pytest.approx(w[0], abs=1e-11)
 
@@ -221,6 +220,18 @@ def test_mc_profile_meets_the_bump3_radial_oracle(cat, p):
     prof = _mc_profile(f, p, [k * f.lip_bound for k in factors], 150_000, seed=31)
     z = (prof.mu - [BUMP3_MU[p][k] for k in factors]) / prof.err
     assert np.all(np.abs(z) <= 4.0), z
+
+
+def test_a_jump_reads_half_the_smooth_limit():
+    # a mollified indicator of [-1, 1] reads the jump identity at lam = 1
+    # (d = 1 is 50 mollifier widths) and the W^{1,1} limit at lam = 1e5
+    # (d = 0.003 lies inside the mollified edges); the mollifier moves the
+    # first by 1.7%
+    f = F.make_mollified_indicator([[-1.0, 1.0]], 0.02)
+    for lam, want in ((1.0, JUMP_LAM_MU), (1e5, JUMP_SMOOTH_LIMIT)):
+        res = LS.pair_measure_polar(LS.LevelSetQuery(f, 1.0, 2.0, lam), 1024, 16, 1024)
+        assert res.converged
+        assert lam * res.value == pytest.approx(want, rel=0.02)
 
 
 def test_a_one_point_scan_is_rejected(bump2):
@@ -479,12 +490,15 @@ GOLDEN_BUDGETS = {2: (24, 8, 96), 3: (16, 4, 48)}
 
 class CountingField:
     """Delegates to a field; counts and hashes the points passed to `evaluate`
-    and the nominal ray points of each block an `along` binding is read at."""
+    and the nominal ray points of each block an `along` binding is read at,
+    and keeps the points `evaluate` reads and the rays each `along` binds, as
+    (k, N) x and w rows."""
 
     def __init__(self, base):
         self.base = base
         self.points = 0
         self.digest = hashlib.sha256()
+        self.evaluated, self.bound = [], []
 
     def __getattr__(self, name):
         return getattr(self.base, name)
@@ -493,9 +507,11 @@ class CountingField:
         pts = np.asarray(pts)
         self.points += pts.size // pts.shape[-1]
         self.digest.update(np.ascontiguousarray(pts, dtype=float).tobytes())
+        self.evaluated.append(pts.reshape(-1, pts.shape[-1]).copy())
         return self.base.evaluate(pts)
 
     def along(self, xs, ws):
+        self.bound.append((xs.T.copy(), ws.T.copy()))
         u = self.base.along(xs, ws)
 
         def counted(r, b=slice(None)):
@@ -580,17 +596,24 @@ def test_fold_agrees_with_full_sphere_within_its_error(cat, name):
     assert abs(fold.value - full) <= err
 
 
+def _grid_rays(X, W):
+    """The (N, nx*nw) axis-major rays of the (x, w) grid, x-major, as
+    pair_measure_polar hands them to the kernel."""
+    return np.repeat(X.T, len(W), axis=1), np.tile(W.T, len(X))
+
+
 def _grid_measures(f, lam, alpha, X, W, r_cap, scan):
-    """Measure of every (x, w) cell, (nx*nw,): one pruned grid scan and its
-    own solve, as pair_measure_polar makes them."""
+    """Measure of every (x, w) cell, (nx*nw,): one scan of the grid's ray
+    list and its own solve, as pair_measure_polar makes them."""
     cells = np.zeros(len(X) * len(W))
-    LS._solve_into(f, lam, alpha, [(cells, *LS._grid_brackets(f, lam, alpha, X, W, r_cap, scan))])
+    br = LS._ray_brackets(f, lam, alpha, *_grid_rays(X, W), r_cap, scan)
+    LS._solve_into(f, lam, alpha, [(cells, br)])
     return cells
 
 
 def _record_scans(monkeypatch):
-    """Wrap `_ray_brackets`; each scan appends its (k, N) ray x and w rows and
-    its `_Brackets`."""
+    """Wrap `_ray_brackets`; each scan appends the (k, N) x and w rows of the
+    rays it is handed, pruned or not, and its `_Brackets`."""
     calls = []
     ray_brackets = LS._ray_brackets
 
@@ -668,13 +691,14 @@ def test_scan_far_from_support_is_zero_without_evaluation(bump2, monkeypatch):
     toward = np.array([[-1.0, 0.0]])
     f = CountingField(bump2)
     measures = _grid_measures(f, lam, 3.0, x, away, r_cap, 64)
-    assert f.points == 0 and calls[-1][1].shape == (0, 2)
+    assert f.points == 0 and all(w.shape == (0, 2) for _, w in f.bound)
+    assert calls[-1][1].shape == (4, 2) and calls[-1][2].last.shape == (4,)
     assert not np.any(measures)
     # a ray toward the support that stops two margins short also evaluates nothing
     f = CountingField(bump2)
     short = x + [[2.0 * margin, 0.0]]
     measures = _grid_measures(f, lam, 3.0, short, toward, r_cap, 64)
-    assert f.points == 0 and calls[-1][1].shape == (0, 2)
+    assert f.points == 0 and all(w.shape == (0, 2) for _, w in f.bound)
     assert not np.any(measures)
     # the ray that reaches the support boundary exactly at r_cap, where u
     # vanishes, is scanned (u(x) once, then its 64 ray points in float32 and
@@ -683,11 +707,29 @@ def test_scan_far_from_support_is_zero_without_evaluation(bump2, monkeypatch):
     for start in (x, x + [[0.5 * margin, 0.0]]):
         f = CountingField(bump2)
         measures = _grid_measures(f, lam, 3.0, start, np.vstack([away, toward]), r_cap, 64)
-        ray_x, ray_w, brackets = calls[-1]
-        assert ray_x.tolist() == start.tolist() and ray_w.tolist() == toward.tolist()
+        brackets = calls[-1][2]
+        assert [(bx.tolist(), bw.tolist()) for bx, bw in f.bound] == [(start.tolist(), toward.tolist())]
         assert f.points == 1 + 64 + 2
         assert not np.any(measures) and brackets.lo.size == 0
         assert not np.any(brackets.last)      # no member on the scanned ray
+
+
+@pytest.mark.parametrize("name", ["bump1", "bump2_off", "plateau2", "bumps2_pair"])
+def test_verify_sandwich_reads_no_point_on_rays_that_miss_the_support(cat, monkeypatch, name):
+    # its kernel call binds and reads only the rays the support test keeps,
+    # and the sandwich reads u(x) itself only where a ray has an inner radius
+    calls = _record_scans(monkeypatch)
+    f = CountingField(cat[name])
+    lam = 10.0 * f.lip_bound
+    LS.verify_sandwich(f, 1.0, lam, 300, 0.5, Q.RandomStream(7, 1))
+    ((xs, ws, _),) = calls
+    meets = f.segments_meet_support(xs, ws, LS.truncation_radius(f, lam, f.dim + 1.0))
+    assert 0 < np.count_nonzero(meets) < 300
+    kept = {(tuple(x), tuple(w)) for x, w in zip(xs[meets], ws[meets])}
+    bound = [(tuple(x), tuple(w)) for b in f.bound for x, w in zip(*b)]
+    assert len(f.bound[0][0]) == len(kept) and kept.issuperset(bound)
+    missed = {tuple(x) for x in xs[~meets]}
+    assert not missed.intersection(tuple(p) for pts in f.evaluated for p in pts)
 
 
 def _parent_bisection(f, xs, ws, uxs, lam, alpha, lo, hi, iters):
@@ -759,10 +801,8 @@ def _assert_kernel_matches_reference(f, lam, alpha, X, W):
     want, crossings = _parent_scan_measures(f, lam, alpha, X, W, r_cap, 40, f.dim)
     assert got.tobytes() == want.tobytes()
     assert np.any(want) and np.any(crossings)
-    # crossing counts of every ray, pruned or not, from the unpruned kernel
-    xs, ws = np.repeat(X, len(W), axis=0).T.copy(), np.tile(W, (len(X), 1)).T.copy()
-    ux = np.repeat(f.evaluate(X), len(W))
-    assert np.array_equal(LS._scan_rays(f, lam, alpha, xs, ws, ux, r_cap, 40, LS._HALVINGS)[1],
+    # crossing counts of every ray, pruned or not, from one scan and solve
+    assert np.array_equal(LS._scan_rays(f, lam, alpha, *_grid_rays(X, W), r_cap, 40, LS._HALVINGS)[1],
                           crossings)
 
 
@@ -842,23 +882,28 @@ def test_separable_scan_evaluates_each_axis_pair_once(cat, monkeypatch):
     monkeypatch.setattr(LS, "_bisect_crossings", uncounted_bisect)
 
     def scan_calls(xs, ws):
-        ux = f.evaluate(xs.T)
+        # u(x) is read first, in one call on the kept rays; the scan follows
         for c in calls.values():
             c.clear()
-        LS._scan_rays(f, lam, alpha, xs, ws, ux, r_cap, scan, LS._HALVINGS)
-        return [calls[id(p)] for p in f.profiles]
+        LS._scan_rays(f, lam, alpha, xs, ws, r_cap, scan, LS._HALVINGS)
+        assert all(calls[id(p)][0] == xs.shape[1] for p in f.profiles)
+        return [calls[id(p)][1:] for p in f.profiles]
 
-    # polar-grid rays: per axis at most (distinct (x_i, w_i) pairs) x scan points
-    X, W = _polar_rays(f, lam, alpha)
-    xs, ws = np.repeat(X, len(W), axis=0).T.copy(), np.tile(W, (len(X), 1)).T.copy()
+    # polar-grid rays that meet the support: per axis at most (distinct
+    # (x_i, w_i) pairs) x scan points
+    xs, ws = _grid_rays(*_polar_rays(f, lam, alpha))
+    meets = f.segments_meet_support(xs.T, ws.T, r_cap)
+    xs, ws = xs[:, meets], ws[:, meets]
     k = xs.shape[1]
     pairs = [len(set(zip(xs[i].tolist(), ws[i].tolist()))) for i in range(f.dim)]
     assert all(2 * n <= k for n in pairs)
     assert all(0 < sum(c) <= n * scan for c, n in zip(scan_calls(xs, ws), pairs))
     # random rays repeat no pair: no table, each block's points evaluated once
     rng = np.random.default_rng(5)
-    k = 500
-    xs, ws = rng.uniform(-1.0, 1.0, (f.dim, k)), rng.normal(size=(f.dim, k))
+    xs, ws = rng.uniform(-1.0, 1.0, (f.dim, 500)), rng.normal(size=(f.dim, 500))
+    meets = f.segments_meet_support(xs.T, ws.T, r_cap)
+    xs, ws = xs[:, meets], ws[:, meets]
+    k = xs.shape[1]
     block = LS._BLOCK_POINTS // scan
     assert k > block
     blocks = [min(block, k - b0) * scan for b0 in range(0, k, block)]
@@ -905,8 +950,7 @@ def test_scan_rays_outer_and_crossings_goldens(cat, name, lam_factor):
     alpha = f.dim + 1.0
     xs, ws = _golden_rays(f, lam)
     r_cap = LS.truncation_radius(f, lam, alpha)
-    _, crossings, outer = LS._scan_rays(f, lam, alpha, xs.T, ws.T, f.evaluate(xs), r_cap,
-                                        256, LS._HALVINGS)
+    _, crossings, outer = LS._scan_rays(f, lam, alpha, xs.T, ws.T, r_cap, 256, LS._HALVINGS)
     digest = hashlib.sha256("".join(f"{o.hex()}:{c};" for o, c in zip(outer, crossings)).encode())
     want, two_runs = RAY_GOLDENS[name, lam_factor]
     assert digest.hexdigest()[:16] == want
@@ -941,7 +985,7 @@ def test_solve_matches_a_tight_bisection_on_the_golden_rays(cat, monkeypatch, na
     lam, alpha = lam_factor * f.lip_bound, f.dim + 1.0
     xs, ws = _golden_rays(f, lam)
     r_cap = LS.truncation_radius(f, lam, alpha)
-    br = LS._ray_brackets(f, lam, alpha, xs.T, ws.T, f.evaluate(xs), r_cap, 256)
+    br = LS._ray_brackets(f, lam, alpha, xs.T, ws.T, r_cap, 256)
     checked = []
     _checked_solve(monkeypatch, checked)
     got = LS._bisect_crossings(f, lam, alpha, *br[:6], LS._HALVINGS)
@@ -1015,8 +1059,7 @@ def test_no_membership_run_ends_beyond_r_cap(cat):
                 xs = rng.uniform(-half, half, (1000, f.dim))
                 ws = rng.normal(size=(1000, f.dim))
                 ws /= np.linalg.norm(ws, axis=1, keepdims=True)
-                _, _, outer = LS._scan_rays(f, lam, alpha, xs.T, ws.T, f.evaluate(xs), 2.0 * r_cap,
-                                            256, LS._HALVINGS)
+                _, _, outer = LS._scan_rays(f, lam, alpha, xs.T, ws.T, 2.0 * r_cap, 256, LS._HALVINGS)
                 assert np.any(outer) and np.max(outer) <= r_cap, (name, lam_factor, p)
 
 
@@ -1063,6 +1106,30 @@ def test_verify_sandwich_goldens(cat, monkeypatch, name, p):
     assert digest.hexdigest()[:16] == SANDWICH_GOLDENS[name, p]
     assert max(rec["worst_upper_excess"], rec["worst_lower_shortfall"]) <= SANDWICH_TOL
     assert rec["flagged_profiles"] == 0
+
+
+# float.hex of verify_sandwich(f, 1, lam_factor lip_bound, 200, 0.5,
+# RandomStream(2024, 1))'s worst upper excess and worst lower shortfall, and
+# its flagged count.  Recorded when the sandwich check still scanned every
+# sampled ray, before the kernel skipped the rays that miss the support.
+SANDWICH_RECORDS = {
+    ("bump1", 10.0): ("-0x1.09eeaf8caede5p-4", "0x1.6c80e55f9de07p-246", 0),
+    ("bump1", 100.0): ("-0x1.7ea7686369fd2p-11", "0x1.239a51194b19fp-249", 0),
+    ("bump2_off", 10.0): ("-0x1.4e26dd02bc2adp-3", "0x1.6617ad7eaeed3p-157", 0),
+    ("bump2_off", 100.0): ("-0x1.007f9db88e23cp-5", "0x1.bf9d98de5aa88p-154", 0),
+    ("plateau2", 10.0): ("-0x1.62afb13d8ef48p-2", "0x1.be2ec97c004dfp-187", 0),
+    ("plateau2", 100.0): ("-0x1.52f2e66720025p-4", "0x1.16dd3ded8030cp-183", 0),
+    ("bumps2_pair", 10.0): ("-0x1.2b598e4259550p-2", "-0x1.7dca82fffffedp-58", 0),
+    ("bumps2_pair", 100.0): ("-0x1.f46a0d6b402d5p-5", "-0x1.7dca82fffff3ep-58", 0),
+}
+
+
+@pytest.mark.parametrize("name, lam_factor", sorted(SANDWICH_RECORDS))
+def test_verify_sandwich_records_golden(cat, name, lam_factor):
+    f = cat[name]
+    rec = LS.verify_sandwich(f, 1.0, lam_factor * f.lip_bound, 200, 0.5, Q.RandomStream(2024, 1))
+    assert (rec["worst_upper_excess"].hex(), rec["worst_lower_shortfall"].hex(),
+            rec["flagged_profiles"]) == SANDWICH_RECORDS[name, lam_factor]
 
 
 def test_pair_measure_mc_golden(bump2):

@@ -78,19 +78,48 @@ def test_disk_kernel_cells_match_chord_quadrature(rho, i, j):
     assert k[reach + i, reach + j] == pytest.approx(_chord_overlap(rho, i, j), abs=1e-12)
 
 
-@pytest.mark.parametrize("rho", [2.3, 8.2])
-def test_disk_mass_matches_a_direct_double_sum(rng, rho):
-    # the second kernel reaches past the grid on every side and still cuts
-    # cells inside it
-    vals = rng.uniform(0, 1, (7, 9))
-    k = M._ball_kernel(rho, 2)
+# Rounding bound of |_ball_mass - direct| on a 2-D grid of at most 63 cells:
+# C_MASS eps S L V, S = sum |v|, L = log2 of the FFT length n1 n2 and V = pi
+# rho^2 >= 16.6 (rho >= 2.3).  The argument of C_FFT below: the 2-D
+# transform is row FFTs then column FFTs, so it errs by at most (log2 n1 +
+# log2 n2) eta = L eta of its 2-norm, eta <= 7 eps; the kernel has ||k||_1 =
+# V and ||k||_inf <= 1 (a cell's overlap), so ||k||_2 <= sqrt V.  The
+# forward transforms of v and k, the complex product (sqrt 2 gamma_2), the
+# inverse and its 1/n scaling move the masses by at most
+# L eta (2 V + sqrt V) S + 4 eps V S.  The direct sum of at most 63
+# products with the same kernel array errs by at most gamma_64 S ||k||_inf
+# <= 64 eps S.  With V >= 16.6 and L >= log2 225 the sum is below 16.7 eps S
+# L V; C_MASS = 20 covers the second-order terms.
+C_MASS = 20.0
+
+
+def _disk_mass_deviation(vals, rho, k):
+    """(max |_ball_mass - direct double sum over the kernel k|, C_MASS bound)."""
     reach = k.shape[0] // 2
     direct = np.zeros_like(vals)
     for i, j in np.ndindex(vals.shape):
         for l, m in np.ndindex(vals.shape):
             if abs(l - i) <= reach and abs(m - j) <= reach:
                 direct[i, j] += vals[l, m] * k[reach + l - i, reach + m - j]
-    assert np.abs(M._ball_mass(vals, rho) - direct).max() <= 1e-12 * direct.max()
+    log2_n = math.log2(math.prod(M._fast_len(n + 2 * reach) for n in vals.shape))
+    bound = C_MASS * np.finfo(float).eps * np.sum(np.abs(vals)) * log2_n * math.pi * rho * rho
+    return np.abs(M._ball_mass(vals, rho) - direct).max(), bound
+
+
+@pytest.mark.parametrize("rho", [2.3, 8.2])
+def test_disk_mass_matches_a_direct_double_sum(rng, rho):
+    # the second kernel reaches past the grid on every side and still cuts
+    # cells inside it
+    dev, bound = _disk_mass_deviation(rng.uniform(0, 1, (7, 9)), rho, M._ball_kernel(rho, 2))
+    assert dev <= bound
+
+
+@pytest.mark.parametrize("rho", [2.3, 8.2])
+def test_the_disk_mass_bound_catches_a_kernel_shifted_by_one_cell(rng, monkeypatch, rho):
+    k = M._ball_kernel(rho, 2)
+    monkeypatch.setattr(M, "_ball_kernel", lambda rho, dim: np.roll(k, 1))
+    dev, bound = _disk_mass_deviation(rng.uniform(0, 1, (7, 9)), rho, k)
+    assert dev > bound
 
 
 def box1(lo, hi):
@@ -156,10 +185,14 @@ def _maximal_1d_reference(g):
 C_FFT = 32.0
 
 
+def _ladder_log2_fft(g):
+    """log2 of the length of the ladder's longest FFT, over all axes."""
+    reach = math.ceil(M.radius_ladder(g)[-1] / g.h)
+    return math.log2(math.prod(M._fast_len(n + 2 * reach) for n in g.values.shape))
+
+
 def _fft_rounding_bound(g):
-    rho_top = M.radius_ladder(g)[-1] / g.h
-    n = M._fast_len(g.values.size + 2 * math.ceil(rho_top))
-    return C_FFT * np.finfo(float).eps * np.sum(np.abs(g.values)) * math.log2(n)
+    return C_FFT * np.finfo(float).eps * np.sum(np.abs(g.values)) * _ladder_log2_fft(g)
 
 
 def _random_grid_deviations(rng):
@@ -229,6 +262,19 @@ def test_maximal_dominates_function(rng):
     assert np.all(M.hl_maximal(g).values >= g.values - 1e-15)
 
 
+# Rounding bound of M(a + b) - (M a + M b) on a 2-D grid: C_SUBLINEAR eps
+# (S_a + S_b) L, S = sum |v| and L = log2 of the ladder's longest FFT.  By
+# the argument of C_MASS each computed ball mean errs by at most
+# eps S (7 L (2 + V^-1/2) + 4) plus eps of itself for the division by V;
+# every rung past the cell value has V >= pi (2^(1/4) / 2)^2 = 1.11, so the
+# error is below C_MEAN eps S L with C_MEAN = 22 (L >= 5).  In exact
+# arithmetic M(a + b) <= M a + M b on the same ladder; rounding a + b moves
+# a ball mean by at most eps max(a + b), and the sum M a + M b rounds by eps
+# of itself, so lhs - rhs <= C_MEAN eps L (S_s + S_a + S_b) + 2 eps (S_a +
+# S_b) <= (2 C_MEAN + 1) eps (S_a + S_b) L.
+C_SUBLINEAR = 45.0
+
+
 def test_maximal_sublinear(rng):
     box = np.array([[0.0, 1.0], [0.0, 1.0]])
     a = M.GriddedFunction(box, rng.uniform(0, 1, (24, 24)))
@@ -236,7 +282,8 @@ def test_maximal_sublinear(rng):
     s = M.GriddedFunction(box, a.values + b.values)
     lhs = M.hl_maximal(s).values
     rhs = M.hl_maximal(a).values + M.hl_maximal(b).values
-    assert np.all(lhs <= rhs + 1e-12)
+    mass = np.sum(np.abs(a.values)) + np.sum(np.abs(b.values))
+    assert np.all(lhs <= rhs + C_SUBLINEAR * np.finfo(float).eps * mass * _ladder_log2_fft(s))
 
 
 def test_maximal_commutes_with_dilation(rng):
