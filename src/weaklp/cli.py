@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -109,33 +110,30 @@ def _cmd_sweep(args):
     def run_job(item):
         idx, run = item
         job_out = out / f"job_{idx:03d}"
+        t_job = time.perf_counter()
         report = run(job_out, 1)
-        report.write(job_out / "report.json")
+        _finish(report, job_out, {"total_s": time.perf_counter() - t_job}, False)
         return report
 
     t0 = time.perf_counter()
     reports = ordered_parallel_map(run_job, list(enumerate(runs)), workers)
 
     rows = []
-    worst = EXIT_PASS
     for idx, (combo, rep) in enumerate(zip(jobs, reports)):
-        worst = max(worst, rep.worst_exit_code())
         for key, v in sorted(rep.verdicts.items()):
             rows.append((idx, ";".join(f"{k}={c}" for k, c in zip(keys, combo)),
                          key, verdict_state(v), v["observed"], v["tolerance"]))
     write_csv(out / "sweep.csv",
               ["job", "parameters", "verdict", "state", "observed", "tolerance"], rows)
+    codes = [r.worst_exit_code() for r in reports]
+    worst = max(codes)
     agg = Report("sweep", cfg, base_seed)
     agg.results["jobs"] = len(jobs)
-    agg.results["exit_codes"] = [r.worst_exit_code() for r in reports]
-    agg.add_verdict("sweep:all", worst, EXIT_PASS, "<=", detail="worst exit code across jobs")
-    agg.write(out / "report.json")
-    (out / "timings.json").write_text(
-        json.dumps({"total_s": time.perf_counter() - t0}, sort_keys=True, indent=2) + "\n"
-    )
-    if args.verbose:
-        print(f"{len(jobs)} jobs, worst exit {worst}")
-    return worst
+    agg.results["exit_codes"] = codes
+    # passes when every job passes, fails when one fails, else inconclusive
+    agg.add_verdict("sweep:all", worst, EXIT_PASS, "<=", error=math.inf if worst == EXIT_INCONCLUSIVE else 0.0,
+                    detail="worst exit code across jobs")
+    return _finish(agg, out, {"total_s": time.perf_counter() - t0}, args.verbose)
 
 
 def main(argv=None):

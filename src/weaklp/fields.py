@@ -3,13 +3,13 @@
 Fields are immutable after construction; evaluation is vectorized over point
 arrays of shape (..., N) and is safe to call concurrently.  Every field
 vanishes *exactly* (returns 0.0, not something small) outside the centered
-ball of radius `support_radius`, and `segments_meet_support(X, W, length)`
-says, conservatively, which segments can meet its support at all: the field
-owns the whole test, its own tighter set and the slack `_PRUNE_MARGIN` that
-covers the rounding of x + r w, and X, W and `length` broadcast, so one call
-answers a grid of segments or a list of row-paired ones.  The certified
-bounds `lip_bound`, `hess_bound` and `sup_norm` are plain attributes, set
-when the field is built.
+ball of radius `support_radius`, and `segments_meet_support(X, W, length)`,
+its only support query, says, conservatively, which segments can meet its
+support at all: the field owns the whole test, its own tighter set and the
+slack `_PRUNE_MARGIN` that covers the rounding of x + r w, and X, W and
+`length` broadcast, so one call answers a grid of segments or a list of
+row-paired ones.  The certified bounds `lip_bound`, `hess_bound` and
+`sup_norm` are plain attributes, set when the field is built.
 
 Bumps and the axis profiles of separable fields rest on two jets, `_bump_jet`
 and `_step_jet`, each [value, d1, ..., d_order] from one mask and one set of
@@ -89,10 +89,6 @@ class ScalarField:
 
     def gradient(self, pts):
         raise NotImplementedError
-
-    def support_distance(self, pts):
-        """Distance to the support ball (a lower bound on the distance to supp u)."""
-        return np.maximum(np.sqrt(_sum_squares(pts)) - self.support_radius, 0.0)
 
     def segments_meet_support(self, X, W, length):
         """Whether the segment x + r w, 0 <= r <= length, can meet supp u, for

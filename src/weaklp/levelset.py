@@ -17,8 +17,9 @@ the slack that covers rounding, and u is exactly 0 on the other rays, at x
 too, so every estimate equals the unpruned scan's bit for bit.  A polar
 call hands the kernel its fine and coarse pass as plain ray lists, one per
 run of x chunks, and then solves all their brackets in one call; the ray
-sandwich check scans and solves all its sampled rays in one call each, with
-enough halvings for its absolute slack.
+sandwich check draws its rays where `pair_region` puts member pairs and
+scans and solves them all in one call each, with enough halvings for its
+absolute slack.
 The kernel reads u through `ScalarField.along`, bound once per scan and read
 block by block on the shared scan row, and once per solve at per-ray radii;
 both read u by the same formula, so the solve takes each bracket's
@@ -66,7 +67,6 @@ __all__ = [
     "DistributionProfile",
     "LevelSetQuery",
     "LimitEstimate",
-    "SandwichBounds",
     "default_lambda_grid",
     "distribution_profile",
     "lambda_scale",
@@ -275,20 +275,13 @@ def _solve_into(f, lam, alpha, pending):
 # sandwich radii
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SandwichBounds:
-    """Per-ray radii with (0, lower] inside and the membership set inside (0, upper]."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-
 def sandwich_bounds(f, p, lam, x, omega, delta):
-    """Certified inner/outer radii of the rays x + r omega ((k, N) rows, or
-    one (N,) point each) for the ray sets at alpha = N/p + 1.
+    """Certified (lower, upper) radii of the rays x + r omega ((k, N) rows, or
+    one (N,) point each) for the ray sets at alpha = N/p + 1: (0, lower] lies
+    in the membership set and the membership set in (0, upper].
 
-    Requires lambda > lip_bound; the outer radius is 0 once x sits more than
-    unit distance from the support.
+    Requires lambda > lip_bound and delta in (0, 1).  The outer radius holds
+    for every x: a ray without members has outer end 0.
     """
     if not 0.0 < delta < 1.0:
         raise InvalidParameterError("delta must lie in (0, 1)")
@@ -305,44 +298,47 @@ def sandwich_bounds(f, p, lam, x, omega, delta):
         ((1.0 - delta) ** p) * g ** p / lam ** p,
     )
     lower = np.where(lower_n > 0, lower_n ** (1.0 / n), 0.0)
-    upper = np.where(
-        f.support_distance(x) > 1.0, 0.0, (((g + A * (L / lam) ** (p / n)) / lam) ** p) ** (1.0 / n)
-    )
-    return SandwichBounds(lower, upper)
+    upper = (((g + A * (L / lam) ** (p / n)) / lam) ** p) ** (1.0 / n)
+    return lower, upper
 
 
 def verify_sandwich(f, p, lam, samples, delta, stream):
     """Measure (0, lower] <= membership runs <= (0, upper] on sampled rays.
 
-    Returns a dict with the worst upper excess, max (outer - upper) / (1 +
-    upper) over the rays, where outer is the outer end of the ray's last run,
-    and the worst lower shortfall, max (lam r^alpha - |u(x + r w) - u(x)|)
-    over 64 radii geometric in (0, lower] of each ray with lower > 0 (-inf
-    without one); both are at most 0 on the catalogue, and the caller
-    decides on them.  All rays go through one kernel call, solved to final
-    brackets at most _SANDWICH_WIDTH wide; the kernel reads no point of a ray
-    that misses the support, whose outer end is 0, and r_cap = 0 (a zero
-    field) scans only r = 0, where every outer end is 0.  u(x) is read here
-    only on the rays with an inner radius, whose x lies in the support.
+    The rays are drawn from `pair_region`: as lambda > lip_bound, r_cap < 1
+    and x lies within r_cap of the support ball, as the x of every member
+    pair does.  `sandwich_bounds` checks lambda and delta right after the
+    draw, before the scan.  Returns a dict with the worst upper excess, max
+    (outer - upper) / (1 + upper) over the rays, where outer is the outer
+    end of the ray's last run, and the worst lower shortfall, max (lam
+    r^alpha - |u(x + r w) - u(x)|) over 64 radii geometric in (0, lower] of
+    each ray with lower > 0 (-inf without one); both are at most 0 on the
+    catalogue, and the caller decides on them.  `rays_with_members` (outer
+    > 0) and `rays_with_inner_radius` (lower > 0) count the rays that test
+    anything.  All rays go through one kernel call, solved to final
+    brackets at most _SANDWICH_WIDTH wide; the kernel reads no point of a
+    ray that misses the support, whose outer end is 0, and r_cap = 0 (a
+    zero field) scans only r = 0, where every outer end is 0.  u(x) is read
+    here only on the rays with an inner radius, whose x lies in the support.
     """
-    if lam <= f.lip_bound:
-        raise PreconditionError("verify_sandwich needs lambda > lip_bound")
     n = f.dim
     q = LevelSetQuery(f, p, n / p + 1.0, lam)
-    r_cap = truncation_radius(f, lam, q.alpha)
-    xs, ws, _ = PairSampler(n, f.support_radius + 1.0, r_cap).draw(stream, 0, samples)
+    half, r_cap = pair_region(f, lam, q.alpha)
+    xs, ws, _ = PairSampler(n, half, r_cap).draw(stream, 0, samples)
+    lower, upper = sandwich_bounds(f, p, lam, xs, ws, delta)
     halvings = math.ceil(math.log2(max(r_cap / _SANDWICH_SCAN / _SANDWICH_WIDTH, 1.0)))
     _, crossings, outer = _scan_rays(f, lam, q.alpha, xs.T, ws.T, r_cap, _SANDWICH_SCAN, halvings)
-    sb = sandwich_bounds(f, p, lam, xs, ws, delta)
     # the inner radius can sit below the scan's first grid point, so read
     # membership directly on a dense sample of (0, lower]
-    inner = sb.lower > 0
-    x_in, w_in, rr = xs[inner], ws[inner], sb.lower[inner, None] * np.geomspace(1e-3, 1.0, 64)
+    inner = lower > 0
+    x_in, w_in, rr = xs[inner], ws[inner], lower[inner, None] * np.geomspace(1e-3, 1.0, 64)
     short = lam * rr ** q.alpha - np.abs(f.evaluate(x_in[:, None] + rr[..., None] * w_in[:, None])
                                          - f.evaluate(x_in)[:, None])
     return {
         "samples": samples,
-        "worst_upper_excess": float(np.max((outer - sb.upper) / (1.0 + sb.upper))),
+        "rays_with_members": int(np.count_nonzero(outer > 0)),
+        "rays_with_inner_radius": int(np.count_nonzero(inner)),
+        "worst_upper_excess": float(np.max((outer - upper) / (1.0 + upper))),
         "worst_lower_shortfall": float(np.max(short, initial=-math.inf)),
         "flagged_profiles": int(np.count_nonzero(crossings > CROSSING_CAP)),
         "lam": lam,

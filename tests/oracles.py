@@ -30,7 +30,16 @@ variation 2: the jump reads half of it.
 
 `truncated_seminorm_1d` is the s = 1, p = 1 seminorm of a 1-D field over
 pairs no shorter than a cutoff, by a layer-cake identity.
+
+`rotated(f, theta)` is u(R x) for a 2-D field u and the rotation R by
+theta.  It has exactly u's pair measures, seminorms and certified bounds,
+but the x grid and the sphere rule are not rotation invariant, so each copy
+reads them with its own discretization error: two copies with values v_i,
+v_j and error estimates e_i, e_j can both be covered only if |v_i - v_j| <=
+e_i + e_j, a floor under the estimates that needs no reference value.
 """
+import math
+
 import numpy as np
 
 from weaklp import quadrature as Q
@@ -62,3 +71,36 @@ def truncated_seminorm_1d(f, delta, panels=100):
         g = np.minimum(2.0 * x / delta, 1.0 + np.log(np.maximum(2.0 * x / delta, 1.0)))
         out += 4.0 * float(np.sum(w * g * -f.gradient(x[:, None])[:, 0]))
     return out
+
+
+class _Rotated:
+    """u(R x): the rotation applied before every read of the base field,
+    whose other attributes (dim, support_radius, the bounds, scan_dtype)
+    hold as they are."""
+
+    def __init__(self, base, theta):
+        c, s = math.cos(theta), math.sin(theta)
+        self.base, self.rot = base, np.array([[c, -s], [s, c]])
+
+    def __getattr__(self, name):
+        return getattr(self.base, name)
+
+    def evaluate(self, pts):
+        return self.base.evaluate(np.asarray(pts) @ self.rot.T)
+
+    def gradient(self, pts):
+        return self.base.gradient(np.asarray(pts) @ self.rot.T) @ self.rot
+
+    def along(self, xs, ws):
+        # (N, k) axis-major rays: R x + r R w, read through the base's binding
+        return self.base.along(self.rot @ xs, self.rot @ ws)
+
+    def segments_meet_support(self, X, W, length):
+        return self.base.segments_meet_support(np.asarray(X) @ self.rot.T, np.asarray(W) @ self.rot.T, length)
+
+
+def rotated(f, theta):
+    """The 2-D field u(R x), R the rotation by theta (radians)."""
+    if f.dim != 2:
+        raise ValueError("rotated copies are 2-D")
+    return _Rotated(f, theta)

@@ -809,3 +809,25 @@ def test_every_field_kind_runs_on_the_zero_field(tmp_path, kind, dim):
     assert main(["run", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["verdicts"] and all(v["pass"] is True for v in report["verdicts"].values())
+
+
+@pytest.mark.parametrize("cfg, states, code, agg", [
+    # an unreachable flatness tolerance: both jobs inconclusive; sweep:all
+    # read false, against the exit code
+    ({"experiment": "limit", "field": {"kind": "catalogue", "name": "plateau1"}, "seed": 3,
+      "params": {"p": 1.0, "lambda_points": 12, "window": 8, "flatness_tol": 1e-9},
+      "sweep": {"params.tolerance": [0.05, 0.5]}}, ["inconclusive", "inconclusive"], 3, "inconclusive"),
+    ({"experiment": "constants", "seed": 1, "sweep": {"params.tolerance": [1e-6, 1e-12]}},
+     ["pass", "fail"], 2, False),
+    ({"experiment": "constants", "seed": 1, "sweep": {"params.tolerance": [1e-6]}}, ["pass"], 0, True),
+], ids=["inconclusive", "fail", "pass"])
+def test_sweep_all_agrees_with_the_exit_code(tmp_path, cfg, states, code, agg):
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == code
+    assert [line.split(",")[3] for line in (out / "sweep.csv").read_text().splitlines()[1:]] == states
+    report = json.loads((out / "report.json").read_text())
+    assert report["verdicts"]["sweep:all"]["pass"] == agg
+    assert report["results"]["exit_codes"] == [{"pass": 0, "fail": 2, "inconclusive": 3}[s] for s in states]
+    # every job's output goes the way a run's does, timings sidecar included
+    for j in range(len(states)):
+        assert json.loads((out / f"job_{j:03d}" / "timings.json").read_text())["total_s"] > 0

@@ -205,10 +205,6 @@ def _reference_gradient(f, pts):
     return out
 
 
-def _reference_support_distance(f, pts):
-    return np.maximum(np.sqrt(np.sum(pts ** 2, axis=-1)) - f.support_radius, 0.0)
-
-
 # dyadic centres and radii make c +- R e_i exact points of the support sphere
 _coord = st.one_of(st.integers(-256, 256).map(lambda k: k / 64.0),
                    st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False))
@@ -237,7 +233,6 @@ def test_radial_bump_per_axis_sums_bitwise_equal_reference(case):
     for p in (pts, on_sphere):
         assert np.array_equal(f.evaluate(p), _reference_evaluate(f, p))
         assert np.array_equal(f.gradient(p), _reference_gradient(f, p))
-        assert np.array_equal(f.support_distance(p), _reference_support_distance(f, p))
     assert np.all(f.evaluate(f.center + f.radius * np.eye(f.dim)) == 0.0)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from weaklp import seminorms as S
 from weaklp.errors import InvalidParameterError, PreconditionError
 from weaklp.experiments import SANDWICH_TOL
 
-from oracles import BUMP2_MU, BUMP3_MU, JUMP_LAM_MU, JUMP_SMOOTH_LIMIT
+from oracles import BUMP2_MU, BUMP3_MU, JUMP_LAM_MU, JUMP_SMOOTH_LIMIT, rotated
 
 LIMIT_1D_P1 = 1.4715177646857693        # moment(1,1) * int |u'| = 2 * 2/e
 TV_BUMP = 2 / math.e
@@ -33,9 +34,6 @@ class RampStub(F.ScalarField):
     def evaluate(self, pts):
         x = np.asarray(pts)[..., 0]
         return np.clip(x, 0.0, 1.0)
-
-    def support_distance(self, pts):
-        return np.zeros(np.asarray(pts).shape[:-1])
 
     def segments_meet_support(self, X, W, length):
         return np.ones(np.broadcast_shapes(np.shape(X)[:-1], np.shape(W)[:-1]), dtype=bool)
@@ -120,22 +118,17 @@ def test_truncation_radius_small_lambda_uses_sup_cap(bump1):
 # ---------------------------------------------------------------------------
 
 def test_sandwich_zero_slope_gives_zero_lower(bump1):
-    sb = LS.sandwich_bounds(bump1, 1.0, 10 * bump1.lip_bound, [0.0], [1.0], 0.5)
-    assert sb.lower == 0.0
-
-
-def test_sandwich_far_point_gives_zero_upper(bump1):
-    sb = LS.sandwich_bounds(bump1, 1.0, 10 * bump1.lip_bound, [2.5], [1.0], 0.5)
-    assert sb.upper == 0.0
+    lower, _ = LS.sandwich_bounds(bump1, 1.0, 10 * bump1.lip_bound, [0.0], [1.0], 0.5)
+    assert lower == 0.0
 
 
 def test_sandwich_formula_1d(bump1):
     lam = 10 * bump1.lip_bound
     x = np.array([0.5])
     g = abs(bump1.gradient(x[None, :])[0, 0])
-    sb = LS.sandwich_bounds(bump1, 1.0, lam, x, [1.0], 0.5)
+    lower, _ = LS.sandwich_bounds(bump1, 1.0, lam, x, [1.0], 0.5)
     expected = min(g / (2 * bump1.hess_bound), g / (2 * lam))
-    assert sb.lower == pytest.approx(expected, rel=1e-12)
+    assert lower == pytest.approx(expected, rel=1e-12)
 
 
 def test_sandwich_requires_large_lambda(bump1):
@@ -144,8 +137,8 @@ def test_sandwich_requires_large_lambda(bump1):
 
 
 def test_sandwich_degenerate_delta_near_one(bump1):
-    sb = LS.sandwich_bounds(bump1, 1.0, 10 * bump1.lip_bound, [0.5], [1.0], 1 - 1e-9)
-    assert sb.lower <= 1e-6
+    lower, _ = LS.sandwich_bounds(bump1, 1.0, 10 * bump1.lip_bound, [0.5], [1.0], 1 - 1e-9)
+    assert lower <= 1e-6
 
 
 @pytest.mark.parametrize("name", ["bump1", "bump2_off", "plateau2"])
@@ -157,18 +150,19 @@ def test_sandwich_bounds_rows_match_single_points(cat, name):
     ws = rng.normal(size=(40, f.dim))
     ws /= np.linalg.norm(ws, axis=1, keepdims=True)
     lam = 10 * f.lip_bound
-    sb = LS.sandwich_bounds(f, 2.0, lam, xs, ws, 0.25)
-    assert sb.lower.shape == sb.upper.shape == (40,)
-    assert np.count_nonzero(sb.upper == 0.0) > 0 and np.count_nonzero(sb.lower > 0.0) > 0
-    for x, w, lo, up in zip(xs, ws, sb.lower, sb.upper):
-        one = LS.sandwich_bounds(f, 2.0, lam, x, w, 0.25)
-        assert (one.lower[0].hex(), one.upper[0].hex()) == (lo.hex(), up.hex())
+    lower, upper = LS.sandwich_bounds(f, 2.0, lam, xs, ws, 0.25)
+    assert lower.shape == upper.shape == (40,)
+    assert np.count_nonzero(lower > 0.0) > 0
+    for x, w, lo, up in zip(xs, ws, lower, upper):
+        one_lower, one_upper = LS.sandwich_bounds(f, 2.0, lam, x, w, 0.25)
+        assert (one_lower[0].hex(), one_upper[0].hex()) == (lo.hex(), up.hex())
 
 
 def test_verify_sandwich_zero_field_vacuous():
     rec = LS.verify_sandwich(zero_field(), 1.0, 1.0, 50, 0.5, Q.RandomStream(1, 0))
     # no run and a zero outer radius on every ray; no ray has an inner radius
     assert rec["worst_upper_excess"] == 0.0 and rec["worst_lower_shortfall"] == -math.inf
+    assert rec["rays_with_members"] == rec["rays_with_inner_radius"] == 0
 
 
 @pytest.mark.parametrize("name", ["bump1", "plateau1", "bumps1_pair", "bump2"])
@@ -714,6 +708,32 @@ def test_scan_far_from_support_is_zero_without_evaluation(bump2, monkeypatch):
         assert not np.any(brackets.last)      # no member on the scanned ray
 
 
+@pytest.mark.parametrize("name", ["bump1", "plateau2", "bumps2_pair", "bump3"])
+@pytest.mark.parametrize("lam_factor", [10.0, 100.0])
+def test_verify_sandwich_draws_x_from_the_pair_region(cat, monkeypatch, name, lam_factor):
+    # every x the kernel is handed lies in pair_region's ball, of radius
+    # support_radius + r_cap
+    calls = _record_scans(monkeypatch)
+    f = cat[name]
+    lam = lam_factor * f.lip_bound
+    LS.verify_sandwich(f, 1.0, lam, 200, 0.5, Q.RandomStream(2024, 1))
+    ((xs, _, _),) = calls
+    half, r_cap = F.pair_region(f, lam, f.dim + 1.0)
+    assert r_cap < 1.0 and half == f.support_radius + r_cap
+    radii = np.sqrt(F._sum_squares(xs))
+    assert np.max(radii) <= half * (1.0 + 4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("lam_factor, delta, error", [
+    (10.0, 1.5, InvalidParameterError), (10.0, 0.0, InvalidParameterError), (0.5, 0.5, PreconditionError),
+])
+def test_verify_sandwich_rejects_before_any_scan(bump2, monkeypatch, lam_factor, delta, error):
+    calls = _record_scans(monkeypatch)
+    with pytest.raises(error):
+        LS.verify_sandwich(bump2, 1.0, lam_factor * bump2.lip_bound, 50, delta, Q.RandomStream(1, 0))
+    assert calls == []
+
+
 @pytest.mark.parametrize("name", ["bump1", "bump2_off", "plateau2", "bumps2_pair"])
 def test_verify_sandwich_reads_no_point_on_rays_that_miss_the_support(cat, monkeypatch, name):
     # its kernel call binds and reads only the rays the support test keeps,
@@ -767,7 +787,8 @@ def _parent_scan_measures(f, lam, alpha, X, W, r_cap, scan, n_dim):
     lam_r = lam * r ** alpha
     member = np.zeros((nx, nw, scan), dtype=bool)
     margin = 1e-9 * (r_cap + f.support_radius)
-    live = np.flatnonzero(f.support_distance(X) <= r_cap + margin)
+    ball_distance = np.maximum(np.sqrt(F._sum_squares(X)) - f.support_radius, 0.0)
+    live = np.flatnonzero(ball_distance <= r_cap + margin)
     ux = np.zeros(nx)
     if live.size:
         ux[live] = f.evaluate(X[live])
@@ -1063,6 +1084,38 @@ def test_no_membership_run_ends_beyond_r_cap(cat):
                 assert np.any(outer) and np.max(outer) <= r_cap, (name, lam_factor, p)
 
 
+ROTATION_ANGLES = (0.0, 0.1234, 0.3, 0.5, 1.0)
+ROTATION_BUDGET = {"x_nodes": 36, "sphere_order": 12, "scan": 128}     # BUDGET_2D, the 2-D acceptance budget
+# rows whose converged copies disagree beyond their summed error estimates
+# at the 2-D acceptance budget (worst gap / summed estimates in brackets):
+# the coarse pass keeps the sphere rule, so the estimate misses the angular
+# error
+ROTATION_UNDER_REPORTED = {
+    ("plateau2", 1.0, 2.154),       # 1.63
+    ("product2", 1.0, 2.154),       # 1.05
+    ("product2", 1.0, 46.4),        # 2.26
+    ("bumps2_pair", 1.0, 46.4),     # 1.19
+}
+
+
+@pytest.mark.parametrize("name, p, lam_factor", [
+    pytest.param(*row, marks=pytest.mark.xfail(row in ROTATION_UNDER_REPORTED, strict=True,
+                                               reason="the error estimate misses the angular error"))
+    for row in itertools.product(["plateau2", "product2", "bumps2_pair", "bump2_off"], [1.0, 2.0],
+                                 [2.154, 46.4])
+])
+def test_rotated_copies_agree_within_their_error_estimates(cat, name, p, lam_factor):
+    # u(R x) has u's pair measure, so two converged copies whose readings
+    # differ by more than their summed estimates show an under-reported error
+    f = cat[name]
+    res = [LS.pair_measure_polar(LS.LevelSetQuery(rotated(f, theta), p, 2.0 / p + 1.0, lam_factor * f.lip_bound),
+                                 **ROTATION_BUDGET)
+           for theta in ROTATION_ANGLES]
+    assert res[0].value > 0
+    for a, b in itertools.combinations([r for r in res if r.converged], 2):
+        assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate
+
+
 def test_error_pass_is_strictly_coarser_on_small_grids(cat):
     # 2 panels (16 nodes per axis) and 48 scan nodes: the coarse pass used to
     # keep the 2 panels and raise the scan to 64, reporting an error of 2.6e-12
@@ -1085,11 +1138,13 @@ def test_error_pass_is_strictly_coarser_on_small_grids(cat):
 # pins the sampled x and w bit for bit; every violation count is 0 (recorded
 # at scan 64; the scan, now fixed at 1024, does not enter the digest).  Recorded on the one-ray path (`radial_levelset`, one call per ray)
 # that the batched kernel call replaced; re-recorded when the uniforms moved
-# to per-slot PCG64DXSM lanes (still no violation).
+# to per-slot PCG64DXSM lanes (still no violation), and again when x's ball
+# shrank from radius support_radius + 1 to `pair_region`'s half,
+# support_radius + r_cap (the same uniforms, x's radius rescaled).
 SANDWICH_GOLDENS = {
-    ("bump1", 1.0): "46d23c1760eaaf8a",
-    ("bump2", 2.0): "0584d7ed3002493b",
-    ("bump3", 2.0): "af5d942fba535923",
+    ("bump1", 1.0): "145de4d80e936a7d",
+    ("bump2", 2.0): "0e4c6c4f8521cc9c",
+    ("bump3", 2.0): "6dc34f45133a260d",
 }
 
 
@@ -1110,17 +1165,20 @@ def test_verify_sandwich_goldens(cat, monkeypatch, name, p):
 
 # float.hex of verify_sandwich(f, 1, lam_factor lip_bound, 200, 0.5,
 # RandomStream(2024, 1))'s worst upper excess and worst lower shortfall, and
-# its flagged count.  Recorded when the sandwich check still scanned every
-# sampled ray, before the kernel skipped the rays that miss the support.
+# its flagged count, and its counts of rays with members and with an inner
+# radius.  First recorded when the sandwich check still scanned every
+# sampled ray, before the kernel skipped the rays that miss the support;
+# re-recorded with the two counts when x's ball shrank to `pair_region`'s
+# half, which puts 1.8-3.2x as many of the 200 rays on the support.
 SANDWICH_RECORDS = {
-    ("bump1", 10.0): ("-0x1.09eeaf8caede5p-4", "0x1.6c80e55f9de07p-246", 0),
-    ("bump1", 100.0): ("-0x1.7ea7686369fd2p-11", "0x1.239a51194b19fp-249", 0),
-    ("bump2_off", 10.0): ("-0x1.4e26dd02bc2adp-3", "0x1.6617ad7eaeed3p-157", 0),
-    ("bump2_off", 100.0): ("-0x1.007f9db88e23cp-5", "0x1.bf9d98de5aa88p-154", 0),
-    ("plateau2", 10.0): ("-0x1.62afb13d8ef48p-2", "0x1.be2ec97c004dfp-187", 0),
-    ("plateau2", 100.0): ("-0x1.52f2e66720025p-4", "0x1.16dd3ded8030cp-183", 0),
-    ("bumps2_pair", 10.0): ("-0x1.2b598e4259550p-2", "-0x1.7dca82fffffedp-58", 0),
-    ("bumps2_pair", 100.0): ("-0x1.f46a0d6b402d5p-5", "-0x1.7dca82fffff3ep-58", 0),
+    ("bump1", 10.0): ("-0x1.01f7f8e3933e1p-4", "0x1.3e970671cc927p-207", 0, 169, 177),
+    ("bump1", 100.0): ("-0x1.7ea033a8c3ed0p-11", "0x1.33b02deefeacfp-102", 0, 187, 200),
+    ("bump2_off", 10.0): ("-0x1.7554c4950f280p-3", "-0x1.ad6c000000000p-84", 0, 66, 69),
+    ("bump2_off", 100.0): ("-0x1.d7c5422718580p-6", "0x1.0afeade2f4cc2p-151", 0, 85, 90),
+    ("plateau2", 10.0): ("-0x1.62940958ee041p-2", "0x1.43b728153c14fp-95", 0, 35, 37),
+    ("plateau2", 100.0): ("-0x1.2909c30bf6238p-4", "0x1.e5793e93cd0f5p-88", 0, 49, 52),
+    ("bumps2_pair", 10.0): ("-0x1.2a7d36f056c69p-2", "0x1.24f48f1e95e29p-148", 0, 48, 52),
+    ("bumps2_pair", 100.0): ("-0x1.fdd00945f5349p-5", "0x1.32e3f214a26b3p-292", 0, 66, 68),
 }
 
 
@@ -1128,8 +1186,8 @@ SANDWICH_RECORDS = {
 def test_verify_sandwich_records_golden(cat, name, lam_factor):
     f = cat[name]
     rec = LS.verify_sandwich(f, 1.0, lam_factor * f.lip_bound, 200, 0.5, Q.RandomStream(2024, 1))
-    assert (rec["worst_upper_excess"].hex(), rec["worst_lower_shortfall"].hex(),
-            rec["flagged_profiles"]) == SANDWICH_RECORDS[name, lam_factor]
+    assert (rec["worst_upper_excess"].hex(), rec["worst_lower_shortfall"].hex(), rec["flagged_profiles"],
+            rec["rays_with_members"], rec["rays_with_inner_radius"]) == SANDWICH_RECORDS[name, lam_factor]
 
 
 def test_pair_measure_mc_golden(bump2):
