@@ -12,11 +12,13 @@ row-paired ones.  The certified bounds `lip_bound`, `hess_bound` and
 `sup_norm` are plain attributes, set when the field is built.
 
 Bumps and the axis profiles of separable fields rest on two jets, `_bump_jet`
-and `_step_jet`, each [value, d1, ..., d_order] from one mask and one set of
-exponentials; only the radial bump's gradient keeps a formula of its own.  A
-window's value is its nearer edge's step.  `along(xs, ws)` binds a ray list once
-and returns u(r, b) on its ray subsets b: a quadratic in r for radial bumps, and
-on a shared row r tables per distinct (x_i, w_i) pair for separable fields.
+and `_step_jet`, each [value, d1, ..., d_order] from one selection of the
+points inside the support (an index set for the bump, a mask for the step's
+thin layers) and one set of exponentials; only the radial bump's gradient
+keeps a formula of its own.  A window's value is its nearer edge's step.
+`along(xs, ws)` binds a ray list once and returns u(r, b) on its ray subsets
+b: a quadratic in r for radial bumps, and on a shared row r tables per
+distinct (x_i, w_i) pair for separable fields.
 `scan_dtype` names the dtype the ray scan reads `along` in: float32 for radial
 bumps and for sums and multiples of them, whose `along` computes in r's dtype,
 and float64 for every other field.
@@ -152,20 +154,24 @@ def _segments_meet_box(X, W, length, lo, hi, margin):
 
 def _bump_jet(t, radius, amplitude, order=0):
     """[value, d1, ..., d_order] (order <= 2) of amplitude * exp(-1/(1 - (t/radius)^2))
-    inside |t| < radius, 0 outside, from one mask and one exponential."""
+    inside |t| < radius, 0 outside, from one index set and one exponential.
+    The points inside are read and written by flat index, through views of
+    C-ordered outputs: on scattered points a boolean gather and scatter cost
+    several times as much."""
     t = np.asarray(t, dtype=float)
     q = (t / radius) ** 2
-    jet = [np.zeros_like(q) for _ in range(order + 1)]
-    m = q < 1.0
-    v = amplitude * np.exp(-1.0 / (1.0 - q[m]))
-    jet[0][m] = v
+    jet = [np.zeros(q.shape) for _ in range(order + 1)]
+    m = np.flatnonzero(q < 1.0)
+    qm = q.ravel()[m]
+    v = amplitude * np.exp(-1.0 / (1.0 - qm))
+    jet[0].reshape(-1)[m] = v
     if order >= 1:
-        tm = t[m]
-        w = 1.0 / (1.0 - q[m])
-        jet[1][m] = v * (-(w ** 2) * 2.0 * tm / radius ** 2)
+        tm = t.ravel()[m]
+        w = 1.0 / (1.0 - qm)
+        jet[1].reshape(-1)[m] = v * (-(w ** 2) * 2.0 * tm / radius ** 2)
     if order >= 2:
         c = 2.0 * tm / radius ** 2
-        jet[2][m] = v * (w ** 4 * c ** 2 - 2.0 * w ** 3 * c ** 2 - 2.0 * w ** 2 / radius ** 2)
+        jet[2].reshape(-1)[m] = v * (w ** 4 * c ** 2 - 2.0 * w ** 3 * c ** 2 - 2.0 * w ** 2 / radius ** 2)
     return jet
 
 

@@ -314,12 +314,13 @@ def verify_sandwich(f, p, lam, samples, delta, stream):
     r^alpha - |u(x + r w) - u(x)|) over 64 radii geometric in (0, lower] of
     each ray with lower > 0 (-inf without one); both are at most 0 on the
     catalogue, and the caller decides on them.  `rays_with_members` (outer
-    > 0) and `rays_with_inner_radius` (lower > 0) count the rays that test
-    anything.  All rays go through one kernel call, solved to final
-    brackets at most _SANDWICH_WIDTH wide; the kernel reads no point of a
-    ray that misses the support, whose outer end is 0, and r_cap = 0 (a
-    zero field) scans only r = 0, where every outer end is 0.  u(x) is read
-    here only on the rays with an inner radius, whose x lies in the support.
+    > 0, or a member among the 64 radii of (0, lower]) and
+    `rays_with_inner_radius` (lower > 0) count the rays that test anything.
+    All rays go through one kernel call, solved to final brackets at most
+    _SANDWICH_WIDTH wide; the kernel reads no point of a ray that misses
+    the support, whose outer end is 0, and r_cap = 0 (a zero field) scans
+    only r = 0, where every outer end is 0.  u(x) is read here only on the
+    rays with an inner radius, whose x lies in the support.
     """
     n = f.dim
     q = LevelSetQuery(f, p, n / p + 1.0, lam)
@@ -334,9 +335,12 @@ def verify_sandwich(f, p, lam, samples, delta, stream):
     x_in, w_in, rr = xs[inner], ws[inner], lower[inner, None] * np.geomspace(1e-3, 1.0, 64)
     short = lam * rr ** q.alpha - np.abs(f.evaluate(x_in[:, None] + rr[..., None] * w_in[:, None])
                                          - f.evaluate(x_in)[:, None])
+    # a run can lie wholly below the scan's first point, where only the dense read sees it
+    members = outer > 0
+    members[inner] |= np.any(short <= 0.0, axis=1)
     return {
         "samples": samples,
-        "rays_with_members": int(np.count_nonzero(outer > 0)),
+        "rays_with_members": int(np.count_nonzero(members)),
         "rays_with_inner_radius": int(np.count_nonzero(inner)),
         "worst_upper_excess": float(np.max((outer - upper) / (1.0 + upper))),
         "worst_lower_shortfall": float(np.max(short, initial=-math.inf)),

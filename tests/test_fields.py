@@ -189,9 +189,55 @@ def test_sum_field_bounds_subadditive(cat):
 # per-axis squared distances: bitwise equal to the numpy reduce they replace
 # ---------------------------------------------------------------------------
 
+def _mask_bump_jet(t, radius, amplitude, order=0):
+    """The boolean-mask bump jet that the index-set jet replaced, kept as a
+    reference: the same operations on the points inside, in the same order."""
+    t = np.asarray(t, dtype=float)
+    q = (t / radius) ** 2
+    jet = [np.zeros_like(q) for _ in range(order + 1)]
+    m = q < 1.0
+    v = amplitude * np.exp(-1.0 / (1.0 - q[m]))
+    jet[0][m] = v
+    if order >= 1:
+        tm = t[m]
+        w = 1.0 / (1.0 - q[m])
+        jet[1][m] = v * (-(w ** 2) * 2.0 * tm / radius ** 2)
+    if order >= 2:
+        c = 2.0 * tm / radius ** 2
+        jet[2][m] = v * (w ** 4 * c ** 2 - 2.0 * w ** 3 * c ** 2 - 2.0 * w ** 2 / radius ** 2)
+    return jet
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def _jet_inputs(radius):
+    rng = np.random.default_rng(35)
+    flat = rng.uniform(-1.5, 1.5, 4099) * radius
+    flat[:6] = [radius, -radius, 1e-3, -1e-3, 1.0, -1.0]    # the support's ends, near 0, t = 1
+    grid = flat[:4096].reshape(64, 64)
+    return {"1-D": flat, "2-D": grid, "strided": flat[::3], "Fortran": np.asfortranarray(grid),
+            "transposed": grid.T[::2], "scalar": np.float64(0.5 * radius)}
+
+
+@pytest.mark.parametrize("radius, amplitude", [(1.0, 1.0), (0.7, -0.6), (1.6, 0.75), (1.0, -1.0)])
+def test_bump_jet_bitwise_equal_mask_reference(radius, amplitude):
+    # orders 0-2; a strided or Fortran-ordered t still gets its values written
+    # into the returned arrays, which have t's shape
+    for name, t in _jet_inputs(radius).items():
+        for order in (0, 1, 2):
+            got, want = F._bump_jet(t, radius, amplitude, order), _mask_bump_jet(t, radius, amplitude, order)
+            assert len(got) == order + 1
+            for g, w in zip(got, want):
+                assert g.shape == np.shape(t), name
+                assert np.array_equal(_bits(g), _bits(w)), (name, order)
+            assert np.all(got[0][np.abs(t) >= radius] == 0.0) and np.any(got[0]), name
+
+
 def _reference_evaluate(f, pts):
     r = np.sqrt(np.sum((pts - f.center) ** 2, axis=-1))
-    return F._bump_jet(r, f.radius, f.amplitude)[0]
+    return _mask_bump_jet(r, f.radius, f.amplitude)[0]
 
 
 def _reference_gradient(f, pts):

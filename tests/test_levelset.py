@@ -1169,15 +1169,18 @@ def test_verify_sandwich_goldens(cat, monkeypatch, name, p):
 # radius.  First recorded when the sandwich check still scanned every
 # sampled ray, before the kernel skipped the rays that miss the support;
 # re-recorded with the two counts when x's ball shrank to `pair_region`'s
-# half, which puts 1.8-3.2x as many of the 200 rays on the support.
+# half, which puts 1.8-3.2x as many of the 200 rays on the support; the
+# members count rose (169 -> 176 on bump1 at 10 L) when it began to count
+# the runs that lie wholly below the scan's first point, which only the
+# dense read of (0, lower] sees.
 SANDWICH_RECORDS = {
-    ("bump1", 10.0): ("-0x1.01f7f8e3933e1p-4", "0x1.3e970671cc927p-207", 0, 169, 177),
-    ("bump1", 100.0): ("-0x1.7ea033a8c3ed0p-11", "0x1.33b02deefeacfp-102", 0, 187, 200),
-    ("bump2_off", 10.0): ("-0x1.7554c4950f280p-3", "-0x1.ad6c000000000p-84", 0, 66, 69),
-    ("bump2_off", 100.0): ("-0x1.d7c5422718580p-6", "0x1.0afeade2f4cc2p-151", 0, 85, 90),
-    ("plateau2", 10.0): ("-0x1.62940958ee041p-2", "0x1.43b728153c14fp-95", 0, 35, 37),
-    ("plateau2", 100.0): ("-0x1.2909c30bf6238p-4", "0x1.e5793e93cd0f5p-88", 0, 49, 52),
-    ("bumps2_pair", 10.0): ("-0x1.2a7d36f056c69p-2", "0x1.24f48f1e95e29p-148", 0, 48, 52),
+    ("bump1", 10.0): ("-0x1.01f7f8e3933e1p-4", "0x1.3e970671cc927p-207", 0, 176, 177),
+    ("bump1", 100.0): ("-0x1.7ea033a8c3ed0p-11", "0x1.33b02deefeacfp-102", 0, 197, 200),
+    ("bump2_off", 10.0): ("-0x1.7554c4950f280p-3", "-0x1.ad6c000000000p-84", 0, 69, 69),
+    ("bump2_off", 100.0): ("-0x1.d7c5422718580p-6", "0x1.0afeade2f4cc2p-151", 0, 87, 90),
+    ("plateau2", 10.0): ("-0x1.62940958ee041p-2", "0x1.43b728153c14fp-95", 0, 38, 37),
+    ("plateau2", 100.0): ("-0x1.2909c30bf6238p-4", "0x1.e5793e93cd0f5p-88", 0, 51, 52),
+    ("bumps2_pair", 10.0): ("-0x1.2a7d36f056c69p-2", "0x1.24f48f1e95e29p-148", 0, 50, 52),
     ("bumps2_pair", 100.0): ("-0x1.fdd00945f5349p-5", "0x1.32e3f214a26b3p-292", 0, 66, 68),
 }
 
@@ -1190,6 +1193,25 @@ def test_verify_sandwich_records_golden(cat, name, lam_factor):
             rec["rays_with_members"], rec["rays_with_inner_radius"]) == SANDWICH_RECORDS[name, lam_factor]
 
 
+def test_verify_sandwich_counts_runs_below_the_first_scan_point(bump1, monkeypatch):
+    # on 8 of the 177 rays with an inner radius, lower <= 4.6e-5 lies below
+    # the scan's first point r_cap/1024 = 9.8e-5, so the scan finds no run
+    # there; the dense read of (0, lower] finds members on 7 of them.  On the
+    # 8th, lower is 2.7e-32 and |u(y) - u(x)| rounds below lam r^alpha at
+    # every one of its 64 radii, so no member pair is seen on it.
+    scan_rays, outers = LS._scan_rays, []
+
+    def recording(*args):
+        out = scan_rays(*args)
+        outers.append(out[2])
+        return out
+
+    monkeypatch.setattr(LS, "_scan_rays", recording)
+    rec = LS.verify_sandwich(bump1, 1, 10 * bump1.lip_bound, 200, 0.5, Q.RandomStream(2024, 1))
+    assert np.count_nonzero(outers[0] > 0) == 169
+    assert (rec["rays_with_members"], rec["rays_with_inner_radius"]) == (176, 177)
+
+
 def test_pair_measure_mc_golden(bump2):
     # re-recorded with the per-slot uniform lanes: 5.2921 +- 0.0987 before,
     # 5.2980 +- 0.0988 now, 0.04 combined standard errors apart
@@ -1197,6 +1219,26 @@ def test_pair_measure_mc_golden(bump2):
     res = LS.pair_measure_mc(q, 40_000, Q.RandomStream(5, 7))
     assert (res.value.hex(), res.error_estimate.hex(), res.nodes_used) == \
         ("0x1.53127ddea9661p+2", "0x1.94945cf6d7466p-4", 40_000)
+
+
+# sha256 prefix of float.hex of the value, then of the error, at each of the
+# 12 thresholds of pair_measure_mc on bump3 (p = 1.5, 40k samples, the
+# `default_lambda_grid` of 12 thresholds); recorded with the boolean-mask
+# bump jet, before its index-set form
+MC_BUMP3_GOLDEN = "dc5b4584fbef3b12"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pair_measure_mc_bump3_profile_golden(cat, workers):
+    f = cat["bump3"]
+    q = LS.LevelSetQuery(f, 1.5, f.dim / 1.5 + 1.0, LS.default_lambda_grid(f, 12))
+    res = LS.pair_measure_mc(q, 40_000, Q.RandomStream(35, 3), workers=workers)
+    digest = hashlib.sha256()
+    for v, e in zip(res.value, res.error_estimate):
+        digest.update(v.hex().encode())
+        digest.update(e.hex().encode())
+    assert (digest.hexdigest()[:16], res.value[0].hex(), res.nodes_used) == \
+        (MC_BUMP3_GOLDEN, "0x1.3163fd601b2cbp+5", 480_000)
 
 
 @pytest.mark.parametrize("name", ["bump1", "bump2", "bump3"])
